@@ -31,6 +31,18 @@ done
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench fault_recovery smoke (one second, untraced)"
+# The only benchmark workload that runs the shared fault and commit
+# core (loss, WAL replay, re-registration, 2PC): it must still verify
+# every cell (P1-P10) and report no failed cell.
+bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+  --workload fault_recovery --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+  || { echo "perfbench fault_recovery: incorrect or failed cells"; echo "$bench_out"; exit 1; }
+
 echo "==> trace-explain smoke (span export + round accounting)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT

@@ -5,10 +5,10 @@
 //!
 //! * `cargo run --release --bin repro -- all` regenerates every table and
 //!   figure of the paper (see `g2pl_core::experiments` for the mapping).
-//! * `cargo bench` runs Criterion micro- and cell-benchmarks: one
-//!   representative cell per figure (`benches/figures.rs`), substrate
-//!   microbenches (`benches/substrates.rs`), and the g-2PL optimization
-//!   ablations (`benches/ablations.rs`).
+//! * `cargo bench` runs Criterion cell-benchmarks: one representative
+//!   cell per figure (`benches/figures.rs`) and the g-2PL optimization
+//!   ablations (`benches/ablations.rs`). Per-layer microbenchmarks live
+//!   in the repo benchmark (`perfbench/src/layers.rs`).
 
 pub mod chaos;
 pub mod harness;

@@ -275,3 +275,56 @@ fn workspace_is_clean() {
         "state-machine extraction must find the protocol engines"
     );
 }
+
+/// Golden `--dot` output of the real workspace: one digraph per engine
+/// file, no more. Shared protocol code must not grow a machine of its
+/// own, and moving code between files must not change any engine's
+/// transitions.
+#[test]
+fn workspace_dot_is_golden() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("lint crate sits two levels under the workspace root");
+    let analysis = g2pl_lint::analyze_workspace(root).expect("workspace discovery");
+    assert_eq!(machine::dot(&analysis.extraction), WORKSPACE_DOT);
+}
+
+const WORKSPACE_DOT: &str = r#"digraph c2pl {
+  rankdir=LR;
+  node [shape=circle];
+  "Active" [shape=doublecircle];
+  "Active";
+  "Aborting";
+  "Committed";
+  "Aborted";
+  "Active" -> "Aborted" [style=dashed];
+  "Active" -> "Aborting";
+  "Active" -> "Committed" [style=dashed];
+}
+digraph g2pl {
+  rankdir=LR;
+  node [shape=circle];
+  "Active" [shape=doublecircle];
+  "Active";
+  "Aborting";
+  "Committed";
+  "Aborted";
+  "Aborting" -> "Aborted";
+  "Active" -> "Aborted";
+  "Active" -> "Aborting";
+  "Active" -> "Committed" [style=dashed];
+}
+digraph s2pl {
+  rankdir=LR;
+  node [shape=circle];
+  "Active" [shape=doublecircle];
+  "Active";
+  "Aborting";
+  "Committed";
+  "Aborted";
+  "Active" -> "Aborted" [style=dashed];
+  "Active" -> "Aborting";
+  "Active" -> "Committed" [style=dashed];
+}
+"#;

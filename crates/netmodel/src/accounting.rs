@@ -19,9 +19,9 @@ pub enum Direction {
     ServerToClient,
     /// Client → client (g-2PL data migration and reader releases).
     ClientToClient,
-    /// Server shard → server shard (reserved for future inter-shard
-    /// coordination; the current engines coordinate cross-shard commits
-    /// at the client, so this stays zero).
+    /// Server shard → server shard: a restarted shard's commit-status
+    /// queries and its peers' verdicts on in-doubt votes. Cross-shard
+    /// commits themselves are coordinated at the client.
     ServerToServer,
 }
 

@@ -22,28 +22,19 @@
 //! until that transaction ends (the standard callback-locking rule, per
 //! the paper's reference \[5\], Franklin & Carey). Deferred callbacks
 //! create waits-for edges, so the deadlock detector sees them.
+//!
+//! The engine is the s-2PL lock server ([`ServerLocking`]) plus the
+//! caches, the directory and the callback barriers below.
 
 use crate::config::EngineConfig;
-use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
-use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, Message, Net, ServerCpu,
-    ShardFaultState, TimerKind, TxnStatus, TxnTable,
-};
-use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
-use crate::tracelog::{TraceKind, TraceLog};
-use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
-
-/// Per-shard slice of a committing transaction: written `(item,
-/// version)` pairs plus read-only items, bound for one home server.
-type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
+use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
+use crate::s2pl::{S2pl, ServerLocking};
+use crate::tracelog::TraceKind;
+use g2pl_lockmgr::{LockMode, LockTable};
+use g2pl_simcore::{ClientId, ItemId, SimTime, TxnId, Version};
+use g2pl_wal::ServerImage;
 use g2pl_workload::AccessMode;
-use g2pl_workload::TxnGenerator;
-use std::collections::BTreeMap;
 
 /// A granted-but-callback-blocked exclusive request.
 struct XBarrier {
@@ -53,13 +44,12 @@ struct XBarrier {
 }
 
 /// The c-2PL simulation engine.
-pub struct C2plEngine {
-    cfg: EngineConfig,
-    cal: Calendar<Ev>,
-    net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
-    clients: Vec<ClientCore>,
+pub type C2plEngine = Kernel<C2pl>;
+
+/// c-2PL's own state: the s-2PL lock server plus caching.
+pub struct C2pl {
+    /// The server shards' lock tables and versions, as in s-2PL.
+    s: S2pl,
     /// Per-client cache contents, indexed by `ItemId::index()`: `Some(v)`
     /// when the client caches version `v` of the item.
     caches: Vec<Vec<Option<Version>>>,
@@ -73,10 +63,6 @@ pub struct C2plEngine {
     /// gets exactly one acknowledgement, even if the same item is
     /// recalled twice across dismantled barriers.
     deferred_callbacks: Vec<Vec<ItemId>>,
-    table: TxnTable,
-    /// One lock table per server shard; an item's locks live at the
-    /// shard owning it ([`EngineConfig::shard_of`]).
-    locks: Vec<LockTable>,
     /// Server-side cache directory: which clients cache each item, as a
     /// sorted vector per item (so recall fan-out needs no re-sort).
     /// Indexed globally by item; each row is owned by the item's shard.
@@ -84,1665 +70,20 @@ pub struct C2plEngine {
     /// Exclusive grants waiting for callback acknowledgements, indexed
     /// by `ItemId::index()` (at most one barrier per item).
     barriers: Vec<Option<XBarrier>>,
-    versions: Vec<Version>,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
-    /// Cache hits (local read grants) — the c-2PL win metric.
-    cache_hits: u64,
-    finder: CycleFinder,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period for idle transactions (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay; also paces server-side
-    /// callback re-sends (faults only).
-    retry_base: SimTime,
-    /// Last server-observed activity per transaction (faults only).
-    last_activity: Vec<SimTime>,
-    /// Whether a transaction currently holds server resources under a
-    /// pending lease (faults only).
-    leased: Vec<bool>,
-    /// Whether the plan schedules server crashes (see the s-2PL engine).
-    srv_faults_on: bool,
-    /// One durable log per shard (present iff `srv_faults_on`): each
-    /// shard is its own fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state (see the s-2PL engine).
-    fault_state: Vec<ShardFaultState>,
-    /// Which shards have applied each transaction's commit slice (bit
-    /// `s` of `applied[txn]`; see the s-2PL engine). Each shard's bit
-    /// mirrors its durable applied set.
-    applied: Vec<u64>,
-    /// Which shards hold a durable prepared (yes) vote for each
-    /// transaction (see the s-2PL engine).
-    prepared: Vec<u64>,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
 }
 
-impl C2plEngine {
-    /// Build an engine for `cfg`.
-    pub fn new(cfg: EngineConfig) -> Self {
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
-        let n = cfg.num_clients as usize;
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
-        C2plEngine {
-            faults_on: net.faults_active(),
-            net,
-            lease,
-            retry_base,
-            last_activity: Vec::new(),
-            leased: Vec::new(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            applied: Vec::new(),
-            prepared: Vec::new(),
-            fsum: FaultSummary::default(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
-            cal: Calendar::new(),
-            clients,
-            caches: vec![vec![None; cfg.num_items() as usize]; n],
-            reading_cached: vec![Vec::new(); n],
-            deferred_callbacks: vec![Vec::new(); n],
-            table: TxnTable::new(),
-            locks: (0..nshards).map(|_| LockTable::new()).collect(),
-            directory: vec![Vec::new(); cfg.num_items() as usize],
-            barriers: (0..cfg.num_items()).map(|_| None).collect(),
-            versions: vec![0; cfg.num_items() as usize],
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
-            cache_hits: 0,
-            finder: CycleFinder::default(),
-            cfg,
-        }
+impl ServerLocking for C2pl {
+    fn locking(&self) -> &S2pl {
+        &self.s
     }
-
-    /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } => {
-                    unreachable!("event is not part of the c-2PL protocol")
-                }
-                Ev::ServerProc { shard, msg } => {
-                    // Re-checked after the CPU delay: a crash may have hit
-                    // while the message sat in the service queue.
-                    if self.server_accepts(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
-                }
-                Ev::TxnLease { txn } => {
-                    // Leases are coordinated at shard 0; a dead or
-                    // still-recovering coordinator holds none — recovery
-                    // re-arms them for every restored grant.
-                    if self.fault_state[0].is_up() {
-                        self.on_txn_lease(now, txn);
-                    }
-                }
-                Ev::CallbackRetry { txn } => self.on_callback_retry(now, txn),
-            }
-            if self.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may hold
-        // residue (see the s-2PL engine); liveness is property P8's job.
-        if self.cfg.drain && !self.faults_on {
-            assert!(
-                self.locks.iter().all(LockTable::is_quiescent),
-                "locks leaked after drain"
-            );
-            assert!(
-                self.barriers.iter().all(Option::is_none),
-                "callback barriers leaked"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.fsum,
-            protocol: "c-2PL",
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: 0,
-            window_closes: 0,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-        }
-    }
-
-    /// Cache hits observed (exposed for tests and benches via a run
-    /// wrapper; the standard [`RunMetrics`] has no protocol-specific
-    /// fields).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    // ---- client side ----
-
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                self.issue_access(now, client, txn, 0);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return;
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    self.issue_access(now, client, txn, granted);
-                } else {
-                    self.commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
-            // c-2PL's phase 2 piggybacks on the regular commit-release
-            // retry epoch; the dedicated decide timer is g-2PL-only.
-            TimerKind::DecideRetry(_) => unreachable!("c-2PL never arms a decide timer"),
-        }
-    }
-
-    /// A retransmission timer fired: re-send whichever operation is
-    /// still outstanding (see the s-2PL engine for the protocol).
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return;
-        }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
-    }
-
-    /// Re-send the outstanding lock request (no trace/span: retransmits
-    /// are not logical requests).
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "c2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
-    }
-
-    /// Re-send every unacknowledged commit slice (the client's WAL tail).
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let pending = self.clients[client.index()].pending_commits.clone();
-        if pending.is_empty() {
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        let _ = now;
-        for (shard, msg) in pending {
-            let (kind, bytes) = match &msg {
-                Message::SCommit { writes, .. } => (
-                    "c2pl.commit_release",
-                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
-                ),
-                Message::Prepare { writes, .. } => {
-                    ("c2pl.prepare", CTRL_BYTES + 12 * writes.len() as u64)
-                }
-                _ => continue,
-            };
-            self.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                kind,
-                bytes,
-                msg,
-            );
-        }
-        self.arm_retry(client);
-    }
-
-    /// A scheduled crash or restart from the fault plan. A crash loses
-    /// the client's cache (and with it every pinned read and deferred
-    /// callback): the server's directory becomes stale, which is safe —
-    /// retried callbacks to a copy the client no longer holds are simply
-    /// acknowledged, shrinking the directory back to truth.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.fsum.crashes += 1;
-        self.caches[client.index()]
-            .iter_mut()
-            .for_each(|v| *v = None);
-        self.reading_cached[client.index()].clear();
-        self.deferred_callbacks[client.index()].clear();
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up (see the s-2PL engine).
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-            return;
-        }
-        let Some(active) = &c.txn else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.finalize_abort(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
-    }
-
-    /// Issue access `idx`: serve reads from the local cache when
-    /// possible, otherwise go to the server.
-    fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
-        let (item, mode) = self.clients[client.index()].txn().spec.access(idx);
-        if mode == AccessMode::Read {
-            if let Some(version) = self.caches[client.index()][item.index()] {
-                // Cache hit: grant locally, instantly, with zero messages.
-                self.cache_hits += 1;
-                self.collector.on_access_wait(SimTime::ZERO);
-                let pins = &mut self.reading_cached[client.index()];
-                if !pins.contains(&item) {
-                    pins.push(item);
-                }
-                let c = &mut self.clients[client.index()];
-                let active = c.txn_mut();
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                self.trace.record(
-                    now,
-                    TraceKind::CacheHit,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted_local(now, txn, item);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-                return;
-            }
-        }
-        {
-            let t = self.clients[client.index()].txn_mut();
-            t.phase = ClientPhase::WaitingGrant(idx);
-            t.request_sent_at = now;
-        }
-        if self.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "c2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
-    }
-
-    // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        // A lease expiry may have picked this transaction as victim while
-        // its notice is still in flight (see the s-2PL engine).
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
-            self.finalize_abort(now, client, txn);
-            return;
-        }
-        // Multi-home commits under a server-crash plan run presumed-abort
-        // two-phase commitment across the shard fault domains (see the
-        // s-2PL engine); cache hits count toward the involved mask too —
-        // their shard still releases the transactional footprint.
-        if self.srv_faults_on {
-            let c = &self.clients[client.index()];
-            // lint:allow(L3): commit is only reachable with an active txn
-            let active = c.txn.as_ref().expect("committing client has a transaction");
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
-            }
-            if involved.count_ones() > 1 {
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
-        }
-        self.commit_decided(now, client, txn);
-    }
-
-    /// Phase 1 of two-phase commitment (see the s-2PL engine): one
-    /// prepare per involved shard, retransmitted from `pending_commits`
-    /// until every yes vote is in. Cache state is untouched until the
-    /// decision — an abort may still win the race.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): guarded by the caller
-        let active = c.txn.as_mut().expect("preparing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        active.phase = ClientPhase::CommitWait;
-        let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            if mode == AccessMode::Write {
-                slot.push((item, active.versions[idx] + 1));
-            }
-        }
-        c.retry_progress();
-        c.pending_commits = by_shard
-            .iter()
-            .map(|(&shard, writes)| {
-                (
-                    shard,
-                    Message::Prepare {
-                        txn,
-                        writes: writes.clone(),
-                        involved,
-                    },
-                )
-            })
-            .collect();
-        for (shard, writes) in by_shard {
-            let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "c2pl.prepare",
-                bytes,
-                Message::Prepare {
-                    txn,
-                    writes,
-                    involved,
-                },
-            );
-        }
-        self.arm_retry(client);
-    }
-
-    /// The commit decision point (see the s-2PL engine): every involved
-    /// shard voted yes, or no votes were needed. The client's WAL
-    /// `Commit` record is the coordinator's durable decision record.
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = self.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): guarded by the caller
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        self.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-
-        // One combined commit/release message per involved shard, in
-        // ascending shard order. A single-shard space degenerates to
-        // exactly the old single message.
-        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
-        let mut records = Vec::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let observed = active.versions[idx];
-            let slice = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            match mode {
-                AccessMode::Write => {
-                    let installed = observed + 1;
-                    slice.0.push((item, installed));
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: installed,
-                    });
-                    // The writer's copy stays cached (demoted to shared).
-                    self.caches[client.index()][item.index()] = Some(installed);
-                }
-                AccessMode::Read => {
-                    slice.1.push(item);
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed,
-                    });
-                    self.caches[client.index()][item.index()] = Some(observed);
-                }
-            }
-        }
-        self.spans
-            .commit_local(now, txn, by_shard.len() as u32, measured);
-        self.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-        if let Some(h) = &mut self.history {
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses: records,
-            });
-        }
-
-        if let Some(wal) = &mut self.wal {
-            let log = &mut wal[client.index()];
-            for (writes, _) in by_shard.values() {
-                for &(item, new) in writes {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: new - 1,
-                        new,
-                    });
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        if self.faults_on {
-            // Commit durability under loss: retransmit every slice until
-            // its shard acknowledges; the idle period starts on the last
-            // ack.
-            let c = &mut self.clients[client.index()];
-            c.retry_progress();
-            c.pending_commits = by_shard
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
-        }
-        for (shard, (writes, reads)) in by_shard {
-            let bytes = CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "c2pl.commit_release",
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
-        }
-        // Pins release and deferred callbacks answer at transaction end
-        // regardless; only the next transaction's start is gated on the
-        // ack under faults.
-        self.answer_deferred_callbacks(client);
-        if self.faults_on {
-            self.arm_retry(client);
-        } else {
-            self.schedule_next_txn(client);
-        }
-    }
-
-    /// Release this transaction's cache pins and answer its deferred
-    /// callbacks.
-    fn answer_deferred_callbacks(&mut self, client: ClientId) {
-        self.reading_cached[client.index()].clear();
-        let mut deferred: Vec<ItemId> =
-            std::mem::take(&mut self.deferred_callbacks[client.index()]);
-        deferred.sort_unstable();
-        for item in deferred {
-            self.caches[client.index()][item.index()] = None;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                self.cfg.shard_site(item),
-                "c2pl.callback_ack",
-                CTRL_BYTES,
-                Message::CallbackAck { client, item },
-            );
-        }
-    }
-
-    /// Draw the idle period and schedule the next transaction's start.
-    fn schedule_next_txn(&mut self, client: ClientId) {
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
-            },
-        );
-    }
-
-    /// Common end-of-transaction client work: answer deferred callbacks
-    /// and schedule the next transaction.
-    fn finish_txn_at_client(&mut self, client: ClientId) {
-        self.answer_deferred_callbacks(client);
-        self.schedule_next_txn(client);
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::SGrant { txn, item, version } => {
-                let faults_on = self.faults_on;
-                let c = &mut self.clients[client.index()];
-                let Some(active) = &mut c.txn else { return };
-                if active.id != txn {
-                    return;
-                }
-                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
-                    || active.spec.access(active.granted).0 != item
-                {
-                    // Duplicate of an already-consumed grant (lossy link).
-                    debug_assert!(faults_on, "unexpected duplicate grant");
-                    return;
-                }
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                let wait = now.since(active.request_sent_at);
-                if faults_on {
-                    c.retry_progress();
-                }
-                self.collector.on_access_wait(wait);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.trace.record(
-                    now,
-                    TraceKind::Granted,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted(now, txn, item);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an already-counted vote
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
-                    self.arm_retry(client);
-                    return;
-                }
-                // Unanimous yes; an abort may still have raced the
-                // voting round (see the s-2PL engine).
-                if self.table.status(txn) != TxnStatus::Active {
-                    self.finalize_abort(now, client, txn);
-                    return;
-                }
-                self.commit_decided(now, client, txn);
-            }
-            Message::SCommitAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::SCommit { txn: t, .. } if *t == txn)
-                }) else {
-                    return; // duplicate ack of an older commit or slice
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if c.pending_commits.is_empty() {
-                    self.schedule_next_txn(client);
-                } else {
-                    // Remaining slices restart from a fresh backoff.
-                    self.arm_retry(client);
-                }
-            }
-            Message::Callback { item } => {
-                if self.reading_cached[client.index()].contains(&item) {
-                    // The current transaction reads this cached copy:
-                    // defer the acknowledgement until it finishes.
-                    self.deferred_callbacks[client.index()].push(item);
-                } else {
-                    self.caches[client.index()][item.index()] = None;
-                    self.net.send(
-                        &mut self.cal,
-                        client.into(),
-                        self.cfg.shard_site(item),
-                        "c2pl.callback_ack",
-                        CTRL_BYTES,
-                        Message::CallbackAck { client, item },
-                    );
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Re-report everything the client holds of the restarted
-                // shard: server-granted accesses of the live transaction
-                // homed there (cache pins never took a server lock, so
-                // they are excluded), that shard's unacknowledged commit
-                // slice, and the cached copies the rebuilt directory
-                // must know about.
-                let pins = &self.reading_cached[client.index()];
-                let c = &self.clients[client.index()];
-                let mut held = Vec::new();
-                let mut txn = None;
-                if let Some(active) = &c.txn {
-                    txn = Some(active.id);
-                    for idx in 0..active.granted {
-                        let (item, mode) = active.spec.access(idx);
-                        if !pins.contains(&item) && self.cfg.shard_of(item) == shard {
-                            held.push((item, lock_mode(mode)));
-                        }
-                    }
-                }
-                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
-                    Message::SCommit { txn, writes, reads } if *s == shard => {
-                        Some((*txn, writes.clone(), reads.clone()))
-                    }
-                    _ => None,
-                });
-                let cached: Vec<ItemId> = self.caches[client.index()]
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.map(|_| ItemId::new(i as u32)))
-                    .filter(|&item| self.cfg.shard_of(item) == shard)
-                    .collect();
-                let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "c2pl.reregister",
-                    bytes,
-                    Message::SReregister {
-                        client,
-                        epoch,
-                        txn,
-                        held,
-                        pending,
-                        cached,
-                    },
-                );
-            }
-            other => unreachable!("c-2PL client cannot receive {other:?}"),
-        }
-    }
-
-    /// Abort the client's transaction locally: on receipt of the server's
-    /// notice, or — under faults — when the client discovers the abort
-    /// on its own (restart after a crash, or a commit racing the notice).
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        if active.id != txn {
-            return;
-        }
-        let read_only = active.spec.is_read_only();
-        let waste = now.since(active.start);
-        let depth = active.granted;
-        c.txn = None;
-        // An abort during the voting round withdraws the outstanding
-        // prepares (see the s-2PL engine).
-        c.pending_commits
-            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.faults_on {
-            c.retry_progress();
-        }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        self.collector.on_abort_diag(read_only, waste, depth);
-        if let Some(wal) = &mut self.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
-        self.finish_txn_at_client(client);
-    }
-
-    // ---- server crash recovery ----
-
-    /// Whether shard `shard` can process `msg` right now (see the s-2PL
-    /// engine for the protocol).
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::SReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            self.begin_recovery(now, shard);
-        } else {
-            self.crash_server(now, shard);
-        }
-    }
-
-    /// Shard `shard` dies. On top of the s-2PL volatile state, c-2PL
-    /// additionally loses its slice of the cache directory and every
-    /// callback barrier there: the directory is rebuilt from
-    /// re-registration reports, and barrier owners re-form their recalls
-    /// through the ordinary request-retry path (their exclusive grant
-    /// was never shipped, so it is deliberately absent from the durable
-    /// grant history).
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        let per = self.cfg.items.items_per_shard as usize;
-        let range = shard * per..(shard + 1) * per;
-        self.locks[shard] = LockTable::new();
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
-        self.directory[range.clone()]
-            .iter_mut()
-            .for_each(Vec::clear);
-        self.barriers[range.clone()]
-            .iter_mut()
-            .for_each(|b| *b = None);
-        self.versions[range].iter_mut().for_each(|v| *v = 0);
-        if shard == 0 {
-            // Leases are coordinated at shard 0, so they die with it.
-            self.leased.iter_mut().for_each(|l| *l = false);
-            self.last_activity
-                .iter_mut()
-                .for_each(|t| *t = SimTime::ZERO);
-        }
-        let bit = !(1u64 << shard);
-        self.applied.iter_mut().for_each(|a| *a &= bit);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
-    }
-
-    /// Shard `shard` restarts: replay its durable log, restore versions,
-    /// applied bits and in-doubt prepared votes, query surviving peers
-    /// about each in-doubt transaction, and open the handshake (see the
-    /// s-2PL engine).
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.versions[item.index()] = v;
-        }
-        for &txn in &img.committed {
-            self.mark_applied(txn, shard);
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for &txn in &in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome (see the s-2PL engine).
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "c2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "c2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired (see the s-2PL engine).
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived: record liveness,
-    /// rebuild its slice of the cache directory from the `cached` list,
-    /// and cross-validate held claims against the durable grant history.
-    /// A client that stays silent is presumed crashed, and a crashed
-    /// c-2PL client lost its cache, so omitting its directory entries is
-    /// exact, not merely safe.
-    #[allow(clippy::too_many_arguments)]
-    fn on_reregister(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        client: ClientId,
-        epoch: u64,
-        txn: Option<TxnId>,
-        held: &[(ItemId, LockMode)],
-        cached: &[ItemId],
-    ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
-        }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
-        }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, txn, None, client.into());
-        for &item in cached {
-            Self::directory_insert(&mut self.directory[item.index()], client);
-        }
-        if cfg!(debug_assertions) {
-            let img = self.fault_state[shard]
-                .image
-                .as_ref()
-                // lint:allow(L3): the image exists for the whole handshake
-                .expect("recovery image");
-            if let Some(t) = txn {
-                if self.table.status(t) == TxnStatus::Active {
-                    for &(item, _) in held {
-                        debug_assert!(
-                            img.was_granted(t, item),
-                            "{client} re-reported a grant the log never saw: {t} {item}"
-                        );
-                    }
-                }
-            }
-        }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
-        }
-    }
-
-    /// Close the handshake: resolve any still-in-doubt prepared votes
-    /// directly against the commit oracle (peers that could have
-    /// answered the query were partitioned away or the verdicts were
-    /// lost), then restore outstanding durable grants (see the s-2PL
-    /// engine for the status-by-status reasoning).
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        let unresolved: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in unresolved {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => self.resolve_indoubt_abort(shard, txn),
-                // Presumed abort lets an undecided vote wait: the
-                // coordinator is still retrying its prepares and will
-                // drive the outcome through the normal message path.
-                TxnStatus::Active => {}
-            }
-        }
-        let st = &mut self.fault_state[shard];
-        // lint:allow(L3): the image exists for the whole handshake
-        let img = st.image.take().expect("recovery image");
-        let mut silent_victims = Vec::new();
-        for (&txn, items) in &img.grants {
-            let client = self.table.info(txn).client;
-            match self.table.status(txn) {
-                TxnStatus::Active => {
-                    if self.fault_state[shard].reregistered[client.index()] {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    } else {
-                        silent_victims.push(txn);
-                    }
-                }
-                TxnStatus::Committed => {
-                    if !self.applied_at(txn, shard) {
-                        self.restore_grants(txn, items);
-                        self.touch(now, txn);
-                    }
-                }
-                TxnStatus::Aborting | TxnStatus::Aborted => {}
-            }
-        }
-        self.fault_state[shard].recovering = false;
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent_victims {
-            self.abort_victim(now, txn);
-        }
-    }
-
-    /// Re-insert `txn`'s durably recorded grants into the fresh lock
-    /// table. A shipped exclusive grant had already recalled every
-    /// remote copy, so restoration never needs a callback round — the
-    /// rebuilt directory cannot hold conflicting entries.
-    fn restore_grants(&mut self, txn: TxnId, items: &BTreeMap<ItemId, bool>) {
-        for (&item, &exclusive) in items {
-            let mode = if exclusive {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            let shard = self.cfg.shard_of(item) as usize;
-            let outcome = self.locks[shard].acquire(txn, item, mode);
-            debug_assert!(
-                matches!(outcome, AcquireOutcome::Granted),
-                "restored grants conflict: {txn} {item}"
-            );
-            let _ = outcome;
-        }
-    }
-
-    /// Record that `shard` has applied `txn`'s commit slice.
-    fn mark_applied(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.applied.len() <= i {
-            self.applied.resize(i + 1, 0);
-        }
-        self.applied[i] |= 1u64 << shard;
-    }
-
-    /// Whether `shard` has applied `txn`'s commit slice.
-    fn applied_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.applied
-            .get(txn.index())
-            .is_some_and(|a| a & (1u64 << shard) != 0)
-    }
-
-    /// Record that `shard` holds an unretired durable prepared vote for
-    /// `txn` (volatile mirror of the log's Prepared records).
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether `shard` holds an unretired prepared vote for `txn`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|p| p & (1u64 << shard) != 0)
-    }
-
-    /// Retire `shard`'s prepared vote for `txn`.
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(p) = self.prepared.get_mut(txn.index()) {
-            *p &= !(1u64 << shard);
-        }
-    }
-
-    /// A recovered shard learned (from a peer's verdict or the commit
-    /// oracle) that an in-doubt transaction committed: durably retire
-    /// the vote, install its write slice, and hand the released locks
-    /// on. The cache directory is deliberately left alone — directory
-    /// truth after a crash comes exclusively from re-registration
-    /// reports, and a client that never re-registered has lost its
-    /// cache, so inventing entries here would resurrect dead copies.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        let committer = self.table.info(txn).client;
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        for &(item, version) in &pimg.writes {
-            slog.append(ServerRecord::Permanent { item, version });
-        }
-        slog.append(ServerRecord::Released { txn });
-        for (item, version) in pimg.writes {
-            debug_assert_eq!(
-                version,
-                self.versions[item.index()] + 1,
-                "write version chain broken for {item}"
-            );
-            self.versions[item.index()] = version;
-            if let Some(wal) = &mut self.wal {
-                wal[committer.index()].mark_permanent(txn, item);
-            }
-        }
-        self.mark_applied(txn, shard);
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-        let woken = self.locks[shard].release_all(txn);
-        for (item, t, mode) in woken {
-            let c = self.table.info(t).client;
-            self.on_lock_granted(now, c, t, item, mode);
-        }
-    }
-
-    /// A recovered shard learned that an in-doubt transaction aborted:
-    /// durably retire the vote (presumed abort needs no abort record
-    /// beyond the release).
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        self.slog.as_mut().expect("server log enabled")[shard]
-            .append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
-        // No grants can be waiting behind the victim here: the shard's
-        // lock table was rebuilt at restart and the victim's locks are
-        // only restored after the in-doubt pass.
-        let woken = self.locks[shard].release_all(txn);
-        debug_assert!(woken.is_empty());
-    }
-
-    // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "c2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                        return;
-                    }
-                    _ => return,
-                }
-                if self.faults_on {
-                    self.touch(now, txn);
-                    if self.locks[shard].mode_of(txn, item).is_some() {
-                        // Already granted. Unless the exclusive grant is
-                        // still gated on a callback barrier (in which case
-                        // the callback-retry timer drives progress),
-                        // re-ship the lost grant.
-                        let gated = self.barriers[item.index()]
-                            .as_ref()
-                            .is_some_and(|b| b.txn == txn);
-                        if !gated {
-                            self.send_grant(now, client, txn, item);
-                        }
-                        return;
-                    }
-                    if self.locks[shard].queued_on(txn) == Some(item) {
-                        return; // duplicate of a still-queued request
-                    }
-                }
-                self.spans.req_arrived(now, txn, item);
-                match self.locks[shard].acquire(txn, item, mode) {
-                    AcquireOutcome::Granted => {
-                        self.on_lock_granted(now, client, txn, item, mode);
-                    }
-                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                let client = self.table.info(txn).client;
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The abort won the race with the voting round:
-                        // answer the (possibly lost) notice again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "c2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                    }
-                    // Decision already made: this is a stale duplicate of
-                    // a consumed vote — re-ack without logging anything.
-                    TxnStatus::Committed => {
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                    TxnStatus::Active => {
-                        self.touch(now, txn);
-                        if self.prepared_at(txn, shard) {
-                            // Duplicate prepare (the ack was lost): the
-                            // vote is already durable, just re-ack it.
-                            self.send_prepare_ack(shard, client, txn);
-                            return;
-                        }
-                        // Write-ahead: the yes vote — write slice and
-                        // involved mask — is durable before the ack
-                        // leaves the shard.
-                        // lint:allow(L3): prepares are only sent when srv_faults_on
-                        self.slog.as_mut().expect("server log enabled")[shard].append(
-                            ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            },
-                        );
-                        self.mark_prepared(txn, shard);
-                        self.trace.record(
-                            now,
-                            TraceKind::Prepared,
-                            Some(txn),
-                            None,
-                            SiteId::server(shard as u32),
-                        );
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                }
-            }
-            Message::SCommit { txn, writes, reads } => {
-                let committer = self.table.info(txn).client;
-                if self.faults_on {
-                    // Duplicate commit-release slice (already applied at
-                    // this shard): the ack was lost, so just acknowledge
-                    // again. The per-shard applied bitmask subsumes the old
-                    // volatile lease check, and its shard-0 bit mirrors the
-                    // durable applied set restored at recovery.
-                    if self.applied_at(txn, shard) {
-                        self.send_commit_ack(shard, committer, txn);
-                        return;
-                    }
-                    if let Some(l) = self.leased.get_mut(txn.index()) {
-                        *l = false;
-                    }
-                }
-                self.mark_applied(txn, shard);
-                if self.srv_faults_on {
-                    // Write-ahead: the applied commit slice, its installed
-                    // versions, and the release are durable before the
-                    // ack leaves the shard.
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    for &(item, version) in &writes {
-                        slog.append(ServerRecord::Permanent { item, version });
-                    }
-                    slog.append(ServerRecord::Released { txn });
-                }
-                for &(item, version) in &writes {
-                    debug_assert_eq!(version, self.versions[item.index()] + 1);
-                    self.versions[item.index()] = version;
-                    if let Some(wal) = &mut self.wal {
-                        wal[committer.index()].mark_permanent(txn, item);
-                    }
-                    // Remote copies were recalled before the X grant; the
-                    // writer keeps the new version cached.
-                    debug_assert!(
-                        self.directory[item.index()].iter().all(|&c| c == committer),
-                        "cached copies survived an exclusive grant"
-                    );
-                    Self::directory_insert(&mut self.directory[item.index()], committer);
-                }
-                for &item in &reads {
-                    // A commit-release can be retried and arrive late: by
-                    // then the reader may already have answered a callback
-                    // and evicted this copy (its ack possibly opening an
-                    // exclusive barrier). Re-inserting it would resurrect a
-                    // directory entry the recall protocol already retired,
-                    // so consult the cache before registering the copy.
-                    if self.faults_on && self.caches[committer.index()][item.index()].is_none() {
-                        continue;
-                    }
-                    Self::directory_insert(&mut self.directory[item.index()], committer);
-                }
-                if self.prepared_at(txn, shard) {
-                    // Phase 2 of a prepared multi-home commit landed:
-                    // the vote is consumed and the slice applied.
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    Some(txn),
-                    None,
-                    SiteId::server(shard as u32),
-                );
-                self.spans.release_arrived(now, txn, true);
-                let woken = self.locks[shard].release_all(txn);
-                for (item, t, mode) in woken {
-                    let c = self.table.info(t).client;
-                    self.on_lock_granted(now, c, t, item, mode);
-                }
-                if self.faults_on {
-                    self.send_commit_ack(shard, committer, txn);
-                }
-            }
-            Message::CallbackAck { client, item } => {
-                // Only an ack that actually evicts a directory entry may
-                // decrement the barrier: duplicate acks (possible when a
-                // dismantled barrier's callbacks race a successor
-                // barrier's) must not release the successor early.
-                let evicted = Self::directory_remove(&mut self.directory[item.index()], client);
-                let barrier_open = if evicted {
-                    if let Some(b) = self.barriers[item.index()].as_mut() {
-                        b.acks_left -= 1;
-                        b.acks_left == 0
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                };
-                if barrier_open {
-                    // lint:allow(L3): barrier_open checked the entry one statement ago
-                    let b = self.barriers[item.index()].take().expect("just observed");
-                    // Aborted owners dismantle their barriers eagerly, so
-                    // a surviving barrier always has a live owner.
-                    debug_assert_eq!(self.table.status(b.txn), TxnStatus::Active);
-                    self.send_grant(now, b.client, b.txn, item);
-                }
-            }
-            Message::SReregister {
-                client,
-                epoch,
-                txn,
-                held,
-                pending: _,
-                cached,
-            } => self.on_reregister(now, shard, client, epoch, txn, &held, &cached),
-            Message::CommitQuery {
-                txn,
-                from_shard,
-                epoch: _,
-            } => {
-                // Answer from the commit oracle — the shared transaction
-                // table stands in for the coordinator's durable decision
-                // record, which this surviving shard can consult. An
-                // Active transaction has no outcome yet: answer "unknown"
-                // and let the asker keep its vote in doubt (presumed
-                // abort never guesses).
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "c2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
-            Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved (or never in doubt here)
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    None => {} // keep the vote in doubt and ask again
-                }
-            }
-            other => unreachable!("c-2PL server cannot receive {other:?}"),
-        }
+    fn locking_mut(&mut self) -> &mut S2pl {
+        &mut self.s
     }
 
     /// A transactional lock was granted; exclusive grants recall remote
     /// cached copies first.
-    fn on_lock_granted(
-        &mut self,
+    fn lock_granted(
+        k: &mut Kernel<Self>,
         now: SimTime,
         client: ClientId,
         txn: TxnId,
@@ -1752,84 +93,37 @@ impl C2plEngine {
         if mode.is_exclusive() {
             // The directory is kept sorted, so the recall fan-out below is
             // already in deterministic client order.
-            let remote: Vec<ClientId> = self.directory[item.index()]
+            let remote: Vec<ClientId> = k.p.directory[item.index()]
                 .iter()
                 .copied()
                 .filter(|&c| c != client)
                 .collect();
             // The writer's own stale copy is superseded by the grant.
-            Self::directory_remove(&mut self.directory[item.index()], client);
-            self.caches[client.index()][item.index()] = None;
+            directory_remove(&mut k.p.directory[item.index()], client);
+            k.p.caches[client.index()][item.index()] = None;
             if !remote.is_empty() {
                 for &target in &remote {
-                    self.net.send(
-                        &mut self.cal,
-                        self.cfg.shard_site(item),
-                        target.into(),
-                        "c2pl.callback",
-                        CTRL_BYTES,
-                        Message::Callback { item },
-                    );
+                    k.send_callback(target, item);
                 }
-                self.barriers[item.index()] = Some(XBarrier {
+                k.p.barriers[item.index()] = Some(XBarrier {
                     txn,
                     client,
                     acks_left: remote.len(),
                 });
-                if self.faults_on {
+                if k.faults_on {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
                     // barrier opens or its owner dies.
-                    self.cal
-                        .schedule_in(self.retry_base, Ev::CallbackRetry { txn });
+                    k.cal.schedule_in(k.retry_base, Ev::CallbackRetry { txn });
                 }
                 // The new barrier can close a waits-for cycle (its owner
                 // now waits on every transaction pinning a cached copy),
                 // so detection must run here, not only on lock queueing.
-                self.detect_deadlocks(now, txn);
+                Self::detect_deadlocks(k, now, txn);
                 return;
             }
         }
-        self.send_grant(now, client, txn, item);
-    }
-
-    fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
-        let shard = self.cfg.shard_of(item) as usize;
-        if self.srv_faults_on {
-            // Write-ahead: the grant is durable before it leaves.
-            let exclusive = matches!(
-                self.locks[shard].mode_of(txn, item),
-                Some(LockMode::Exclusive)
-            );
-            if let Some(slog) = &mut self.slog {
-                slog[shard].append(ServerRecord::Grant {
-                    txn,
-                    item,
-                    exclusive,
-                });
-            }
-        }
-        self.trace.record(
-            now,
-            TraceKind::Dispatched,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.dispatched(now, txn, item);
-        self.spans.hop_departed(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "c2pl.grant",
-            CTRL_BYTES + self.cfg.item_size_bytes,
-            Message::SGrant {
-                txn,
-                item,
-                version: self.versions[item.index()],
-            },
-        );
+        k.send_grant(now, client, txn, item);
     }
 
     /// Waits-for search over lock-table waits plus callback waits: a
@@ -1838,14 +132,14 @@ impl C2plEngine {
     /// edges (an aborting barrier owner still holds its lock until the
     /// callbacks drain, but no longer waits — otherwise the victim loop
     /// could pick it twice).
-    fn detect_deadlocks(&mut self, now: SimTime, trigger: TxnId) {
-        let mut finder = std::mem::take(&mut self.finder);
+    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId) {
+        let mut finder = std::mem::take(&mut k.p.s.finder);
         loop {
-            let locks = &self.locks;
-            let table = &self.table;
-            let barriers = &self.barriers;
-            let reading_cached = &self.reading_cached;
-            let clients = &self.clients;
+            let locks = &k.p.s.locks;
+            let table = &k.table;
+            let barriers = &k.p.barriers;
+            let reading_cached = &k.p.reading_cached;
+            let clients = &k.clients;
             let found = finder.find_cycle(trigger, |t, out| {
                 if !table.is_live(t) {
                     return;
@@ -1874,98 +168,373 @@ impl C2plEngine {
                 }
             });
             let Some(cycle) = found else { break };
-            let victim = self.cfg.victim.choose(cycle, |t| {
-                self.locks.iter().map(|lt| lt.held_by(t).len()).sum()
+            let victim = k.cfg.victim.choose(cycle, |t| {
+                k.p.s.locks.iter().map(|lt| lt.held_by(t).len()).sum()
             });
-            self.abort_victim(now, victim);
+            Self::abort_victim(k, now, victim);
             if victim == trigger {
                 break;
             }
         }
-        self.finder = finder;
+        k.p.s.finder = finder;
     }
 
-    /// Record server-observed activity for `txn` and arm its lease on
-    /// first contact. Called only under an active fault plan.
-    fn touch(&mut self, now: SimTime, txn: TxnId) {
-        let i = txn.index();
-        if self.last_activity.len() <= i {
-            self.last_activity.resize(i + 1, SimTime::ZERO);
-            self.leased.resize(i + 1, false);
+    /// Already granted: unless the exclusive grant is still gated on a
+    /// callback barrier (the callback-retry timer then drives progress),
+    /// the lost grant is re-shipped.
+    fn grant_gated(&self, txn: TxnId, item: ItemId) -> bool {
+        self.barriers[item.index()]
+            .as_ref()
+            .is_some_and(|b| b.txn == txn)
+    }
+
+    fn slice_applied(
+        &mut self,
+        committer: ClientId,
+        writes: &[(ItemId, Version)],
+        reads: &[ItemId],
+        faults_on: bool,
+    ) {
+        for &(item, _) in writes {
+            // Remote copies were recalled before the X grant; the writer
+            // keeps the new version cached.
+            debug_assert!(
+                self.directory[item.index()].iter().all(|&c| c == committer),
+                "cached copies survived an exclusive grant"
+            );
+            directory_insert(&mut self.directory[item.index()], committer);
         }
-        self.last_activity[i] = now;
-        if !self.leased[i] {
-            self.leased[i] = true;
-            self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
+        for &item in reads {
+            // A commit-release can be retried and arrive late: by then
+            // the reader may already have answered a callback and evicted
+            // this copy (its ack possibly opening an exclusive barrier).
+            // Re-inserting it would resurrect a directory entry the recall
+            // protocol already retired, so consult the cache before
+            // registering the copy.
+            if faults_on && self.caches[committer.index()][item.index()].is_none() {
+                continue;
+            }
+            directory_insert(&mut self.directory[item.index()], committer);
         }
     }
 
-    /// Acknowledge a processed commit-release slice (faults only).
-    fn send_commit_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
+    fn pinned(&self, client: ClientId, item: ItemId) -> bool {
+        self.reading_cached[client.index()].contains(&item)
+    }
+
+    fn cached_on(&self, client: ClientId, shard: u32, cfg: &EngineConfig) -> Vec<ItemId> {
+        self.caches[client.index()]
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|_| ItemId::new(i as u32)))
+            .filter(|&item| cfg.shard_of(item) == shard)
+            .collect()
+    }
+
+    /// A client that stays silent is presumed crashed, and a crashed
+    /// c-2PL client lost its cache, so rebuilding the directory from the
+    /// reports alone is exact, not merely safe.
+    fn absorb_cached(&mut self, client: ClientId, cached: &[ItemId]) {
+        for &item in cached {
+            directory_insert(&mut self.directory[item.index()], client);
+        }
+    }
+}
+
+impl Protocol for C2pl {
+    const NAME: &'static str = "c-2PL";
+    const LABELS: Labels = labels!("c2pl");
+    const SERVER_BASED: bool = true;
+    type Rebuilt = Vec<TxnId>;
+
+    fn new(cfg: &EngineConfig) -> Self {
+        let n = cfg.num_clients as usize;
+        let items = cfg.num_items() as usize;
+        C2pl {
+            s: S2pl::with_config(cfg),
+            caches: vec![vec![None; items]; n],
+            reading_cached: vec![Vec::new(); n],
+            deferred_callbacks: vec![Vec::new(); n],
+            directory: vec![Vec::new(); items],
+            barriers: (0..items).map(|_| None).collect(),
+        }
+    }
+
+    fn on_event(k: &mut Kernel<Self>, _now: SimTime, ev: Ev) {
+        match ev {
+            Ev::CallbackRetry { txn } => k.on_callback_retry(txn),
+            other => unreachable!("event {other:?} is not part of the c-2PL protocol"),
+        }
+    }
+
+    fn on_client_msg(k: &mut Kernel<Self>, now: SimTime, client: ClientId, msg: Message) {
+        match msg {
+            Message::SGrant { txn, item, version } => k.on_grant(now, client, txn, item, version),
+            Message::Callback { item } => {
+                if k.p.reading_cached[client.index()].contains(&item) {
+                    // The current transaction reads this cached copy:
+                    // defer the acknowledgement until it finishes.
+                    k.p.deferred_callbacks[client.index()].push(item);
+                } else {
+                    k.p.caches[client.index()][item.index()] = None;
+                    k.send_callback_ack(client, item);
+                }
+            }
+            other => unreachable!("c-2PL client cannot receive {other:?}"),
+        }
+    }
+
+    fn on_server_msg(k: &mut Kernel<Self>, now: SimTime, shard: usize, msg: Message) {
+        let Message::CallbackAck { client, item } = msg else {
+            k.on_lock_server_msg(now, shard, msg);
+            return;
+        };
+        // Only an ack that actually evicts a directory entry may
+        // decrement the barrier: duplicate acks (possible when a
+        // dismantled barrier's callbacks race a successor barrier's) must
+        // not release the successor early.
+        let evicted = directory_remove(&mut k.p.directory[item.index()], client);
+        let barrier = &mut k.p.barriers[item.index()];
+        if let (true, Some(b)) = (evicted, barrier.as_mut()) {
+            b.acks_left -= 1;
+            if b.acks_left == 0 {
+                let (txn, owner) = (b.txn, b.client);
+                *barrier = None;
+                // Aborted owners dismantle their barriers eagerly, so a
+                // surviving barrier always has a live owner.
+                debug_assert_eq!(k.table.status(txn), TxnStatus::Active);
+                k.send_grant(now, owner, txn, item);
+            }
+        }
+    }
+
+    /// Serve a read from the local cache: granted locally, instantly,
+    /// with zero messages.
+    fn serve_locally(
+        k: &mut Kernel<Self>,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+        idx: usize,
+    ) -> bool {
+        let (item, mode) = k.clients[client.index()].txn().spec.access(idx);
+        if mode != AccessMode::Read {
+            return false;
+        }
+        let Some(version) = k.p.caches[client.index()][item.index()] else {
+            return false;
+        };
+        k.collector.on_access_wait(SimTime::ZERO);
+        let pins = &mut k.p.reading_cached[client.index()];
+        if !pins.contains(&item) {
+            pins.push(item);
+        }
+        let c = &mut k.clients[client.index()];
+        let active = c.txn_mut();
+        active.versions.push(version);
+        active.granted += 1;
+        active.phase = ClientPhase::Thinking;
+        k.trace.record(
+            now,
+            TraceKind::CacheHit,
+            Some(txn),
+            Some(item),
+            client.into(),
+        );
+        k.spans.granted_local(now, txn, item);
+        let think = k.cfg.profile.draw_think(&mut c.time_rng);
+        k.cal.schedule_in(
+            think,
+            Ev::Timer {
+                client,
+                kind: TimerKind::ThinkDone(txn),
+            },
+        );
+        true
+    }
+
+    /// The commit decision point (see the s-2PL engine). The
+    /// transaction's copies stay cached, writes demoted to shared.
+    fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        let active = k.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): commit is only reachable from a client with an active txn
+            .expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        k.table.set_status(txn, TxnStatus::Committed);
+        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
+            let observed = active.versions[idx];
+            let cached = if mode == AccessMode::Write {
+                observed + 1
+            } else {
+                observed
+            };
+            k.p.caches[client.index()][item.index()] = Some(cached);
+        }
+        let slices = k.commit_slices(&active);
+        k.record_commit(now, &active, slices.len() as u32);
+        k.trace
+            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        k.log_commit(client, txn, &slices);
+        k.send_commit_slices(client, txn, slices);
+        // Pins release and deferred callbacks answer at transaction end
+        // regardless; only the next transaction's start is gated on the
+        // acks under faults.
+        k.answer_deferred_callbacks(client);
+        if k.faults_on {
+            k.arm_retry(client);
+        } else {
+            k.schedule_next_txn(client);
+        }
+    }
+
+    /// Abort the client's transaction locally (see the s-2PL engine),
+    /// answering its deferred callbacks.
+    fn finalize_abort(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        if k.clients[client.index()]
+            .txn
+            .as_ref()
+            .is_none_or(|a| a.id != txn)
+        {
+            return;
+        }
+        k.table.set_status(txn, TxnStatus::Aborted);
+        k.end_aborted_txn(now, client, txn);
+        k.trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        k.spans.aborted(now, txn);
+        k.answer_deferred_callbacks(client);
+        k.schedule_next_txn(client);
+    }
+
+    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    fn abort_victim(k: &mut Kernel<Self>, now: SimTime, victim: TxnId) {
+        debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
+        k.table.set_status(victim, TxnStatus::Aborting);
+        k.retire_victim(victim);
+        // Dismantle any callback barrier the victim owns: keeping its
+        // exclusive lock until the acknowledgements drained could leave a
+        // permanent deadlock (a pinning transaction may be waiting on
+        // another lock the victim holds). Outstanding callbacks still
+        // arrive and merely shrink the directory.
+        for slot in &mut k.p.barriers {
+            if slot.as_ref().is_some_and(|b| b.txn == victim) {
+                *slot = None;
+            }
+        }
+        k.release_victim(now, victim);
+    }
+
+    /// A crash loses the client's cache (and with it every pinned read and
+    /// deferred callback): the server's directory becomes stale, which is
+    /// safe — retried callbacks to a copy the client no longer holds are
+    /// simply acknowledged, shrinking the directory back to truth.
+    fn on_client_crash(k: &mut Kernel<Self>, client: ClientId) {
+        k.p.caches[client.index()]
+            .iter_mut()
+            .for_each(|v| *v = None);
+        k.p.reading_cached[client.index()].clear();
+        k.p.deferred_callbacks[client.index()].clear();
+    }
+
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+        k.lock_report(client, shard, epoch)
+    }
+
+    fn absorb_report(k: &mut Kernel<Self>, shard: usize, client: ClientId, report: &Message) {
+        k.absorb_lock_report(shard, client, report);
+    }
+
+    /// On top of the s-2PL state, a crashed shard loses its slice of the
+    /// cache directory and every callback barrier there: the directory is
+    /// rebuilt from re-registration reports, and barrier owners re-form
+    /// their recalls through the ordinary request-retry path (their
+    /// exclusive grant was never shipped, so it is deliberately absent
+    /// from the durable grant history).
+    fn wipe_shard(k: &mut Kernel<Self>, shard: usize) {
+        k.wipe_locks(shard);
+        let per = k.cfg.items.items_per_shard as usize;
+        let range = shard * per..(shard + 1) * per;
+        k.p.directory[range.clone()].iter_mut().for_each(Vec::clear);
+        k.p.barriers[range].iter_mut().for_each(|b| *b = None);
+    }
+
+    fn restore_image(k: &mut Kernel<Self>, img: &ServerImage) {
+        k.restore_versions(img);
+    }
+
+    fn rebuild(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) -> Vec<TxnId> {
+        k.restore_grants_from(now, shard, &img)
+    }
+
+    fn resume(k: &mut Kernel<Self>, now: SimTime, silent: Vec<TxnId>) {
+        k.abort_silent(now, silent);
+    }
+
+    /// The in-doubt commit installs its write slice; the cache directory
+    /// is deliberately left alone — directory truth after a crash comes
+    /// exclusively from re-registration reports, and a client that never
+    /// re-registered has lost its cache, so inventing entries here would
+    /// resurrect dead copies.
+    fn apply_committed(
+        k: &mut Kernel<Self>,
+        shard: usize,
+        txn: TxnId,
+        writes: Vec<(ItemId, Version)>,
+    ) {
+        k.install_slice(shard, txn, &writes);
+    }
+
+    fn release_committed(k: &mut Kernel<Self>, now: SimTime, shard: usize, txn: TxnId) {
+        k.release_locks(now, shard, txn);
+    }
+
+    fn assert_drained(&self) {
+        assert!(
+            self.s.locks.iter().all(LockTable::is_quiescent),
+            "locks leaked after drain"
+        );
+        assert!(
+            self.barriers.iter().all(Option::is_none),
+            "callback barriers leaked"
+        );
+    }
+}
+
+impl Kernel<C2pl> {
+    /// Release this transaction's cache pins and answer its deferred
+    /// callbacks.
+    fn answer_deferred_callbacks(&mut self, client: ClientId) {
+        self.p.reading_cached[client.index()].clear();
+        let mut deferred = std::mem::take(&mut self.p.deferred_callbacks[client.index()]);
+        deferred.sort_unstable();
+        for item in deferred {
+            self.p.caches[client.index()][item.index()] = None;
+            self.send_callback_ack(client, item);
+        }
+    }
+
+    fn send_callback(&mut self, target: ClientId, item: ItemId) {
         self.net.send(
             &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "c2pl.commit_ack",
+            self.cfg.shard_site(item),
+            target.into(),
+            "c2pl.callback",
             CTRL_BYTES,
-            Message::SCommitAck {
-                txn,
-                shard: shard as u32,
-            },
+            Message::Callback { item },
         );
     }
 
-    /// Acknowledge a durable prepared vote (two-phase commitment only).
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
+    fn send_callback_ack(&mut self, client: ClientId, item: ItemId) {
         self.net.send(
             &mut self.cal,
-            SiteId::server(shard as u32),
             client.into(),
-            "c2pl.prepare_ack",
+            self.cfg.shard_site(item),
+            "c2pl.callback_ack",
             CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
+            Message::CallbackAck { client, item },
         );
-    }
-
-    /// The server-side transaction lease fired (see the s-2PL engine for
-    /// the protocol; the reclaim additionally dismantles any callback
-    /// barrier the presumed-dead transaction owned).
-    fn on_txn_lease(&mut self, now: SimTime, txn: TxnId) {
-        if !self.leased.get(txn.index()).copied().unwrap_or(false) {
-            return;
-        }
-        let idle_for = now.since(self.last_activity[txn.index()]);
-        if idle_for < self.lease {
-            self.cal
-                .schedule_in(self.lease.since(idle_for), Ev::TxnLease { txn });
-            return;
-        }
-        match self.table.status(txn) {
-            TxnStatus::Committed => {
-                self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-            }
-            TxnStatus::Active => {
-                self.fsum.lease_expiries += 1;
-                self.fsum.recovery_stall += idle_for.as_f64();
-                self.trace.record(
-                    now,
-                    TraceKind::LeaseExpired,
-                    Some(txn),
-                    None,
-                    SiteId::SERVER0,
-                );
-                self.abort_victim(now, txn);
-                self.fsum.redispatches += 1;
-                self.trace
-                    .record(now, TraceKind::Redispatch, Some(txn), None, SiteId::SERVER0);
-            }
-            TxnStatus::Aborting | TxnStatus::Aborted => {
-                self.leased[txn.index()] = false;
-            }
-        }
     }
 
     /// Re-send the callbacks still outstanding for the transaction's
@@ -1973,32 +542,25 @@ impl C2plEngine {
     /// only unacknowledged copies are recalled again; a duplicate
     /// callback to a pinning client yields a duplicate ack, which the
     /// ack handler already refuses to double-count.
-    fn on_callback_retry(&mut self, now: SimTime, txn: TxnId) {
-        let _ = now;
+    fn on_callback_retry(&mut self, txn: TxnId) {
         let mut any = false;
-        for i in 0..self.barriers.len() {
-            let Some(b) = &self.barriers[i] else { continue };
+        for i in 0..self.p.barriers.len() {
+            let Some(b) = &self.p.barriers[i] else {
+                continue;
+            };
             if b.txn != txn {
                 continue;
             }
             any = true;
             let owner = b.client;
-            let item = ItemId::new(i as u32);
-            let remote: Vec<ClientId> = self.directory[i]
+            let remote: Vec<ClientId> = self.p.directory[i]
                 .iter()
                 .copied()
                 .filter(|&c| c != owner)
                 .collect();
             for target in remote {
                 self.fsum.retries += 1;
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
-                    target.into(),
-                    "c2pl.callback",
-                    CTRL_BYTES,
-                    Message::Callback { item },
-                );
+                self.send_callback(target, ItemId::new(i as u32));
             }
         }
         if any {
@@ -2006,79 +568,23 @@ impl C2plEngine {
                 .schedule_in(self.retry_base, Ev::CallbackRetry { txn });
         }
     }
+}
 
-    /// Insert `client` into a sorted directory row (no-op when present).
-    fn directory_insert(row: &mut Vec<ClientId>, client: ClientId) {
-        if let Err(pos) = row.binary_search(&client) {
-            row.insert(pos, client);
-        }
+/// Insert `client` into a sorted directory row (no-op when present).
+fn directory_insert(row: &mut Vec<ClientId>, client: ClientId) {
+    if let Err(pos) = row.binary_search(&client) {
+        row.insert(pos, client);
     }
+}
 
-    /// Remove `client` from a sorted directory row; true when it was there.
-    fn directory_remove(row: &mut Vec<ClientId>, client: ClientId) -> bool {
-        match row.binary_search(&client) {
-            Ok(pos) => {
-                row.remove(pos);
-                true
-            }
-            Err(_) => false,
+/// Remove `client` from a sorted directory row; true when it was there.
+fn directory_remove(row: &mut Vec<ClientId>, client: ClientId) -> bool {
+    match row.binary_search(&client) {
+        Ok(pos) => {
+            row.remove(pos);
+            true
         }
-    }
-
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
-    fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
-        if self.srv_faults_on {
-            // The victim's grants and any prepared votes die with it;
-            // compaction may fold them. A crashed shard cannot log the
-            // release — it learns the outcome at restart through its
-            // commit queries instead.
-            if let Some(slogs) = &mut self.slog {
-                for (s, slog) in slogs.iter_mut().enumerate() {
-                    if !self.fault_state[s].down {
-                        slog.append(ServerRecord::Released { txn: victim });
-                    }
-                }
-            }
-            if let Some(m) = self.prepared.get_mut(victim.index()) {
-                *m = 0;
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
-        if let Some(l) = self.leased.get_mut(victim.index()) {
-            *l = false;
-        }
-        // Dismantle any callback barrier the victim owns: keeping its
-        // exclusive lock until the acknowledgements drained could leave a
-        // permanent deadlock (a pinning transaction may be waiting on
-        // another lock the victim holds). Outstanding callbacks still
-        // arrive and merely shrink the directory.
-        for slot in &mut self.barriers {
-            if slot.as_ref().is_some_and(|b| b.txn == victim) {
-                *slot = None;
-            }
-        }
-        // Release across shards in ascending order for determinism.
-        let mut woken = Vec::new();
-        for lt in &mut self.locks {
-            woken.extend(lt.release_all(victim));
-        }
-        for (item, t, mode) in woken {
-            let c = self.table.info(t).client;
-            self.on_lock_granted(now, c, t, item, mode);
-        }
-        let client = self.table.info(victim).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::SERVER0,
-            client.into(),
-            "c2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn: victim },
-        );
+        Err(_) => false,
     }
 }
 

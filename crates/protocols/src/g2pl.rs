@@ -38,24 +38,26 @@
 //! the victim's held items) is governed by [`AbortEffect`]; see that
 //! type for why the default matches the paper's instant-abort simulator
 //! and what the faithful message accounting changes.
+//!
+//! # Faults
+//!
+//! The engine is a [`Protocol`] on the shared [`Kernel`], which runs
+//! client retries, shard recovery and two-phase commitment. What g-2PL
+//! adds: checkout leases that redispatch a stalled list, recovery that
+//! rebuilds forward lists from the durable dispatch records, and — since
+//! the commit is client-local — a phase 2 of its own (`Decide` /
+//! `DecideAck`) that only retires the shards' prepared votes.
 
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
-use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, HoldReport, Message, Net, ServerCpu,
-    ShardFaultState, TimerKind, TxnStatus, TxnTable,
-};
-use crate::s2pl::{lock_mode, CTRL_BYTES, EVENT_BUDGET};
-use crate::tracelog::{TraceKind, TraceLog};
+use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::runtime::{ClientPhase, Ev, HoldReport, Message, TimerKind, TxnStatus};
+use crate::tracelog::TraceKind;
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
 use g2pl_lockmgr::LockMode;
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
-use g2pl_workload::{AccessMode, TxnGenerator};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
+use g2pl_wal::{LogRecord, ServerImage, ServerRecord};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -166,15 +168,12 @@ impl Hold {
 }
 
 /// The g-2PL simulation engine.
-pub struct G2plEngine {
-    cfg: EngineConfig,
+pub type G2plEngine = Kernel<G2pl>;
+
+/// g-2PL's own state: item homes and windows at the server, holds at the
+/// clients, and the deadlock-analysis indexes.
+pub struct G2pl {
     opts: G2plOpts,
-    cal: Calendar<Ev>,
-    net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
-    clients: Vec<ClientCore>,
-    table: TxnTable,
     items: Vec<ItemState>,
     /// Client-side holds, slab-indexed by transaction: each slot is the
     /// (few) forward-list entries that transaction holds, in arrival
@@ -198,37 +197,8 @@ pub struct G2plEngine {
     /// Reusable buffer of probe starts for post-dispatch detection.
     start_scratch: Vec<TxnId>,
     arrival_seq: u64,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
     max_fl_len: usize,
     window_closes: u64,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period per dispatched checkout (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay (faults only).
-    retry_base: SimTime,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
-    /// Whether the plan schedules server crashes: gates the durable
-    /// server log and the recovery protocol, so loss-only plans keep
-    /// the exact crash-free fault paths.
-    srv_faults_on: bool,
-    /// One durable recovery log per shard (server crashes only): each
-    /// shard is an independent fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state (server crashes only).
-    fault_state: Vec<ShardFaultState>,
-    /// Per-transaction bitmask of shards holding an unretired durable
-    /// prepared vote (volatile mirror of the logs' `Prepared` records;
-    /// rebuilt per shard from replay on restart).
-    prepared: Vec<u64>,
     /// Coordinator-side phase-2 state: committed multi-home transactions
     /// whose [`Message::Decide`] is still unacknowledged, mapped to the
     /// bitmask of shards that still owe a [`Message::DecideAck`]. The
@@ -237,262 +207,7 @@ pub struct G2plEngine {
     pending_decides: BTreeMap<TxnId, u64>,
 }
 
-impl G2plEngine {
-    /// Build an engine for `cfg` (whose protocol must be g-2PL).
-    pub fn new(cfg: EngineConfig) -> Self {
-        let ProtocolKind::G2pl(opts) = cfg.protocol.clone() else {
-            // lint:allow(L3): constructor precondition, caught by config validation
-            panic!("G2plEngine requires a g-2PL configuration");
-        };
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
-        let items = (0..cfg.num_items())
-            .map(|_| ItemState {
-                version: 0,
-                epoch: 0,
-                out: None,
-                window: CollectionWindow::new(),
-                holding: false,
-                unpermanent_writers: Vec::new(),
-            })
-            .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
-        G2plEngine {
-            faults_on: net.faults_active(),
-            net,
-            lease,
-            retry_base,
-            fsum: FaultSummary::default(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            prepared: Vec::new(),
-            pending_decides: BTreeMap::new(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
-            cal: Calendar::new(),
-            clients,
-            table: TxnTable::new(),
-            items,
-            holds: Slab::new(),
-            entries_of: Slab::new(),
-            pruned: (0..cfg.num_clients).map(|_| Slab::new()).collect(),
-            dag: PrecedenceDag::new(),
-            pending_of: Slab::new(),
-            finder: CycleFinder::default(),
-            start_scratch: Vec::new(),
-            arrival_seq: 0,
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
-            max_fl_len: 0,
-            window_closes: 0,
-            opts,
-            cfg,
-        }
-    }
-
-    /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { item } => self.on_window_timer(now, item),
-                Ev::ServerProc { shard, msg } => {
-                    // The crash may have struck while the message sat in
-                    // the CPU queue: it dies with the queue.
-                    if self.server_accepts(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::LeaseCheck { item, epoch } => self.on_lease_check(now, item, epoch),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
-                }
-                Ev::TxnLease { .. } | Ev::CallbackRetry { .. } => {
-                    unreachable!("event is not part of the g-2PL protocol")
-                }
-            }
-            if self.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may
-        // legitimately hold residue (a checkout whose lease had not yet
-        // fired, a client down at calendar exhaustion); liveness is
-        // checked by trace property P8 instead of these structural
-        // asserts.
-        if self.cfg.drain && !self.faults_on {
-            for (i, item) in self.items.iter().enumerate() {
-                assert!(item.out.is_none(), "item x{i} not home after drain");
-                assert!(
-                    item.window.is_empty(),
-                    "window of x{i} not empty after drain"
-                );
-            }
-            assert!(
-                self.holds
-                    .iter()
-                    .all(|(_, v)| v.iter().all(|(_, h)| h.forwarded || !h.data_arrived)),
-                "data arrived at a hold but was never passed on"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.fsum,
-            protocol: "g-2PL",
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: self.max_fl_len,
-            window_closes: self.window_closes,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-        }
-    }
-
+impl G2pl {
     /// The hold of `(item, txn)`, if the data (or its anticipation) is at
     /// the client.
     fn hold(&self, item: ItemId, txn: TxnId) -> Option<&Hold> {
@@ -511,6 +226,704 @@ impl G2plEngine {
             .map(|(_, h)| h)
     }
 
+    fn next_arrival(&mut self) -> u64 {
+        let arrival = self.arrival_seq;
+        self.arrival_seq += 1;
+        arrival
+    }
+}
+
+impl Protocol for G2pl {
+    const NAME: &'static str = "g-2PL";
+    const LABELS: Labels = labels!("g2pl");
+    const SERVER_BASED: bool = false;
+    /// Items to redispatch (with their surviving entries) and the silent
+    /// clients' transactions.
+    type Rebuilt = (Vec<(ItemId, Vec<PendingReq>)>, Vec<TxnId>);
+
+    fn new(cfg: &EngineConfig) -> Self {
+        let ProtocolKind::G2pl(opts) = cfg.protocol.clone() else {
+            // lint:allow(L3): constructor precondition, caught by config validation
+            panic!("G2plEngine requires a g-2PL configuration");
+        };
+        G2pl {
+            opts,
+            items: (0..cfg.num_items())
+                .map(|_| ItemState {
+                    version: 0,
+                    epoch: 0,
+                    out: None,
+                    window: CollectionWindow::new(),
+                    holding: false,
+                    unpermanent_writers: Vec::new(),
+                })
+                .collect(),
+            holds: Slab::new(),
+            entries_of: Slab::new(),
+            pruned: (0..cfg.num_clients).map(|_| Slab::new()).collect(),
+            dag: PrecedenceDag::new(),
+            pending_of: Slab::new(),
+            finder: CycleFinder::default(),
+            start_scratch: Vec::new(),
+            arrival_seq: 0,
+            max_fl_len: 0,
+            window_closes: 0,
+            pending_decides: BTreeMap::new(),
+        }
+    }
+
+    fn on_event(k: &mut Kernel<Self>, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::WindowTimer { item } => k.on_window_timer(now, item),
+            Ev::LeaseCheck { item, epoch } => k.on_lease_check(now, item, epoch),
+            other => unreachable!("event {other:?} is not part of the g-2PL protocol"),
+        }
+    }
+
+    fn on_client_msg(k: &mut Kernel<Self>, now: SimTime, client: ClientId, msg: Message) {
+        match msg {
+            Message::GData {
+                item,
+                version,
+                fl,
+                pos,
+                from_txn,
+                epoch,
+            } => {
+                let txn = fl.entry(pos).txn;
+                debug_assert_eq!(fl.entry(pos).client, client);
+                if k.faults_on {
+                    if let Some(h) = k.p.hold(item, txn) {
+                        if epoch < h.epoch {
+                            return; // copy from a superseded dispatch
+                        }
+                        if epoch == h.epoch && h.data_arrived {
+                            return; // duplicated delivery of this copy
+                        }
+                    }
+                }
+                k.trace.record(
+                    now,
+                    TraceKind::DataArrived,
+                    Some(txn),
+                    Some(item),
+                    client.into(),
+                );
+                if let Some(ft) = from_txn {
+                    // The forwarder's release rode this hop (§3.2 merge):
+                    // it reaches a client, not the server, so it costs the
+                    // releasing transaction no extra sequential round.
+                    k.spans.release_arrived(now, ft, false);
+                }
+                let hold = k.hold_or_insert(item, txn, &fl, pos, epoch);
+                hold.data_arrived = true;
+                hold.version = version;
+                k.after_gate_update(now, client, item, txn);
+            }
+            Message::GReaderRelease {
+                item,
+                version,
+                fl,
+                from_pos,
+                to_pos,
+                epoch,
+            } => {
+                // lint:allow(L3): the sender set to_pos on every client-bound release
+                let w = to_pos.expect("client-bound release has a writer position");
+                let txn = fl.entry(w).txn;
+                debug_assert_eq!(fl.entry(w).client, client);
+                if k.faults_on {
+                    if let Some(h) = k.p.hold(item, txn) {
+                        if epoch < h.epoch {
+                            return; // release from a superseded dispatch
+                        }
+                        if epoch == h.epoch && h.releases_from.contains(&from_pos) {
+                            return; // duplicated delivery of this release
+                        }
+                    }
+                }
+                k.spans.release_arrived(now, fl.entry(from_pos).txn, false);
+                let mr1w = k.p.opts.mr1w;
+                let hold = k.hold_or_insert(item, txn, &fl, w, epoch);
+                hold.releases_from.push(from_pos);
+                hold.releases_recv += 1;
+                if !mr1w {
+                    // The release carries the data in the non-MR1W flavor.
+                    hold.data_arrived = true;
+                    hold.version = version;
+                }
+                debug_assert!(
+                    hold.releases_recv <= hold.releases_expected,
+                    "more releases than readers for {item} at {txn}"
+                );
+                k.after_gate_update(now, client, item, txn);
+            }
+            Message::DecideAck { txn, shard } => {
+                if let Some(mask) = k.p.pending_decides.get_mut(&txn) {
+                    *mask &= !(1u64 << shard);
+                    if *mask == 0 {
+                        k.p.pending_decides.remove(&txn);
+                    }
+                }
+            }
+            Message::GPrune { item, txn } => {
+                let v = k.p.pruned[client.index()].ensure(txn.index());
+                if !v.contains(&item) {
+                    v.push(item);
+                }
+            }
+            other => unreachable!("g-2PL client cannot receive {other:?}"),
+        }
+    }
+
+    fn on_server_msg(k: &mut Kernel<Self>, now: SimTime, shard: usize, msg: Message) {
+        match msg {
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode,
+            } => {
+                debug_assert_eq!(
+                    k.cfg.shard_of(item) as usize,
+                    shard,
+                    "lock request routed to the wrong shard"
+                );
+                match k.table.status(txn) {
+                    TxnStatus::Active => {}
+                    TxnStatus::Aborting | TxnStatus::Aborted if k.faults_on => {
+                        // A retried request from a victim whose abort
+                        // notice may have been lost: answer it again.
+                        k.send_abort_notice(SiteId::server(shard as u32), client, txn);
+                        return;
+                    }
+                    _ => return, // stale request
+                }
+                if k.faults_on {
+                    // Retransmission of a request the server already has:
+                    // either still gathering in a window, or already on a
+                    // dispatched list (its grant is in flight, or the item
+                    // lease will recover it).
+                    if k.p.pending_of.get(txn.index()).copied().flatten() == Some(item) {
+                        return;
+                    }
+                    if k.p
+                        .entries_of
+                        .get(txn.index())
+                        .is_some_and(|v| v.contains(&item))
+                    {
+                        return;
+                    }
+                }
+                k.on_request(now, txn, client, item, mode);
+            }
+            Message::GReturn {
+                item,
+                version,
+                txn,
+                epoch,
+            } => {
+                let st = &k.p.items[item.index()];
+                if st.epoch != epoch || st.out.is_none() {
+                    // A return from a superseded checkout, or a duplicated
+                    // return for one already processed.
+                    debug_assert!(k.faults_on, "stale return on a reliable network");
+                    return;
+                }
+                k.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    None,
+                    Some(item),
+                    SiteId::server(shard as u32),
+                );
+                // The final holder's release reaches the server: its one
+                // extra sequential round (the "+1" of `2m + 1`).
+                k.spans.release_arrived(now, txn, true);
+                k.come_home(now, shard, item, version);
+            }
+            Message::GReaderRelease {
+                item,
+                version,
+                fl,
+                from_pos,
+                to_pos: None,
+                epoch,
+            } => {
+                let st = &k.p.items[item.index()];
+                let stale = st.epoch != epoch
+                    || st
+                        .out
+                        .as_ref()
+                        .is_none_or(|o| o.final_released.contains(&from_pos));
+                if stale {
+                    // A release from a superseded checkout, or a
+                    // duplicated copy of one already counted.
+                    debug_assert!(k.faults_on, "stale release on a reliable network");
+                    return;
+                }
+                k.trace.record(
+                    now,
+                    TraceKind::ReleasedAtServer,
+                    None,
+                    Some(item),
+                    SiteId::server(shard as u32),
+                );
+                // A tail-group reader's release travels to the server: a
+                // full sequential round for that reader.
+                k.spans.release_arrived(now, fl.entry(from_pos).txn, true);
+                // lint:allow(L3): a reader release implies the item is still out
+                let out = k.p.items[item.index()].out.as_mut().expect("item is out");
+                out.final_released.push(from_pos);
+                out.last_progress = now;
+                debug_assert!(out.final_releases_left > 0);
+                out.final_releases_left -= 1;
+                if out.final_releases_left == 0 {
+                    k.come_home(now, shard, item, version);
+                }
+            }
+            Message::Decide { txn } => {
+                if k.prepared_at(txn, shard) {
+                    k.slog(shard).append(ServerRecord::Committed { txn });
+                    k.vote_applied(now, shard, txn);
+                }
+                // Always ack — even when recovery already resolved the
+                // vote — so the coordinator's retry timer stops.
+                k.net.send(
+                    &mut k.cal,
+                    SiteId::server(shard as u32),
+                    k.table.info(txn).client.into(),
+                    "g2pl.decide_ack",
+                    CTRL_BYTES,
+                    Message::DecideAck {
+                        txn,
+                        shard: shard as u32,
+                    },
+                );
+            }
+            other => unreachable!("g-2PL server cannot receive {other:?}"),
+        }
+    }
+
+    /// Commit only once every hold's gates have passed; until the last
+    /// MR1W reader release arrives the transaction waits in `CommitWait`.
+    /// Without this certification step a writer that ran concurrently
+    /// with the readers of the previous version could leak its *other*
+    /// writes before those readers finish, producing non-serializable
+    /// executions.
+    fn commit_ready(k: &Kernel<Self>, txn: TxnId) -> bool {
+        let client = k.table.info(txn).client;
+        k.clients[client.index()]
+            .txn()
+            .spec
+            .accesses
+            .iter()
+            .all(|&(item, _)| k.p.hold(item, txn).is_some_and(Hold::gates_passed))
+    }
+
+    fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        let active = k.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): commit is only reachable from a client with an active txn
+            .expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        if k.faults_on {
+            k.clients[client.index()].retry_progress();
+        }
+        k.table.set_status(txn, TxnStatus::Committed);
+        // Every hold forwards exactly once, so exactly one release arrival
+        // (client- or server-bound) is expected per accessed item.
+        k.record_commit(now, &active, active.spec.len() as u32);
+        k.trace
+            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        if let Some(wal) = &mut k.wal {
+            let log = &mut wal[client.index()];
+            for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
+                if mode.is_write() {
+                    log.append(LogRecord::Update {
+                        txn,
+                        item,
+                        old: observed,
+                        new: observed + 1,
+                    });
+                    // The new version is only on this site until the item
+                    // migrates home.
+                    k.p.items[item.index()].unpermanent_writers.push(txn);
+                }
+            }
+            log.append(LogRecord::Commit { txn });
+        }
+        // Forward (or arm the gated forward of) every held item. §3.2:
+        // "When a transaction commits, the client sends the new version of
+        // the committed data items to the clients next on the respective
+        // forward lists."
+        for &(item, _) in &active.spec.accesses {
+            k.try_forward(now, item, txn);
+        }
+        // The committed transaction no longer constrains future windows.
+        k.p.dag.remove_txn(txn);
+        k.schedule_next_txn(client);
+    }
+
+    /// Every involved shard voted yes: decide commit locally (the decision
+    /// record is the client's WAL commit) and ship the decision as phase
+    /// 2. If the abort won the voting race instead, the notice (or its
+    /// lease-driven re-send) drives the client-side cleanup, and
+    /// `abort_victim` retired the votes.
+    fn votes_in(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        if k.table.status(txn) != TxnStatus::Active {
+            return;
+        }
+        debug_assert_eq!(
+            k.clients[client.index()].txn().id,
+            txn,
+            "foreign prepare ack"
+        );
+        let involved = k.involved(client);
+        Self::commit(k, now, client, txn);
+        k.send_decides(client, txn, involved);
+    }
+
+    fn finalize_abort(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        match k.table.status(txn) {
+            TxnStatus::Committed => return, // the commit won the race
+            TxnStatus::Aborted => return,
+            TxnStatus::Active | TxnStatus::Aborting => {}
+        }
+        k.table.set_status(txn, TxnStatus::Aborted);
+        k.trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        k.spans.aborted(now, txn);
+        let Some(active) = k.end_aborted_txn(now, client, txn) else {
+            return;
+        };
+        k.schedule_next_txn(client);
+        // Pass every satisfied hold straight through; unsatisfied ones
+        // pass through when their gates fill.
+        for &(item, _) in &active.spec.accesses {
+            k.try_forward(now, item, txn);
+        }
+    }
+
+    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    fn abort_victim(k: &mut Kernel<Self>, _now: SimTime, victim: TxnId) {
+        debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
+        k.table.set_status(victim, TxnStatus::Aborting);
+        if let Some(item) =
+            k.p.pending_of
+                .get_mut(victim.index())
+                .and_then(Option::take)
+        {
+            k.p.items[item.index()].window.remove_txn(victim);
+        }
+        k.p.dag.remove_txn(victim);
+        k.retire_victim(victim);
+        let client = k.table.info(victim).client;
+        // Abort coordination stays at shard 0 (leases and deadlock
+        // detection are centralized there).
+        if k.cfg.abort_effect == AbortEffect::Instant {
+            k.net.send_with_delay(
+                &mut k.cal,
+                SiteId::SERVER0,
+                client.into(),
+                Self::LABELS.abort_notice,
+                CTRL_BYTES,
+                Message::AbortNotice { txn: victim },
+                SimTime::ZERO,
+            );
+            // Prune notices are pointless under instant-abort semantics,
+            // where dead entries already cost nothing.
+            return;
+        }
+        k.send_abort_notice(SiteId::SERVER0, client, victim);
+        // Multicast prune notices for the victim's not-yet-served entries
+        // on dispatched forward lists, so upstream forwarders skip them.
+        // The server knows every list it dispatched; the extra messages
+        // are parallel control traffic, not sequential rounds.
+        for (idx, st) in k.p.items.iter().enumerate() {
+            let item = ItemId::new(idx as u32);
+            let Some(out) = &st.out else { continue };
+            let Some(pos) = out.fl.position_of(victim) else {
+                continue;
+            };
+            if out.completed[pos] {
+                continue;
+            }
+            for e in out.fl.entries() {
+                if e.client == client {
+                    continue;
+                }
+                k.net.send(
+                    &mut k.cal,
+                    k.cfg.shard_site(item),
+                    e.client.into(),
+                    "g2pl.prune",
+                    CTRL_BYTES,
+                    Message::GPrune { item, txn: victim },
+                );
+            }
+        }
+    }
+
+    /// The phase-2 retransmission timer fired: re-send the decision to
+    /// every shard that has not yet acknowledged it.
+    fn on_decide_retry(k: &mut Kernel<Self>, _now: SimTime, client: ClientId, txn: TxnId) {
+        let Some(&mask) = k.p.pending_decides.get(&txn) else {
+            return; // fully acknowledged: the timer dies
+        };
+        k.fsum.retries += mask.count_ones() as u64;
+        k.send_decide_round(client, txn, mask);
+    }
+
+    /// Phase-2 retransmission timers died with the crash; the pending
+    /// decisions themselves are durable (oracle + WAL), so re-arm one
+    /// timer per still-unacknowledged decision this client owns. Item
+    /// copies the site held are re-derived from its log, and any
+    /// migration hop dropped while down is recovered by the server-side
+    /// item lease, not by the client.
+    fn on_client_restart(k: &mut Kernel<Self>, client: ClientId) {
+        let unacked: Vec<TxnId> =
+            k.p.pending_decides
+                .keys()
+                .copied()
+                .filter(|&t| k.table.info(t).client == client)
+                .collect();
+        for txn in unacked {
+            k.cal.schedule_in(
+                SimTime::ZERO,
+                Ev::Timer {
+                    client,
+                    kind: TimerKind::DecideRetry(txn),
+                },
+            );
+        }
+    }
+
+    /// Report every live (unforwarded) forward-list slot this client
+    /// holds or anticipates on the restarted shard's items — checked-out
+    /// items, in-flight positions, and committed-but-unreturned versions
+    /// all ride in the same report.
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+        let mut holds = Vec::new();
+        for (_, slots) in k.p.holds.iter() {
+            for (item, h) in slots {
+                if h.forwarded
+                    || h.fl.entry(h.pos).client != client
+                    || k.cfg.shard_of(*item) != shard
+                {
+                    continue;
+                }
+                holds.push(HoldReport {
+                    txn: h.fl.entry(h.pos).txn,
+                    item: *item,
+                    pos: h.pos,
+                    epoch: h.epoch,
+                    version: h.version,
+                    forwarded: h.forwarded,
+                    data_arrived: h.data_arrived,
+                });
+            }
+        }
+        let bytes = CTRL_BYTES + holds.len() as u64 * FL_ENTRY_BYTES;
+        (
+            bytes,
+            Message::GReregister {
+                client,
+                epoch,
+                holds,
+            },
+        )
+    }
+
+    /// Reports corroborate the durable dispatch history (restoration
+    /// itself works off the log plus the commit oracle, so entries whose
+    /// data was still in flight are recovered even when no client-side
+    /// hold exists to report): a slot re-reported at the last durable
+    /// epoch must be on the logged list.
+    fn absorb_report(k: &mut Kernel<Self>, shard: usize, client: ClientId, report: &Message) {
+        let Message::GReregister { holds, .. } = report else {
+            return;
+        };
+        if cfg!(debug_assertions) {
+            let img = k.image(shard);
+            for r in holds {
+                if let Some(d) = img.dispatches.get(&r.item) {
+                    debug_assert!(
+                        r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
+                        "{client} re-reported a slot the log never dispatched: {} {}",
+                        r.txn,
+                        r.item
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checkout and window bookkeeping, dispatch epochs and installed
+    /// versions of the shard's items die with it. Client-side holds are
+    /// other sites and live on; `unpermanent_writers` is kept because it
+    /// mirrors the *clients'* log obligations, which a server crash does
+    /// not discharge. Other shards keep their state untouched, so the
+    /// (global) precedence DAG is reset only in the single-shard case; at
+    /// multi-shard, surviving shards' edges must live on, and the crashed
+    /// shard's survivors are re-dispatched in durable-record order, which
+    /// cannot contradict their existing edges.
+    fn wipe_shard(k: &mut Kernel<Self>, shard: usize) {
+        let per = k.cfg.items.items_per_shard as usize;
+        let mut orphaned = std::mem::take(&mut k.p.start_scratch);
+        orphaned.clear();
+        for idx in shard * per..(shard + 1) * per {
+            let item = ItemId::new(idx as u32);
+            if let Some(out) = k.p.items[idx].out.take() {
+                k.clear_entry_index(&out, item);
+            }
+            let st = &mut k.p.items[idx];
+            orphaned.extend(st.window.pending().iter().map(|r| r.entry.txn));
+            st.window = CollectionWindow::new();
+            st.holding = false;
+            st.version = 0;
+            st.epoch = 0;
+        }
+        // Window entries die with the shard; their owners' request
+        // retries re-enqueue them after recovery, which the
+        // pending-request duplicate filter must not suppress.
+        for txn in orphaned.drain(..) {
+            if let Some(slot) = k.p.pending_of.get_mut(txn.index()) {
+                *slot = None;
+            }
+        }
+        k.p.start_scratch = orphaned;
+        if k.cfg.num_shards() == 1 {
+            k.p.dag = PrecedenceDag::new();
+        }
+    }
+
+    /// Per-item versions and dispatch epochs come back from the image.
+    /// Epochs restart at the last durably dispatched value, so every
+    /// pre-crash in-flight segment is at most equal — and any
+    /// post-recovery redispatch strictly above — the restored epoch: no
+    /// grant can ever be issued from pre-crash forward-list state.
+    fn restore_image(k: &mut Kernel<Self>, img: &ServerImage) {
+        for (&item, &v) in &img.versions {
+            k.p.items[item.index()].version = v;
+        }
+        for (&item, d) in &img.dispatches {
+            k.p.items[item.index()].epoch = d.epoch;
+        }
+    }
+
+    /// Per checked-out item, the durable dispatch record plus the commit
+    /// oracle decide the outcome: committed writers advance the version
+    /// base (their updates are recoverable from their sites' logs,
+    /// exactly as in lease recovery), live entries of responding clients
+    /// are re-dispatched under a fresh epoch, and live entries of silent
+    /// clients are presumed dead and aborted. With no survivors the item
+    /// comes home at the version a fault-free drain would have installed.
+    fn rebuild(
+        k: &mut Kernel<Self>,
+        _now: SimTime,
+        shard: usize,
+        img: ServerImage,
+    ) -> Self::Rebuilt {
+        let mut silent_victims: Vec<TxnId> = Vec::new();
+        let mut redispatch = Vec::new();
+        for &item in &img.out {
+            // lint:allow(L3): every `out` item has a dispatch record
+            let d = img.dispatches.get(&item).expect("out item was dispatched");
+            let mut survivors = Vec::new();
+            let mut committed_writes: Version = 0;
+            for &(txn, exclusive) in &d.entries {
+                match k.table.status(txn) {
+                    TxnStatus::Active => {
+                        let owner = k.table.info(txn).client;
+                        if k.fault_state[shard].reregistered[owner.index()] {
+                            let mode = if exclusive {
+                                LockMode::Exclusive
+                            } else {
+                                LockMode::Shared
+                            };
+                            survivors.push(PendingReq {
+                                entry: FlEntry::new(txn, owner, mode),
+                                arrival: k.p.next_arrival(),
+                                restarts: 0,
+                            });
+                        } else if !silent_victims.contains(&txn) {
+                            silent_victims.push(txn);
+                        }
+                    }
+                    TxnStatus::Committed => {
+                        if exclusive {
+                            committed_writes += 1;
+                            k.debug_awaits_permanence(txn, item);
+                        }
+                    }
+                    TxnStatus::Aborting | TxnStatus::Aborted => {}
+                }
+            }
+            k.p.items[item.index()].version = d.base + committed_writes;
+            redispatch.push((item, survivors));
+        }
+        (redispatch, silent_victims)
+    }
+
+    fn resume(k: &mut Kernel<Self>, now: SimTime, (redispatch, silent): Self::Rebuilt) {
+        for (item, survivors) in redispatch {
+            if survivors.is_empty() {
+                let version = k.p.items[item.index()].version;
+                let shard = k.cfg.shard_of(item) as usize;
+                k.slog(shard).append(ServerRecord::Home { item, version });
+                k.mark_writers_permanent(item);
+                k.close_window(now, item);
+            } else {
+                k.fsum.redispatches += 1;
+                k.dispatch(now, item, survivors);
+            }
+        }
+        for txn in silent {
+            // A survivors' redispatch may already have aborted a silent
+            // transaction as its deadlock victim.
+            if k.table.status(txn) == TxnStatus::Active {
+                k.fsum.two_pc.silent_victims += 1;
+                Self::abort_victim(k, now, txn);
+            }
+        }
+    }
+
+    /// Retire the prepared vote with a durable decision record. Unlike
+    /// s-2PL there is no write slice to install — the committed versions
+    /// migrated client-to-client and come home with the item returns.
+    fn apply_committed(
+        k: &mut Kernel<Self>,
+        shard: usize,
+        txn: TxnId,
+        _writes: Vec<(ItemId, Version)>,
+    ) {
+        k.slog(shard).append(ServerRecord::Committed { txn });
+    }
+
+    fn assert_drained(&self) {
+        for (i, item) in self.items.iter().enumerate() {
+            assert!(item.out.is_none(), "item x{i} not home after drain");
+            assert!(
+                item.window.is_empty(),
+                "window of x{i} not empty after drain"
+            );
+        }
+        assert!(
+            self.holds
+                .iter()
+                .all(|(_, v)| v.iter().all(|(_, h)| h.forwarded || !h.data_arrived)),
+            "data arrived at a hold but was never passed on"
+        );
+    }
+
+    fn fl_stats(&self) -> (usize, u64) {
+        (self.max_fl_len, self.window_closes)
+    }
+}
+
+impl Kernel<G2pl> {
     /// The hold of `(item, txn)`, created from `(fl, pos)` on first
     /// sight. A higher `epoch` than the existing hold's means a
     /// lease-expiry redispatch superseded the list the hold was created
@@ -525,7 +938,7 @@ impl G2plEngine {
         pos: usize,
         epoch: u64,
     ) -> &mut Hold {
-        let v = self.holds.ensure(txn.index());
+        let v = self.p.holds.ensure(txn.index());
         let at = match v.iter().position(|(i, _)| *i == item) {
             Some(at) => {
                 if v[at].1.epoch < epoch {
@@ -547,183 +960,22 @@ impl G2plEngine {
 
     // ---- client side ----
 
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                let (item, mode) = c.txn().spec.access(0);
-                self.send_request(now, client, txn, item, mode);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return; // stale timer
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    let (item, mode) = active.spec.access(granted);
-                    {
-                        let t = self.clients[client.index()].txn_mut();
-                        t.phase = ClientPhase::WaitingGrant(granted);
-                        t.request_sent_at = now;
-                    }
-                    self.send_request(now, client, txn, item, mode);
-                } else {
-                    self.try_commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
-            TimerKind::DecideRetry(txn) => self.on_decide_retry(now, client, txn),
-        }
-    }
-
-    /// Commit if every hold's gates have passed; otherwise enter
-    /// `CommitWait` until the last MR1W reader release arrives. Without
-    /// this certification step a writer that ran concurrently with the
-    /// readers of the previous version could leak its *other* writes
-    /// before those readers finish, producing non-serializable
-    /// executions.
-    fn try_commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
-            // A server-side lease recovery chose this transaction as its
-            // victim while the commit was pending; the server has already
-            // redispatched the surviving suffix, so the abort wins.
-            self.on_abort_notice(now, client, txn);
-            return;
-        }
-        if self.faults_on && !self.clients[client.index()].pending_commits.is_empty() {
-            return; // voting round already under way; acks drive progress
-        }
-        let (ready, involved) = {
-            let active = self.clients[client.index()].txn();
-            let ready = active
-                .spec
-                .accesses
-                .iter()
-                .all(|&(item, _)| self.hold(item, txn).is_some_and(Hold::gates_passed));
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
-            }
-            (ready, involved)
-        };
-        if ready {
-            if self.srv_faults_on && involved.count_ones() > 1 {
-                // Multi-home commitment under shard crashes is two-phase:
-                // collect a durable yes vote from every involved shard
-                // before the client-local commit point.
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
-            self.commit(now, client, txn);
-        } else {
-            self.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
-        }
-    }
-
-    /// Open the voting round of a multi-home commitment: ask every
-    /// involved shard to force a prepared record for `txn`. g-2PL
-    /// versions migrate client-to-client, so the vote carries no write
-    /// slice — it only pins the shard's promise that the decision will
-    /// be applied (durably recorded) once the coordinator decides.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
-        c.txn_mut().phase = ClientPhase::CommitWait;
-        c.retry_progress();
-        debug_assert!(c.pending_commits.is_empty());
-        for shard in 0..self.cfg.num_shards() {
-            if involved & (1u64 << shard) == 0 {
-                continue;
-            }
-            let msg = Message::Prepare {
-                txn,
-                writes: Vec::new(),
-                involved,
-            };
-            self.clients[client.index()]
-                .pending_commits
-                .push((shard, msg.clone()));
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.prepare",
-                CTRL_BYTES,
-                msg,
-            );
-        }
-        self.arm_retry(client);
-    }
-
-    /// Re-send every outstanding prepare of the client's voting round.
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let _ = now;
-        let pending = self.clients[client.index()].pending_commits.clone();
-        for (shard, msg) in pending {
-            self.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.prepare",
-                CTRL_BYTES,
-                msg,
-            );
-        }
-        self.arm_retry(client);
-    }
-
     /// Ship the commit decision to every involved shard and keep
     /// retransmitting until each has durably applied it. The decision is
     /// already durable at the coordinator (commit oracle + client WAL),
     /// so phase 2 runs detached from the transaction slot — the client
     /// moves on to its next transaction meanwhile.
-    fn send_decides(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        self.pending_decides.insert(txn, involved);
-        for shard in 0..self.cfg.num_shards() {
-            if involved & (1u64 << shard) == 0 {
-                continue;
-            }
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "g2pl.decide",
-                CTRL_BYTES,
-                Message::Decide { txn },
-            );
-        }
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::Timer {
-                client,
-                kind: TimerKind::DecideRetry(txn),
-            },
-        );
+    fn send_decides(&mut self, client: ClientId, txn: TxnId, involved: u64) {
+        self.p.pending_decides.insert(txn, involved);
+        self.send_decide_round(client, txn, involved);
     }
 
-    /// The phase-2 retransmission timer fired: re-send the decision to
-    /// every shard that has not yet acknowledged it.
-    fn on_decide_retry(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let _ = now;
-        let Some(&mask) = self.pending_decides.get(&txn) else {
-            return; // fully acknowledged: the timer dies
-        };
+    /// One `Decide` per shard in `mask`, then re-arm the phase-2 timer.
+    fn send_decide_round(&mut self, client: ClientId, txn: TxnId, mask: u64) {
         for shard in 0..self.cfg.num_shards() {
             if mask & (1u64 << shard) == 0 {
                 continue;
             }
-            self.fsum.retries += 1;
             self.net.send(
                 &mut self.cal,
                 client.into(),
@@ -738,277 +990,6 @@ impl G2plEngine {
             Ev::Timer {
                 client,
                 kind: TimerKind::DecideRetry(txn),
-            },
-        );
-    }
-
-    fn send_request(
-        &mut self,
-        now: SimTime,
-        client: ClientId,
-        txn: TxnId,
-        item: ItemId,
-        mode: AccessMode,
-    ) {
-        if self.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "g2pl.lock_request",
-            CTRL_BYTES,
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
-    }
-
-    /// A retransmission timer fired: if the epoch still matches (no
-    /// progress since arming), re-send whatever is outstanding — a lock
-    /// request, or the prepares of an open voting round. g-2PL commits
-    /// are client-local, so these are the only retransmittable client
-    /// operations (phase-2 decides run on their own timer).
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return; // progress since arming: stale timer
-        }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
-    }
-
-    /// Re-send the outstanding lock request. No `RequestSent` trace or
-    /// request span is recorded for a retransmission: trace consumers
-    /// pair each logical request with one dispatch.
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "g2pl.lock_request",
-            CTRL_BYTES,
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
-    }
-
-    /// A scheduled crash or restart from the fault plan.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.fsum.crashes += 1;
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up. Every timer it had died with the
-    /// crash, so each possible state re-establishes its own wake-up. Item
-    /// copies the site held are re-derived from its log, but any
-    /// migration hop dropped while down is recovered by the server-side
-    /// item lease, not by the client.
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        // Phase-2 retransmission timers died with the crash; the pending
-        // decisions themselves are durable (oracle + WAL), so re-arm one
-        // timer per still-unacknowledged decision this client owns.
-        let unacked: Vec<TxnId> = self
-            .pending_decides
-            .keys()
-            .copied()
-            .filter(|&t| self.table.info(t).client == client)
-            .collect();
-        for txn in unacked {
-            self.cal.schedule_in(
-                SimTime::ZERO,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::DecideRetry(txn),
-                },
-            );
-        }
-        let c = &self.clients[client.index()];
-        let Some(active) = &c.txn else {
-            let c = &mut self.clients[client.index()];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        let voting = !c.pending_commits.is_empty();
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.on_abort_notice(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    // The think timer died with the crash: resume now.
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait if voting => {
-                    // An open voting round: its retry timer died with the
-                    // crash, so restart the retransmission loop.
-                    self.resend_pending_commits(now, client);
-                }
-                // A commit certification waits on reader releases; any
-                // dropped while down are recovered by the item lease.
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
-    }
-
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = self.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): commit is only reachable from a client with an active txn
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        if self.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-        // Every hold forwards exactly once, so exactly one release arrival
-        // (client- or server-bound) is expected per accessed item.
-        self.spans
-            .commit_local(now, txn, active.spec.len() as u32, measured);
-        self.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-
-        if let Some(h) = &mut self.history {
-            let accesses = active
-                .spec
-                .accesses
-                .iter()
-                .zip(&active.versions)
-                .map(|(&(item, mode), &observed)| AccessRecord {
-                    item,
-                    mode,
-                    version: if mode.is_write() {
-                        observed + 1
-                    } else {
-                        observed
-                    },
-                })
-                .collect();
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses,
-            });
-        }
-
-        if let Some(wal) = &mut self.wal {
-            let log = &mut wal[client.index()];
-            for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
-                if mode.is_write() {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: observed,
-                        new: observed + 1,
-                    });
-                    // The new version is only on this site until the item
-                    // migrates home.
-                    self.items[item.index()].unpermanent_writers.push(txn);
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        // Forward (or arm the gated forward of) every held item. §3.2:
-        // "When a transaction commits, the client sends the new version of
-        // the committed data items to the clients next on the respective
-        // forward lists."
-        for &(item, _) in &active.spec.accesses {
-            self.try_forward(now, item, txn);
-        }
-        // The committed transaction no longer constrains future windows.
-        self.dag.remove_txn(txn);
-
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
             },
         );
     }
@@ -1017,7 +998,7 @@ impl G2plEngine {
     /// transaction is finished (committed, aborting, or aborted).
     fn try_forward(&mut self, now: SimTime, item: ItemId, txn: TxnId) {
         let status = self.table.status(txn);
-        let Some(hold) = self.hold_mut(item, txn) else {
+        let Some(hold) = self.p.hold_mut(item, txn) else {
             return; // data not yet arrived; pass-through happens on arrival
         };
         if hold.forwarded || !hold.gates_passed() || status == TxnStatus::Active {
@@ -1039,13 +1020,13 @@ impl G2plEngine {
 
         // Oracle completion flag for deadlock analysis; completing an
         // entry is the progress the item lease watches for.
-        if let Some(out) = &mut self.items[item.index()].out {
+        if let Some(out) = &mut self.p.items[item.index()].out {
             if let Some(p) = out.fl.position_of(txn) {
                 out.completed[p] = true;
                 out.last_progress = now;
             }
         }
-        if let Some(v) = self.entries_of.get_mut(txn.index()) {
+        if let Some(v) = self.p.entries_of.get_mut(txn.index()) {
             v.retain(|&i| i != item);
         }
         self.trace.record(
@@ -1066,7 +1047,7 @@ impl G2plEngine {
                     // Under MR1W the writer already has the data, so the
                     // release is a pure token; otherwise it carries data —
                     // a real migration hop toward the writer.
-                    let bytes = if self.opts.mr1w {
+                    let bytes = if self.p.opts.mr1w {
                         CTRL_BYTES
                     } else {
                         self.spans.hop_departed(now, fl.entry(w).txn, item);
@@ -1088,26 +1069,14 @@ impl G2plEngine {
                 to_pos,
                 epoch,
             };
-            if instant {
-                self.net.send_with_delay(
-                    &mut self.cal,
-                    client.into(),
-                    to_site,
-                    "g2pl.reader_release",
-                    bytes,
-                    msg,
-                    SimTime::ZERO,
-                );
-            } else {
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    to_site,
-                    "g2pl.reader_release",
-                    bytes,
-                    msg,
-                );
-            }
+            self.send_hop(
+                client.into(),
+                to_site,
+                "g2pl.reader_release",
+                bytes,
+                msg,
+                instant,
+            );
         } else {
             // Writers dispatch the next segment, or return the item home.
             // Consecutive successor *writers* known (via GPrune) to be
@@ -1120,14 +1089,14 @@ impl G2plEngine {
             let mut next = pos + 1;
             while next < fl.len()
                 && fl.entry(next).mode.is_exclusive()
-                && self.pruned[client.index()]
+                && self.p.pruned[client.index()]
                     .get(fl.entry(next).txn.index())
                     .is_some_and(|v| v.contains(&item))
             {
                 next += 1;
             }
-            match fl.segment_at(next) {
-                Some(_) => self.send_segment_delayed(
+            if fl.segment_at(next).is_some() {
+                self.send_segment_delayed(
                     now,
                     client.into(),
                     item,
@@ -1137,36 +1106,37 @@ impl G2plEngine {
                     Some(txn),
                     instant,
                     epoch,
-                ),
-                None => {
-                    let msg = Message::GReturn {
-                        item,
-                        version: out_version,
-                        txn,
-                        epoch,
-                    };
-                    if instant {
-                        self.net.send_with_delay(
-                            &mut self.cal,
-                            client.into(),
-                            self.cfg.shard_site(item),
-                            "g2pl.return",
-                            CTRL_BYTES + self.cfg.item_size_bytes,
-                            msg,
-                            SimTime::ZERO,
-                        );
-                    } else {
-                        self.net.send(
-                            &mut self.cal,
-                            client.into(),
-                            self.cfg.shard_site(item),
-                            "g2pl.return",
-                            CTRL_BYTES + self.cfg.item_size_bytes,
-                            msg,
-                        );
-                    }
-                }
+                );
+            } else {
+                let msg = Message::GReturn {
+                    item,
+                    version: out_version,
+                    txn,
+                    epoch,
+                };
+                let home = self.cfg.shard_site(item);
+                let bytes = CTRL_BYTES + self.cfg.item_size_bytes;
+                self.send_hop(client.into(), home, "g2pl.return", bytes, msg, instant);
             }
+        }
+    }
+
+    /// Send one migration hop: over the network, or — for an abort under
+    /// [`AbortEffect::Instant`] — with no delay and no fault injection.
+    fn send_hop(
+        &mut self,
+        from: SiteId,
+        to: SiteId,
+        kind: &'static str,
+        bytes: u64,
+        msg: Message,
+        instant: bool,
+    ) {
+        if instant {
+            self.net
+                .send_with_delay(&mut self.cal, from, to, kind, bytes, msg, SimTime::ZERO);
+        } else {
+            self.net.send(&mut self.cal, from, to, kind, bytes, msg);
         }
     }
 
@@ -1210,7 +1180,7 @@ impl G2plEngine {
         let data_bytes = CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
         // The MR1W extra copy to the writer after a reader group chains
         // onto the segment's own range, so no target list is materialised.
-        let extra_writer = match (&seg, self.opts.mr1w) {
+        let extra_writer = match (&seg, self.p.opts.mr1w) {
             (Segment::Readers(r), true) => fl.next_writer_at_or_after(r.end),
             _ => None,
         };
@@ -1232,194 +1202,7 @@ impl G2plEngine {
                 from_txn: if pos == seg_start { from_txn } else { None },
                 epoch,
             };
-            if instant {
-                self.net.send_with_delay(
-                    &mut self.cal,
-                    from,
-                    to.into(),
-                    "g2pl.data",
-                    data_bytes,
-                    msg,
-                    SimTime::ZERO,
-                );
-            } else {
-                self.net
-                    .send(&mut self.cal, from, to.into(), "g2pl.data", data_bytes, msg);
-            }
-        }
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::GData {
-                item,
-                version,
-                fl,
-                pos,
-                from_txn,
-                epoch,
-            } => {
-                let txn = fl.entry(pos).txn;
-                debug_assert_eq!(fl.entry(pos).client, client);
-                if self.faults_on {
-                    if let Some(h) = self.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // copy from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.data_arrived {
-                            return; // duplicated delivery of this copy
-                        }
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::DataArrived,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                if let Some(ft) = from_txn {
-                    // The forwarder's release rode this hop (§3.2 merge):
-                    // it reaches a client, not the server, so it costs the
-                    // releasing transaction no extra sequential round.
-                    self.spans.release_arrived(now, ft, false);
-                }
-                let hold = self.hold_or_insert(item, txn, &fl, pos, epoch);
-                hold.data_arrived = true;
-                hold.version = version;
-                self.after_gate_update(now, client, item, txn);
-            }
-            Message::GReaderRelease {
-                item,
-                version,
-                fl,
-                from_pos,
-                to_pos,
-                epoch,
-            } => {
-                // lint:allow(L3): the sender set to_pos on every client-bound release
-                let w = to_pos.expect("client-bound release has a writer position");
-                let txn = fl.entry(w).txn;
-                debug_assert_eq!(fl.entry(w).client, client);
-                if self.faults_on {
-                    if let Some(h) = self.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // release from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.releases_from.contains(&from_pos) {
-                            return; // duplicated delivery of this release
-                        }
-                    }
-                }
-                self.spans
-                    .release_arrived(now, fl.entry(from_pos).txn, false);
-                let mr1w = self.opts.mr1w;
-                let hold = self.hold_or_insert(item, txn, &fl, w, epoch);
-                hold.releases_from.push(from_pos);
-                hold.releases_recv += 1;
-                if !mr1w {
-                    // The release carries the data in the non-MR1W flavor.
-                    hold.data_arrived = true;
-                    hold.version = version;
-                }
-                debug_assert!(
-                    hold.releases_recv <= hold.releases_expected,
-                    "more releases than readers for {item} at {txn}"
-                );
-                self.after_gate_update(now, client, item, txn);
-            }
-            Message::GAbortNotice { txn } => self.on_abort_notice(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                }) else {
-                    return; // stale or duplicated ack
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
-                    self.arm_retry(client);
-                    return;
-                }
-                if self.table.status(txn) != TxnStatus::Active {
-                    // The abort won the voting race; the notice (or its
-                    // lease-driven re-send) drives the client-side
-                    // cleanup, and abort_victim retired the votes.
-                    return;
-                }
-                // Every involved shard voted yes: decide commit locally
-                // (the decision record is the client's WAL commit) and
-                // ship the decision as phase 2.
-                let involved = {
-                    let active = self.clients[client.index()].txn();
-                    debug_assert_eq!(active.id, txn, "foreign prepare ack");
-                    let mut m = 0u64;
-                    for &(item, _) in &active.spec.accesses {
-                        m |= 1u64 << self.cfg.shard_of(item);
-                    }
-                    m
-                };
-                self.commit(now, client, txn);
-                self.send_decides(now, client, txn, involved);
-            }
-            Message::DecideAck { txn, shard } => {
-                if let Some(mask) = self.pending_decides.get_mut(&txn) {
-                    *mask &= !(1u64 << shard);
-                    if *mask == 0 {
-                        self.pending_decides.remove(&txn);
-                    }
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Report every live (unforwarded) forward-list slot this
-                // client holds or anticipates — checked-out items,
-                // in-flight positions, and committed-but-unreturned
-                // versions all ride in the same report. The report covers
-                // the restarted shard's items only: other shards' state
-                // never died. A pure function of client state, so
-                // duplicated deliveries are idempotent at the server.
-                let mut holds = Vec::new();
-                for (_, slots) in self.holds.iter() {
-                    for (item, h) in slots {
-                        if h.forwarded
-                            || h.fl.entry(h.pos).client != client
-                            || self.cfg.shard_of(*item) != shard
-                        {
-                            continue;
-                        }
-                        holds.push(HoldReport {
-                            txn: h.fl.entry(h.pos).txn,
-                            item: *item,
-                            pos: h.pos,
-                            epoch: h.epoch,
-                            version: h.version,
-                            forwarded: h.forwarded,
-                            data_arrived: h.data_arrived,
-                        });
-                    }
-                }
-                let bytes = CTRL_BYTES + holds.len() as u64 * FL_ENTRY_BYTES;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "g2pl.reregister",
-                    bytes,
-                    Message::GReregister {
-                        client,
-                        epoch,
-                        holds,
-                    },
-                );
-            }
-            Message::GPrune { item, txn } => {
-                let v = self.pruned[client.index()].ensure(txn.index());
-                if !v.contains(&item) {
-                    v.push(item);
-                }
-            }
-            other => unreachable!("g-2PL client cannot receive {other:?}"),
+            self.send_hop(from, to.into(), "g2pl.data", data_bytes, msg, instant);
         }
     }
 
@@ -1431,9 +1214,9 @@ impl G2plEngine {
             self.try_forward(now, item, txn);
             return;
         }
-        let mr1w = self.opts.mr1w;
+        let mr1w = self.p.opts.mr1w;
         // lint:allow(L3): the hold was inserted by the caller one frame up
-        let hold = self.hold_mut(item, txn).expect("just updated");
+        let hold = self.p.hold_mut(item, txn).expect("just updated");
         if hold.granted {
             // Already granted: this gate message can only be a reader
             // release completing a pending MR1W commit certification.
@@ -1482,740 +1265,7 @@ impl G2plEngine {
         );
     }
 
-    fn on_abort_notice(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        match self.table.status(txn) {
-            TxnStatus::Committed => return, // the commit won the race
-            TxnStatus::Aborted => return,
-            TxnStatus::Active | TxnStatus::Aborting => {}
-        }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        if let Some(wal) = &mut self.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
-
-        let c = &mut self.clients[client.index()];
-        if c.txn.as_ref().is_some_and(|a| a.id == txn) {
-            let active = c.txn.take().expect("just checked"); // lint:allow(L3): is_some_and above
-            if self.faults_on {
-                c.retry_progress();
-            }
-            // An abort during the voting round withdraws the outstanding
-            // prepares (abort_victim retired the shards' votes).
-            c.pending_commits
-                .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-            self.collector.on_abort_diag(
-                active.spec.is_read_only(),
-                now.since(active.start),
-                active.granted,
-            );
-            let idle = self
-                .cfg
-                .profile
-                .draw_idle(&mut self.clients[client.index()].time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            // Pass every satisfied hold straight through; unsatisfied
-            // ones pass through when their gates fill.
-            for &(item, _) in &active.spec.accesses {
-                self.try_forward(now, item, txn);
-            }
-        }
-    }
-
-    // ---- server crash recovery ----
-
-    /// Whether shard `shard` can process `msg` right now: everything
-    /// while up, nothing while down, only re-registration reports and
-    /// commit-status traffic while the recovery handshake is open.
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::GReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            self.begin_recovery(now, shard);
-        } else {
-            self.crash_server(now, shard);
-        }
-    }
-
-    /// Shard `shard` dies: every piece of its volatile state — checkout
-    /// and window bookkeeping, dispatch epochs, installed versions, the
-    /// CPU queue — is gone. Only the durable log survives. Client-side
-    /// holds are other sites and live on; `unpermanent_writers` is kept
-    /// because it mirrors the *clients'* log obligations, which a server
-    /// crash does not discharge. Other shards keep their state untouched,
-    /// so the (global) precedence DAG is reset only in the single-shard
-    /// case; at multi-shard, surviving shards' edges must live on, and
-    /// the crashed shard's survivors are re-dispatched in durable-record
-    /// order, which cannot contradict their existing edges.
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
-        let per = self.cfg.items.items_per_shard as usize;
-        let mut orphaned = std::mem::take(&mut self.start_scratch);
-        orphaned.clear();
-        for idx in shard * per..(shard + 1) * per {
-            let item = ItemId::new(idx as u32);
-            if let Some(out) = self.items[idx].out.take() {
-                self.clear_entry_index(&out, item);
-            }
-            let st = &mut self.items[idx];
-            orphaned.extend(st.window.pending().iter().map(|r| r.entry.txn));
-            st.window = CollectionWindow::new();
-            st.holding = false;
-            st.version = 0;
-            st.epoch = 0;
-        }
-        // Window entries die with the shard; their owners' request
-        // retries re-enqueue them after recovery, which the
-        // pending-request duplicate filter must not suppress.
-        for txn in orphaned.drain(..) {
-            if let Some(slot) = self.pending_of.get_mut(txn.index()) {
-                *slot = None;
-            }
-        }
-        self.start_scratch = orphaned;
-        let bit = !(1u64 << shard);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
-        if self.cfg.num_shards() == 1 {
-            self.dag = PrecedenceDag::new();
-        }
-    }
-
-    /// Shard `shard` restarts: replay its durable log, restore per-item
-    /// versions, dispatch epochs and in-doubt prepared votes from the
-    /// image, query surviving peers about each in-doubt transaction, and
-    /// open the re-registration handshake by polling every client.
-    /// Outstanding checkouts are resolved in [`Self::finish_recovery`]
-    /// once the reports are in.
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.items[item.index()].version = v;
-        }
-        // Epochs restart at the last durably dispatched value, so every
-        // pre-crash in-flight segment is at most equal — and any
-        // post-recovery redispatch strictly above — the restored epoch:
-        // no grant can ever be issued from pre-crash forward-list state.
-        for (&item, d) in &img.dispatches {
-            self.items[item.index()].epoch = d.epoch;
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome. The queries travel the ordinary network (so
-    /// shard-to-shard partitions delay them); unanswered ones are
-    /// re-sent by the recovery-check timer and the handshake deadline
-    /// falls back to the commit oracle.
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "g2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "g2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired: finish if the handshake
-    /// deadline (one lease period) has passed; otherwise poll the
-    /// silent clients and peers again.
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived: record liveness,
-    /// cross-validate the reported forward-list slots against the
-    /// durable dispatch history, and close the handshake once every
-    /// client has answered. Duplicated reports are absorbed by the
-    /// per-epoch `reregistered` flag (idempotent re-delivery).
-    fn on_reregister(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        client: ClientId,
-        epoch: u64,
-        holds: &[HoldReport],
-    ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
-        }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
-        }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, None, None, client.into());
-        // Reports corroborate the durable dispatch history (restoration
-        // itself works off the log plus the commit oracle, so entries
-        // whose data was still in flight are recovered even when no
-        // client-side hold exists to report): a slot re-reported at the
-        // last durable epoch must be on the logged list.
-        if cfg!(debug_assertions) {
-            let st = &self.fault_state[shard];
-            // lint:allow(L3): the image exists for the whole handshake
-            let img = st.image.as_ref().expect("recovery image");
-            for r in holds {
-                if let Some(d) = img.dispatches.get(&r.item) {
-                    debug_assert!(
-                        r.epoch != d.epoch || d.entries.iter().any(|&(t, _)| t == r.txn),
-                        "{client} re-reported a slot the log never dispatched: {} {}",
-                        r.txn,
-                        r.item
-                    );
-                }
-            }
-        }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
-        }
-    }
-
-    /// Close the re-registration handshake. Per checked-out item, the
-    /// durable dispatch record plus the commit oracle decide the
-    /// outcome: committed writers advance the version base (their
-    /// updates are recoverable from their sites' logs, exactly as in
-    /// lease recovery), live entries of responding clients are
-    /// re-dispatched under a fresh epoch, and live entries of silent
-    /// clients are presumed dead and aborted. With no survivors the
-    /// item comes home at the version a fault-free drain would have
-    /// installed.
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        // In-doubt prepared votes that no peer verdict resolved during
-        // the handshake fall back to the coordinator's durable decision
-        // record (the commit oracle). Still-undecided transactions stay
-        // in doubt: presumed abort lets the vote wait for the
-        // coordinator's retried decision message.
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in in_doubt {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => {
-                    self.resolve_indoubt_abort(shard, txn);
-                }
-                TxnStatus::Active => {}
-            }
-        }
-        let st = &mut self.fault_state[shard];
-        // lint:allow(L3): the image exists for the whole handshake
-        let img = st.image.take().expect("recovery image");
-        let mut silent_victims: Vec<TxnId> = Vec::new();
-        let mut redispatch = Vec::new();
-        for &item in &img.out {
-            // lint:allow(L3): every `out` item has a dispatch record
-            let d = img.dispatches.get(&item).expect("out item was dispatched");
-            let mut survivors = Vec::new();
-            let mut committed_writes: Version = 0;
-            for &(txn, exclusive) in &d.entries {
-                match self.table.status(txn) {
-                    TxnStatus::Active => {
-                        let owner = self.table.info(txn).client;
-                        if self.fault_state[shard].reregistered[owner.index()] {
-                            let arrival = self.arrival_seq;
-                            self.arrival_seq += 1;
-                            let mode = if exclusive {
-                                LockMode::Exclusive
-                            } else {
-                                LockMode::Shared
-                            };
-                            survivors.push(PendingReq {
-                                entry: FlEntry::new(txn, owner, mode),
-                                arrival,
-                                restarts: 0,
-                            });
-                        } else if !silent_victims.contains(&txn) {
-                            silent_victims.push(txn);
-                        }
-                    }
-                    TxnStatus::Committed => {
-                        if exclusive {
-                            committed_writes += 1;
-                            // The committed version lives only in the
-                            // writer's site log until the item is home:
-                            // GC before permanence would lose it.
-                            if let Some(wal) = &self.wal {
-                                let site = self.table.info(txn).client;
-                                debug_assert!(
-                                    wal[site.index()].awaits_permanence(txn),
-                                    "committed write of {txn} on {item} collected before permanence"
-                                );
-                            }
-                        }
-                    }
-                    TxnStatus::Aborting | TxnStatus::Aborted => {}
-                }
-            }
-            self.items[item.index()].version = d.base + committed_writes;
-            redispatch.push((item, survivors));
-        }
-        self.fault_state[shard].recovering = false;
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for (item, survivors) in redispatch {
-            if survivors.is_empty() {
-                let version = self.items[item.index()].version;
-                let shard = self.cfg.shard_of(item) as usize;
-                // lint:allow(L3): the log exists whenever srv_faults_on
-                let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                slog.append(ServerRecord::Home { item, version });
-                self.mark_writers_permanent(item);
-                self.close_window(now, item);
-            } else {
-                self.fsum.redispatches += 1;
-                self.dispatch(now, item, survivors);
-            }
-        }
-        for txn in silent_victims {
-            // A survivors' redispatch may already have aborted a silent
-            // transaction as its deadlock victim.
-            if self.table.status(txn) == TxnStatus::Active {
-                self.abort_victim(now, txn);
-            }
-        }
-    }
-
-    /// Record in the volatile mirror that `txn` holds an unretired
-    /// prepared vote at `shard`.
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether `txn` holds an unretired prepared vote at `shard`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|p| p & (1u64 << shard) != 0)
-    }
-
-    /// Retire `txn`'s prepared vote at `shard` in the volatile mirror.
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(p) = self.prepared.get_mut(txn.index()) {
-            *p &= !(1u64 << shard);
-        }
-    }
-
-    /// Acknowledge a (possibly retransmitted) prepare vote toward the
-    /// coordinating client.
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "g2pl.prepare_ack",
-            CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    /// Recovery learned that in-doubt `txn` committed: retire the
-    /// prepared vote with a durable decision record. Unlike s-2PL there
-    /// is no write slice to install — the committed versions migrated
-    /// client-to-client and come home with the item returns.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return; // a racing verdict already resolved it
-        };
-        // lint:allow(L3): the log exists whenever srv_faults_on
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-    }
-
-    /// Recovery learned that in-doubt `txn` aborted: retire the prepared
-    /// vote so replay stops resurrecting it.
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return; // a racing verdict already resolved it
-        };
-        // lint:allow(L3): the log exists whenever srv_faults_on
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
-    }
-
     // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::GLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "g2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::GAbortNotice { txn },
-                        );
-                        return;
-                    }
-                    _ => return, // stale request
-                }
-                if self.faults_on {
-                    // Retransmission of a request the server already has:
-                    // either still gathering in a window, or already on a
-                    // dispatched list (its grant is in flight, or the item
-                    // lease will recover it).
-                    if self.pending_of.get(txn.index()).copied().flatten() == Some(item) {
-                        return;
-                    }
-                    if self
-                        .entries_of
-                        .get(txn.index())
-                        .is_some_and(|v| v.contains(&item))
-                    {
-                        return;
-                    }
-                }
-                self.on_request(now, txn, client, item, mode);
-            }
-            Message::GReturn {
-                item,
-                version,
-                txn,
-                epoch,
-            } => {
-                {
-                    let st = &self.items[item.index()];
-                    if st.epoch != epoch || st.out.is_none() {
-                        // A return from a superseded checkout, or a
-                        // duplicated return for one already processed.
-                        debug_assert!(self.faults_on, "stale return on a reliable network");
-                        return;
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
-                // The final holder's release reaches the server: its one
-                // extra sequential round (the "+1" of `2m + 1`).
-                self.spans.release_arrived(now, txn, true);
-                let st = &mut self.items[item.index()];
-                debug_assert!(st.out.is_some(), "return for an item already home");
-                st.version = version;
-                let out = st.out.take().expect("just checked"); // lint:allow(L3): debug_assert above
-                self.clear_entry_index(&out, item);
-                if let Some(slog) = &mut self.slog {
-                    slog[shard].append(ServerRecord::Home { item, version });
-                }
-                self.mark_writers_permanent(item);
-                self.close_window(now, item);
-            }
-            Message::GReaderRelease {
-                item,
-                version,
-                fl,
-                from_pos,
-                to_pos: None,
-                epoch,
-            } => {
-                {
-                    let st = &self.items[item.index()];
-                    let stale = st.epoch != epoch
-                        || st
-                            .out
-                            .as_ref()
-                            .is_none_or(|o| o.final_released.contains(&from_pos));
-                    if stale {
-                        // A release from a superseded checkout, or a
-                        // duplicated copy of one already counted.
-                        debug_assert!(self.faults_on, "stale release on a reliable network");
-                        return;
-                    }
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
-                // A tail-group reader's release travels to the server: a
-                // full sequential round for that reader.
-                self.spans
-                    .release_arrived(now, fl.entry(from_pos).txn, true);
-                let st = &mut self.items[item.index()];
-                // lint:allow(L3): a reader release implies the item is still out
-                let out = st.out.as_mut().expect("release for an item already home");
-                out.final_released.push(from_pos);
-                out.last_progress = now;
-                debug_assert!(out.final_releases_left > 0);
-                out.final_releases_left -= 1;
-                if out.final_releases_left == 0 {
-                    st.version = version;
-                    let out = st.out.take().expect("item is out"); // lint:allow(L3): as_mut above
-                    self.clear_entry_index(&out, item);
-                    if let Some(slog) = &mut self.slog {
-                        slog[shard].append(ServerRecord::Home { item, version });
-                    }
-                    self.mark_writers_permanent(item);
-                    self.close_window(now, item);
-                }
-            }
-            Message::GReregister {
-                client,
-                epoch,
-                holds,
-            } => self.on_reregister(now, shard, client, epoch, &holds),
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                debug_assert!(writes.is_empty(), "g-2PL versions migrate client-side");
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The vote request raced an abort: answer with the
-                        // (possibly lost) abort notice instead of a vote.
-                        let client = self.table.info(txn).client;
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "g2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::GAbortNotice { txn },
-                        );
-                    }
-                    TxnStatus::Committed => {
-                        // Decision already durable: the earlier ack was
-                        // lost, so re-ack without logging a second vote.
-                        self.send_prepare_ack(shard, self.table.info(txn).client, txn);
-                    }
-                    TxnStatus::Active => {
-                        if !self.prepared_at(txn, shard) {
-                            // lint:allow(L3): 2PC runs only with srv faults on
-                            let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                            slog.append(ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            });
-                            self.mark_prepared(txn, shard);
-                            self.trace.record(
-                                now,
-                                TraceKind::Prepared,
-                                Some(txn),
-                                None,
-                                SiteId::server(shard as u32),
-                            );
-                        }
-                        self.send_prepare_ack(shard, self.table.info(txn).client, txn);
-                    }
-                }
-            }
-            Message::Decide { txn } => {
-                if self.prepared_at(txn, shard) {
-                    // lint:allow(L3): 2PC runs only with srv faults on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
-                }
-                // Always ack — even when recovery already resolved the
-                // vote — so the coordinator's retry timer stops.
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    self.table.info(txn).client.into(),
-                    "g2pl.decide_ack",
-                    CTRL_BYTES,
-                    Message::DecideAck {
-                        txn,
-                        shard: shard as u32,
-                    },
-                );
-            }
-            Message::CommitQuery {
-                txn, from_shard, ..
-            } => {
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "g2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
-            Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved by an earlier verdict
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    // The peer has not decided either: the vote stays in
-                    // doubt (presumed abort keeps waiting safe).
-                    None => {}
-                }
-            }
-            other => unreachable!("g-2PL server cannot receive {other:?}"),
-        }
-    }
 
     fn on_request(
         &mut self,
@@ -2227,19 +1277,18 @@ impl G2plEngine {
     ) {
         self.spans.req_arrived(now, txn, item);
         let entry = FlEntry::new(txn, client, mode);
-        let arrival = self.arrival_seq;
-        self.arrival_seq += 1;
-        let st = &mut self.items[item.index()];
+        let req = PendingReq {
+            entry,
+            arrival: self.p.next_arrival(),
+            restarts: 0,
+        };
+        let st = &mut self.p.items[item.index()];
         match &mut st.out {
             None if st.holding => {
                 // The window-close of a returned item is deferred: join
                 // the window; the pending WindowTimer will dispatch.
-                st.window.push(PendingReq {
-                    entry,
-                    arrival,
-                    restarts: 0,
-                });
-                *self.pending_of.ensure(txn.index()) = Some(item);
+                st.window.push(req);
+                *self.p.pending_of.ensure(txn.index()) = Some(item);
             }
             None => {
                 // Item at home: the window is empty by invariant, so this
@@ -2248,17 +1297,9 @@ impl G2plEngine {
                 // and during periods of extremely light loading, the
                 // forward-list will contain a single client").
                 debug_assert!(st.window.is_empty(), "home item with pending window");
-                self.dispatch(
-                    now,
-                    item,
-                    vec![PendingReq {
-                        entry,
-                        arrival,
-                        restarts: 0,
-                    }],
-                );
+                self.dispatch(now, item, vec![req]);
             }
-            Some(out) if self.opts.expand_reads && mode.is_shared() && out.all_readers => {
+            Some(out) if self.p.opts.expand_reads && mode.is_shared() && out.all_readers => {
                 // Read-expansion variant (§3.3): the dispatched list is
                 // all-readers, so the server still holds the current
                 // version and can join the new reader onto the dispatched
@@ -2276,7 +1317,7 @@ impl G2plEngine {
                 out.completed.push(false);
                 out.final_releases_left += 1;
                 out.last_progress = now;
-                self.entries_of.ensure(txn.index()).push(item);
+                self.p.entries_of.ensure(txn.index()).push(item);
                 let fl = Rc::clone(&out.fl);
                 let version = st.version;
                 let epoch = st.epoch;
@@ -2308,22 +1349,33 @@ impl G2plEngine {
                 );
             }
             Some(_) => {
-                st.window.push(PendingReq {
-                    entry,
-                    arrival,
-                    restarts: 0,
-                });
-                *self.pending_of.ensure(txn.index()) = Some(item);
+                st.window.push(req);
+                *self.p.pending_of.ensure(txn.index()) = Some(item);
                 // §4: detection runs when a request cannot be granted.
                 self.detect_deadlocks_from(now, &[txn]);
             }
         }
     }
 
+    /// The item came home at `version` (its final holder returned it, or
+    /// its trailing readers all released): the version is durable at the
+    /// shard, its writers' site logs may collect, and the next window
+    /// closes.
+    fn come_home(&mut self, now: SimTime, shard: usize, item: ItemId, version: Version) {
+        let st = &mut self.p.items[item.index()];
+        st.version = version;
+        // lint:allow(L3): both callers checked the item is out
+        let out = st.out.take().expect("item is out");
+        self.clear_entry_index(&out, item);
+        self.log_at(shard, ServerRecord::Home { item, version });
+        self.mark_writers_permanent(item);
+        self.close_window(now, item);
+    }
+
     /// The item is home: every committed version of it is now permanent
     /// at the server, so the writers' sites may garbage-collect.
     fn mark_writers_permanent(&mut self, item: ItemId) {
-        let writers = std::mem::take(&mut self.items[item.index()].unpermanent_writers);
+        let writers = std::mem::take(&mut self.p.items[item.index()].unpermanent_writers);
         if let Some(wal) = &mut self.wal {
             for txn in writers {
                 let site = self.table.info(txn).client;
@@ -2332,13 +1384,26 @@ impl G2plEngine {
         }
     }
 
+    /// A committed write's version lives only in the writer's site log
+    /// until the item is home: collecting it before permanence would
+    /// lose it.
+    fn debug_awaits_permanence(&self, txn: TxnId, item: ItemId) {
+        if let Some(wal) = &self.wal {
+            let site = self.table.info(txn).client;
+            debug_assert!(
+                wal[site.index()].awaits_permanence(txn),
+                "committed write of {txn} on {item} collected before permanence"
+            );
+        }
+    }
+
     /// Close the (possibly empty) window of a just-returned item, or
     /// defer the close when `dispatch_delay` is configured.
     // lint:allow(L5): the close's only observable outcome is a dispatch, which records TraceKind::Dispatched itself; an empty or deferred close is a no-op by design
     fn close_window(&mut self, now: SimTime, item: ItemId) {
-        let st = &mut self.items[item.index()];
+        let st = &mut self.p.items[item.index()];
         debug_assert!(st.out.is_none());
-        if let Some(delay) = self.opts.dispatch_delay {
+        if let Some(delay) = self.p.opts.dispatch_delay {
             if !st.holding {
                 st.holding = true;
                 self.cal
@@ -2349,13 +1414,13 @@ impl G2plEngine {
         if st.window.is_empty() {
             return; // item stays home
         }
-        let pending = st.window.drain(self.opts.fl_cap);
+        let pending = st.window.drain(self.p.opts.fl_cap);
         self.dispatch(now, item, pending);
     }
 
     /// The deferred window close fires: dispatch whatever has gathered.
     fn on_window_timer(&mut self, now: SimTime, item: ItemId) {
-        let st = &mut self.items[item.index()];
+        let st = &mut self.p.items[item.index()];
         if !st.holding {
             // A timer from a dispatch-delay hold that died with a server
             // crash (the crash clears `holding`).
@@ -2363,15 +1428,12 @@ impl G2plEngine {
             return;
         }
         st.holding = false;
-        if st.out.is_some() {
-            // Impossible by construction (the item cannot leave home while
-            // holding), but stay defensive.
+        // The item cannot leave home while holding; with nothing gathered
+        // it simply sits home now.
+        if st.out.is_some() || st.window.is_empty() {
             return;
         }
-        if st.window.is_empty() {
-            return; // nothing gathered: the item simply sits home now
-        }
-        let pending = st.window.drain(self.opts.fl_cap);
+        let pending = st.window.drain(self.p.opts.fl_cap);
         self.dispatch(now, item, pending);
     }
 
@@ -2384,24 +1446,20 @@ impl G2plEngine {
     /// (the dispatch base plus the list's committed writers, whose
     /// updates are recoverable from their sites' logs).
     fn on_lease_check(&mut self, now: SimTime, item: ItemId, epoch: u64) {
-        {
-            let st = &self.items[item.index()];
-            if st.epoch != epoch || st.out.is_none() {
-                return; // the checkout this lease covered is finished
-            }
-            // lint:allow(L3): is_some checked above
-            let out = st.out.as_ref().expect("checked above");
-            let idle = now.since(out.last_progress);
-            if idle < self.lease {
-                self.cal
-                    .schedule_in(self.lease.since(idle), Ev::LeaseCheck { item, epoch });
-                return;
-            }
-            self.fsum.lease_expiries += 1;
-            self.fsum.recovery_stall += idle.as_f64();
+        let st = &self.p.items[item.index()];
+        let Some(out) = st.out.as_ref().filter(|_| st.epoch == epoch) else {
+            return; // the checkout this lease covered is finished
+        };
+        let idle = now.since(out.last_progress);
+        if idle < self.lease {
+            self.cal
+                .schedule_in(self.lease.since(idle), Ev::LeaseCheck { item, epoch });
+            return;
         }
-        // lint:allow(L3): is_some checked above
-        let out = self.items[item.index()].out.take().expect("checked above");
+        self.fsum.lease_expiries += 1;
+        self.fsum.recovery_stall += idle.as_f64();
+        // lint:allow(L3): checked just above
+        let out = self.p.items[item.index()].out.take().expect("item is out");
         self.clear_entry_index(&out, item);
         // The victim cannot be committed: a commit forwards its holds
         // synchronously, which marks the entry completed at send time.
@@ -2418,19 +1476,12 @@ impl G2plEngine {
             self.cfg.shard_site(item),
         );
         match victim.map(|t| (t, self.table.status(t))) {
-            Some((t, TxnStatus::Active)) => self.abort_victim(now, t),
+            Some((t, TxnStatus::Active)) => G2pl::abort_victim(self, now, t),
             Some((t, TxnStatus::Aborting)) => {
                 // Already a deadlock victim; its notice may have been
                 // lost, so answer the silence with a fresh one.
-                // lint:allow(L6): an abort notice promises nothing durable; the later append logs the survivors' redispatch, unrelated to this message
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
-                    self.table.info(t).client.into(),
-                    "g2pl.abort_notice",
-                    CTRL_BYTES,
-                    Message::GAbortNotice { txn: t },
-                );
+                let client = self.table.info(t).client;
+                self.send_abort_notice(self.cfg.shard_site(item), client, t);
             }
             _ => {}
         }
@@ -2445,39 +1496,23 @@ impl G2plEngine {
             if self.table.status(e.txn) != TxnStatus::Active {
                 continue;
             }
-            let arrival = self.arrival_seq;
-            self.arrival_seq += 1;
             survivors.push(PendingReq {
                 entry: *e,
-                arrival,
+                arrival: self.p.next_arrival(),
                 restarts: 0,
             });
         }
 
-        let committed_writes = out
-            .fl
-            .entries()
-            .iter()
-            .filter(|e| e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed)
-            .count() as Version;
-        if cfg!(debug_assertions) {
-            // The redispatch base leans on the committed writers' site
-            // logs: none of them may have been collected before its
-            // version became permanent at the server.
-            if let Some(wal) = &self.wal {
-                for e in out.fl.entries().iter().filter(|e| {
-                    e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed
-                }) {
-                    let site = self.table.info(e.txn).client;
-                    debug_assert!(
-                        wal[site.index()].awaits_permanence(e.txn),
-                        "committed write of {} on {item} collected before permanence",
-                        e.txn
-                    );
-                }
+        let mut committed_writes: Version = 0;
+        for e in out.fl.entries() {
+            if e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed {
+                committed_writes += 1;
+                // The redispatch base leans on the committed writers'
+                // site logs.
+                self.debug_awaits_permanence(e.txn, item);
             }
         }
-        self.items[item.index()].version = out.base_version + committed_writes;
+        self.p.items[item.index()].version = out.base_version + committed_writes;
 
         self.fsum.redispatches += 1;
         self.trace.record(
@@ -2489,11 +1524,9 @@ impl G2plEngine {
         );
         if survivors.is_empty() {
             // No live suffix: the item simply comes home.
-            if let Some(slog) = &mut self.slog {
-                let version = self.items[item.index()].version;
-                let shard = self.cfg.shard_of(item) as usize;
-                slog[shard].append(ServerRecord::Home { item, version });
-            }
+            let version = self.p.items[item.index()].version;
+            let shard = self.cfg.shard_of(item) as usize;
+            self.log_at(shard, ServerRecord::Home { item, version });
             self.mark_writers_permanent(item);
             self.close_window(now, item);
         } else {
@@ -2504,7 +1537,7 @@ impl G2plEngine {
     /// Order `pending` into a forward list and send the item out.
     fn dispatch(&mut self, now: SimTime, item: ItemId, pending: Vec<PendingReq>) {
         for req in &pending {
-            if let Some(slot) = self.pending_of.get_mut(req.entry.txn.index()) {
+            if let Some(slot) = self.p.pending_of.get_mut(req.entry.txn.index()) {
                 // Only clear a request pending on *this* item: a
                 // lease-recovery redispatch can carry a survivor whose
                 // pending request is on some other item's window.
@@ -2513,10 +1546,10 @@ impl G2plEngine {
                 }
             }
         }
-        let fl = self.opts.ordering.order(pending, &mut self.dag);
+        let fl = self.p.opts.ordering.order(pending, &mut self.p.dag);
         debug_assert!(!fl.is_empty());
-        self.window_closes += 1;
-        self.max_fl_len = self.max_fl_len.max(fl.len());
+        self.p.window_closes += 1;
+        self.p.max_fl_len = self.p.max_fl_len.max(fl.len());
         self.trace.record(
             now,
             TraceKind::WindowClosed,
@@ -2546,9 +1579,9 @@ impl G2plEngine {
         let all_readers = fl.entries().iter().all(|e| e.mode.is_shared());
         let fl = Rc::new(fl);
         for e in fl.entries() {
-            self.entries_of.ensure(e.txn.index()).push(item);
+            self.p.entries_of.ensure(e.txn.index()).push(item);
         }
-        let st = &mut self.items[item.index()];
+        let st = &mut self.p.items[item.index()];
         let version = st.version;
         st.epoch += 1;
         let epoch = st.epoch;
@@ -2567,11 +1600,12 @@ impl G2plEngine {
             self.cal
                 .schedule_in(self.lease, Ev::LeaseCheck { item, epoch });
         }
-        if let Some(slog) = &mut self.slog {
-            // Write-ahead: the list construction/reorder decision is
-            // durable before the first data segment leaves the server.
-            let shard = self.cfg.shard_of(item) as usize;
-            slog[shard].append(ServerRecord::Dispatch {
+        // Write-ahead: the list construction/reorder decision is durable
+        // before the first data segment leaves the server.
+        let shard = self.cfg.shard_of(item) as usize;
+        self.log_at(
+            shard,
+            ServerRecord::Dispatch {
                 item,
                 epoch,
                 base: version,
@@ -2580,8 +1614,8 @@ impl G2plEngine {
                     .iter()
                     .map(|e| (e.txn, e.mode.is_exclusive()))
                     .collect(),
-            });
-        }
+            },
+        );
         self.send_segment(now, self.cfg.shard_site(item), item, version, &fl, 0, epoch);
 
         // A dispatch creates new waits-for edges (the list's internal
@@ -2592,18 +1626,18 @@ impl G2plEngine {
         // it. Every new edge involves a member of the just-dispatched
         // list or a request still pending on this item, so probing those
         // transactions covers all newly possible cycles.
-        let mut starts = std::mem::take(&mut self.start_scratch);
+        let mut starts = std::mem::take(&mut self.p.start_scratch);
         starts.clear();
         starts.extend(fl.entries().iter().map(|e| e.txn));
         starts.extend(
-            self.items[item.index()]
+            self.p.items[item.index()]
                 .window
                 .pending()
                 .iter()
                 .map(|r| r.entry.txn),
         );
         self.detect_deadlocks_from(now, &starts);
-        self.start_scratch = starts;
+        self.p.start_scratch = starts;
     }
 
     // ---- deadlock analysis ----
@@ -2611,7 +1645,7 @@ impl G2plEngine {
     /// Remove every entry-index record of a finished forward list.
     fn clear_entry_index(&mut self, out: &OutState, item: ItemId) {
         for e in out.fl.entries() {
-            if let Some(v) = self.entries_of.get_mut(e.txn.index()) {
+            if let Some(v) = self.p.entries_of.get_mut(e.txn.index()) {
                 v.retain(|&i| i != item);
             }
         }
@@ -2634,8 +1668,9 @@ impl G2plEngine {
         if !self.table.is_live(t) {
             return;
         }
-        if let Some(x) = self.pending_of.get(t.index()).copied().flatten() {
-            if let Some(o) = &self.items[x.index()].out {
+        let p = &self.p;
+        if let Some(x) = p.pending_of.get(t.index()).copied().flatten() {
+            if let Some(o) = &p.items[x.index()].out {
                 for (j, e) in o.fl.entries().iter().enumerate() {
                     if !o.completed[j] && self.table.is_live(e.txn) {
                         out.push(e.txn);
@@ -2643,9 +1678,9 @@ impl G2plEngine {
                 }
             }
         }
-        if let Some(items) = self.entries_of.get(t.index()) {
+        if let Some(items) = p.entries_of.get(t.index()) {
             for &item in items {
-                let Some(o) = &self.items[item.index()].out else {
+                let Some(o) = &p.items[item.index()].out else {
                     continue;
                 };
                 let Some(i) = o.fl.position_of(t) else {
@@ -2654,7 +1689,7 @@ impl G2plEngine {
                 if o.completed[i] {
                     continue;
                 }
-                if self.hold(item, t).is_some_and(Hold::gates_passed) {
+                if p.hold(item, t).is_some_and(Hold::gates_passed) {
                     continue; // neither grant nor commit waits here
                 }
                 let skip_from = if o.fl.entry(i).mode.is_shared() {
@@ -2688,7 +1723,7 @@ impl G2plEngine {
     /// engine's [`CycleFinder`] so repeated probes reuse one set of DFS
     /// buffers.
     fn detect_deadlocks_from(&mut self, now: SimTime, starts: &[TxnId]) {
-        let mut finder = std::mem::take(&mut self.finder);
+        let mut finder = std::mem::take(&mut self.p.finder);
         for &start in starts {
             loop {
                 if !self.table.is_live(start) {
@@ -2698,101 +1733,12 @@ impl G2plEngine {
                 let found = finder.find_cycle(start, |t, out| this.waits_of_into(t, out));
                 let Some(cycle) = found else { break };
                 let victim = self.cfg.victim.choose(cycle, |t| {
-                    self.entries_of.get(t.index()).map_or(0, Vec::len)
+                    self.p.entries_of.get(t.index()).map_or(0, Vec::len)
                 });
-                self.abort_victim(now, victim);
+                G2pl::abort_victim(self, now, victim);
             }
         }
-        self.finder = finder;
-    }
-
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
-    fn abort_victim(&mut self, _now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
-        if let Some(item) = self
-            .pending_of
-            .get_mut(victim.index())
-            .and_then(Option::take)
-        {
-            self.items[item.index()].window.remove_txn(victim);
-        }
-        self.dag.remove_txn(victim);
-        if self.srv_faults_on {
-            // Retire any prepared votes the victim's voting round left
-            // behind. Shards that are down will retire theirs during
-            // recovery (commit query or oracle fallback).
-            for s in 0..self.cfg.num_shards() as usize {
-                if self.prepared_at(victim, s) && !self.fault_state[s].down {
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[s];
-                    slog.append(ServerRecord::Released { txn: victim });
-                    self.clear_prepared(victim, s);
-                }
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
-        let client = self.table.info(victim).client;
-        // Abort coordination stays at shard 0 (leases and deadlock
-        // detection are centralized there).
-        if self.cfg.abort_effect == AbortEffect::Instant {
-            self.net.send_with_delay(
-                &mut self.cal,
-                SiteId::SERVER0,
-                client.into(),
-                "g2pl.abort_notice",
-                CTRL_BYTES,
-                Message::GAbortNotice { txn: victim },
-                SimTime::ZERO,
-            );
-        } else {
-            self.net.send(
-                &mut self.cal,
-                SiteId::SERVER0,
-                client.into(),
-                "g2pl.abort_notice",
-                CTRL_BYTES,
-                Message::GAbortNotice { txn: victim },
-            );
-        }
-        // Multicast prune notices for the victim's not-yet-served entries
-        // on dispatched forward lists, so upstream forwarders skip them.
-        // The server knows every list it dispatched; the extra messages
-        // are parallel control traffic, not sequential rounds. Pointless
-        // under instant-abort semantics, where dead entries already cost
-        // nothing.
-        if self.cfg.abort_effect == AbortEffect::Instant {
-            return;
-        }
-        for (idx, st) in self.items.iter().enumerate() {
-            let item = ItemId::new(idx as u32);
-            let Some(out) = &st.out else { continue };
-            let Some(pos) = out.fl.position_of(victim) else {
-                continue;
-            };
-            if out.completed[pos] {
-                continue;
-            }
-            let targets: Vec<ClientId> = out
-                .fl
-                .entries()
-                .iter()
-                .map(|e| e.client)
-                .filter(|&c| c != client)
-                .collect();
-            for to in targets {
-                self.net.send(
-                    &mut self.cal,
-                    self.cfg.shard_site(item),
-                    to.into(),
-                    "g2pl.prune",
-                    CTRL_BYTES,
-                    Message::GPrune { item, txn: victim },
-                );
-            }
-        }
+        self.p.finder = finder;
     }
 }
 

@@ -19,17 +19,27 @@
 //!   extension: clients retain shared locks and data across transaction
 //!   boundaries; conflicting writes trigger server callbacks.
 //!
-//! All engines share one deterministic harness ([`runtime`]): a
-//! [`g2pl_simcore::Calendar`] of message deliveries and client timers, a
-//! pluggable latency model, Table-1 workload streams, and a metrics
-//! collector with warm-up elimination. Given the same [`EngineConfig`]
-//! and seed, every engine is bit-for-bit reproducible.
+//! Each engine is a [`kernel::Protocol`] on one generic [`kernel::Kernel`]
+//! (`S2plEngine = Kernel<S2pl>`, and so on). The kernel owns what the
+//! engines share: the event loop over a [`g2pl_simcore::Calendar`] of
+//! message deliveries and timers, client requests and retransmission,
+//! client crash and restart, shard crash and recovery, and the
+//! presumed-abort two-phase commitment of multi-home transactions. An
+//! engine keeps only what differs — its messages, what its clients
+//! re-report, how it rebuilds grants or forward lists after a crash, and
+//! its commit point — plus the transaction status changes the
+//! state-machine lint reads. c-2PL reuses s-2PL's lock server
+//! ([`s2pl::ServerLocking`]) and adds caching. The shared vocabulary
+//! (messages, events, client state, the transaction table) lives in
+//! [`runtime`]. Given the same [`EngineConfig`] and seed, every engine is
+//! bit-for-bit reproducible.
 
 pub mod c2pl;
 pub mod config;
 pub(crate) mod cycle;
 pub mod g2pl;
 pub mod history;
+pub mod kernel;
 pub mod metrics;
 pub mod runtime;
 pub mod s2pl;
@@ -45,7 +55,7 @@ pub use g2pl_faults::{
 };
 pub use g2pl_workload::{ShardMix, TxnProfile};
 pub use history::{CommitRecord, History};
-pub use metrics::{FaultSummary, RunMetrics};
+pub use metrics::{FaultSummary, RunMetrics, TwoPcCounts};
 pub use scale::{run_scale, run_scale_with_workers, ScaleCfg, ScaleMetrics};
 pub use tracelog::{TraceEvent, TraceKind};
 

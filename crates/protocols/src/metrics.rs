@@ -116,6 +116,28 @@ pub struct FaultSummary {
     pub server_msgs_lost: u64,
     /// Client re-registration reports accepted during server recovery.
     pub reregistrations: u64,
+    /// How each two-phase-commit and in-doubt branch fired: which
+    /// recovery paths a run actually exercised.
+    pub two_pc: TwoPcCounts,
+}
+
+/// Executions of each two-phase-commit and in-doubt resolution branch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+pub struct TwoPcCounts {
+    /// In-doubt votes a peer's verdict resolved as committed.
+    pub verdict_commits: u64,
+    /// In-doubt votes a peer's verdict resolved as aborted.
+    pub verdict_aborts: u64,
+    /// In-doubt votes still unresolved when the handshake closed,
+    /// resolved from the commit oracle.
+    pub oracle_resolutions: u64,
+    /// Duplicate prepares re-acknowledged without logging a second vote.
+    pub prepare_reacks: u64,
+    /// Prepares that raced an abort, answered with the abort notice.
+    pub prepare_renotices: u64,
+    /// Transactions of clients that stayed silent through a handshake,
+    /// aborted when it closed.
+    pub silent_victims: u64,
 }
 
 impl FaultSummary {

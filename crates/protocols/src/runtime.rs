@@ -42,13 +42,14 @@ pub enum TimerKind {
 /// outstanding [`Message::SCommit`] carries them.
 pub type PendingCommit = (TxnId, Vec<(ItemId, Version)>, Vec<ItemId>);
 
-/// Protocol messages. One enum serves every engine; each engine handles
-/// its own subset and treats the rest as unreachable.
+/// Protocol messages. One enum serves every engine: the kernel handles
+/// the shared ones, and each engine its own subset, treating the rest as
+/// unreachable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    // ---- s-2PL / c-2PL ----
+    // ---- every engine ----
     /// Client → server: lock + data request for one item.
-    SLockReq {
+    LockReq {
         /// Requesting transaction.
         txn: TxnId,
         /// Requesting client.
@@ -58,6 +59,14 @@ pub enum Message {
         /// Requested mode.
         mode: LockMode,
     },
+    /// Server → client: the transaction was chosen as a deadlock (or
+    /// lease) victim.
+    AbortNotice {
+        /// Aborted transaction.
+        txn: TxnId,
+    },
+
+    // ---- s-2PL / c-2PL ----
     /// Server → client: lock granted, data shipped.
     SGrant {
         /// Granted transaction.
@@ -76,11 +85,6 @@ pub enum Message {
         writes: Vec<(ItemId, Version)>,
         /// Items only read.
         reads: Vec<ItemId>,
-    },
-    /// Server → client: the transaction was chosen as a deadlock victim.
-    SAbortNotice {
-        /// Aborted transaction.
-        txn: TxnId,
     },
     /// Server → client: the commit's lock release was processed. Only
     /// sent when a fault plan is active — the client retransmits
@@ -108,17 +112,6 @@ pub enum Message {
     },
 
     // ---- g-2PL ----
-    /// Client → server: lock + data request for one item.
-    GLockReq {
-        /// Requesting transaction.
-        txn: TxnId,
-        /// Requesting client.
-        client: ClientId,
-        /// Requested item.
-        item: ItemId,
-        /// Requested mode.
-        mode: LockMode,
-    },
     /// Data + forward list arriving at the entry at `pos` (from the
     /// server at dispatch, or from the previous writer during migration).
     GData {
@@ -169,11 +162,6 @@ pub enum Message {
         txn: TxnId,
         /// Dispatch epoch of the forward list (see [`Message::GData`]).
         epoch: u64,
-    },
-    /// Server → client: the transaction was chosen as a deadlock victim.
-    GAbortNotice {
-        /// Aborted transaction.
-        txn: TxnId,
     },
     /// Server → client: the given transaction's entry on `item`'s
     /// dispatched forward list is dead (its transaction aborted before
@@ -913,7 +901,7 @@ mod tests {
             SiteId::Client(ClientId::new(0)),
             "grant",
             64,
-            Message::SAbortNotice { txn: TxnId::new(0) },
+            Message::AbortNotice { txn: TxnId::new(0) },
         );
         let (at, ev) = cal.pop().expect("delivery scheduled");
         assert_eq!(at, SimTime::new(7));
@@ -936,7 +924,7 @@ mod tests {
             SiteId::Client(ClientId::new(0)),
             "grant",
             64,
-            Message::SAbortNotice { txn: TxnId::new(0) },
+            Message::AbortNotice { txn: TxnId::new(0) },
         );
         assert!(cal.pop().is_none(), "certain loss delivers nothing");
         assert_eq!(net.fault_counts().dropped, 1);

@@ -7,1181 +7,588 @@
 //! Deadlocks are detected with a wait-for graph, rebuilt from the lock
 //! table whenever a request cannot be granted (§4), and resolved by
 //! aborting a victim chosen by the configured policy.
+//!
+//! The engine is a [`Protocol`] on the shared [`Kernel`]. Its lock-server
+//! side ([`ServerLocking`]) is also c-2PL's: c-2PL is s-2PL plus client
+//! caching.
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
-use crate::history::{AccessRecord, CommitRecord, History};
-use crate::metrics::{Collector, FaultSummary, RunMetrics, WalReport};
-use crate::runtime::{
-    lease_period, retry_period, ClientCore, ClientPhase, Ev, Message, Net, PendingCommit,
-    ServerCpu, ShardFaultState, TimerKind, TxnStatus, TxnTable,
-};
-use crate::tracelog::{TraceKind, TraceLog};
+use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
+use crate::tracelog::TraceKind;
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
-use g2pl_obs::SpanRecorder;
-use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
-use g2pl_wal::{LogRecord, ServerLog, ServerRecord, SiteLog};
-
-/// Per-shard slice of a committing transaction: written `(item,
-/// version)` pairs plus read-only items, bound for one home server.
-type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
-use g2pl_workload::{AccessMode, TxnGenerator};
+use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
+use g2pl_wal::{ServerImage, ServerRecord};
 use std::collections::BTreeMap;
 
-/// Control-message payload size in bytes (requests, notices).
-pub(crate) const CTRL_BYTES: u64 = 64;
-
-/// Hard cap on processed events — a deterministic simulation exceeding
-/// this has livelocked, and panicking beats spinning forever.
-pub(crate) const EVENT_BUDGET: u64 = 2_000_000_000;
-
-pub(crate) fn lock_mode(mode: AccessMode) -> LockMode {
-    match mode {
-        AccessMode::Read => LockMode::Shared,
-        AccessMode::Write => LockMode::Exclusive,
-    }
-}
-
 /// The s-2PL simulation engine.
-pub struct S2plEngine {
-    cfg: EngineConfig,
-    cal: Calendar<Ev>,
-    net: Net,
-    /// One serial CPU per server shard.
-    server_cpu: Vec<ServerCpu>,
-    clients: Vec<ClientCore>,
-    table: TxnTable,
+pub type S2plEngine = Kernel<S2pl>;
+
+/// The server shards' side of s-2PL: lock tables and installed
+/// versions.
+pub struct S2pl {
     /// One lock table per server shard; an item's locks live at the
     /// shard owning it ([`EngineConfig::shard_of`]).
-    locks: Vec<LockTable>,
-    versions: Vec<Version>,
-    generator: TxnGenerator,
-    collector: Collector,
-    history: Option<History>,
-    trace: TraceLog,
-    spans: SpanRecorder,
-    wal: Option<Vec<SiteLog>>,
-    admitting: bool,
-    finder: CycleFinder,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    faults_on: bool,
-    /// Server-side lease period for idle transactions (faults only).
-    lease: SimTime,
-    /// Client-side base retransmission delay (faults only).
-    retry_base: SimTime,
-    /// Last server-observed activity per transaction (faults only).
-    last_activity: Vec<SimTime>,
-    /// Whether a transaction currently holds server resources under a
-    /// pending lease (faults only).
-    leased: Vec<bool>,
-    /// Whether the plan schedules server crashes. Gates the server's
-    /// durable log and the durable commit-duplicate check, so plans
-    /// without server crashes take the exact pre-existing fault path.
-    srv_faults_on: bool,
-    /// One durable log per shard (present iff `srv_faults_on`): each
-    /// shard is its own fault domain and replays only its own log.
-    slog: Option<Vec<ServerLog>>,
-    /// Per-shard crash/recovery state: down flag, handshake progress,
-    /// epoch, replayed image and in-doubt prepared votes. Indexed by
-    /// shard; all-up defaults when no server crashes are planned.
-    fault_state: Vec<ShardFaultState>,
-    /// Which shards have applied each transaction's commit slice: bit
-    /// `s` of `applied[txn]` is set once shard `s` installed the slice
-    /// (the 64-shard cap in config validation keeps this a `u64`). Each
-    /// shard's bit mirrors its durable applied set and is rebuilt from
-    /// that shard's log image after a crash.
-    applied: Vec<u64>,
-    /// Which shards hold a durable prepared (yes) vote for each
-    /// transaction — the volatile mirror of the logs' unretired
-    /// [`ServerRecord::Prepared`] records, rebuilt per shard from its
-    /// image at restart.
-    prepared: Vec<u64>,
-    /// Fault-injection and recovery counters.
-    fsum: FaultSummary,
+    pub(crate) locks: Vec<LockTable>,
+    /// Installed version per item, held by the item's shard.
+    pub(crate) versions: Vec<Version>,
+    pub(crate) finder: CycleFinder,
 }
 
-impl S2plEngine {
-    /// Build an engine for `cfg`.
-    pub fn new(cfg: EngineConfig) -> Self {
-        let generator = TxnGenerator::new_sharded(
-            cfg.profile.clone(),
-            cfg.items.num_shards,
-            cfg.items.items_per_shard,
-        );
-        let replay = cfg.replay.clone().map(std::rc::Rc::new);
-        let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => {
-                    ClientCore::with_replay(ClientId::new(i), cfg.seed, std::rc::Rc::clone(t))
-                }
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
-            .collect();
-        let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
-        };
-        let srv_faults = cfg
-            .active_faults()
-            .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
-        let nshards = cfg.num_shards() as usize;
-        S2plEngine {
-            faults_on: net.faults_active(),
-            net,
-            lease,
-            retry_base,
-            last_activity: Vec::new(),
-            leased: Vec::new(),
-            srv_faults_on: srv_faults,
-            slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
-            fault_state: vec![ShardFaultState::default(); nshards],
-            applied: Vec::new(),
-            prepared: Vec::new(),
-            fsum: FaultSummary::default(),
-            server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
-            cal: Calendar::new(),
-            clients,
-            table: TxnTable::new(),
-            locks: (0..nshards).map(|_| LockTable::new()).collect(),
+impl S2pl {
+    pub(crate) fn with_config(cfg: &EngineConfig) -> Self {
+        S2pl {
+            locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             versions: vec![0; cfg.num_items() as usize],
-            generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                cfg.latency.nominal().max(2) / 2,
-            ),
-            history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
-            wal: cfg.enable_wal.then(|| {
-                (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
-                    .collect()
-            }),
-            admitting: true,
             finder: CycleFinder::default(),
-            cfg,
         }
     }
+}
 
-    /// Run to completion and report metrics.
-    pub fn run(mut self) -> RunMetrics {
-        // Stagger client start-up by one idle draw each, as the model's
-        // "replaced after some idle time" rule implies for the very first
-        // transaction too.
-        for i in 0..self.cfg.num_clients {
-            let c = &mut self.clients[i as usize];
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule(
-                idle,
-                Ev::Timer {
-                    client: ClientId::new(i),
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
-        }
-
-        let mut events: u64 = 0;
-        while let Some((now, ev)) = self.cal.pop() {
-            events += 1;
-            assert!(events < EVENT_BUDGET, "event budget exhausted: livelock?");
-            match ev {
-                Ev::Timer { client, kind } => {
-                    if !self.clients[client.index()].crashed {
-                        self.on_timer(now, client, kind);
-                    }
-                }
-                Ev::WindowTimer { .. } | Ev::LeaseCheck { .. } | Ev::CallbackRetry { .. } => {
-                    unreachable!("event is not part of the s-2PL protocol")
-                }
-                Ev::ServerProc { shard, msg } => {
-                    // Re-checked after the CPU delay: a crash may have hit
-                    // while the message sat in the service queue.
-                    if self.server_accepts(shard as usize, &msg) {
-                        self.on_server_msg(now, shard as usize, msg);
-                    } else {
-                        self.fsum.server_msgs_lost += 1;
-                    }
-                }
-                Ev::Deliver { to, msg } => match to {
-                    SiteId::Server(shard) => {
-                        let s = shard.index();
-                        if !self.server_accepts(s, &msg) {
-                            self.fsum.server_msgs_lost += 1;
-                        } else {
-                            let d = self.server_cpu[s].service(now);
-                            if d == g2pl_simcore::SimTime::ZERO {
-                                self.on_server_msg(now, s, msg);
-                            } else {
-                                self.cal.schedule_in(
-                                    d,
-                                    Ev::ServerProc {
-                                        shard: shard.0,
-                                        msg,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    SiteId::Client(c) => {
-                        if !self.clients[c.index()].crashed {
-                            self.on_client_msg(now, c, msg);
-                        }
-                    }
-                },
-                Ev::Fault { client, up } => self.on_fault(now, client, up),
-                Ev::ServerFault { shard, up } => self.on_server_fault(now, shard as usize, up),
-                Ev::RecoveryCheck { shard, epoch } => {
-                    self.on_recovery_check(now, shard as usize, epoch);
-                }
-                Ev::TxnLease { txn } => {
-                    // Leases are coordinated at shard 0; a dead or
-                    // still-recovering coordinator holds none — recovery
-                    // re-arms them for every restored grant.
-                    if self.fault_state[0].is_up() {
-                        self.on_txn_lease(now, txn);
-                    }
-                }
-            }
-            if self.faults_on {
-                for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
-                }
-            }
-            if self.collector.done() {
-                if !self.cfg.drain {
-                    break;
-                }
-                self.admitting = false;
-            }
-        }
-
-        // Under an active fault plan the end-of-run snapshot may
-        // legitimately hold residue (e.g. a client that crashed and never
-        // restarted before the calendar emptied); liveness is checked by
-        // trace property P8 instead of these structural asserts.
-        if self.cfg.drain && !self.faults_on {
-            assert!(
-                self.locks.iter().all(LockTable::is_quiescent),
-                "locks leaked after drain"
-            );
-            if let Some(wal) = &self.wal {
-                assert!(
-                    wal.iter().all(SiteLog::is_empty),
-                    "WAL records survived a drain: every version is home"
-                );
-            }
-        }
-
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
-        self.fsum.injected = self.net.fault_counts();
-        RunMetrics {
-            faults: self.fsum,
-            protocol: "s-2PL",
-            events,
-            peak_calendar: self.cal.peak_len(),
-            wall_secs: 0.0,
-            response: self.collector.response,
-            aborts: self.collector.aborts,
-            read_only_aborts: self.collector.read_only_aborts,
-            committed_total: self.collector.committed_total,
-            aborted_total: self.collector.aborted_total,
-            net: self.net.acct,
-            end_time: self.cal.now(),
-            history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
-            max_fl_len: 0,
-            window_closes: 0,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
-            response_tail: self.collector.response_tail,
-            wal: self.wal.map(|sites| {
-                let mut r = WalReport::default();
-                for site in &sites {
-                    r.absorb(site.metrics(), site.live_records());
-                }
-                r
-            }),
-            phases: obs.breakdown,
-            flight: obs.flight,
-            spans: obs.raw,
-            trace_dropped,
-        }
-    }
-
-    // ---- client side ----
-
-    fn on_timer(&mut self, now: SimTime, client: ClientId, kind: TimerKind) {
-        match kind {
-            TimerKind::IdleDone => {
-                if !self.admitting {
-                    return;
-                }
-                let c = &mut self.clients[client.index()];
-                let txn = c.begin_txn(&self.generator, &mut self.table, now);
-                if let Some(wal) = &mut self.wal {
-                    wal[client.index()].append(LogRecord::Begin { txn });
-                }
-                let (item, mode) = c.txn().spec.access(0);
-                self.send_request(now, client, txn, item, mode);
-            }
-            TimerKind::ThinkDone(txn) => {
-                let c = &self.clients[client.index()];
-                let Some(active) = &c.txn else { return };
-                if active.id != txn || active.phase != ClientPhase::Thinking {
-                    return; // stale timer of an aborted transaction
-                }
-                let granted = active.granted;
-                if granted < active.spec.len() {
-                    let (item, mode) = active.spec.access(granted);
-                    {
-                        let t = self.clients[client.index()].txn_mut();
-                        t.phase = ClientPhase::WaitingGrant(granted);
-                        t.request_sent_at = now;
-                    }
-                    self.send_request(now, client, txn, item, mode);
-                } else {
-                    self.commit(now, client, txn);
-                }
-            }
-            TimerKind::Retry { epoch } => self.on_retry(now, client, epoch),
-            // s-2PL's phase 2 piggybacks on the regular commit-release
-            // retry epoch; the dedicated decide timer is g-2PL-only.
-            TimerKind::DecideRetry(_) => unreachable!("s-2PL never arms a decide timer"),
-        }
-    }
-
-    /// A retransmission timer fired: if the epoch still matches (no
-    /// progress since arming), re-send whichever operation is
-    /// outstanding — the unacknowledged commit-release, or the current
-    /// lock request.
-    fn on_retry(&mut self, now: SimTime, client: ClientId, epoch: u64) {
-        let c = &self.clients[client.index()];
-        if c.retry_epoch != epoch {
-            return; // progress since arming: stale timer
-        }
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-        } else if matches!(&c.txn, Some(a) if matches!(a.phase, ClientPhase::WaitingGrant(_))) {
-            self.resend_request(now, client);
-        }
-    }
-
-    /// Arm a retransmission timer for the client's current epoch and
-    /// backoff level. No-op on a reliable network.
-    fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
-            return;
-        }
-        let c = &self.clients[client.index()];
-        let delay = c.retry_backoff(self.retry_base);
-        self.cal.schedule_in(
-            delay,
-            Ev::Timer {
-                client,
-                kind: TimerKind::Retry {
-                    epoch: c.retry_epoch,
-                },
-            },
-        );
-    }
-
-    /// Re-send the outstanding lock request. No `RequestSent` trace or
-    /// request span is recorded for a retransmission: trace consumers
-    /// pair each logical request with one grant.
-    fn resend_request(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        let txn = active.id;
-        let (item, mode) = active.spec.access(active.granted);
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        self.fsum.retries += 1;
-        let _ = now;
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "s2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
-    }
-
-    /// Re-send every unacknowledged commit-phase slice (the client's
-    /// WAL tail), one per still-unanswered shard: commit-releases, or
-    /// — for a multi-home transaction still in its voting round —
-    /// prepares.
-    fn resend_pending_commits(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        let pending = c.pending_commits.clone();
-        if pending.is_empty() {
-            return;
-        }
-        c.retry_attempts = c.retry_attempts.saturating_add(1);
-        let _ = now;
-        for (shard, msg) in pending {
-            let (kind, bytes) = match &msg {
-                Message::SCommit { writes, .. } => (
-                    "s2pl.commit_release",
-                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
-                ),
-                Message::Prepare { writes, .. } => {
-                    ("s2pl.prepare", CTRL_BYTES + 12 * writes.len() as u64)
-                }
-                _ => continue,
-            };
-            self.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                kind,
-                bytes,
-                msg,
-            );
-        }
-        self.arm_retry(client);
-    }
-
-    /// A scheduled crash or restart from the fault plan.
-    fn on_fault(&mut self, now: SimTime, client: ClientId, up: bool) {
-        if up {
-            self.on_restart(now, client);
-            return;
-        }
-        let c = &mut self.clients[client.index()];
-        if c.crashed {
-            return;
-        }
-        c.crashed = true;
-        self.fsum.crashes += 1;
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
-    }
-
-    /// A crashed client comes back up. Every timer it had died with the
-    /// crash, so each possible state re-establishes its own wake-up: an
-    /// unacknowledged commit resumes retransmission (the WAL tail), an
-    /// aborted transaction finalizes locally (the notice may have been
-    /// lost while down), an outstanding request is re-sent, and an idle
-    /// client re-draws its idle period.
-    fn on_restart(&mut self, now: SimTime, client: ClientId) {
-        let c = &mut self.clients[client.index()];
-        if !c.crashed {
-            return;
-        }
-        c.crashed = false;
-        c.retry_progress();
-        if !c.pending_commits.is_empty() {
-            self.resend_pending_commits(now, client);
-            return;
-        }
-        let Some(active) = &c.txn else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-            return;
-        };
-        let (txn, phase) = (active.id, active.phase);
-        match self.table.status(txn) {
-            TxnStatus::Aborting | TxnStatus::Aborted => self.finalize_abort(now, client, txn),
-            TxnStatus::Active => match phase {
-                ClientPhase::WaitingGrant(_) => self.resend_request(now, client),
-                ClientPhase::Thinking => {
-                    // The think timer died with the crash: resume now.
-                    self.cal.schedule_in(
-                        SimTime::ZERO,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::ThinkDone(txn),
-                        },
-                    );
-                }
-                ClientPhase::CommitWait | ClientPhase::Idle => {}
-            },
-            TxnStatus::Committed => {}
-        }
-    }
-
-    fn send_request(
-        &mut self,
+/// The lock-server protocols: the shards grant locks and install
+/// commits. Implemented by s-2PL and by c-2PL, which adds callbacks and
+/// a cache directory through the hooks below.
+pub trait ServerLocking: Protocol {
+    /// The lock tables and versions.
+    fn locking(&self) -> &S2pl;
+    fn locking_mut(&mut self) -> &mut S2pl;
+    /// A lock was granted (on request, or to a waiter woken by a
+    /// release): ship it.
+    fn lock_granted(
+        k: &mut Kernel<Self>,
         now: SimTime,
         client: ClientId,
         txn: TxnId,
         item: ItemId,
-        mode: AccessMode,
+        mode: LockMode,
+    );
+    /// Break every deadlock through `trigger`.
+    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId);
+    /// Whether the shipment of an already-held grant waits on something
+    /// else (c-2PL callback barrier).
+    fn grant_gated(&self, _txn: TxnId, _item: ItemId) -> bool {
+        false
+    }
+    /// A commit-release slice was installed (c-2PL cache directory).
+    fn slice_applied(
+        &mut self,
+        _committer: ClientId,
+        _writes: &[(ItemId, Version)],
+        _reads: &[ItemId],
+        _faults_on: bool,
     ) {
-        if self.faults_on {
-            self.clients[client.index()].retry_progress();
-        }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            client.into(),
-            self.cfg.shard_site(item),
-            "s2pl.lock_request",
-            CTRL_BYTES,
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode: lock_mode(mode),
-            },
-        );
-        self.arm_retry(client);
+    }
+    /// Whether the client's current transaction reads its cached copy of
+    /// `item` (no server lock behind it).
+    fn pinned(&self, _client: ClientId, _item: ItemId) -> bool {
+        false
+    }
+    /// The client's cached items homed at `shard`.
+    fn cached_on(&self, _client: ClientId, _shard: u32, _cfg: &EngineConfig) -> Vec<ItemId> {
+        Vec::new()
+    }
+    /// A re-registering client reported its cached items.
+    fn absorb_cached(&mut self, _client: ClientId, _cached: &[ItemId]) {}
+}
+
+impl ServerLocking for S2pl {
+    fn locking(&self) -> &S2pl {
+        self
+    }
+    fn locking_mut(&mut self) -> &mut S2pl {
+        self
+    }
+    fn lock_granted(
+        k: &mut Kernel<Self>,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+        item: ItemId,
+        _mode: LockMode,
+    ) {
+        k.send_grant(now, client, txn, item);
     }
 
-    // lint:allow(L5): the outcome is recorded downstream — commit_decided traces Committed on every path, and the voting detour traces Prepared/CommitApplied at the shards
-    fn commit(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        // Under faults a lease expiry can pick a merely-slow (crashed and
-        // restarted) transaction as victim while its abort notice is
-        // still in flight; the oracle status resolves the race in favour
-        // of the abort, exactly as the server already decided it.
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
-            self.finalize_abort(now, client, txn);
-            return;
-        }
-        // Under a server-crash plan a multi-home commit must be atomic
-        // across shard fault domains: run presumed-abort two-phase
-        // commitment. Single-home commits keep the one-phase path (the
-        // single-participant optimization), as do all commits under
-        // plans without server crashes.
-        if self.srv_faults_on {
-            let c = &self.clients[client.index()];
-            // lint:allow(L3): commit is only reachable with an active txn
-            let active = c.txn.as_ref().expect("committing client has a transaction");
-            let mut involved = 0u64;
-            for &(item, _) in &active.spec.accesses {
-                involved |= 1u64 << self.cfg.shard_of(item);
+    /// §4: "deadlock detection is initiated when a lock cannot be
+    /// granted." The waits-for relation is explored lazily from the
+    /// blocked transaction — successors are computed on demand from the
+    /// lock table, so only the reachable part of the graph is visited —
+    /// and victims are aborted until no cycle through `trigger` remains.
+    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId) {
+        // The finder is moved out for the duration of the search so its
+        // buffers can be reused while the successor closure borrows the
+        // lock table.
+        let mut finder = std::mem::take(&mut k.p.finder);
+        loop {
+            let locks = &k.p.locks;
+            // Deadlock detection stays centralized: accesses are
+            // sequential, so a transaction queues on at most one item
+            // globally — the scan finds the (unique) shard it waits at.
+            let found = finder.find_cycle(trigger, |t, out| {
+                for lt in locks {
+                    if let Some(item) = lt.queued_on(t) {
+                        lt.waits_for_into(t, item, out);
+                        break;
+                    }
+                }
+            });
+            let Some(cycle) = found else { break };
+            let victim = k.cfg.victim.choose(cycle, |t| {
+                k.p.locks.iter().map(|lt| lt.held_by(t).len()).sum()
+            });
+            Self::abort_victim(k, now, victim);
+            if victim == trigger {
+                break;
             }
-            if involved.count_ones() > 1 {
-                self.begin_prepare(now, client, txn, involved);
-                return;
-            }
         }
-        self.commit_decided(now, client, txn);
+        k.p.finder = finder;
+    }
+}
+
+impl Protocol for S2pl {
+    const NAME: &'static str = "s-2PL";
+    const LABELS: Labels = labels!("s2pl");
+    const SERVER_BASED: bool = true;
+    type Rebuilt = Vec<TxnId>;
+
+    fn new(cfg: &EngineConfig) -> Self {
+        S2pl::with_config(cfg)
     }
 
-    /// Phase 1 of two-phase commitment: send each involved shard its
-    /// prepare (write slice + involved-shard mask) and wait for every
-    /// yes vote before deciding. The prepares sit in `pending_commits`
-    /// and retransmit on the usual backoff until acknowledged.
-    fn begin_prepare(&mut self, now: SimTime, client: ClientId, txn: TxnId, involved: u64) {
-        let _ = now;
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): guarded by the caller
-        let active = c.txn.as_mut().expect("preparing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        active.phase = ClientPhase::CommitWait;
-        let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            if mode == AccessMode::Write {
-                slot.push((item, active.versions[idx] + 1));
-            }
+    fn on_event(_k: &mut Kernel<Self>, _now: SimTime, ev: Ev) {
+        unreachable!("event {ev:?} is not part of the s-2PL protocol")
+    }
+
+    fn on_client_msg(k: &mut Kernel<Self>, now: SimTime, client: ClientId, msg: Message) {
+        match msg {
+            Message::SGrant { txn, item, version } => k.on_grant(now, client, txn, item, version),
+            other => unreachable!("s-2PL client cannot receive {other:?}"),
         }
-        c.retry_progress();
-        c.pending_commits = by_shard
-            .iter()
-            .map(|(&shard, writes)| {
-                (
-                    shard,
-                    Message::Prepare {
-                        txn,
-                        writes: writes.clone(),
-                        involved,
-                    },
-                )
-            })
-            .collect();
-        for (shard, writes) in by_shard {
-            let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "s2pl.prepare",
-                bytes,
-                Message::Prepare {
-                    txn,
-                    writes,
-                    involved,
-                },
-            );
-        }
-        self.arm_retry(client);
+    }
+
+    fn on_server_msg(k: &mut Kernel<Self>, now: SimTime, shard: usize, msg: Message) {
+        k.on_lock_server_msg(now, shard, msg);
     }
 
     /// The commit decision point: every involved shard has voted yes (or
     /// the transaction is single-home and no votes were needed). From
     /// here the commit is irrevocable — the client's WAL `Commit` record
-    /// below is the coordinator's durable decision record, and the
+    /// is the coordinator's durable decision record, and the
     /// commit-release slices retransmit until every shard applies.
-    fn commit_decided(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        // lint:allow(L3): commit is only reachable from a client with an active txn
-        let active = c.txn.take().expect("committing client has a transaction");
+    fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        let active = k.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): commit is only reachable from a client with an active txn
+            .expect("committing client has a transaction");
         debug_assert_eq!(active.id, txn);
-        self.table.set_status(txn, TxnStatus::Committed);
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
-        self.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
-
-        // Group the transaction's accesses by owning shard: a multi-home
-        // commit sends one combined commit/release message per involved
-        // shard (§3.1's single message, per home), all in the same round.
-        let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
-        let mut records = Vec::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let observed = active.versions[idx];
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            match mode {
-                AccessMode::Write => {
-                    slot.0.push((item, observed + 1));
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed + 1,
-                    });
-                }
-                AccessMode::Read => {
-                    slot.1.push(item);
-                    records.push(AccessRecord {
-                        item,
-                        mode,
-                        version: observed,
-                    });
-                }
-            }
-        }
+        k.table.set_status(txn, TxnStatus::Committed);
         // One commit/release round trip per involved shard, in parallel.
-        self.spans
-            .commit_local(now, txn, by_shard.len() as u32, measured);
-        if let Some(h) = &mut self.history {
-            h.push(CommitRecord {
-                txn,
-                at: now,
-                accesses: records,
-            });
+        let slices = k.commit_slices(&active);
+        k.record_commit(now, &active, slices.len() as u32);
+        k.trace
+            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        k.log_commit(client, txn, &slices);
+        // Commit durability under loss: each shard's release retransmits
+        // until that shard acknowledges, and the last ack starts the next
+        // transaction. Without faults it is scheduled right away.
+        if !k.faults_on {
+            k.schedule_next_txn(client);
         }
-
-        if let Some(wal) = &mut self.wal {
-            let log = &mut wal[client.index()];
-            for (writes, _) in by_shard.values() {
-                for &(item, new) in writes {
-                    log.append(LogRecord::Update {
-                        txn,
-                        item,
-                        old: new - 1,
-                        new,
-                    });
-                }
-            }
-            log.append(LogRecord::Commit { txn });
-        }
-
-        if self.faults_on {
-            // Commit durability under loss: retransmit each shard's
-            // release until that shard acknowledges; the next transaction
-            // starts only when every slice is acked (see the SCommitAck
-            // handler).
-            c.retry_progress();
-            c.pending_commits = by_shard
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
-        } else {
-            let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-            self.cal.schedule_in(
-                idle,
-                Ev::Timer {
-                    client,
-                    kind: TimerKind::IdleDone,
-                },
-            );
-        }
-        for (shard, (writes, reads)) in by_shard {
-            let bytes = CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                "s2pl.commit_release",
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
-        }
-        if self.faults_on {
-            self.arm_retry(client);
-        }
-    }
-
-    fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
-        match msg {
-            Message::SGrant { txn, item, version } => {
-                let faults_on = self.faults_on;
-                let c = &mut self.clients[client.index()];
-                let Some(active) = &mut c.txn else {
-                    debug_assert!(faults_on, "grant for idle client");
-                    return;
-                };
-                if active.id != txn {
-                    debug_assert!(faults_on, "grant for stale transaction");
-                    return;
-                }
-                if !matches!(active.phase, ClientPhase::WaitingGrant(_))
-                    || active.spec.access(active.granted).0 != item
-                {
-                    // Duplicate of an already-consumed grant (lossy link).
-                    debug_assert!(faults_on, "unexpected duplicate grant");
-                    return;
-                }
-                active.versions.push(version);
-                active.granted += 1;
-                active.phase = ClientPhase::Thinking;
-                let wait = now.since(active.request_sent_at);
-                if faults_on {
-                    c.retry_progress();
-                }
-                self.collector.on_access_wait(wait);
-                let think = self.cfg.profile.draw_think(&mut c.time_rng);
-                self.trace.record(
-                    now,
-                    TraceKind::Granted,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.granted(now, txn, item);
-                self.cal.schedule_in(
-                    think,
-                    Ev::Timer {
-                        client,
-                        kind: TimerKind::ThinkDone(txn),
-                    },
-                );
-            }
-            Message::SAbortNotice { txn } => self.finalize_abort(now, client, txn),
-            Message::PrepareAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an already-counted vote
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if !c.pending_commits.is_empty() {
-                    // Other shards still owe votes: keep retransmitting
-                    // their prepares from a fresh backoff.
-                    self.arm_retry(client);
-                    return;
-                }
-                // Unanimous yes. An abort may still have raced the voting
-                // round (a lease victim whose notice is in flight); the
-                // oracle resolves it in the abort's favour — the shards'
-                // prepared votes are retired by the victim's releases.
-                if self.table.status(txn) != TxnStatus::Active {
-                    self.finalize_abort(now, client, txn);
-                    return;
-                }
-                self.commit_decided(now, client, txn);
-            }
-            Message::SCommitAck { txn, shard } => {
-                let c = &mut self.clients[client.index()];
-                let pos = c.pending_commits.iter().position(|(s, m)| {
-                    *s == shard && matches!(m, Message::SCommit { txn: t, .. } if *t == txn)
-                });
-                let Some(pos) = pos else {
-                    return; // duplicate ack of an older commit slice
-                };
-                c.pending_commits.remove(pos);
-                c.retry_progress();
-                if c.pending_commits.is_empty() {
-                    let idle = self.cfg.profile.draw_idle(&mut c.time_rng);
-                    self.cal.schedule_in(
-                        idle,
-                        Ev::Timer {
-                            client,
-                            kind: TimerKind::IdleDone,
-                        },
-                    );
-                } else {
-                    // Other shards still owe acks: keep retransmitting
-                    // their slices from a fresh backoff.
-                    self.arm_retry(client);
-                }
-            }
-            Message::ReregisterReq { shard, epoch } => {
-                // Re-report everything the client holds of the restarted
-                // shard: granted items of the live transaction homed
-                // there and that shard's slice of an unacknowledged
-                // (committed-but-unreleased) commit.
-                let c = &self.clients[client.index()];
-                let mut held = Vec::new();
-                let mut txn = None;
-                if let Some(active) = &c.txn {
-                    txn = Some(active.id);
-                    for idx in 0..active.granted {
-                        let (item, mode) = active.spec.access(idx);
-                        if self.cfg.shard_of(item) == shard {
-                            held.push((item, lock_mode(mode)));
-                        }
-                    }
-                }
-                let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
-                    Message::SCommit { txn, writes, reads } if *s == shard => {
-                        Some((*txn, writes.clone(), reads.clone()))
-                    }
-                    _ => None,
-                });
-                let bytes = CTRL_BYTES + 8 * held.len() as u64;
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    "s2pl.reregister",
-                    bytes,
-                    Message::SReregister {
-                        client,
-                        epoch,
-                        txn,
-                        held,
-                        pending,
-                        cached: Vec::new(),
-                    },
-                );
-            }
-            other => unreachable!("s-2PL client cannot receive {other:?}"),
-        }
+        k.send_commit_slices(client, txn, slices);
+        k.arm_retry(client);
     }
 
     /// Abort the client's transaction locally: on receipt of the server's
     /// notice, or — under faults — when the client discovers the abort
     /// on its own (restart after a crash, or a commit racing the notice).
-    fn finalize_abort(&mut self, now: SimTime, client: ClientId, txn: TxnId) {
-        let c = &mut self.clients[client.index()];
-        let Some(active) = &c.txn else { return };
-        if active.id != txn {
+    fn finalize_abort(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
+        if k.clients[client.index()]
+            .txn
+            .as_ref()
+            .is_none_or(|a| a.id != txn)
+        {
             return;
         }
-        let read_only = active.spec.is_read_only();
-        let waste = now.since(active.start);
-        let depth = active.granted;
-        c.txn = None;
-        // An abort during the voting round withdraws the outstanding
-        // prepares; shards that already voted are cleaned up by the
-        // victim's releases.
-        c.pending_commits
-            .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.faults_on {
+        k.table.set_status(txn, TxnStatus::Aborted);
+        k.end_aborted_txn(now, client, txn);
+        k.trace
+            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
+        k.spans.aborted(now, txn);
+        k.schedule_next_txn(client);
+    }
+
+    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    fn abort_victim(k: &mut Kernel<Self>, now: SimTime, victim: TxnId) {
+        debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
+        k.table.set_status(victim, TxnStatus::Aborting);
+        k.retire_victim(victim);
+        k.release_victim(now, victim);
+    }
+
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+        k.lock_report(client, shard, epoch)
+    }
+
+    fn absorb_report(k: &mut Kernel<Self>, shard: usize, client: ClientId, report: &Message) {
+        k.absorb_lock_report(shard, client, report);
+    }
+
+    fn wipe_shard(k: &mut Kernel<Self>, shard: usize) {
+        k.wipe_locks(shard);
+    }
+
+    fn restore_image(k: &mut Kernel<Self>, img: &ServerImage) {
+        k.restore_versions(img);
+    }
+
+    fn rebuild(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) -> Vec<TxnId> {
+        k.restore_grants_from(now, shard, &img)
+    }
+
+    fn resume(k: &mut Kernel<Self>, now: SimTime, silent: Vec<TxnId>) {
+        k.abort_silent(now, silent);
+    }
+
+    fn apply_committed(
+        k: &mut Kernel<Self>,
+        shard: usize,
+        txn: TxnId,
+        writes: Vec<(ItemId, Version)>,
+    ) {
+        k.install_slice(shard, txn, &writes);
+    }
+
+    fn release_committed(k: &mut Kernel<Self>, now: SimTime, shard: usize, txn: TxnId) {
+        k.release_locks(now, shard, txn);
+    }
+
+    fn assert_drained(&self) {
+        assert!(
+            self.locks.iter().all(LockTable::is_quiescent),
+            "locks leaked after drain"
+        );
+    }
+}
+
+/// The lock-server side shared by s-2PL and c-2PL.
+impl<P: ServerLocking> Kernel<P> {
+    /// A lock grant (with the data) arrived at the client.
+    pub(crate) fn on_grant(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        txn: TxnId,
+        item: ItemId,
+        version: Version,
+    ) {
+        let faults_on = self.faults_on;
+        let c = &mut self.clients[client.index()];
+        let Some(active) = &mut c.txn else { return };
+        if active.id != txn {
+            return; // grant for a finished transaction
+        }
+        if !matches!(active.phase, ClientPhase::WaitingGrant(_))
+            || active.spec.access(active.granted).0 != item
+        {
+            // Duplicate of an already-consumed grant (lossy link).
+            debug_assert!(faults_on, "unexpected duplicate grant");
+            return;
+        }
+        active.versions.push(version);
+        active.granted += 1;
+        active.phase = ClientPhase::Thinking;
+        let wait = now.since(active.request_sent_at);
+        if faults_on {
             c.retry_progress();
         }
-        self.table.set_status(txn, TxnStatus::Aborted);
-        self.collector.on_abort_diag(read_only, waste, depth);
-        if let Some(wal) = &mut self.wal {
-            wal[client.index()].append(LogRecord::Abort { txn });
-        }
-        self.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        self.spans.aborted(now, txn);
-        let idle = self
-            .cfg
-            .profile
-            .draw_idle(&mut self.clients[client.index()].time_rng);
-        self.cal.schedule_in(
-            idle,
-            Ev::Timer {
-                client,
-                kind: TimerKind::IdleDone,
-            },
-        );
-    }
-
-    // ---- server crash recovery ----
-
-    /// Whether shard `shard` can process `msg` right now: everything
-    /// while up, nothing while down. While its recovery handshake is
-    /// open a shard processes only re-registration reports and the
-    /// commit-status query traffic that resolves in-doubt votes.
-    fn server_accepts(&self, shard: usize, msg: &Message) -> bool {
-        let st = &self.fault_state[shard];
-        if st.down {
-            return false;
-        }
-        st.is_up()
-            || matches!(
-                msg,
-                Message::SReregister { .. }
-                    | Message::CommitQuery { .. }
-                    | Message::CommitVerdict { .. }
-            )
-    }
-
-    /// A scheduled server-shard crash or restart from the fault plan.
-    fn on_server_fault(&mut self, now: SimTime, shard: usize, up: bool) {
-        if up {
-            self.begin_recovery(now, shard);
-        } else {
-            self.crash_server(now, shard);
-        }
-    }
-
-    /// Shard `shard` dies: every piece of its volatile state — lock
-    /// table, its items' installed versions, its bits of the applied and
-    /// prepared sets, and (for shard 0) the lease bookkeeping it
-    /// coordinates — is gone. Only its durable log survives. Other
-    /// shards are untouched: each shard is its own fault domain.
-    fn crash_server(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(
-            !self.fault_state[shard].down,
-            "shard crashed while already down"
-        );
-        self.fault_state[shard].crash();
-        self.fsum.server_crashes += 1;
+        self.collector.on_access_wait(wait);
+        let think = self.cfg.profile.draw_think(&mut c.time_rng);
         self.trace.record(
             now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
+            TraceKind::Granted,
+            Some(txn),
+            Some(item),
+            client.into(),
         );
-        self.locks[shard] = LockTable::new();
-        self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
-        let per = self.cfg.items.items_per_shard as usize;
-        self.versions[shard * per..(shard + 1) * per]
-            .iter_mut()
-            .for_each(|v| *v = 0);
-        if shard == 0 {
-            // Transaction leases are coordinated at shard 0 and die
-            // with it; recovery re-arms them.
-            self.leased.iter_mut().for_each(|l| *l = false);
-            self.last_activity
-                .iter_mut()
-                .for_each(|t| *t = SimTime::ZERO);
-        }
-        let bit = !(1u64 << shard);
-        self.applied.iter_mut().for_each(|a| *a &= bit);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
-    }
-
-    /// Shard `shard` restarts: replay its durable log into an image,
-    /// restore its installed versions, applied-commit bits and in-doubt
-    /// prepared votes from it, query the surviving peers of every
-    /// in-doubt transaction for the commit outcome, then open the
-    /// re-registration handshake by polling every client.
-    fn begin_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].down, "shard restarted while up");
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let img = self.slog.as_ref().expect("server log enabled")[shard].replay();
-        for (&item, &v) in &img.versions {
-            self.versions[item.index()] = v;
-        }
-        for &txn in &img.committed {
-            self.mark_applied(txn, shard);
-        }
-        let epoch = self.fault_state[shard].begin_recovery(now, self.cfg.num_clients as usize, img);
-        let in_doubt: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for &txn in &in_doubt {
-            self.mark_prepared(txn, shard);
-        }
-        self.send_commit_queries(shard, false);
-        self.broadcast_reregister(shard, false);
+        self.spans.granted(now, txn, item);
         self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
+            think,
+            Ev::Timer {
+                client,
+                kind: TimerKind::ThinkDone(txn),
             },
         );
     }
 
-    /// Ask the surviving peers of every still-in-doubt transaction for
-    /// its commit outcome (presumed abort: the vote is resolved only on
-    /// positive evidence, so the queries retransmit each recovery-check
-    /// tick until answered or the handshake deadline falls back to the
-    /// commit oracle). Subject to shard↔shard partitions like any other
-    /// message.
-    fn send_commit_queries(&mut self, shard: usize, retry: bool) {
-        let st = &self.fault_state[shard];
-        let epoch = st.epoch;
-        let queries: Vec<(TxnId, u64)> = st
-            .in_doubt
-            .iter()
-            .map(|(&txn, p)| (txn, p.involved))
-            .collect();
-        for (txn, involved) in queries {
-            for peer in 0..self.cfg.num_shards() {
-                if peer as usize == shard || involved & (1u64 << peer) == 0 {
-                    continue;
-                }
-                if retry {
-                    self.fsum.retries += 1;
-                }
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(peer),
-                    "s2pl.commit_query",
-                    CTRL_BYTES,
-                    Message::CommitQuery {
-                        txn,
-                        from_shard: shard as u32,
-                        epoch,
-                    },
-                );
+    /// The lock-server messages a shard handles.
+    pub(crate) fn on_lock_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
+        match msg {
+            Message::LockReq {
+                txn,
+                client,
+                item,
+                mode,
+            } => self.on_lock_request(now, shard, txn, client, item, mode),
+            Message::SCommit { txn, writes, reads } => {
+                self.on_commit_release(now, shard, txn, &writes, &reads);
             }
+            other => unreachable!("{} server cannot receive {other:?}", P::NAME),
         }
     }
 
-    /// Poll clients for re-registration; `retry` restricts the poll to
-    /// clients that have not yet answered and counts as retransmission.
-    fn broadcast_reregister(&mut self, shard: usize, retry: bool) {
-        for i in 0..self.cfg.num_clients {
-            let c = ClientId::new(i);
-            if retry {
-                if self.fault_state[shard].reregistered[c.index()] {
-                    continue;
-                }
-                self.fsum.retries += 1;
-            }
-            self.net.send(
-                &mut self.cal,
-                SiteId::server(shard as u32),
-                c.into(),
-                "s2pl.reregister_req",
-                CTRL_BYTES,
-                Message::ReregisterReq {
-                    shard: shard as u32,
-                    epoch: self.fault_state[shard].epoch,
-                },
-            );
-        }
-    }
-
-    /// The recovery-handshake timer fired: finish if the handshake
-    /// deadline (one lease period) has passed; otherwise poll the
-    /// silent clients and unanswered peers again.
-    fn on_recovery_check(&mut self, now: SimTime, shard: usize, epoch: u64) {
-        let st = &self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // stale timer of an older recovery
-        }
-        if now.since(st.started) >= self.lease {
-            self.finish_recovery(now, shard);
-            return;
-        }
-        self.send_commit_queries(shard, true);
-        self.broadcast_reregister(shard, true);
-        self.cal.schedule_in(
-            self.retry_base,
-            Ev::RecoveryCheck {
-                shard: shard as u32,
-                epoch,
-            },
-        );
-    }
-
-    /// One client's re-registration report arrived during the handshake:
-    /// record liveness, cross-validate its claims against the durable
-    /// grant history, and close the handshake once every client has
-    /// answered. Duplicated reports (lossy link) are absorbed by the
-    /// per-epoch `reregistered` flag, making re-delivery idempotent.
-    #[allow(clippy::too_many_arguments)] // the report's fields, unpacked
-    fn on_reregister(
+    fn on_lock_request(
         &mut self,
         now: SimTime,
         shard: usize,
+        txn: TxnId,
         client: ClientId,
-        epoch: u64,
-        txn: Option<TxnId>,
-        held: &[(ItemId, LockMode)],
-        pending: Option<&PendingCommit>,
+        item: ItemId,
+        mode: LockMode,
     ) {
-        let st = &mut self.fault_state[shard];
-        if !st.recovering || epoch != st.epoch {
-            return; // late report of an older recovery
+        debug_assert_eq!(
+            self.cfg.shard_of(item) as usize,
+            shard,
+            "lock request routed to the wrong shard"
+        );
+        match self.table.status(txn) {
+            TxnStatus::Active => {}
+            TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
+                // A retried request from a victim whose abort notice may
+                // have been lost: answer it again.
+                self.send_abort_notice(SiteId::server(shard as u32), client, txn);
+                return;
+            }
+            _ => return, // stale request of a finished transaction
         }
-        if st.reregistered[client.index()] {
-            return; // duplicated report: absorbed
+        if self.faults_on {
+            self.touch(now, txn);
+            if self.p.locking().locks[shard].mode_of(txn, item).is_some() {
+                // Duplicate of an already-granted request (the grant or
+                // the original request was lost or duplicated): re-ship
+                // the grant, unless its shipment is gated elsewhere (a
+                // c-2PL callback barrier, whose retry timer drives
+                // progress).
+                if !self.p.grant_gated(txn, item) {
+                    self.send_grant(now, client, txn, item);
+                }
+                return;
+            }
+            if self.p.locking().locks[shard].queued_on(txn) == Some(item) {
+                return; // duplicate of a still-queued request
+            }
         }
-        st.reregistered[client.index()] = true;
-        self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, txn, None, client.into());
-        // Reports corroborate the durable grant history (restoration
-        // itself works off the log, so a crashed client's
-        // committed-but-unreleased locks are restored even without a
-        // report): every claim a live client re-reports for a still-live
-        // transaction must have been durably granted before the crash.
+        self.spans.req_arrived(now, txn, item);
+        match self.p.locking_mut().locks[shard].acquire(txn, item, mode) {
+            AcquireOutcome::Granted => P::lock_granted(self, now, client, txn, item, mode),
+            AcquireOutcome::Queued => P::detect_deadlocks(self, now, txn),
+        }
+    }
+
+    /// A commit-release slice arrived: install it, release the
+    /// transaction's locks at this shard, and (under faults) acknowledge.
+    fn on_commit_release(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        txn: TxnId,
+        writes: &[(ItemId, Version)],
+        reads: &[ItemId],
+    ) {
+        let committer = self.table.info(txn).client;
+        if self.faults_on {
+            // Duplicate commit-release slice (already applied at this
+            // shard): the ack was lost, so just acknowledge again. Each
+            // shard's bit of the applied set is durable — it survives
+            // crashes via log replay.
+            if self.applied_at(txn, shard) {
+                self.send_commit_ack(shard, committer, txn);
+                return;
+            }
+            if let Some(l) = self.leased.get_mut(txn.index()) {
+                *l = false;
+            }
+        }
+        self.install_slice(shard, txn, writes);
+        let faults_on = self.faults_on;
+        self.p.slice_applied(committer, writes, reads, faults_on);
+        if self.prepared_at(txn, shard) {
+            // Phase 2 of a prepared multi-home commit landed: the vote is
+            // consumed and the slice applied.
+            self.vote_applied(now, shard, txn);
+        }
+        self.trace.record(
+            now,
+            TraceKind::ReleasedAtServer,
+            Some(txn),
+            None,
+            SiteId::server(shard as u32),
+        );
+        self.spans.release_arrived(now, txn, true);
+        self.release_locks(now, shard, txn);
+        if self.faults_on {
+            self.send_commit_ack(shard, committer, txn);
+        }
+    }
+
+    /// Install `txn`'s committed write slice at `shard`. Write-ahead: the
+    /// applied commit, its installed versions, and the release are
+    /// durable before anything acknowledges them; the `Released` record
+    /// also retires any prepared vote this shard held.
+    pub(crate) fn install_slice(&mut self, shard: usize, txn: TxnId, writes: &[(ItemId, Version)]) {
+        let committer = self.table.info(txn).client;
+        self.mark_applied(txn, shard);
+        if self.srv_faults_on {
+            let slog = self.slog(shard);
+            slog.append(ServerRecord::Committed { txn });
+            for &(item, version) in writes {
+                slog.append(ServerRecord::Permanent { item, version });
+            }
+            slog.append(ServerRecord::Released { txn });
+        }
+        for &(item, version) in writes {
+            let versions = &mut self.p.locking_mut().versions;
+            debug_assert_eq!(
+                version,
+                versions[item.index()] + 1,
+                "write version chain broken for {item}"
+            );
+            versions[item.index()] = version;
+            if let Some(wal) = &mut self.wal {
+                wal[committer.index()].mark_permanent(txn, item);
+            }
+        }
+    }
+
+    /// Release everything `txn` holds at `shard` and hand the locks on.
+    pub(crate) fn release_locks(&mut self, now: SimTime, shard: usize, txn: TxnId) {
+        let woken = self.p.locking_mut().locks[shard].release_all(txn);
+        for (item, t, mode) in woken {
+            let c = self.table.info(t).client;
+            P::lock_granted(self, now, c, t, item, mode);
+        }
+    }
+
+    /// The victim's locks are released on every shard at once (in
+    /// ascending shard order) — the shards own the authoritative copies
+    /// — and the client learns of the abort one latency later.
+    pub(crate) fn release_victim(&mut self, now: SimTime, victim: TxnId) {
+        let mut woken = Vec::new();
+        for lt in &mut self.p.locking_mut().locks {
+            woken.extend(lt.release_all(victim));
+        }
+        for (item, t, mode) in woken {
+            let c = self.table.info(t).client;
+            P::lock_granted(self, now, c, t, item, mode);
+        }
+        let client = self.table.info(victim).client;
+        self.send_abort_notice(SiteId::SERVER0, client, victim);
+    }
+
+    pub(crate) fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
+        let shard = self.cfg.shard_of(item) as usize;
+        if self.srv_faults_on {
+            // Write-ahead: the grant is durable before it leaves.
+            let exclusive = matches!(
+                self.p.locking().locks[shard].mode_of(txn, item),
+                Some(LockMode::Exclusive)
+            );
+            self.log_at(
+                shard,
+                ServerRecord::Grant {
+                    txn,
+                    item,
+                    exclusive,
+                },
+            );
+        }
+        self.trace.record(
+            now,
+            TraceKind::Dispatched,
+            Some(txn),
+            Some(item),
+            client.into(),
+        );
+        self.spans.dispatched(now, txn, item);
+        self.spans.hop_departed(now, txn, item);
+        self.net.send(
+            &mut self.cal,
+            SiteId::server(shard as u32),
+            client.into(),
+            P::LABELS.grant,
+            CTRL_BYTES + self.cfg.item_size_bytes,
+            Message::SGrant {
+                txn,
+                item,
+                version: self.p.locking().versions[item.index()],
+            },
+        );
+    }
+
+    /// The client's re-registration report for `shard`: the
+    /// server-granted accesses of its live transaction homed there (cache
+    /// pins never took a server lock), that shard's slice of an
+    /// unacknowledged (committed-but-unreleased) commit, and the cached
+    /// copies the rebuilt directory must know about.
+    pub(crate) fn lock_report(&self, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+        let c = &self.clients[client.index()];
+        let mut held = Vec::new();
+        let mut txn = None;
+        if let Some(active) = &c.txn {
+            txn = Some(active.id);
+            for idx in 0..active.granted {
+                let (item, mode) = active.spec.access(idx);
+                if !self.p.pinned(client, item) && self.cfg.shard_of(item) == shard {
+                    held.push((item, crate::kernel::lock_mode(mode)));
+                }
+            }
+        }
+        let pending = c.pending_commits.iter().find_map(|(s, m)| match m {
+            Message::SCommit { txn, writes, reads } if *s == shard => {
+                Some((*txn, writes.clone(), reads.clone()))
+            }
+            _ => None,
+        });
+        let cached = self.p.cached_on(client, shard, &self.cfg);
+        let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
+        let report = Message::SReregister {
+            client,
+            epoch,
+            txn,
+            held,
+            pending,
+            cached,
+        };
+        (bytes, report)
+    }
+
+    /// Absorb a re-registration report: the cached copies rebuild the
+    /// directory. The held claims corroborate the durable grant history
+    /// (restoration itself works off the log, so a crashed client's
+    /// committed-but-unreleased locks are restored even without a
+    /// report): every claim a live client re-reports for a still-live
+    /// transaction must have been durably granted before the crash.
+    pub(crate) fn absorb_lock_report(&mut self, shard: usize, client: ClientId, report: &Message) {
+        let Message::SReregister {
+            txn,
+            held,
+            pending,
+            cached,
+            ..
+        } = report
+        else {
+            return;
+        };
+        self.p.absorb_cached(client, cached);
         if cfg!(debug_assertions) {
-            let img = self.fault_state[shard]
-                .image
-                .as_ref()
-                // lint:allow(L3): the image exists for the whole handshake
-                .expect("recovery image");
-            if let Some(t) = txn {
+            let img = self.image(shard);
+            if let Some(t) = *txn {
                 if self.table.status(t) == TxnStatus::Active {
                     for &(item, _) in held {
                         debug_assert!(
                             img.was_granted(t, item)
-                                || self.locks[shard].mode_of(t, item).is_some(),
+                                || self.p.locking().locks[shard].mode_of(t, item).is_some(),
                             "{client} re-reported a grant the log never saw: {t} {item}"
                         );
                     }
@@ -1198,48 +605,42 @@ impl S2plEngine {
                 }
             }
         }
-        if self.fault_state[shard].reregistered.iter().all(|&r| r) {
-            self.finish_recovery(now, shard);
+    }
+
+    /// Shard `shard` crashed: its lock table and its items' installed
+    /// versions are gone.
+    pub(crate) fn wipe_locks(&mut self, shard: usize) {
+        let per = self.cfg.items.items_per_shard as usize;
+        let s = self.p.locking_mut();
+        s.locks[shard] = LockTable::new();
+        s.versions[shard * per..(shard + 1) * per]
+            .iter_mut()
+            .for_each(|v| *v = 0);
+    }
+
+    pub(crate) fn restore_versions(&mut self, img: &ServerImage) {
+        let versions = &mut self.p.locking_mut().versions;
+        for (&item, &v) in &img.versions {
+            versions[item.index()] = v;
         }
     }
 
-    /// Close shard `shard`'s re-registration handshake: resolve any
-    /// still-in-doubt prepared votes through the commit oracle (the
-    /// coordinator's decision record, which the surviving peers answer
-    /// queries from), restore every outstanding durable grant whose
-    /// owner still needs it, resume normal service, then abort the
-    /// active transactions of clients that never answered (presumed
-    /// dead).
-    fn finish_recovery(&mut self, now: SimTime, shard: usize) {
-        debug_assert!(self.fault_state[shard].recovering);
-        // In-doubt votes first, so the grants loop below sees the final
-        // applied bits. Per presumed abort, a vote is resolved only on
-        // positive evidence: a still-Active owner keeps its vote in
-        // doubt — either it answered the handshake (its grants are
-        // restored below and it will decide normally) or it stayed
-        // silent and is aborted as a victim below, retiring the vote.
-        let unresolved: Vec<TxnId> = self.fault_state[shard].in_doubt.keys().copied().collect();
-        for txn in unresolved {
-            match self.table.status(txn) {
-                TxnStatus::Committed => self.resolve_indoubt_commit(now, shard, txn),
-                TxnStatus::Aborting | TxnStatus::Aborted => {
-                    self.resolve_indoubt_abort(shard, txn);
-                }
-                TxnStatus::Active => {}
-            }
-        }
-        let img = self.fault_state[shard]
-            .image
-            .take()
-            // lint:allow(L3): the image exists for the whole handshake
-            .expect("recovery image");
+    /// Restore every outstanding durable grant whose owner still needs
+    /// it; returns the silent clients' transactions, presumed dead.
+    pub(crate) fn restore_grants_from(
+        &mut self,
+        now: SimTime,
+        shard: usize,
+        img: &ServerImage,
+    ) -> Vec<TxnId> {
         let mut silent_victims = Vec::new();
         for (&txn, items) in &img.grants {
             let client = self.table.info(txn).client;
             match self.table.status(txn) {
                 // An active owner that answered gets its locks back
                 // exactly as granted; a silent one is presumed dead and
-                // aborted below (its slots are simply never restored).
+                // aborted after the restart (its slots are simply never
+                // restored).
                 TxnStatus::Active => {
                     if self.fault_state[shard].reregistered[client.index()] {
                         self.restore_grants(txn, items);
@@ -1264,84 +665,22 @@ impl S2plEngine {
                 TxnStatus::Aborting | TxnStatus::Aborted => {}
             }
         }
-        self.fault_state[shard].recovering = false;
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
-        for txn in silent_victims {
-            self.abort_victim(now, txn);
-        }
+        silent_victims
     }
 
-    /// Positive commit evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: apply the prepared write slice exactly as the lost
-    /// commit-release would have (durably, write-ahead of everything),
-    /// release the transaction's locks here and retire the vote.
-    fn resolve_indoubt_commit(&mut self, now: SimTime, shard: usize, txn: TxnId) {
-        let Some(pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        let committer = self.table.info(txn).client;
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-        slog.append(ServerRecord::Committed { txn });
-        for &(item, version) in &pimg.writes {
-            slog.append(ServerRecord::Permanent { item, version });
+    /// The silent clients' transactions are presumed dead: abort them.
+    pub(crate) fn abort_silent(&mut self, now: SimTime, silent: Vec<TxnId>) {
+        for txn in silent {
+            self.fsum.two_pc.silent_victims += 1;
+            P::abort_victim(self, now, txn);
         }
-        slog.append(ServerRecord::Released { txn });
-        for (item, version) in pimg.writes {
-            debug_assert_eq!(
-                version,
-                self.versions[item.index()] + 1,
-                "write version chain broken for {item}"
-            );
-            self.versions[item.index()] = version;
-            if let Some(wal) = &mut self.wal {
-                wal[committer.index()].mark_permanent(txn, item);
-            }
-        }
-        self.mark_applied(txn, shard);
-        self.clear_prepared(txn, shard);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-        let woken = self.locks[shard].release_all(txn);
-        for (item, t, _) in woken {
-            let c = self.table.info(t).client;
-            self.send_grant(now, c, t, item);
-        }
-    }
-
-    /// Positive abort evidence arrived for an in-doubt prepared vote at
-    /// shard `shard`: retire the vote durably and release whatever the
-    /// victim held here. The abort itself was already decided (and
-    /// traced) elsewhere.
-    fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {
-        let Some(_pimg) = self.fault_state[shard].in_doubt.remove(&txn) else {
-            return;
-        };
-        // lint:allow(L3): the log exists whenever server crashes are planned
-        self.slog.as_mut().expect("server log enabled")[shard]
-            .append(ServerRecord::Released { txn });
-        self.clear_prepared(txn, shard);
-        // No grants can be waiting behind the victim here: the shard's
-        // lock table was rebuilt at restart and the victim's locks are
-        // only restored after the in-doubt pass.
-        let woken = self.locks[shard].release_all(txn);
-        debug_assert!(woken.is_empty());
     }
 
     /// Re-insert `txn`'s durably recorded grants into the fresh lock
     /// table of the owning shard. Pre-crash holders coexisted, so every
-    /// re-acquisition must succeed immediately.
+    /// re-acquisition succeeds immediately; a shipped c-2PL exclusive
+    /// grant had already recalled every remote copy, so restoration never
+    /// needs a callback round.
     fn restore_grants(&mut self, txn: TxnId, items: &BTreeMap<ItemId, bool>) {
         for (&item, &exclusive) in items {
             let mode = if exclusive {
@@ -1350,487 +689,12 @@ impl S2plEngine {
                 LockMode::Shared
             };
             let shard = self.cfg.shard_of(item) as usize;
-            let outcome = self.locks[shard].acquire(txn, item, mode);
+            let outcome = self.p.locking_mut().locks[shard].acquire(txn, item, mode);
             debug_assert!(
                 matches!(outcome, AcquireOutcome::Granted),
                 "restored grants conflict: {txn} {item}"
             );
-            let _ = outcome;
         }
-    }
-
-    /// Record that shard `shard` has applied `txn`'s commit slice.
-    fn mark_applied(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.applied.len() <= i {
-            self.applied.resize(i + 1, 0);
-        }
-        self.applied[i] |= 1u64 << shard;
-    }
-
-    /// Whether shard `shard` has applied `txn`'s commit slice. Each
-    /// shard's bit mirrors its durable applied set and survives crashes
-    /// via log replay.
-    fn applied_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.applied
-            .get(txn.index())
-            .is_some_and(|m| m & (1u64 << shard) != 0)
-    }
-
-    /// Record that shard `shard` holds a durable prepared vote for `txn`.
-    fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        let i = txn.index();
-        if self.prepared.len() <= i {
-            self.prepared.resize(i + 1, 0);
-        }
-        self.prepared[i] |= 1u64 << shard;
-    }
-
-    /// Whether shard `shard` holds a durable, unretired prepared vote
-    /// for `txn`.
-    fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        self.prepared
-            .get(txn.index())
-            .is_some_and(|m| m & (1u64 << shard) != 0)
-    }
-
-    /// Retire shard `shard`'s prepared vote for `txn` (its log holds the
-    /// retiring record).
-    fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(m) = self.prepared.get_mut(txn.index()) {
-            *m &= !(1u64 << shard);
-        }
-    }
-
-    // ---- server side ----
-
-    fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
-        match msg {
-            Message::SLockReq {
-                txn,
-                client,
-                item,
-                mode,
-            } => {
-                debug_assert_eq!(
-                    self.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match self.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "s2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                        return;
-                    }
-                    _ => return, // stale request of a finished transaction
-                }
-                if self.faults_on {
-                    self.touch(now, txn);
-                    if self.locks[shard].mode_of(txn, item).is_some() {
-                        // Duplicate of an already-granted request (the
-                        // grant or the original request was lost or
-                        // duplicated): re-ship the grant.
-                        self.send_grant(now, client, txn, item);
-                        return;
-                    }
-                    if self.locks[shard].queued_on(txn) == Some(item) {
-                        return; // duplicate of a still-queued request
-                    }
-                }
-                self.spans.req_arrived(now, txn, item);
-                match self.locks[shard].acquire(txn, item, mode) {
-                    AcquireOutcome::Granted => self.send_grant(now, client, txn, item),
-                    AcquireOutcome::Queued => self.detect_deadlocks(now, txn),
-                }
-            }
-            Message::Prepare {
-                txn,
-                writes,
-                involved,
-            } => {
-                let client = self.table.info(txn).client;
-                match self.table.status(txn) {
-                    TxnStatus::Aborting | TxnStatus::Aborted => {
-                        // The abort won the race with the voting round:
-                        // answer the (possibly lost) notice again.
-                        self.net.send(
-                            &mut self.cal,
-                            SiteId::server(shard as u32),
-                            client.into(),
-                            "s2pl.abort_notice",
-                            CTRL_BYTES,
-                            Message::SAbortNotice { txn },
-                        );
-                    }
-                    // Decision already made: this is a stale duplicate of
-                    // a consumed vote — re-ack without logging anything.
-                    TxnStatus::Committed => {
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                    TxnStatus::Active => {
-                        self.touch(now, txn);
-                        if self.prepared_at(txn, shard) {
-                            // Duplicate prepare (the ack was lost): the
-                            // vote is already durable, just re-ack it.
-                            self.send_prepare_ack(shard, client, txn);
-                            return;
-                        }
-                        // Write-ahead: the yes vote — write slice and
-                        // involved mask — is durable before the ack
-                        // leaves the shard.
-                        // lint:allow(L3): prepares are only sent when srv_faults_on
-                        self.slog.as_mut().expect("server log enabled")[shard].append(
-                            ServerRecord::Prepared {
-                                txn,
-                                writes,
-                                involved,
-                            },
-                        );
-                        self.mark_prepared(txn, shard);
-                        self.trace.record(
-                            now,
-                            TraceKind::Prepared,
-                            Some(txn),
-                            None,
-                            SiteId::server(shard as u32),
-                        );
-                        self.send_prepare_ack(shard, client, txn);
-                    }
-                }
-            }
-            Message::SCommit { txn, writes, .. } => {
-                let committer = self.table.info(txn).client;
-                if self.faults_on {
-                    // Duplicate commit-release slice (already applied at
-                    // this shard): the ack was lost, so just acknowledge
-                    // again. Each shard's bit of the applied set is
-                    // durable — it survives crashes via log replay.
-                    if self.applied_at(txn, shard) {
-                        self.send_commit_ack(shard, committer, txn);
-                        return;
-                    }
-                    if let Some(l) = self.leased.get_mut(txn.index()) {
-                        *l = false;
-                    }
-                }
-                self.mark_applied(txn, shard);
-                if self.srv_faults_on {
-                    // Write-ahead: the applied commit slice, its installed
-                    // versions, and the release are durable before the
-                    // ack leaves the shard. The `Released` record also
-                    // retires any prepared vote this shard held.
-                    // lint:allow(L3): the log exists whenever srv_faults_on
-                    let slog = &mut self.slog.as_mut().expect("server log enabled")[shard];
-                    slog.append(ServerRecord::Committed { txn });
-                    for &(item, version) in &writes {
-                        slog.append(ServerRecord::Permanent { item, version });
-                    }
-                    slog.append(ServerRecord::Released { txn });
-                }
-                for (item, version) in writes {
-                    debug_assert_eq!(
-                        version,
-                        self.versions[item.index()] + 1,
-                        "write version chain broken for {item}"
-                    );
-                    self.versions[item.index()] = version;
-                    if let Some(wal) = &mut self.wal {
-                        wal[committer.index()].mark_permanent(txn, item);
-                    }
-                }
-                if self.prepared_at(txn, shard) {
-                    // Phase 2 of a prepared multi-home commit landed:
-                    // the vote is consumed and the slice applied.
-                    self.clear_prepared(txn, shard);
-                    self.fault_state[shard].in_doubt.remove(&txn);
-                    self.trace.record(
-                        now,
-                        TraceKind::CommitApplied,
-                        Some(txn),
-                        None,
-                        SiteId::server(shard as u32),
-                    );
-                }
-                self.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    Some(txn),
-                    None,
-                    SiteId::server(shard as u32),
-                );
-                self.spans.release_arrived(now, txn, true);
-                let woken = self.locks[shard].release_all(txn);
-                for (item, t, _) in woken {
-                    let c = self.table.info(t).client;
-                    self.send_grant(now, c, t, item);
-                }
-                if self.faults_on {
-                    self.send_commit_ack(shard, committer, txn);
-                }
-            }
-            Message::SReregister {
-                client,
-                epoch,
-                txn,
-                held,
-                pending,
-                cached: _,
-            } => self.on_reregister(now, shard, client, epoch, txn, &held, pending.as_ref()),
-            Message::CommitQuery {
-                txn,
-                from_shard,
-                epoch: _,
-            } => {
-                // Answer from the commit oracle — the shared transaction
-                // table stands in for the coordinator's durable decision
-                // record, which this surviving shard can consult. An
-                // Active transaction has no outcome yet: answer "unknown"
-                // and let the asker keep its vote in doubt (presumed
-                // abort never guesses).
-                let committed = match self.table.status(txn) {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborting | TxnStatus::Aborted => Some(false),
-                    TxnStatus::Active => None,
-                };
-                self.net.send(
-                    &mut self.cal,
-                    SiteId::server(shard as u32),
-                    SiteId::server(from_shard),
-                    "s2pl.commit_verdict",
-                    CTRL_BYTES,
-                    Message::CommitVerdict { txn, committed },
-                );
-            }
-            Message::CommitVerdict { txn, committed } => {
-                if !self.fault_state[shard].in_doubt.contains_key(&txn) {
-                    return; // already resolved (or never in doubt here)
-                }
-                match committed {
-                    Some(true) => self.resolve_indoubt_commit(now, shard, txn),
-                    Some(false) => self.resolve_indoubt_abort(shard, txn),
-                    None => {} // keep the vote in doubt and ask again
-                }
-            }
-            other => unreachable!("s-2PL server cannot receive {other:?}"),
-        }
-    }
-
-    /// Record server-observed activity for `txn` and arm its lease on
-    /// first contact. Called only under an active fault plan.
-    fn touch(&mut self, now: SimTime, txn: TxnId) {
-        let i = txn.index();
-        if self.last_activity.len() <= i {
-            self.last_activity.resize(i + 1, SimTime::ZERO);
-            self.leased.resize(i + 1, false);
-        }
-        self.last_activity[i] = now;
-        if !self.leased[i] {
-            self.leased[i] = true;
-            self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-        }
-    }
-
-    /// Acknowledge a durable prepared vote (two-phase commitment only).
-    fn send_prepare_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.prepare_ack",
-            CTRL_BYTES,
-            Message::PrepareAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    /// Acknowledge a processed commit-release slice (faults only).
-    fn send_commit_ack(&mut self, shard: usize, client: ClientId, txn: TxnId) {
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.commit_ack",
-            CTRL_BYTES,
-            Message::SCommitAck {
-                txn,
-                shard: shard as u32,
-            },
-        );
-    }
-
-    /// The server-side transaction lease fired: a transaction that holds
-    /// server resources but showed no activity for a full lease period is
-    /// presumed dead and aborted, releasing its locks for the survivors.
-    /// A committed transaction is never aborted — its commit-release is
-    /// being retransmitted and will land — and recent activity simply
-    /// re-arms the lease for the remainder.
-    fn on_txn_lease(&mut self, now: SimTime, txn: TxnId) {
-        if !self.leased.get(txn.index()).copied().unwrap_or(false) {
-            return; // resolved since arming
-        }
-        let idle_for = now.since(self.last_activity[txn.index()]);
-        if idle_for < self.lease {
-            self.cal
-                .schedule_in(self.lease.since(idle_for), Ev::TxnLease { txn });
-            return;
-        }
-        match self.table.status(txn) {
-            TxnStatus::Committed => {
-                self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
-            }
-            TxnStatus::Active => {
-                self.fsum.lease_expiries += 1;
-                self.fsum.recovery_stall += idle_for.as_f64();
-                self.trace.record(
-                    now,
-                    TraceKind::LeaseExpired,
-                    Some(txn),
-                    None,
-                    SiteId::SERVER0,
-                );
-                self.abort_victim(now, txn);
-                self.fsum.redispatches += 1;
-                self.trace
-                    .record(now, TraceKind::Redispatch, Some(txn), None, SiteId::SERVER0);
-            }
-            TxnStatus::Aborting | TxnStatus::Aborted => {
-                self.leased[txn.index()] = false;
-            }
-        }
-    }
-
-    fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
-        let shard = self.cfg.shard_of(item) as usize;
-        if self.srv_faults_on {
-            // Write-ahead: the grant is durable before it leaves.
-            let exclusive = matches!(
-                self.locks[shard].mode_of(txn, item),
-                Some(LockMode::Exclusive)
-            );
-            if let Some(slogs) = &mut self.slog {
-                slogs[shard].append(ServerRecord::Grant {
-                    txn,
-                    item,
-                    exclusive,
-                });
-            }
-        }
-        self.trace.record(
-            now,
-            TraceKind::Dispatched,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.dispatched(now, txn, item);
-        self.spans.hop_departed(now, txn, item);
-        self.net.send(
-            &mut self.cal,
-            SiteId::server(shard as u32),
-            client.into(),
-            "s2pl.grant",
-            CTRL_BYTES + self.cfg.item_size_bytes,
-            Message::SGrant {
-                txn,
-                item,
-                version: self.versions[item.index()],
-            },
-        );
-    }
-
-    /// §4: "deadlock detection is initiated when a lock cannot be
-    /// granted." The waits-for relation is explored lazily from the
-    /// blocked transaction — successors are computed on demand from the
-    /// lock table, so only the reachable part of the graph is visited —
-    /// and victims are aborted until no cycle through `trigger` remains.
-    fn detect_deadlocks(&mut self, now: SimTime, trigger: TxnId) {
-        // The finder is moved out for the duration of the search so its
-        // buffers can be reused while the successor closure borrows the
-        // lock table.
-        let mut finder = std::mem::take(&mut self.finder);
-        loop {
-            let locks = &self.locks;
-            // Deadlock detection stays centralized: accesses are
-            // sequential, so a transaction queues on at most one item
-            // globally — the scan finds the (unique) shard it waits at.
-            let found = finder.find_cycle(trigger, |t, out| {
-                for lt in locks {
-                    if let Some(item) = lt.queued_on(t) {
-                        lt.waits_for_into(t, item, out);
-                        break;
-                    }
-                }
-            });
-            let Some(cycle) = found else { break };
-            let victim = self.cfg.victim.choose(cycle, |t| {
-                self.locks.iter().map(|lt| lt.held_by(t).len()).sum()
-            });
-            self.abort_victim(now, victim);
-            if victim == trigger {
-                break;
-            }
-        }
-        self.finder = finder;
-    }
-
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
-    fn abort_victim(&mut self, now: SimTime, victim: TxnId) {
-        debug_assert_eq!(self.table.status(victim), TxnStatus::Active);
-        self.table.set_status(victim, TxnStatus::Aborting);
-        if self.srv_faults_on {
-            // The victim's grants and any prepared votes die with it;
-            // compaction may fold them. A crashed shard cannot log the
-            // release — it learns the outcome at restart through its
-            // commit queries instead.
-            if let Some(slogs) = &mut self.slog {
-                for (s, slog) in slogs.iter_mut().enumerate() {
-                    if !self.fault_state[s].down {
-                        slog.append(ServerRecord::Released { txn: victim });
-                    }
-                }
-            }
-            if let Some(m) = self.prepared.get_mut(victim.index()) {
-                *m = 0;
-            }
-            for st in &mut self.fault_state {
-                st.in_doubt.remove(&victim);
-            }
-        }
-        if let Some(l) = self.leased.get_mut(victim.index()) {
-            *l = false;
-        }
-        // The shards own the authoritative copies, so the victim's locks
-        // are released immediately on every shard (in ascending shard
-        // order); the client only learns of the abort one latency later.
-        let mut woken = Vec::new();
-        for lt in &mut self.locks {
-            woken.extend(lt.release_all(victim));
-        }
-        for (item, t, _) in woken {
-            let c = self.table.info(t).client;
-            self.send_grant(now, c, t, item);
-        }
-        let client = self.table.info(victim).client;
-        self.net.send(
-            &mut self.cal,
-            SiteId::SERVER0,
-            client.into(),
-            "s2pl.abort_notice",
-            CTRL_BYTES,
-            Message::SAbortNotice { txn: victim },
-        );
     }
 }
 

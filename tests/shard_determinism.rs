@@ -189,3 +189,37 @@ fn one_shard_fig2_matches_pr7_fixture_byte_for_byte() {
         "1-shard fig2 tail CSV diverged from the PR 7 baseline"
     );
 }
+
+#[test]
+fn fault_figures_match_fixtures_byte_for_byte() {
+    // Smoke-scale output of the three fault sweeps, captured before the
+    // engines shared one fault and commit core. Recovery, re-registration
+    // and 2PC all feed these cells, so any change in event order shows.
+    let fixtures = [
+        (
+            "fig_faults",
+            include_str!("data/fig_faults.csv"),
+            include_str!("data/fig_faults_tail.csv"),
+        ),
+        (
+            "fig_server_faults",
+            include_str!("data/fig_server_faults.csv"),
+            include_str!("data/fig_server_faults_tail.csv"),
+        ),
+        (
+            "fig_shard_faults",
+            include_str!("data/fig_shard_faults.csv"),
+            include_str!("data/fig_shard_faults_tail.csv"),
+        ),
+    ];
+    for (id, csv, tail) in fixtures {
+        let fig = experiments::figure(id)
+            .unwrap_or_else(|| panic!("{id} registered"))
+            .build(Scale::Smoke);
+        assert_eq!(fig.to_csv(), csv, "{id} CSV diverged from its fixture");
+        let got_tail = fig
+            .to_tail_csv()
+            .unwrap_or_else(|| panic!("{id} has tail data"));
+        assert_eq!(got_tail, tail, "{id} tail CSV diverged from its fixture");
+    }
+}

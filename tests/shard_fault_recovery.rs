@@ -12,9 +12,10 @@
 //! having no plan at all.
 
 use g2pl_core::{check_serializable, check_trace_with, TraceCheckOpts};
+use g2pl_netmodel::accounting::Direction;
 use g2pl_protocols::{
-    run, EngineConfig, FaultPlan, ItemSpace, LinkPartition, ProtocolKind, RunMetrics,
-    ServerCrashWindow, ShardMix, TraceKind,
+    run, CrashWindow, EngineConfig, FaultPlan, ItemSpace, LinkPartition, ProtocolKind, RunMetrics,
+    ServerCrashWindow, ShardMix, TraceKind, TwoPcCounts,
 };
 use g2pl_simcore::SiteId;
 
@@ -177,7 +178,7 @@ fn shard_crash_composes_with_client_faults_and_partitions() {
         let plan = cfg.faults.as_mut().expect("plan set");
         plan.drop_prob = 0.02;
         plan.dup_prob = 0.01;
-        plan.crashes.push(g2pl_protocols::CrashWindow {
+        plan.crashes.push(CrashWindow {
             client: 3,
             at: 8_000,
             down_for: 2_000,
@@ -197,6 +198,198 @@ fn shard_crash_composes_with_client_faults_and_partitions() {
         let history = m.history.as_ref().expect("history enabled");
         if let Err(e) = check_serializable(history) {
             panic!("{}: serializability violated: {e}", m.protocol);
+        }
+    }
+}
+
+#[test]
+fn shard_crash_message_kinds_are_pinned() {
+    // Per-kind message counts of the crash scenario, captured before the
+    // engines shared one fault and commit core. Any reordering of sends,
+    // schedules or RNG draws in recovery or 2PC shifts these counts.
+    let want: [&[(&str, u64)]; 3] = [
+        &[
+            ("g2pl.abort_notice", 59),
+            ("g2pl.commit_query", 1),
+            ("g2pl.commit_verdict", 1),
+            ("g2pl.data", 969),
+            ("g2pl.decide", 225),
+            ("g2pl.decide_ack", 221),
+            ("g2pl.lock_request", 1336),
+            ("g2pl.prepare", 221),
+            ("g2pl.prepare_ack", 221),
+            ("g2pl.reader_release", 398),
+            ("g2pl.reregister", 16),
+            ("g2pl.reregister_req", 16),
+            ("g2pl.return", 531),
+        ],
+        &[
+            ("s2pl.abort_notice", 35),
+            ("s2pl.commit_ack", 454),
+            ("s2pl.commit_release", 454),
+            ("s2pl.grant", 1073),
+            ("s2pl.lock_request", 1317),
+            ("s2pl.prepare", 220),
+            ("s2pl.prepare_ack", 217),
+            ("s2pl.reregister", 16),
+            ("s2pl.reregister_req", 16),
+        ],
+        &[
+            ("c2pl.abort_notice", 39),
+            ("c2pl.callback", 1062),
+            ("c2pl.callback_ack", 1062),
+            ("c2pl.commit_ack", 460),
+            ("c2pl.commit_release", 463),
+            ("c2pl.grant", 1026),
+            ("c2pl.lock_request", 1363),
+            ("c2pl.prepare", 236),
+            ("c2pl.prepare_ack", 230),
+            ("c2pl.reregister", 16),
+            ("c2pl.reregister_req", 16),
+        ],
+    ];
+    for (protocol, want) in engines().into_iter().zip(want) {
+        let m = run_checked(&shard_crash_cfg(protocol));
+        let kinds: Vec<(&str, u64)> = m.net.kinds().collect();
+        assert_eq!(kinds, want, "{}: per-kind message counts moved", m.protocol);
+    }
+}
+
+/// Fault plans that steer multi-home commitment into its rare branches.
+#[derive(Clone, Copy, Debug)]
+enum BranchPlan {
+    /// Shard 2 stays down longer than a lease while four clients crash
+    /// with it. A coordinator that dies mid-vote leaves a prepared vote
+    /// on the dead shard; its transaction is decided (committed, or
+    /// aborted by the lease) while the shard is down, and a peer's
+    /// verdict resolves the vote after the restart.
+    CoordinatorsDie,
+    /// The same, with shard 2 cut off from its peers through the whole
+    /// handshake: no verdict arrives, and the deadline falls back to
+    /// the commit oracle.
+    PeersCutOff,
+    /// Shard 0, which coordinates the transaction leases, crashes while
+    /// three clients stay down past the handshake deadline: their
+    /// transactions stay active but unreported, and are aborted when
+    /// the handshake closes.
+    SilentClients,
+    /// 2% message loss and 2% duplication: prepares arrive twice, and
+    /// retried prepares race their transaction's abort.
+    LossyLinks,
+}
+
+fn branch_cfg(protocol: ProtocolKind, plan: BranchPlan, seed: u64) -> EngineConfig {
+    let mut cfg = shard_crash_cfg(protocol);
+    cfg.seed ^= seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    if let Some(mix) = cfg.profile.shard_mix.as_mut() {
+        mix.cross_frac = 0.6;
+    }
+    let faults = cfg.faults.as_mut().expect("plan set");
+    let crash_clients = |faults: &mut FaultPlan, n: u32, at: u64, down_for: u64| {
+        for client in 0..n {
+            faults.crashes.push(CrashWindow {
+                client,
+                at,
+                down_for,
+            });
+        }
+    };
+    match plan {
+        BranchPlan::CoordinatorsDie | BranchPlan::PeersCutOff => {
+            faults.server_crashes = vec![ServerCrashWindow::on_shard(CRASHED_SHARD, 4_000, 5_000)];
+            crash_clients(faults, 4, 4_000, 20_000);
+            if matches!(plan, BranchPlan::PeersCutOff) {
+                for peer in [0, 1, 3] {
+                    faults.partitions.push(LinkPartition::between_shards(
+                        peer,
+                        CRASHED_SHARD,
+                        4_000,
+                        15_000,
+                    ));
+                }
+            }
+        }
+        BranchPlan::SilentClients => {
+            faults.server_crashes = vec![ServerCrashWindow::on_shard(0, 4_000, 1_200)];
+            crash_clients(faults, 3, 3_900, 9_000);
+        }
+        BranchPlan::LossyLinks => {
+            faults.drop_prob = 0.02;
+            faults.dup_prob = 0.02;
+        }
+    }
+    cfg
+}
+
+/// Every two-phase-commit and in-doubt branch, in [`branch_counts`]
+/// order.
+const BRANCHES: [&str; 6] = [
+    "peer verdict resolves a vote as committed",
+    "peer verdict resolves a vote as aborted",
+    "vote falls back to the oracle at the deadline",
+    "duplicate prepare is re-acked",
+    "prepare that raced an abort is re-noticed",
+    "silent client is aborted at handshake end",
+];
+
+fn branch_counts(t: &TwoPcCounts) -> [u64; 6] {
+    [
+        t.verdict_commits,
+        t.verdict_aborts,
+        t.oracle_resolutions,
+        t.prepare_reacks,
+        t.prepare_renotices,
+        t.silent_victims,
+    ]
+}
+
+#[test]
+fn every_two_pc_and_in_doubt_branch_executes() {
+    // Each plan targets some branches; a branch that needs a rare
+    // interleaving (a coordinator dying between its vote and its
+    // decision) is searched over seeds. Every run must still verify.
+    let targets: [(BranchPlan, &[usize]); 4] = [
+        (BranchPlan::CoordinatorsDie, &[0, 1]),
+        (BranchPlan::PeersCutOff, &[2]),
+        (BranchPlan::SilentClients, &[5]),
+        (BranchPlan::LossyLinks, &[3, 4]),
+    ];
+    for protocol in engines() {
+        let mut seen = [0u64; 6];
+        let mut name = "";
+        for (plan, wanted) in targets {
+            for seed in 0..64 {
+                let cfg = branch_cfg(protocol.clone(), plan, seed);
+                let m = run_checked(&cfg);
+                let trace = m.trace.as_ref().expect("trace enabled");
+                if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
+                    panic!("{} {plan:?} seed {seed}: P1-P10 violated: {e}", m.protocol);
+                }
+                let history = m.history.as_ref().expect("history enabled");
+                if let Err(e) = check_serializable(history) {
+                    panic!("{} {plan:?} seed {seed}: not serializable: {e}", m.protocol);
+                }
+                let t = m.faults.two_pc;
+                if t.verdict_commits + t.verdict_aborts > 0 {
+                    // Commit-status queries and verdicts travel shard to
+                    // shard.
+                    assert!(
+                        m.net.in_direction(Direction::ServerToServer) > 0,
+                        "{}: verdicts without shard-to-shard traffic",
+                        m.protocol
+                    );
+                }
+                name = m.protocol;
+                for (slot, n) in seen.iter_mut().zip(branch_counts(&t)) {
+                    *slot += n;
+                }
+                if wanted.iter().all(|&b| seen[b] > 0) {
+                    break;
+                }
+            }
+        }
+        for (branch, n) in BRANCHES.iter().zip(seen) {
+            assert!(n > 0, "{name}: branch never executed: {branch}");
         }
     }
 }
