@@ -43,10 +43,14 @@ bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
 echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
   || { echo "perfbench fault_recovery: incorrect or failed cells"; echo "$bench_out"; exit 1; }
 
-echo "==> trace-explain smoke (span export + round accounting)"
+echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 check)"
+# fig2 exports both paper engines on a reliable network; fig_shard_faults
+# adds per-shard crashes, recovery and 2PC across 1-8 shards, so the
+# offline check runs P8-P10 on exported files too. Every exported file
+# must print `trace-check: PASS`: the exported trace is the checked one.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 >/dev/null
+cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults >/dev/null
 explain_out="$(cargo run -q -p g2pl-bench --bin trace-explain -- --best-case "$trace_dir"/*.jsonl || true)"
 echo "$explain_out" | grep -q "round-check: PASS (s-2PL" \
   || { echo "trace-explain: s-2PL round check failed"; echo "$explain_out"; exit 1; }
@@ -54,6 +58,12 @@ echo "$explain_out" | grep -q "round-check: PASS (g-2PL" \
   || { echo "trace-explain: g-2PL round check failed"; echo "$explain_out"; exit 1; }
 if echo "$explain_out" | grep -q "FAIL"; then
   echo "trace-explain: a check failed"; echo "$explain_out"; exit 1
+fi
+n_files="$(ls "$trace_dir"/*.jsonl | wc -l)"
+n_pass="$(echo "$explain_out" | grep -c "^trace-check: PASS" || true)"
+if [ "$n_files" -eq 0 ] || [ "$n_pass" -ne "$n_files" ]; then
+  echo "trace-explain: $n_pass of $n_files exported traces print trace-check: PASS"
+  echo "$explain_out"; exit 1
 fi
 
 echo "==> trace-explain --tail smoke (flight recorder + marker cross-check)"

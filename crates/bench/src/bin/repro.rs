@@ -22,12 +22,12 @@
 //! `DIR/<id>_tail.csv` with `p50,p90,p99,p999,max,count` columns per
 //! sweep point. Existing `<id>.csv` files are unchanged byte-for-byte.
 //! `--ascii` appends a terminal chart under each table. With
-//! `--trace-out DIR`, replication 0 of every data point dumps its span
-//! events as `DIR/*.jsonl` for the `trace-explain` analyzer.
+//! `--trace-out DIR`, replication 0 of every data point dumps its event
+//! stream as `DIR/*.jsonl` for the `trace-explain` analyzer.
 //!
 //! Every data point self-verifies by default: replication 0 of each
 //! configuration is re-checked against the protocol trace properties
-//! P1–P7 and conflict-serializability, and the run aborts with
+//! P1–P10 and conflict-serializability, and the run aborts with
 //! diagnostics on any violation. `--no-verify` (or `--verify=off`)
 //! disables this for quick, unchecked regeneration.
 //!
@@ -80,7 +80,7 @@ fn usage() -> ! {
          tail study: fig_tail (p99/p999 vs load, all three engines)\n\
          extensions: {} ext scorecard bench; `list` prints the figure registry\n\
          verification of every data point is on by default; --no-verify skips it\n\
-         --trace-out DIR dumps replication 0 of each point as a JSONL span \
+         --trace-out DIR dumps replication 0 of each point as a JSONL event \
          trace for trace-explain\n\
          bench times engine cells + figure sweeps, writes --bench-out \
          (default BENCH_pr7.json), and fails on >30% throughput regression \

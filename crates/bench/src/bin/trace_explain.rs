@@ -1,11 +1,11 @@
-//! `trace-explain` — analyze exported span traces.
+//! `trace-explain` — analyze and check exported event traces.
 //!
 //! ```text
 //! trace-explain [--timelines N] [--tail] <trace.jsonl>...
 //! trace-explain --best-case
 //! ```
 //!
-//! File mode replays a JSONL span trace (written by `repro --trace-out`)
+//! File mode replays a JSONL event trace (written by `repro --trace-out`)
 //! through the phase-attribution state machine and renders, per file:
 //!
 //! - a per-phase latency breakdown table (mean / max / share of the
@@ -14,7 +14,12 @@
 //! - the round-count histogram with its observed mean, and
 //! - a `phase-sum check` line: the five response phases must sum to the
 //!   run's mean response time within 1% (the attribution is a partition
-//!   of [first request, commit], so anything else is a bug).
+//!   of [first request, commit], so anything else is a bug), and
+//! - a `trace-check` line: the file's events re-checked against the
+//!   temporal properties P1–P10 under the checker options its meta line
+//!   records — the exported trace is the trace the run verified. Files
+//!   whose log dropped events, and span-only exports that predate the
+//!   options, print SKIP.
 //!
 //! `--tail` switches file mode to tail attribution: instead of means it
 //! prints the engine-exported p99/p999, a per-phase tail table (p50 /
@@ -31,11 +36,13 @@
 //! transaction (`3m` for `m` transactions) while g-2PL spends `2m + 1`
 //! per collection window, i.e. `2·commits + windows` in total.
 //!
-//! Every check prints a line starting `round-check:` or
-//! `phase-sum check:`; any FAIL sets a non-zero exit status.
+//! Every check prints a line starting `round-check:`, `phase-sum check:`,
+//! `tail-check:` or `trace-check:`; any FAIL, and any unreadable or
+//! malformed file, sets a non-zero exit status.
 
+use g2pl_core::check_trace_with;
 use g2pl_obs::{
-    parse_jsonl, ObsReport, Phase, RunMeta, SpanKind, SpanRecorder, TraceFile, TxnDetail,
+    parse_jsonl, ObsReport, Phase, RunMeta, SpanRecorder, TraceFile, TraceKind, TxnDetail,
 };
 use g2pl_protocols::{run, EngineConfig, ProtocolKind, RunMetrics};
 
@@ -45,8 +52,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: trace-explain [--timelines N] [--tail] <trace.jsonl>...\n\
          \u{20}      trace-explain --best-case\n\
-         file mode replays JSONL span traces (from `repro --trace-out DIR`)\n\
-         and prints per-phase breakdowns, ASCII timelines and round counts;\n\
+         file mode replays JSONL event traces (from `repro --trace-out DIR`)\n\
+         and prints per-phase breakdowns, ASCII timelines and round counts,\n\
+         then re-checks each file against P1-P10;\n\
          --tail prints tail attribution instead: per-phase p99, the worst-k\n\
          flight-recorder transactions and their dominant phases, checked\n\
          against the exporter's slow_txn markers;\n\
@@ -254,7 +262,7 @@ fn tail_check(tf: &TraceFile, report: &ObsReport, dropped: u64, label: &str) -> 
     let mut markers: Vec<(u32, u32)> = tf
         .events
         .iter()
-        .filter(|e| e.kind == SpanKind::SlowTxn)
+        .filter(|e| e.kind == TraceKind::SlowTxn)
         .filter_map(|e| e.txn.map(|t| (e.n, t.0)))
         .collect();
     markers.sort_unstable_by_key(|&(n, _)| n);
@@ -306,6 +314,7 @@ fn explain_file(path: &str, timelines: usize, tail: bool) -> bool {
         server_crashes,
         response_p99,
         response_p999,
+        check: _,
     } = tf.meta.clone();
     println!("== {path}");
     println!(
@@ -314,7 +323,7 @@ fn explain_file(path: &str, timelines: usize, tail: bool) -> bool {
     );
     if dropped > 0 {
         println!(
-            "  WARNING: recorder dropped {dropped} span events past its cap; \
+            "  WARNING: recorder dropped {dropped} events past its cap; \
              the trace is a prefix and every number below is an undercount"
         );
     }
@@ -322,7 +331,8 @@ fn explain_file(path: &str, timelines: usize, tail: bool) -> bool {
     if tail {
         print_tail(&report, response_p99, response_p999);
         let ok = tail_check(&tf, &report, dropped, &protocol);
-        return ok && (dropped > 0 || phase_sum_check(&report, mean_response, &protocol));
+        let ok = ok && (dropped > 0 || phase_sum_check(&report, mean_response, &protocol));
+        return trace_check(&tf, &protocol) && ok;
     }
     print_breakdown(&report, mean_response);
     if server_crashes > 0 {
@@ -346,7 +356,40 @@ fn explain_file(path: &str, timelines: usize, tail: bool) -> bool {
     }
     print_timelines(&report.details, timelines);
     // A truncated trace cannot pass a partition check honestly.
-    dropped > 0 || phase_sum_check(&report, mean_response, &protocol)
+    let ok = dropped > 0 || phase_sum_check(&report, mean_response, &protocol);
+    trace_check(&tf, &protocol) && ok
+}
+
+/// Re-run P1–P10 on the file's events under the checker options its
+/// meta line records. A truncated trace is a prefix and a span-only
+/// export lacks the events the properties read, so both are skipped.
+fn trace_check(tf: &TraceFile, label: &str) -> bool {
+    let Some(opts) = tf.meta.check else {
+        println!("trace-check: SKIP ({label}: span-only export, no checker options)");
+        return true;
+    };
+    if tf.meta.dropped > 0 {
+        println!(
+            "trace-check: SKIP ({label}: trace truncated, {} events dropped)",
+            tf.meta.dropped
+        );
+        return true;
+    }
+    match check_trace_with(&tf.events, opts) {
+        Ok(()) => {
+            let n = tf
+                .events
+                .iter()
+                .filter(|e| e.kind != TraceKind::SlowTxn)
+                .count();
+            println!("trace-check: PASS ({label}: P1-P10 hold over {n} events)");
+            true
+        }
+        Err(e) => {
+            println!("trace-check: FAIL ({label}: {e})");
+            false
+        }
+    }
 }
 
 /// The §3.1 worked example: one hot item, exclusive single-item

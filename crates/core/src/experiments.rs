@@ -31,7 +31,9 @@ use crate::figure::{FigureData, Series, TailPoint, TailSeries};
 use crate::runner::run_grid;
 use g2pl_faults::FaultPlan;
 use g2pl_netmodel::NetworkEnv;
-use g2pl_protocols::{run, run_scale, EngineConfig, ProtocolKind, ScaleCfg, ShardMix, TraceEvent};
+use g2pl_protocols::{
+    run, run_scale, EngineConfig, ProtocolKind, ScaleCfg, ShardMix, TraceEvent, TraceKind,
+};
 use std::fmt::Write as _;
 
 /// How much compute to spend per experiment.
@@ -268,7 +270,7 @@ pub fn table2() -> String {
 /// 1 unit, idle pinned so that all three first requests are issued
 /// simultaneously, latency 2 units — the paper's example configuration.
 pub fn fig1() -> String {
-    fn trace_of(protocol: ProtocolKind) -> (Vec<TraceEvent>, Vec<u64>, u64) {
+    fn trace_of(protocol: ProtocolKind) -> (std::sync::Arc<[TraceEvent]>, Vec<u64>, u64) {
         let mut cfg = EngineConfig::table1(protocol, 3, 2, 0.0);
         cfg.items = g2pl_protocols::ItemSpace::single(1);
         cfg.profile.min_items = 1;
@@ -287,7 +289,7 @@ pub fn fig1() -> String {
         let trace = m.trace.expect("trace enabled");
         let mut commits: Vec<u64> = trace
             .iter()
-            .filter(|e| e.kind == g2pl_protocols::TraceKind::Committed)
+            .filter(|e| e.kind == TraceKind::Committed)
             .map(|e| e.at.units())
             .take(3)
             .collect();

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 /// Whether [`run_replicated`] self-verifies (on by default).
 static VERIFY: AtomicBool = AtomicBool::new(true);
 
-/// Directory span traces are exported to, when set.
+/// Directory event traces are exported to, when set.
 static TRACE_OUT: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Worker-count override for [`run_grid`] (0 = one per available core).
@@ -115,14 +115,15 @@ fn timed_run(cfg: &EngineConfig) -> RunMetrics {
 }
 
 /// Export replication 0 of every subsequent [`run_replicated`] call as a
-/// JSONL span trace into `dir` (`None` turns exporting back off). The
-/// files are the input of the `trace-explain` analyzer.
+/// JSONL event trace into `dir` (`None` turns exporting back off). The
+/// files are the input of the `trace-explain` analyzer, which replays
+/// their attribution and re-runs P1–P10 on them.
 pub fn set_trace_out(dir: Option<PathBuf>) {
     // lint:allow(L3): a poisoned lock means a runner thread already panicked; propagate it
     *TRACE_OUT.lock().expect("trace-out mutex poisoned") = dir;
 }
 
-/// The configured span-trace export directory, if any.
+/// The configured trace export directory, if any.
 pub fn trace_out() -> Option<PathBuf> {
     // lint:allow(L3): a poisoned lock means a runner thread already panicked; propagate it
     TRACE_OUT.lock().expect("trace-out mutex poisoned").clone()
@@ -132,7 +133,7 @@ pub fn trace_out() -> Option<PathBuf> {
 ///
 /// When on (the default), every [`run_replicated`] call re-runs its first
 /// replication with event tracing and history recording enabled, checks
-/// the trace against protocol properties P1–P7 and the history against
+/// the trace against protocol properties P1–P10 and the history against
 /// conflict-serializability, and panics with diagnostics on any
 /// violation. The verified run's metrics are reused as replication 0, so
 /// the overhead is the recording and the checks, not an extra simulation.
@@ -194,7 +195,7 @@ fn run_verified(cfg: &EngineConfig) -> RunMetrics {
         }
     }
     if let Some(dir) = trace_out() {
-        export_spans(&dir, &vc, &m);
+        export_trace(&dir, &vc, &m);
     }
     m.trace = None;
     m.history = None;
@@ -202,9 +203,13 @@ fn run_verified(cfg: &EngineConfig) -> RunMetrics {
     m
 }
 
-/// Write the run's span events to `DIR/<label>_c<n>_l<L>_pr<p>_s<seed>.jsonl`.
-fn export_spans(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
-    let Some(spans) = &m.spans else { return };
+/// Write the run's event stream to
+/// `DIR/<label>_c<n>_l<L>_pr<p>_s<seed>[_sh<shards>][_f<plan>].jsonl`, the
+/// suffixes naming the shard count of a sharded run and (by hash) the
+/// fault plan of a faulty one, so the cells of one sweep never share a
+/// file.
+fn export_trace(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
+    let Some(events) = &m.trace else { return };
     let meta = g2pl_obs::RunMeta {
         protocol: m.protocol.to_string(),
         clients: cfg.num_clients,
@@ -215,12 +220,13 @@ fn export_spans(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
         aborted: m.aborted_total,
         measured: m.response.count(),
         mean_response: m.response.mean(),
-        dropped: m.phases.spans_dropped,
+        dropped: m.trace_dropped,
         lease_expiries: m.faults.lease_expiries,
         recovery_stall: m.faults.recovery_stall,
         server_crashes: m.faults.server_crashes,
         response_p99: m.response_tail.quantile(0.99).unwrap_or(0),
         response_p999: m.response_tail.quantile(0.999).unwrap_or(0),
+        check: Some(TraceCheckOpts::for_config(cfg)),
     };
     let label: String = m
         .protocol
@@ -228,28 +234,37 @@ fn export_spans(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
         .filter(|c| *c != '-')
         .collect::<String>()
         .to_lowercase();
-    let file = format!(
-        "{label}_c{}_l{}_pr{}_s{}.jsonl",
+    let mut file = format!(
+        "{label}_c{}_l{}_pr{}_s{}",
         cfg.num_clients,
         cfg.latency.nominal(),
         cfg.profile.read_prob,
         cfg.seed
     );
+    if cfg.num_shards() > 1 {
+        file.push_str(&format!("_sh{}", cfg.num_shards()));
+    }
+    if let Some(plan) = cfg.active_faults() {
+        // FNV-1a of the plan's rendering: stable across runs and builds.
+        let hash = format!("{plan:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        file.push_str(&format!("_f{:08x}", hash as u32));
+    }
     // The flight-recorder markers ride at the end of the stream, after
-    // the raw events, so replaying the prefix stays byte-compatible with
-    // pre-tail traces.
-    let mut text = g2pl_obs::write_jsonl(&meta, spans);
+    // the recorded events, so replaying the prefix stays byte-compatible
+    // with pre-tail traces.
+    let mut text = g2pl_obs::write_jsonl(&meta, events);
     for ev in g2pl_obs::flight_markers(&m.flight) {
         text.push_str(&g2pl_obs::event_to_json(&ev));
         text.push('\n');
     }
-    if let Err(e) =
-        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(&file), text))
+    if let Err(e) = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(dir.join(format!("{file}.jsonl")), text))
     {
-        eprintln!(
-            "warning: span trace export to {} failed: {e}",
-            dir.display()
-        );
+        eprintln!("warning: trace export to {} failed: {e}", dir.display());
     }
 }
 
@@ -368,7 +383,7 @@ fn aggregate(runs: Vec<RunMetrics>) -> ReplicatedResult {
 /// count — including 1 (see [`set_grid_workers`]).
 ///
 /// Unless disabled with [`set_verify`], replication 0 of every point
-/// runs with recording on and is checked against properties P1–P7 and
+/// runs with recording on and is checked against properties P1–P10 and
 /// conflict-serializability. Recording is passive — it perturbs no
 /// random draw and no event — so the verified run's metrics stand in
 /// for replication 0 exactly.

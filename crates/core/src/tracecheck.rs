@@ -1,9 +1,14 @@
 //! Temporal validation of recorded event traces.
 //!
-//! The engines can record a [`g2pl_protocols::TraceEvent`] stream
-//! (`trace_events: true`). This module checks protocol-level temporal
-//! properties over such a stream, independently of the engine logic that
-//! produced it — a second pair of eyes on the message choreography:
+//! The engines record their one [`g2pl_protocols::TraceEvent`] stream
+//! when `trace_events` is set, and the JSONL export writes the same
+//! stream, so a run can be checked live or from its file. This module
+//! checks protocol-level temporal properties over such a stream,
+//! independently of the engine logic that produced it — a second pair of
+//! eyes on the message choreography. It skips the kinds that only feed
+//! phase attribution (`RequestArrived`, `HopDeparted`) and the export's
+//! `SlowTxn` markers, and reads `ReleaseArrived` only for the P9
+//! crash-window check:
 //!
 //! * **P1 (causality)** — every grant is preceded by a matching request
 //!   from the same transaction for the same item;
@@ -54,64 +59,10 @@
 //!   records). Like P8/P9, any 2PC event in a no-fault trace is itself
 //!   a violation.
 
-use g2pl_protocols::{EngineConfig, ProtocolKind, TraceEvent, TraceKind};
+pub use g2pl_obs::TraceCheckOpts;
+use g2pl_protocols::{TraceEvent, TraceKind};
 use g2pl_simcore::{ItemId, SimTime, SiteId, TxnId};
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// What the checker may assume about the run that produced a trace.
-///
-/// P6 and P7 are properties of specific g-2PL option sets — a FIFO-ordered
-/// run legitimately produces mutually inconsistent forward lists, and an
-/// `expand_reads` run legitimately extends dispatched lists. Derive the
-/// options from the run's config with [`TraceCheckOpts::for_config`].
-#[derive(Clone, Copy, Debug)]
-pub struct TraceCheckOpts {
-    /// The run used consistent (DAG-respecting) window-close ordering, so
-    /// pairwise forward-list order must agree across items (P6).
-    pub fl_consistent: bool,
-    /// The run used the read-expansion variant, so `FlExtended` events
-    /// are legal (P7 still requires them to target a dispatched list).
-    pub expand_reads: bool,
-    /// The run had an active fault plan: fault/recovery events are legal
-    /// and P8 (fault masking + eventual completion) is enforced. When
-    /// false, any `FaultInjected`/`LeaseExpired`/`Redispatch` event is a
-    /// violation — a reliable network must never take recovery actions.
-    pub faults: bool,
-}
-
-impl Default for TraceCheckOpts {
-    /// The paper's evaluated g-2PL: consistent reordering, no read
-    /// expansion, reliable network. This is what bare [`check_trace`]
-    /// assumes.
-    fn default() -> Self {
-        TraceCheckOpts {
-            fl_consistent: true,
-            expand_reads: false,
-            faults: false,
-        }
-    }
-}
-
-impl TraceCheckOpts {
-    /// The assumptions appropriate for a run of `cfg`.
-    pub fn for_config(cfg: &EngineConfig) -> Self {
-        let faults = cfg.active_faults().is_some();
-        match &cfg.protocol {
-            ProtocolKind::G2pl(o) => TraceCheckOpts {
-                fl_consistent: o.ordering.consistent,
-                expand_reads: o.expand_reads,
-                faults,
-            },
-            // s-2PL / c-2PL emit no forward-list events; strict settings
-            // make any that do appear a violation.
-            ProtocolKind::S2pl | ProtocolKind::C2pl => TraceCheckOpts {
-                fl_consistent: true,
-                expand_reads: false,
-                faults,
-            },
-        }
-    }
-}
 
 /// Validate a trace under the default (paper g-2PL) assumptions; returns
 /// a description of the first violation.
@@ -153,6 +104,9 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
     let mut last_t = SimTime::ZERO;
 
     for e in events {
+        if e.kind == TraceKind::SlowTxn {
+            continue; // an export-time marker, not a transition
+        }
         if e.at < last_t {
             return Err(format!("trace times go backwards at {e}"));
         }
@@ -166,16 +120,16 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
         // decision it records inside the window would have to stem from
         // pre-crash volatile state, which died with it. Events attributed
         // to a *live* shard are legal while another shard is down.
-        // (`Dispatched` is absent from this set: committing clients keep
+        // (`HopDeparted` is absent from this set: committing clients keep
         // forwarding segments client-to-client while a server is down,
-        // and those hops record `Dispatched` for each receiver.)
+        // and those hops are attributed to each receiver.)
         if down_servers.contains(&e.site)
             && matches!(
                 e.kind,
                 TraceKind::WindowClosed
                     | TraceKind::FlOrdered
                     | TraceKind::FlExtended
-                    | TraceKind::ReleasedAtServer
+                    | TraceKind::ReleaseArrived
                     | TraceKind::LeaseExpired
                     | TraceKind::Redispatch
                     | TraceKind::Prepared
@@ -414,7 +368,10 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                     ));
                 }
             }
-            TraceKind::Dispatched | TraceKind::ReleasedAtServer => {}
+            TraceKind::RequestArrived
+            | TraceKind::HopDeparted
+            | TraceKind::ReleaseArrived
+            | TraceKind::SlowTxn => {}
         }
     }
     if opts.faults {
@@ -473,16 +430,15 @@ mod tests {
     use g2pl_simcore::SiteId;
 
     fn ev(at: u64, kind: TraceKind, txn: u32, item: Option<u32>) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::new(at),
-            kind,
-            txn: Some(TxnId::new(txn)),
-            item: item.map(ItemId::new),
-            site: SiteId::SERVER0,
-        }
+        kind.at(
+            SimTime::new(at),
+            Some(TxnId::new(txn)),
+            item.map(ItemId::new),
+            SiteId::SERVER0,
+        )
     }
 
-    fn traced_run(protocol: ProtocolKind) -> Vec<TraceEvent> {
+    fn traced_run(protocol: ProtocolKind) -> std::sync::Arc<[TraceEvent]> {
         let mut cfg = EngineConfig::table1(protocol, 8, 50, 0.4);
         cfg.warmup_txns = 0;
         cfg.measured_txns = 300;
@@ -625,13 +581,12 @@ mod tests {
 
     /// A `WindowClosed` event carrying no txn, only an item.
     fn close(at: u64, item: u32) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::new(at),
-            kind: TraceKind::WindowClosed,
-            txn: None,
-            item: Some(ItemId::new(item)),
-            site: SiteId::SERVER0,
-        }
+        TraceKind::WindowClosed.at(
+            SimTime::new(at),
+            None,
+            Some(ItemId::new(item)),
+            SiteId::SERVER0,
+        )
     }
 
     #[test]
@@ -785,13 +740,7 @@ mod tests {
 
     /// A server-side event carrying neither txn nor item.
     fn srv(at: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::new(at),
-            kind,
-            txn: None,
-            item: None,
-            site: SiteId::SERVER0,
-        }
+        kind.at(SimTime::new(at), None, None, SiteId::SERVER0)
     }
 
     #[test]
@@ -829,7 +778,7 @@ mod tests {
         for kind in [
             TraceKind::WindowClosed,
             TraceKind::FlOrdered,
-            TraceKind::ReleasedAtServer,
+            TraceKind::ReleaseArrived,
             TraceKind::LeaseExpired,
             TraceKind::Redispatch,
         ] {
@@ -883,13 +832,12 @@ mod tests {
 
     /// A 2PC event at a given server site.
     fn shard_ev(at: u64, kind: TraceKind, txn: u32, shard: u32) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::new(at),
-            kind,
-            txn: Some(TxnId::new(txn)),
-            item: None,
-            site: SiteId::server(shard),
-        }
+        kind.at(
+            SimTime::new(at),
+            Some(TxnId::new(txn)),
+            None,
+            SiteId::server(shard),
+        )
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! L5 fixture (driver): emits `TraceKind::Granted` (so that variant is
-//! covered), drives the transaction state machine, and seeds a decision
-//! function (`dispatch`) that records no trace event at all.
+//! L5 fixture (emitter): emits `TraceKind::Granted` through `.emit(..)`,
+//! drives the transaction state machine, and seeds a decision function
+//! (`dispatch`) that emits no event at all.
 
-pub fn grant(obs: &mut Obs, txn: &mut Txn) {
+pub fn grant(k: &mut Kernel, txn: &mut Txn) {
     txn.set_status(TxnStatus::Active);
-    obs.record(TraceKind::Granted); // clean: emission site for Granted
+    k.emit(TraceKind::Granted.at(now, t, i, s)); // clean: emission site for Granted
 }
 
 pub fn dispatch(queue: &mut Queue) {
-    // seeded: protocol decision with no `.record(..)` / `.spans` touch
+    // seeded: protocol decision with no `.emit(..)`
     queue.push_back(1);
 }
 

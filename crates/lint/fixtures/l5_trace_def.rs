@@ -1,6 +1,6 @@
-//! L5 fixture (definitions): the trace vocabulary. `Ghost` is seeded as
-//! a variant no engine ever emits; `Granted` is emitted by the driver
-//! fixture and must stay clean.
+//! L5 fixture (definitions): the event vocabulary. `Ghost` is seeded as
+//! a variant nothing ever emits; `Granted` is emitted through the
+//! kernel's `.emit(..)` by the emitter fixture and must stay clean.
 
 pub enum TraceKind {
     Granted,

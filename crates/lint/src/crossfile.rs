@@ -215,18 +215,18 @@ fn literal_of(arg: &[&Tok]) -> Option<String> {
 
 /// L5 — trace-event completeness.
 ///
-/// The self-verification properties P1–P9 are only as strong as the
-/// trace they read: a `TraceKind`/`SpanKind` variant nobody emits is a
-/// blind spot that type-checks. The pass cross-references every variant
-/// of those enums against *emission sites* — expression-position uses
-/// outside the defining file, excluding match patterns, `matches!`,
-/// `if let`/`while let` bindings, comparisons, and asserts (those are
-/// consumers). It also requires the engines' protocol decision
-/// functions (commit/abort/dispatch/recovery) to emit at least one
-/// trace or span event, so a new decision path cannot silently bypass
-/// observability.
+/// The self-verification properties P1–P10 and the phase attribution
+/// are only as strong as the one event stream they read: a `TraceKind`
+/// variant nobody emits is a blind spot that type-checks. The pass
+/// cross-references every variant of that enum against *emission sites*
+/// — expression-position uses outside the defining file, excluding match
+/// patterns, `matches!`, `if let`/`while let` bindings, comparisons, and
+/// asserts (those are consumers). It also requires the engines' protocol
+/// decision functions (commit/abort/dispatch/recovery) to emit at least
+/// one event through the kernel's `.emit(..)`, so a new decision path
+/// cannot silently bypass observability.
 pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<Diagnostic> {
-    const ENUMS: [&str; 2] = ["TraceKind", "SpanKind"];
+    const EVENT_ENUM: &str = "TraceKind";
     /// Functions that *decide* protocol outcomes; each must emit.
     const DECISION_FNS: [&str; 7] = [
         "commit",
@@ -239,20 +239,20 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
     ];
 
     let mut diags = Vec::new();
-    // enum name -> (defining file, Vec<(variant, line)>)
-    let mut defs: BTreeMap<String, (String, Vec<(String, usize)>)> = BTreeMap::new();
+    // (defining file, Vec<(variant, line)>)
+    let mut def: Option<(String, Vec<(String, usize)>)> = None;
     for (file, _) in files {
         crate::parse::walk_enums(&file.items, &mut |e| {
-            if ENUMS.contains(&e.name.as_str()) && !e.in_test {
-                defs.insert(e.name.clone(), (file.path.clone(), e.variants.clone()));
+            if e.name == EVENT_ENUM && !e.in_test {
+                def = Some((file.path.clone(), e.variants.clone()));
             }
         });
     }
-    if defs.is_empty() {
+    let Some((def_file, variants)) = def else {
         return diags;
-    }
+    };
 
-    let mut emitted: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let mut emitted: BTreeMap<String, usize> = BTreeMap::new();
     for (file, _) in files {
         non_test_fns(file, &mut |func| {
             for fs in flatten(&func.body) {
@@ -276,16 +276,13 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
                 if is_consumer {
                     continue;
                 }
+                if file.path == def_file {
+                    continue; // the defining file names its own variants freely
+                }
                 for i in 0..toks.len() {
                     let t = &toks[i];
-                    if !(t.kind == TokKind::Ident && ENUMS.contains(&t.text.as_str())) {
+                    if !t.is_ident(EVENT_ENUM) {
                         continue;
-                    }
-                    if defs
-                        .get(&t.text)
-                        .is_some_and(|(def_file, _)| def_file == &file.path)
-                    {
-                        continue; // the defining file names its own variants freely
                     }
                     if toks.get(i + 1).map(|x| x.kind) != Some(TokKind::PathSep) {
                         continue;
@@ -304,28 +301,24 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
                     if before_eq || after_eq {
                         continue;
                     }
-                    *emitted
-                        .entry((t.text.clone(), variant.text.clone()))
-                        .or_default() += 1;
+                    *emitted.entry(variant.text.clone()).or_default() += 1;
                 }
             }
         });
     }
 
-    for (enum_name, (def_file, variants)) in &defs {
-        for (variant, line) in variants {
-            if !emitted.contains_key(&(enum_name.clone(), variant.clone())) {
-                diags.push(Diagnostic {
-                    file: def_file.clone(),
-                    line: *line,
-                    lint: Lint::L5,
-                    message: format!(
-                        "`{enum_name}::{variant}` is never emitted by any engine: either \
-                         wire up the emission or retire the variant — an unemitted event \
-                         is a verifier blind spot"
-                    ),
-                });
-            }
+    for (variant, line) in &variants {
+        if !emitted.contains_key(variant) {
+            diags.push(Diagnostic {
+                file: def_file.clone(),
+                line: *line,
+                lint: Lint::L5,
+                message: format!(
+                    "`{EVENT_ENUM}::{variant}` is never emitted by any engine: either \
+                     wire up the emission or retire the variant — an unemitted event \
+                     is a verifier blind spot"
+                ),
+            });
         }
     }
 
@@ -351,27 +344,19 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
             if !DECISION_FNS.contains(&func.name.as_str()) {
                 return;
             }
-            let mut emits = false;
-            for fs in flatten(&func.body) {
-                let toks = fs.tokens;
-                for i in 0..toks.len() {
-                    if toks[i].is_punct('.')
-                        && toks
-                            .get(i + 1)
-                            .is_some_and(|t| t.is_ident("record") || t.is_ident("spans"))
-                    {
-                        emits = true;
-                    }
-                }
-            }
+            let emits = flatten(&func.body).iter().any(|fs| {
+                fs.tokens
+                    .windows(3)
+                    .any(|w| w[0].is_punct('.') && w[1].is_ident("emit") && w[2].is_punct('('))
+            });
             if !emits {
                 diags.push(Diagnostic {
                     file: file.path.clone(),
                     line: func.line,
                     lint: Lint::L5,
                     message: format!(
-                        "protocol decision function `{}` emits no trace or span event: \
-                         record the outcome (or justify why this decision is invisible)",
+                        "protocol decision function `{}` emits no trace event: \
+                         `.emit(..)` the outcome (or justify why this decision is invisible)",
                         func.name
                     ),
                 });
@@ -478,7 +463,7 @@ mod tests {
             ("def.rs", "pub enum TraceKind {\nGranted,\nNeverUsed,\n}"),
             (
                 "eng.rs",
-                "fn f(&self) { self.trace.record(now, TraceKind::Granted, t, i, s); }",
+                "fn f(&mut self) { self.emit(TraceKind::Granted.at(now, t, i, s)); }",
             ),
         ]);
         let l5: Vec<_> = d.iter().filter(|d| d.lint == Lint::L5).collect();
@@ -513,7 +498,7 @@ mod tests {
                 "eng.rs",
                 "impl E {\n\
                  fn commit(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Committed); }\n\
-                 fn dispatch(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Active); self.trace.record(now, TraceKind::Granted, t); }\n\
+                 fn dispatch(&mut self, t: TxnId) { self.table.set_status(t, TxnStatus::Active); self.emit(TraceEvent::new(now, TraceKind::Granted, t)); }\n\
                  }",
             ),
         ]);

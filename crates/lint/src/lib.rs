@@ -27,10 +27,10 @@
 //!   with a unique string-literal label (or a `derive_indexed` literal
 //!   prefix); duplicate labels silently correlate two consumers' draws,
 //!   and non-literal labels make uniqueness uncheckable ([`crossfile`]).
-//! * **L5 — trace-event completeness.** Every `TraceKind`/`SpanKind`
-//!   variant must have at least one engine emission site, and protocol
-//!   decision functions must emit: an unemitted event is a verifier
-//!   blind spot that type-checks ([`crossfile`]).
+//! * **L5 — trace-event completeness.** Every `TraceKind` variant (the
+//!   one event vocabulary) must have at least one emission site, and
+//!   protocol decision functions must `.emit(..)` an event: an unemitted
+//!   event is a verifier blind spot that type-checks ([`crossfile`]).
 //! * **L6 — WAL write-ahead ordering.** Within a function, a commit
 //!   acknowledgement send must not precede the log append that makes it
 //!   durable ([`passes`]).

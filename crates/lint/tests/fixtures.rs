@@ -129,9 +129,10 @@ fn l5_fixture_golden() {
 
 #[test]
 fn l5_flight_fixture_golden() {
-    // The flight-recorder marker shape: `SpanKind::SlowTxn` built in
-    // expression position at export time counts as an emission, while
-    // the seeded `FlightGhost` (only ever consumed) is flagged.
+    // The flight-recorder marker shape: `TraceKind::SlowTxn` built in
+    // expression position at export time, outside any `.emit(..)`,
+    // counts as an emission, while the seeded `FlightGhost` (only ever
+    // consumed) is flagged.
     let def = include_str!("../fixtures/l5_flight_def.rs");
     let drv = include_str!("../fixtures/l5_flight.rs");
     let diags = analyze_sources(&[
@@ -151,7 +152,7 @@ fn l5_flight_fixture_golden() {
     );
     assert!(diags[0]
         .message
-        .contains("`SpanKind::FlightGhost` is never emitted"));
+        .contains("`TraceKind::FlightGhost` is never emitted"));
 }
 
 #[test]

@@ -1,16 +1,16 @@
-//! The span model: typed critical-path events and the phase taxonomy.
+//! The phase taxonomy of a transaction's critical path.
 //!
 //! A transaction's response time is exactly partitioned into the first
 //! five [`Phase`]s by the rule that the interval between two consecutive
-//! span events is attributed to the phase *named by the earlier event*
-//! (see [`crate::tracker::SpanRecorder`]). [`Phase::CommitReturn`] is the
+//! phase-opening events is attributed to the phase *opened by the earlier
+//! event* (see [`crate::tracelog::TraceKind::phase`] and
+//! [`crate::tracker::SpanRecorder`]). [`Phase::CommitReturn`] is the
 //! post-commit tail — the time until the last lock release reaches its
 //! destination — and is *not* part of response time (the client has
 //! already moved on), exactly as the paper's §3.1 "the releasing of the
 //! locks is merged with the returning of the data items" overlap
 //! argument requires.
 
-use g2pl_simcore::{ItemId, SimTime, TxnId};
 use serde::Serialize;
 use std::fmt;
 
@@ -85,132 +85,6 @@ impl fmt::Display for Phase {
     }
 }
 
-/// A critical-path event on a transaction's timeline.
-///
-/// Kinds mark the *start* of the phase they name; the phase charged for
-/// an interval is determined by the interval's opening event:
-///
-/// | opening event    | interval charged to       |
-/// |------------------|---------------------------|
-/// | `ReqSent`        | [`Phase::ReqProp`]        |
-/// | `ReqArrived`     | [`Phase::ServerQueue`]    |
-/// | `Dispatched`     | [`Phase::Migration`]      |
-/// | `HopDeparted`    | [`Phase::DispatchProp`]   |
-/// | `Granted`        | [`Phase::ClientProc`]     |
-/// | `CommitLocal`    | [`Phase::CommitReturn`]   |
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum SpanKind {
-    /// A request left the client.
-    ReqSent,
-    /// The request reached the server (and was queued or windowed).
-    ReqArrived,
-    /// The server decided this transaction's dispatch: its forward-list
-    /// position is fixed (g-2PL window close) or its grant was issued
-    /// (s-2PL/c-2PL).
-    Dispatched,
-    /// A physical hop carrying the item toward this transaction departed
-    /// (server dispatch, or an upstream client's forward).
-    HopDeparted,
-    /// The access was granted at the client.
-    Granted,
-    /// The access was granted locally from the client's own cache with no
-    /// server round (c-2PL only). Counts zero sequential rounds.
-    GrantedLocal,
-    /// The transaction committed at its client. `n` carries the number of
-    /// release arrivals expected before the commit-return tail closes;
-    /// `measured` marks commits inside the measurement window.
-    CommitLocal,
-    /// A release by this (finished) transaction arrived somewhere:
-    /// `server` tells whether the destination was the server (a true
-    /// sequential round) or a client (overlapped with the successor's
-    /// grant hop, hence zero additional rounds).
-    ReleaseArrived,
-    /// A collection window closed at the server (g-2PL). `n` is the
-    /// forward-list length; `txn` is unset.
-    WindowClosed,
-    /// The transaction aborted; its open span state is discarded.
-    Aborted,
-    /// Flight-recorder marker appended at export time: `txn` is one of
-    /// the run's top-k slowest measured committed transactions and `n`
-    /// is its 1-based rank (1 = slowest). Engines never emit this
-    /// mid-run; the tracker ignores it on replay. It exists so tail
-    /// analyzers can locate the worst transactions in a JSONL trace
-    /// without recomputing the top-k.
-    SlowTxn,
-}
-
-impl SpanKind {
-    /// Stable wire name used by the JSONL export.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::ReqSent => "req_sent",
-            SpanKind::ReqArrived => "req_arrived",
-            SpanKind::Dispatched => "dispatched",
-            SpanKind::HopDeparted => "hop_departed",
-            SpanKind::Granted => "granted",
-            SpanKind::GrantedLocal => "granted_local",
-            SpanKind::CommitLocal => "commit_local",
-            SpanKind::ReleaseArrived => "release_arrived",
-            SpanKind::WindowClosed => "window_closed",
-            SpanKind::Aborted => "aborted",
-            SpanKind::SlowTxn => "slow_txn",
-        }
-    }
-
-    /// Inverse of [`SpanKind::name`].
-    pub fn from_name(s: &str) -> Option<SpanKind> {
-        let all = [
-            SpanKind::ReqSent,
-            SpanKind::ReqArrived,
-            SpanKind::Dispatched,
-            SpanKind::HopDeparted,
-            SpanKind::Granted,
-            SpanKind::GrantedLocal,
-            SpanKind::CommitLocal,
-            SpanKind::ReleaseArrived,
-            SpanKind::WindowClosed,
-            SpanKind::Aborted,
-            SpanKind::SlowTxn,
-        ];
-        all.into_iter().find(|k| k.name() == s)
-    }
-}
-
-/// One span event, as recorded by the engines and exported to JSONL.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct SpanEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: SpanKind,
-    /// The transaction involved (unset only for `WindowClosed`).
-    pub txn: Option<TxnId>,
-    /// The item involved, if any.
-    pub item: Option<ItemId>,
-    /// For `ReleaseArrived`: the destination was the server.
-    pub server: bool,
-    /// Kind-specific count: expected releases (`CommitLocal`) or
-    /// forward-list length (`WindowClosed`).
-    pub n: u32,
-    /// For `CommitLocal`: the commit fell inside the measurement window.
-    pub measured: bool,
-}
-
-impl SpanEvent {
-    /// A minimal event; kind-specific fields default to zero/false.
-    pub fn new(at: SimTime, kind: SpanKind, txn: Option<TxnId>, item: Option<ItemId>) -> Self {
-        SpanEvent {
-            at,
-            kind,
-            txn,
-            item,
-            server: false,
-            n: 0,
-            measured: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,25 +95,5 @@ mod tests {
             assert_eq!(p.index(), i);
         }
         assert_eq!(Phase::RESPONSE_PHASES, Phase::ALL.len() - 1);
-    }
-
-    #[test]
-    fn span_kind_names_round_trip() {
-        for k in [
-            SpanKind::ReqSent,
-            SpanKind::ReqArrived,
-            SpanKind::Dispatched,
-            SpanKind::HopDeparted,
-            SpanKind::Granted,
-            SpanKind::GrantedLocal,
-            SpanKind::CommitLocal,
-            SpanKind::ReleaseArrived,
-            SpanKind::WindowClosed,
-            SpanKind::Aborted,
-            SpanKind::SlowTxn,
-        ] {
-            assert_eq!(SpanKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(SpanKind::from_name("bogus"), None);
     }
 }

@@ -1,15 +1,17 @@
-//! Streaming critical-path tracker: turns span events into per-phase
-//! latency attribution and empirical sequential-round counts.
+//! Streaming critical-path tracker: turns the event stream into
+//! per-phase latency attribution and empirical sequential-round counts.
 //!
 //! # Phase attribution
 //!
-//! Per transaction, the tracker keeps the time of the last span event and
-//! a *mark* (the kind of that event). When the next event arrives, the
-//! elapsed interval is charged to the phase named by the mark (see the
-//! table on [`SpanKind`]). Because every interval between consecutive
-//! events is charged to exactly one phase, the five response phases
-//! partition `[first request, commit]` exactly — the per-phase sums add
-//! up to the response time with no residue.
+//! Per transaction, the tracker keeps the time of its last
+//! phase-opening event and a *mark* (that event's kind). When the next
+//! one arrives, the elapsed interval is charged to the phase the mark
+//! opened (see [`TraceKind::phase`]). Because every interval between
+//! consecutive events is charged to exactly one phase, the five response
+//! phases partition `[first request, commit]` exactly — the per-phase
+//! sums add up to the response time with no residue. Zero-length
+//! intervals are never charged, so several events at one instant leave
+//! only the last one's mark.
 //!
 //! # Round accounting
 //!
@@ -22,26 +24,22 @@
 //! * `+1` per request sent (the request hop);
 //! * `+1` per grant delivered over the network (the data/grant hop; a
 //!   c-2PL cache hit is local and counts nothing);
-//! * `+1` per post-commit release that arrives **at the server** (the
+//! * `+1` per post-commit release that arrives **at a server** (the
 //!   s-2PL commit round, or the g-2PL final return). Releases arriving at
 //!   a *client* ride the very hop that is the successor's grant — already
 //!   counted there — so they add nothing, which is precisely the §3.2
 //!   "lock release merged with lock grant" overlap.
 //!
 //! A transaction's rounds are finalized when its expected release
-//! arrivals (declared by `CommitLocal`) have all landed.
+//! arrivals (declared by `Committed`) have all landed.
 
-use crate::span::{Phase, SpanEvent, SpanKind};
-use g2pl_simcore::{ItemId, SimTime, TxnId};
+use crate::span::Phase;
+use crate::tracelog::{TraceEvent, TraceKind, TraceLog};
+use g2pl_simcore::{SimTime, TxnId};
 use g2pl_stats::{Histogram, RunningStats, TailSketch};
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-
-/// Cap on raw recorded span events, so an accidentally enabled recorder
-/// cannot eat the heap. Beyond it events still aggregate — only the raw
-/// log stops growing, and the drop count is reported.
-pub const MAX_RAW_EVENTS: usize = 4_000_000;
 
 /// Flight-recorder capacity: the `FLIGHT_K` worst measured committed
 /// transactions (by response time) are retained with their full phase
@@ -72,8 +70,8 @@ pub struct PhaseBreakdown {
     /// Run-wide count of release arrivals at the server (every s-2PL
     /// commit-release, every g-2PL item return) including warm-up.
     pub server_returns: u64,
-    /// Raw span events dropped after [`MAX_RAW_EVENTS`] (aggregation is
-    /// unaffected; only the exported log is incomplete).
+    /// Events the bounded log dropped past its cap (aggregation is
+    /// unaffected; only the recorded stream is incomplete).
     pub spans_dropped: u64,
 }
 
@@ -131,7 +129,7 @@ impl PhaseBreakdown {
 struct Open {
     start: SimTime,
     last: SimTime,
-    mark: SpanKind,
+    mark: TraceKind,
     acc: [u64; Phase::RESPONSE_PHASES],
     rounds: u32,
     intervals: Vec<(Phase, SimTime, SimTime)>,
@@ -179,8 +177,8 @@ pub struct TxnDetail {
 pub struct ObsReport {
     /// The streaming aggregate.
     pub breakdown: PhaseBreakdown,
-    /// The raw span log, when raw recording was on.
-    pub raw: Option<Vec<SpanEvent>>,
+    /// The recorded event stream, when recording was on.
+    pub raw: Option<Vec<TraceEvent>>,
     /// Per-transaction detail, when detail mode was on.
     pub details: Vec<TxnDetail>,
     /// The flight recorder: up to [`FLIGHT_K`] worst measured committed
@@ -188,14 +186,13 @@ pub struct ObsReport {
     pub flight: Vec<TxnDetail>,
 }
 
-/// The streaming recorder the engines feed. Recording is passive: it
+/// The recorder the engines feed: the bounded log of the event stream
+/// plus its always-on streaming aggregation. Recording is passive: it
 /// perturbs no random draw and no simulation event.
 #[derive(Debug)]
 pub struct SpanRecorder {
-    record_raw: bool,
     detail: bool,
-    raw: Vec<SpanEvent>,
-    dropped: u64,
+    log: TraceLog,
     open: BTreeMap<TxnId, Open>,
     post: BTreeMap<TxnId, Post>,
     agg: PhaseBreakdown,
@@ -203,28 +200,14 @@ pub struct SpanRecorder {
     flight: Vec<TxnDetail>,
 }
 
-/// The phase an interval opened by `mark` belongs to.
-fn phase_of(mark: SpanKind) -> Phase {
-    match mark {
-        SpanKind::ReqSent => Phase::ReqProp,
-        SpanKind::ReqArrived => Phase::ServerQueue,
-        SpanKind::Dispatched => Phase::Migration,
-        SpanKind::HopDeparted => Phase::DispatchProp,
-        // Granted/GrantedLocal open client processing; any other mark is
-        // impossible by construction but maps somewhere harmless.
-        _ => Phase::ClientProc,
-    }
-}
-
 impl SpanRecorder {
-    /// A recorder; `record_raw` keeps the full event log (for JSONL
-    /// export) in addition to the always-on streaming aggregation.
-    pub fn new(record_raw: bool) -> Self {
+    /// A recorder; `record` keeps the event stream in a bounded log (for
+    /// the checker and JSONL export) in addition to the always-on
+    /// streaming aggregation.
+    pub fn new(record: bool) -> Self {
         SpanRecorder {
-            record_raw,
             detail: false,
-            raw: Vec::new(),
-            dropped: 0,
+            log: TraceLog::new(record),
             open: BTreeMap::new(),
             post: BTreeMap::new(),
             agg: PhaseBreakdown::new(),
@@ -239,8 +222,8 @@ impl SpanRecorder {
         self
     }
 
-    /// Rebuild a recorder's state from an exported event stream.
-    pub fn replay(events: &[SpanEvent]) -> Self {
+    /// Rebuild a recorder's state from a recorded or exported stream.
+    pub fn replay(events: &[TraceEvent]) -> Self {
         let mut r = SpanRecorder::new(false).with_detail();
         for ev in events {
             r.apply(ev);
@@ -248,160 +231,54 @@ impl SpanRecorder {
         r
     }
 
-    // ---- engine-facing emitters ----
-
-    /// A request left the client.
-    pub fn req_sent(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(at, SpanKind::ReqSent, Some(txn), Some(item)));
-    }
-
-    /// The request reached the server.
-    pub fn req_arrived(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(
-            at,
-            SpanKind::ReqArrived,
-            Some(txn),
-            Some(item),
-        ));
-    }
-
-    /// The server fixed this transaction's dispatch (grant issued, or
-    /// forward-list position assigned at window close).
-    pub fn dispatched(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(
-            at,
-            SpanKind::Dispatched,
-            Some(txn),
-            Some(item),
-        ));
-    }
-
-    /// A hop physically carrying the item toward `txn` departed.
-    pub fn hop_departed(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(
-            at,
-            SpanKind::HopDeparted,
-            Some(txn),
-            Some(item),
-        ));
-    }
-
-    /// The access was granted at the client (over the network).
-    pub fn granted(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(at, SpanKind::Granted, Some(txn), Some(item)));
-    }
-
-    /// The access was granted locally from the client's cache (c-2PL).
-    pub fn granted_local(&mut self, at: SimTime, txn: TxnId, item: ItemId) {
-        self.push(SpanEvent::new(
-            at,
-            SpanKind::GrantedLocal,
-            Some(txn),
-            Some(item),
-        ));
-    }
-
-    /// The transaction committed; `expected_releases` arrivals close its
-    /// commit-return tail; `measured` marks in-window commits.
-    pub fn commit_local(
-        &mut self,
-        at: SimTime,
-        txn: TxnId,
-        expected_releases: u32,
-        measured: bool,
-    ) {
-        let mut ev = SpanEvent::new(at, SpanKind::CommitLocal, Some(txn), None);
-        ev.n = expected_releases;
-        ev.measured = measured;
-        self.push(ev);
-    }
-
-    /// A release sent by (finished) `txn` arrived; `at_server` tells
-    /// whether the destination was the server.
-    pub fn release_arrived(&mut self, at: SimTime, txn: TxnId, at_server: bool) {
-        let mut ev = SpanEvent::new(at, SpanKind::ReleaseArrived, Some(txn), None);
-        ev.server = at_server;
-        self.push(ev);
-    }
-
-    /// A collection window closed, producing a forward list of `len`.
-    pub fn window_closed(&mut self, at: SimTime, item: ItemId, len: usize) {
-        let mut ev = SpanEvent::new(at, SpanKind::WindowClosed, None, Some(item));
-        ev.n = len as u32;
-        self.push(ev);
-    }
-
-    /// The transaction aborted: its open span state is discarded.
-    pub fn aborted(&mut self, at: SimTime, txn: TxnId) {
-        self.push(SpanEvent::new(at, SpanKind::Aborted, Some(txn), None));
-    }
-
-    // ---- state machine ----
-
-    fn push(&mut self, ev: SpanEvent) {
-        if self.record_raw {
-            if self.raw.len() < MAX_RAW_EVENTS {
-                self.raw.push(ev);
-            } else {
-                self.dropped += 1;
-            }
-        }
+    /// Record one event: aggregate it and append it to the log.
+    pub fn record(&mut self, ev: TraceEvent) {
         self.apply(&ev);
+        self.log.push(ev);
     }
 
     /// Advance the tracker by one event (also the replay entry point).
-    pub fn apply(&mut self, ev: &SpanEvent) {
+    pub fn apply(&mut self, ev: &TraceEvent) {
         match ev.kind {
-            SpanKind::ReqSent => {
+            // A transaction opens with its first request — or, when every
+            // access so far hit the cache, with a local grant.
+            TraceKind::RequestSent | TraceKind::CacheHit => {
                 let Some(txn) = ev.txn else { return };
                 let open = self.open.entry(txn).or_insert_with(|| Open {
                     start: ev.at,
                     last: ev.at,
-                    mark: SpanKind::ReqSent,
+                    mark: ev.kind,
                     acc: [0; Phase::RESPONSE_PHASES],
                     rounds: 0,
                     intervals: Vec::new(),
                 });
                 Self::charge(open, ev.at, self.detail);
-                open.mark = SpanKind::ReqSent;
-                open.rounds += 1;
+                open.mark = ev.kind;
+                if ev.kind == TraceKind::RequestSent {
+                    open.rounds += 1; // the request hop
+                } // a local grant never touches the network
             }
-            SpanKind::ReqArrived
-            | SpanKind::Dispatched
-            | SpanKind::HopDeparted
-            | SpanKind::Granted => {
+            TraceKind::RequestArrived
+            | TraceKind::FlOrdered
+            | TraceKind::FlExtended
+            | TraceKind::HopDeparted
+            | TraceKind::Granted => {
                 let Some(txn) = ev.txn else { return };
                 let Some(open) = self.open.get_mut(&txn) else {
                     return; // e.g. pass-through traffic of an aborted txn
                 };
                 Self::charge(open, ev.at, self.detail);
                 open.mark = ev.kind;
-                if ev.kind == SpanKind::Granted {
+                if ev.kind == TraceKind::Granted {
                     open.rounds += 1; // the delivering hop
                 }
             }
-            SpanKind::GrantedLocal => {
-                let Some(txn) = ev.txn else { return };
-                // A local grant may be the first event of a transaction
-                // whose every access so far hit the cache.
-                let open = self.open.entry(txn).or_insert_with(|| Open {
-                    start: ev.at,
-                    last: ev.at,
-                    mark: SpanKind::GrantedLocal,
-                    acc: [0; Phase::RESPONSE_PHASES],
-                    rounds: 0,
-                    intervals: Vec::new(),
-                });
-                Self::charge(open, ev.at, self.detail);
-                open.mark = SpanKind::GrantedLocal;
-                // No round: the grant never touched the network.
-            }
-            SpanKind::CommitLocal => {
+            TraceKind::Committed => {
                 let Some(txn) = ev.txn else { return };
                 let mut open = self.open.remove(&txn).unwrap_or(Open {
                     start: ev.at,
                     last: ev.at,
-                    mark: SpanKind::Granted,
+                    mark: TraceKind::Granted,
                     acc: [0; Phase::RESPONSE_PHASES],
                     rounds: 0,
                     intervals: Vec::new(),
@@ -430,15 +307,16 @@ impl SpanRecorder {
                     self.post.insert(txn, post);
                 }
             }
-            SpanKind::ReleaseArrived => {
-                if ev.server {
+            TraceKind::ReleaseArrived => {
+                let at_server = ev.site.is_server();
+                if at_server {
                     self.agg.server_returns += 1;
                 }
                 let Some(txn) = ev.txn else { return };
                 let Some(post) = self.post.get_mut(&txn) else {
                     return; // release of an aborted or unseen transaction
                 };
-                if ev.server {
+                if at_server {
                     post.rounds += 1; // a true sequential round home
                 }
                 post.last = ev.at;
@@ -449,13 +327,26 @@ impl SpanRecorder {
                     }
                 }
             }
-            SpanKind::WindowClosed => {} // raw-log only
-            SpanKind::SlowTxn => {}      // export-time marker, carries no tracker state
-            SpanKind::Aborted => {
+            TraceKind::Aborted => {
                 let Some(txn) = ev.txn else { return };
                 self.open.remove(&txn);
                 self.post.remove(&txn);
             }
+            // Off the critical path: the checker's possession,
+            // forward-list, fault, recovery and 2PC events, and the
+            // export-time flight markers.
+            TraceKind::WindowClosed
+            | TraceKind::DataArrived
+            | TraceKind::Forwarded
+            | TraceKind::FaultInjected
+            | TraceKind::LeaseExpired
+            | TraceKind::Redispatch
+            | TraceKind::ServerCrashed
+            | TraceKind::ServerRecovered
+            | TraceKind::Reregister
+            | TraceKind::Prepared
+            | TraceKind::CommitApplied
+            | TraceKind::SlowTxn => {}
         }
     }
 
@@ -464,7 +355,8 @@ impl SpanRecorder {
     fn charge(open: &mut Open, at: SimTime, detail: bool) {
         let d = at.units().saturating_sub(open.last.units());
         if d > 0 {
-            let p = phase_of(open.mark);
+            // Only phase-opening kinds ever become marks.
+            let p = open.mark.phase().unwrap_or(Phase::ClientProc);
             open.acc[p.index()] += d;
             if detail {
                 open.intervals.push((p, open.last, at));
@@ -532,9 +424,9 @@ impl SpanRecorder {
         self.flight.truncate(FLIGHT_K);
     }
 
-    /// Raw events dropped past [`MAX_RAW_EVENTS`].
+    /// Events the log dropped past its cap.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Close the recorder: flush commits whose releases were still in
@@ -546,10 +438,10 @@ impl SpanRecorder {
                 self.finalize(txn, post);
             }
         }
-        self.agg.spans_dropped = self.dropped;
+        self.agg.spans_dropped = self.log.dropped();
         ObsReport {
             breakdown: self.agg,
-            raw: self.record_raw.then_some(self.raw),
+            raw: self.log.enabled().then(|| self.log.into_events()),
             details: self.details,
             flight: self.flight,
         }
@@ -559,24 +451,49 @@ impl SpanRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use g2pl_simcore::{ClientId, ItemId, SiteId};
 
     fn t(u: u64) -> SimTime {
         SimTime::new(u)
     }
     const T0: TxnId = TxnId::new(0);
     const X0: ItemId = ItemId::new(0);
+    const C0: SiteId = SiteId::Client(ClientId::new(0));
+
+    /// Feed `kind` for `txn` on item `X0`, at the site an engine records
+    /// it at (the server for arrivals and dispatch decisions, the client
+    /// otherwise).
+    fn on(r: &mut SpanRecorder, at: SimTime, kind: TraceKind, txn: TxnId) {
+        let site = match kind {
+            TraceKind::RequestArrived | TraceKind::FlOrdered => SiteId::SERVER0,
+            _ => C0,
+        };
+        r.record(kind.at(at, Some(txn), Some(X0), site));
+    }
+
+    fn commit(r: &mut SpanRecorder, at: SimTime, txn: TxnId, releases: u32, measured: bool) {
+        r.record(TraceEvent {
+            n: releases,
+            measured,
+            ..TraceKind::Committed.at(at, Some(txn), None, C0)
+        });
+    }
+
+    fn release(r: &mut SpanRecorder, at: SimTime, txn: TxnId, at_server: bool) {
+        let site = if at_server { SiteId::SERVER0 } else { C0 };
+        r.record(TraceKind::ReleaseArrived.at(at, Some(txn), None, site));
+    }
 
     /// An s-2PL-like single-item transaction: request at 0, server at
     /// 100, grant issued at once, granted at 200, commit at 202, release
     /// home at 302.
     fn s2pl_like(r: &mut SpanRecorder, measured: bool) {
-        r.req_sent(t(0), T0, X0);
-        r.req_arrived(t(100), T0, X0);
-        r.dispatched(t(100), T0, X0);
-        r.hop_departed(t(100), T0, X0);
-        r.granted(t(200), T0, X0);
-        r.commit_local(t(202), T0, 1, measured);
-        r.release_arrived(t(302), T0, true);
+        on(r, t(0), TraceKind::RequestSent, T0);
+        on(r, t(100), TraceKind::RequestArrived, T0);
+        on(r, t(100), TraceKind::HopDeparted, T0);
+        on(r, t(200), TraceKind::Granted, T0);
+        commit(r, t(202), T0, 1, measured);
+        release(r, t(302), T0, true);
     }
 
     #[test]
@@ -615,13 +532,13 @@ mod tests {
         // A g-2PL mid-list transaction: its release rides the successor's
         // grant hop, so it stays at 2 rounds.
         let mut r = SpanRecorder::new(false);
-        r.req_sent(t(0), T0, X0);
-        r.req_arrived(t(100), T0, X0);
-        r.dispatched(t(150), T0, X0); // window close
-        r.hop_departed(t(180), T0, X0); // predecessor forwards
-        r.granted(t(280), T0, X0);
-        r.commit_local(t(282), T0, 1, true);
-        r.release_arrived(t(382), T0, false); // arrives at the next client
+        on(&mut r, t(0), TraceKind::RequestSent, T0);
+        on(&mut r, t(100), TraceKind::RequestArrived, T0);
+        on(&mut r, t(150), TraceKind::FlOrdered, T0); // window close
+        on(&mut r, t(180), TraceKind::HopDeparted, T0); // predecessor forwards
+        on(&mut r, t(280), TraceKind::Granted, T0);
+        commit(&mut r, t(282), T0, 1, true);
+        release(&mut r, t(382), T0, false); // arrives at the next client
         let b = r.finish().breakdown;
         assert_eq!(b.rounds_total, 2);
         assert_eq!(b.phase(Phase::ServerQueue).mean(), 50.0);
@@ -645,12 +562,12 @@ mod tests {
     #[test]
     fn aborted_txn_leaves_no_trace_in_aggregates() {
         let mut r = SpanRecorder::new(false);
-        r.req_sent(t(0), T0, X0);
-        r.req_arrived(t(100), T0, X0);
-        r.aborted(t(150), T0);
+        on(&mut r, t(0), TraceKind::RequestSent, T0);
+        on(&mut r, t(100), TraceKind::RequestArrived, T0);
+        on(&mut r, t(150), TraceKind::Aborted, T0);
         // Pass-through traffic after the abort must be ignored.
-        r.granted(t(200), T0, X0);
-        r.release_arrived(t(300), T0, true);
+        on(&mut r, t(200), TraceKind::Granted, T0);
+        release(&mut r, t(300), T0, true);
         let b = r.finish().breakdown;
         assert_eq!(b.measured_commits, 0);
         assert_eq!(b.rounds_total, 0);
@@ -669,10 +586,10 @@ mod tests {
     #[test]
     fn local_grants_count_zero_rounds() {
         let mut r = SpanRecorder::new(false);
-        r.granted_local(t(0), T0, X0);
-        r.granted_local(t(2), T0, X0);
-        r.commit_local(t(4), T0, 1, true);
-        r.release_arrived(t(104), T0, true);
+        on(&mut r, t(0), TraceKind::CacheHit, T0);
+        on(&mut r, t(2), TraceKind::CacheHit, T0);
+        commit(&mut r, t(4), T0, 1, true);
+        release(&mut r, t(104), T0, true);
         let b = r.finish().breakdown;
         assert_eq!(b.rounds_total, 1, "only the commit-release round");
         assert_eq!(b.phase(Phase::ClientProc).mean(), 4.0);
@@ -682,12 +599,12 @@ mod tests {
     #[test]
     fn in_flight_releases_flush_at_finish() {
         let mut r = SpanRecorder::new(false);
-        r.req_sent(t(0), T0, X0);
-        r.req_arrived(t(100), T0, X0);
-        r.dispatched(t(100), T0, X0);
-        r.hop_departed(t(100), T0, X0);
-        r.granted(t(200), T0, X0);
-        r.commit_local(t(202), T0, 1, true);
+        on(&mut r, t(0), TraceKind::RequestSent, T0);
+        on(&mut r, t(100), TraceKind::RequestArrived, T0);
+        on(&mut r, t(100), TraceKind::FlOrdered, T0);
+        on(&mut r, t(100), TraceKind::HopDeparted, T0);
+        on(&mut r, t(200), TraceKind::Granted, T0);
+        commit(&mut r, t(202), T0, 1, true);
         // The release never arrives: the run ended. finish() still
         // reports the commit's rounds (2, without the return).
         let b = r.finish().breakdown;
@@ -699,12 +616,12 @@ mod tests {
     /// grant arriving `slow` ticks later (response = slow + 2).
     fn commit_with_response(r: &mut SpanRecorder, id: u32, base: u64, slow: u64, measured: bool) {
         let txn = TxnId::new(id);
-        r.req_sent(t(base), txn, X0);
-        r.req_arrived(t(base + 1), txn, X0);
-        r.dispatched(t(base + 1), txn, X0);
-        r.hop_departed(t(base + 1), txn, X0);
-        r.granted(t(base + 1 + slow), txn, X0);
-        r.commit_local(t(base + 2 + slow), txn, 0, measured);
+        on(r, t(base), TraceKind::RequestSent, txn);
+        on(r, t(base + 1), TraceKind::RequestArrived, txn);
+        on(r, t(base + 1), TraceKind::FlOrdered, txn);
+        on(r, t(base + 1), TraceKind::HopDeparted, txn);
+        on(r, t(base + 1 + slow), TraceKind::Granted, txn);
+        commit(r, t(base + 2 + slow), txn, 0, measured);
     }
 
     #[test]
@@ -736,8 +653,8 @@ mod tests {
     fn flight_recorder_ignores_warmup_and_aborts() {
         let mut r = SpanRecorder::new(false);
         commit_with_response(&mut r, 0, 0, 100_000, false); // warm-up, huge
-        r.req_sent(t(500_000), TxnId::new(1), X0);
-        r.aborted(t(900_000), TxnId::new(1));
+        on(&mut r, t(500_000), TraceKind::RequestSent, TxnId::new(1));
+        on(&mut r, t(900_000), TraceKind::Aborted, TxnId::new(1));
         commit_with_response(&mut r, 2, 1_000_000, 5, true);
         let rep = r.finish();
         assert_eq!(rep.flight.len(), 1);
@@ -770,13 +687,21 @@ mod tests {
 
     #[test]
     fn raw_log_caps_and_counts_drops() {
+        use crate::tracelog::MAX_EVENTS;
         let mut r = SpanRecorder::new(true);
-        for i in 0..(MAX_RAW_EVENTS + 7) {
-            r.req_sent(t(i as u64), TxnId::new(i as u32), X0);
+        // An off-critical-path kind: the log fills without the tracker
+        // opening millions of transactions.
+        for i in 0..(MAX_EVENTS + 7) {
+            on(
+                &mut r,
+                t(i as u64),
+                TraceKind::DataArrived,
+                TxnId::new(i as u32),
+            );
         }
         assert_eq!(r.dropped(), 7);
         let rep = r.finish();
-        assert_eq!(rep.raw.map(|v| v.len()), Some(MAX_RAW_EVENTS));
+        assert_eq!(rep.raw.map(|v| v.len()), Some(MAX_EVENTS));
         assert_eq!(rep.breakdown.spans_dropped, 7);
     }
 

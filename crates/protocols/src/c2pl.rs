@@ -30,8 +30,8 @@ use crate::config::EngineConfig;
 use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
 use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
 use crate::s2pl::{S2pl, ServerLocking};
-use crate::tracelog::TraceKind;
 use g2pl_lockmgr::{LockMode, LockTable};
+use g2pl_obs::TraceKind;
 use g2pl_simcore::{ClientId, ItemId, SimTime, TxnId, Version};
 use g2pl_wal::ServerImage;
 use g2pl_workload::AccessMode;
@@ -334,15 +334,8 @@ impl Protocol for C2pl {
         active.versions.push(version);
         active.granted += 1;
         active.phase = ClientPhase::Thinking;
-        k.trace.record(
-            now,
-            TraceKind::CacheHit,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        k.spans.granted_local(now, txn, item);
         let think = k.cfg.profile.draw_think(&mut c.time_rng);
+        k.emit(TraceKind::CacheHit.at(now, Some(txn), Some(item), client));
         k.cal.schedule_in(
             think,
             Ev::Timer {
@@ -373,9 +366,8 @@ impl Protocol for C2pl {
             k.p.caches[client.index()][item.index()] = Some(cached);
         }
         let slices = k.commit_slices(&active);
-        k.record_commit(now, &active, slices.len() as u32);
-        k.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        let committed = k.record_commit(now, client, &active, slices.len() as u32);
+        k.emit(committed);
         k.log_commit(client, txn, &slices);
         k.send_commit_slices(client, txn, slices);
         // Pins release and deferred callbacks answer at transaction end
@@ -401,14 +393,12 @@ impl Protocol for C2pl {
         }
         k.table.set_status(txn, TxnStatus::Aborted);
         k.end_aborted_txn(now, client, txn);
-        k.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        k.spans.aborted(now, txn);
+        k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.answer_deferred_callbacks(client);
         k.schedule_next_txn(client);
     }
 
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    // lint:allow(L5): the abort is emitted when it lands — the client emits TraceKind::Aborted on the notice; a server-side event here would double-count it for the P-properties
     fn abort_victim(k: &mut Kernel<Self>, now: SimTime, victim: TxnId) {
         debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
         k.table.set_status(victim, TxnStatus::Aborting);

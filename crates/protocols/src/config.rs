@@ -3,6 +3,7 @@
 use g2pl_faults::FaultPlan;
 use g2pl_fwdlist::OrderingRule;
 use g2pl_lockmgr::VictimPolicy;
+use g2pl_obs::TraceCheckOpts;
 use g2pl_workload::{Trace, TxnProfile};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -175,8 +176,8 @@ pub struct EngineConfig {
     /// Record per-commit read/write versions for offline serializability
     /// checking.
     pub record_history: bool,
-    /// Record a fine-grained event trace (Fig 1 style timelines). Only
-    /// sensible for tiny runs.
+    /// Record the run's event stream (the trace the checker validates
+    /// and the JSONL export writes; bounded, see `g2pl_obs::MAX_EVENTS`).
     pub trace_events: bool,
     /// How quickly a deadlock abort takes effect in g-2PL (see
     /// [`AbortEffect`]). s-2PL aborts are always instantaneous because
@@ -390,6 +391,26 @@ impl EngineConfig {
             }
         }
         Ok(())
+    }
+}
+
+/// What the trace checker may assume about a run of the config.
+impl From<&EngineConfig> for TraceCheckOpts {
+    fn from(cfg: &EngineConfig) -> Self {
+        let faults = cfg.active_faults().is_some();
+        match &cfg.protocol {
+            ProtocolKind::G2pl(o) => TraceCheckOpts {
+                fl_consistent: o.ordering.consistent,
+                expand_reads: o.expand_reads,
+                faults,
+            },
+            // s-2PL / c-2PL emit no forward-list events; strict settings
+            // make any that do appear a violation.
+            ProtocolKind::S2pl | ProtocolKind::C2pl => TraceCheckOpts {
+                faults,
+                ..TraceCheckOpts::default()
+            },
+        }
     }
 }
 
@@ -644,7 +665,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Record the fine-grained event trace.
+    /// Record the run's event stream.
     #[must_use]
     pub fn trace_events(mut self, on: bool) -> Self {
         self.cfg.trace_events = on;

@@ -52,10 +52,10 @@ use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
 use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
 use crate::runtime::{ClientPhase, Ev, HoldReport, Message, TimerKind, TxnStatus};
-use crate::tracelog::TraceKind;
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
 use g2pl_lockmgr::LockMode;
+use g2pl_obs::{TraceEvent, TraceKind};
 use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerRecord};
 use std::collections::BTreeMap;
@@ -302,18 +302,12 @@ impl Protocol for G2pl {
                         }
                     }
                 }
-                k.trace.record(
-                    now,
-                    TraceKind::DataArrived,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
+                k.emit(TraceKind::DataArrived.at(now, Some(txn), Some(item), client));
                 if let Some(ft) = from_txn {
                     // The forwarder's release rode this hop (§3.2 merge):
                     // it reaches a client, not the server, so it costs the
                     // releasing transaction no extra sequential round.
-                    k.spans.release_arrived(now, ft, false);
+                    k.emit(TraceKind::ReleaseArrived.at(now, Some(ft), Some(item), client));
                 }
                 let hold = k.hold_or_insert(item, txn, &fl, pos, epoch);
                 hold.data_arrived = true;
@@ -342,7 +336,12 @@ impl Protocol for G2pl {
                         }
                     }
                 }
-                k.spans.release_arrived(now, fl.entry(from_pos).txn, false);
+                k.emit(TraceKind::ReleaseArrived.at(
+                    now,
+                    Some(fl.entry(from_pos).txn),
+                    Some(item),
+                    client,
+                ));
                 let mr1w = k.p.opts.mr1w;
                 let hold = k.hold_or_insert(item, txn, &fl, w, epoch);
                 hold.releases_from.push(from_pos);
@@ -430,16 +429,14 @@ impl Protocol for G2pl {
                     debug_assert!(k.faults_on, "stale return on a reliable network");
                     return;
                 }
-                k.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
                 // The final holder's release reaches the server: its one
                 // extra sequential round (the "+1" of `2m + 1`).
-                k.spans.release_arrived(now, txn, true);
+                k.emit(TraceKind::ReleaseArrived.at(
+                    now,
+                    Some(txn),
+                    Some(item),
+                    SiteId::server(shard as u32),
+                ));
                 k.come_home(now, shard, item, version);
             }
             Message::GReaderRelease {
@@ -462,16 +459,14 @@ impl Protocol for G2pl {
                     debug_assert!(k.faults_on, "stale release on a reliable network");
                     return;
                 }
-                k.trace.record(
-                    now,
-                    TraceKind::ReleasedAtServer,
-                    None,
-                    Some(item),
-                    SiteId::server(shard as u32),
-                );
                 // A tail-group reader's release travels to the server: a
                 // full sequential round for that reader.
-                k.spans.release_arrived(now, fl.entry(from_pos).txn, true);
+                k.emit(TraceKind::ReleaseArrived.at(
+                    now,
+                    Some(fl.entry(from_pos).txn),
+                    Some(item),
+                    SiteId::server(shard as u32),
+                ));
                 // lint:allow(L3): a reader release implies the item is still out
                 let out = k.p.items[item.index()].out.as_mut().expect("item is out");
                 out.final_released.push(from_pos);
@@ -534,9 +529,8 @@ impl Protocol for G2pl {
         k.table.set_status(txn, TxnStatus::Committed);
         // Every hold forwards exactly once, so exactly one release arrival
         // (client- or server-bound) is expected per accessed item.
-        k.record_commit(now, &active, active.spec.len() as u32);
-        k.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        let committed = k.record_commit(now, client, &active, active.spec.len() as u32);
+        k.emit(committed);
         if let Some(wal) = &mut k.wal {
             let log = &mut wal[client.index()];
             for (&(item, mode), &observed) in active.spec.accesses.iter().zip(&active.versions) {
@@ -592,9 +586,7 @@ impl Protocol for G2pl {
             TxnStatus::Active | TxnStatus::Aborting => {}
         }
         k.table.set_status(txn, TxnStatus::Aborted);
-        k.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        k.spans.aborted(now, txn);
+        k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         let Some(active) = k.end_aborted_txn(now, client, txn) else {
             return;
         };
@@ -606,7 +598,7 @@ impl Protocol for G2pl {
         }
     }
 
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    // lint:allow(L5): the abort is emitted when it lands — the client emits TraceKind::Aborted on the notice; a server-side event here would double-count it for the P-properties
     fn abort_victim(k: &mut Kernel<Self>, _now: SimTime, victim: TxnId) {
         debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
         k.table.set_status(victim, TxnStatus::Aborting);
@@ -1029,13 +1021,7 @@ impl Kernel<G2pl> {
         if let Some(v) = self.p.entries_of.get_mut(txn.index()) {
             v.retain(|&i| i != item);
         }
-        self.trace.record(
-            now,
-            TraceKind::Forwarded,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
+        self.emit(TraceKind::Forwarded.at(now, Some(txn), Some(item), client));
 
         if mode.is_shared() {
             // Readers release to the writer after their group, or to the
@@ -1050,7 +1036,13 @@ impl Kernel<G2pl> {
                     let bytes = if self.p.opts.mr1w {
                         CTRL_BYTES
                     } else {
-                        self.spans.hop_departed(now, fl.entry(w).txn, item);
+                        let to = fl.entry(w);
+                        self.emit(TraceKind::HopDeparted.at(
+                            now,
+                            Some(to.txn),
+                            Some(item),
+                            to.client,
+                        ));
                         CTRL_BYTES + self.cfg.item_size_bytes
                     };
                     (SiteId::Client(fl.entry(w).client), Some(w), bytes)
@@ -1186,14 +1178,7 @@ impl Kernel<G2pl> {
         };
         for pos in seg.range().chain(extra_writer) {
             let to = fl.entry(pos).client;
-            self.trace.record(
-                now,
-                TraceKind::Dispatched,
-                Some(fl.entry(pos).txn),
-                Some(item),
-                to.into(),
-            );
-            self.spans.hop_departed(now, fl.entry(pos).txn, item);
+            self.emit(TraceKind::HopDeparted.at(now, Some(fl.entry(pos).txn), Some(item), to));
             let msg = Message::GData {
                 item,
                 version,
@@ -1247,15 +1232,8 @@ impl Kernel<G2pl> {
         active.phase = ClientPhase::Thinking;
         let wait = now.since(active.request_sent_at);
         self.collector.on_access_wait(wait);
-        self.trace.record(
-            now,
-            TraceKind::Granted,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.granted(now, txn, item);
         let think = self.cfg.profile.draw_think(&mut c.time_rng);
+        self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
         self.cal.schedule_in(
             think,
             Ev::Timer {
@@ -1275,7 +1253,12 @@ impl Kernel<G2pl> {
         item: ItemId,
         mode: LockMode,
     ) {
-        self.spans.req_arrived(now, txn, item);
+        self.emit(TraceKind::RequestArrived.at(
+            now,
+            Some(txn),
+            Some(item),
+            self.cfg.shard_site(item),
+        ));
         let entry = FlEntry::new(txn, client, mode);
         let req = PendingReq {
             entry,
@@ -1307,13 +1290,6 @@ impl Kernel<G2pl> {
                 let fl = Rc::make_mut(&mut out.fl);
                 let pos = fl.len();
                 fl.push(entry);
-                self.trace.record(
-                    now,
-                    TraceKind::FlExtended,
-                    Some(txn),
-                    Some(item),
-                    self.cfg.shard_site(item),
-                );
                 out.completed.push(false);
                 out.final_releases_left += 1;
                 out.last_progress = now;
@@ -1323,18 +1299,12 @@ impl Kernel<G2pl> {
                 let epoch = st.epoch;
                 let data_bytes =
                     CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
-                self.trace.record(
-                    now,
-                    TraceKind::Dispatched,
-                    Some(txn),
-                    Some(item),
-                    client.into(),
-                );
-                self.spans.dispatched(now, txn, item);
-                self.spans.hop_departed(now, txn, item);
+                let home = self.cfg.shard_site(item);
+                self.emit(TraceKind::FlExtended.at(now, Some(txn), Some(item), home));
+                self.emit(TraceKind::HopDeparted.at(now, Some(txn), Some(item), client));
                 self.net.send(
                     &mut self.cal,
-                    self.cfg.shard_site(item),
+                    home,
                     client.into(),
                     "g2pl.data",
                     data_bytes,
@@ -1399,7 +1369,7 @@ impl Kernel<G2pl> {
 
     /// Close the (possibly empty) window of a just-returned item, or
     /// defer the close when `dispatch_delay` is configured.
-    // lint:allow(L5): the close's only observable outcome is a dispatch, which records TraceKind::Dispatched itself; an empty or deferred close is a no-op by design
+    // lint:allow(L5): the close's only observable outcome is a dispatch, which emits TraceKind::WindowClosed itself; an empty or deferred close is a no-op by design
     fn close_window(&mut self, now: SimTime, item: ItemId) {
         let st = &mut self.p.items[item.index()];
         debug_assert!(st.out.is_none());
@@ -1468,13 +1438,7 @@ impl Kernel<G2pl> {
             .iter()
             .position(|&done| !done)
             .map(|p| out.fl.entry(p).txn);
-        self.trace.record(
-            now,
-            TraceKind::LeaseExpired,
-            victim,
-            Some(item),
-            self.cfg.shard_site(item),
-        );
+        self.emit(TraceKind::LeaseExpired.at(now, victim, Some(item), self.cfg.shard_site(item)));
         match victim.map(|t| (t, self.table.status(t))) {
             Some((t, TxnStatus::Active)) => G2pl::abort_victim(self, now, t),
             Some((t, TxnStatus::Aborting)) => {
@@ -1515,13 +1479,7 @@ impl Kernel<G2pl> {
         self.p.items[item.index()].version = out.base_version + committed_writes;
 
         self.fsum.redispatches += 1;
-        self.trace.record(
-            now,
-            TraceKind::Redispatch,
-            victim,
-            Some(item),
-            self.cfg.shard_site(item),
-        );
+        self.emit(TraceKind::Redispatch.at(now, victim, Some(item), self.cfg.shard_site(item)));
         if survivors.is_empty() {
             // No live suffix: the item simply comes home.
             let version = self.p.items[item.index()].version;
@@ -1550,26 +1508,16 @@ impl Kernel<G2pl> {
         debug_assert!(!fl.is_empty());
         self.p.window_closes += 1;
         self.p.max_fl_len = self.p.max_fl_len.max(fl.len());
-        self.trace.record(
-            now,
-            TraceKind::WindowClosed,
-            None,
-            Some(item),
-            self.cfg.shard_site(item),
-        );
-        self.spans.window_closed(now, item, fl.len());
+        let home = self.cfg.shard_site(item);
+        self.emit(TraceEvent {
+            n: fl.len() as u32,
+            ..TraceKind::WindowClosed.at(now, None, Some(item), home)
+        });
+        // Every list member leaves the server queue at window close;
+        // entries past the first segment then sit in Migration until
+        // their hop departs from the preceding holder.
         for e in fl.entries() {
-            self.trace.record(
-                now,
-                TraceKind::FlOrdered,
-                Some(e.txn),
-                Some(item),
-                self.cfg.shard_site(item),
-            );
-            // Every list member leaves the server queue at window close;
-            // entries past the first segment then sit in Migration until
-            // their hop departs from the preceding holder.
-            self.spans.dispatched(now, e.txn, item);
+            self.emit(TraceKind::FlOrdered.at(now, Some(e.txn), Some(item), home));
         }
 
         let final_releases = match fl.segments().last() {

@@ -6,8 +6,10 @@
 //! (g-2PL). Everything around that is one component, [`Kernel`]:
 //!
 //! * the simulation state and its one constructor (calendar, network,
-//!   server CPUs, clients, transaction table, metrics, trace, spans, WALs,
-//!   fault flags, lease and retry periods);
+//!   server CPUs, clients, transaction table, metrics, the event
+//!   recorder, WALs, fault flags, lease and retry periods);
+//! * `Kernel::emit`, the one path by which every engine transition
+//!   enters the run's event stream;
 //! * the event loop and the [`RunMetrics`] assembly;
 //! * client requests, retransmission, crash and restart;
 //! * the shard fault core: crash, log replay, the epoch-bumped
@@ -29,14 +31,14 @@ use crate::runtime::{
     lease_period, retry_period, ActiveTxn, ClientCore, ClientPhase, Ev, Message, Net, ServerCpu,
     ShardFaultState, TimerKind, TxnStatus, TxnTable,
 };
-use crate::tracelog::{TraceKind, TraceLog};
 use g2pl_lockmgr::LockMode;
-use g2pl_obs::SpanRecorder;
+use g2pl_obs::{SpanRecorder, TraceEvent, TraceKind};
 use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerLog, ServerRecord, SiteLog};
 use g2pl_workload::{AccessMode, TxnGenerator};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Control-message payload size in bytes (requests, notices).
 pub(crate) const CTRL_BYTES: u64 = 64;
@@ -212,8 +214,9 @@ pub struct Kernel<P> {
     generator: TxnGenerator,
     pub(crate) collector: Collector,
     history: Option<History>,
-    pub(crate) trace: TraceLog,
-    pub(crate) spans: SpanRecorder,
+    /// The event stream's recorder: always-on attribution, plus the
+    /// bounded log when `trace_events` is set.
+    recorder: SpanRecorder,
     pub(crate) wal: Option<Vec<SiteLog>>,
     admitting: bool,
     /// Whether a fault plan is active (the exact fault-free code path is
@@ -313,8 +316,7 @@ impl<P: Protocol> Kernel<P> {
                 nominal.max(2) / 2,
             ),
             history: cfg.record_history.then(History::new),
-            trace: TraceLog::new(cfg.trace_events),
-            spans: SpanRecorder::new(cfg.trace_events),
+            recorder: SpanRecorder::new(cfg.trace_events),
             wal: cfg.enable_wal.then(|| {
                 (0..cfg.num_clients)
                     .map(|_| SiteLog::new(cfg.item_size_bytes))
@@ -420,8 +422,7 @@ impl<P: Protocol> Kernel<P> {
             }
             if self.faults_on {
                 for (at, site) in self.net.take_fault_marks() {
-                    self.trace
-                        .record(at, TraceKind::FaultInjected, None, None, site);
+                    self.emit(TraceKind::FaultInjected.at(at, None, None, site));
                 }
             }
             if self.collector.done() {
@@ -446,8 +447,9 @@ impl<P: Protocol> Kernel<P> {
             }
         }
 
-        let obs = self.spans.finish();
-        let trace_dropped = self.trace.dropped();
+        let obs = self.recorder.finish();
+        let trace_dropped = obs.breakdown.spans_dropped;
+        let stream: Option<Arc<[TraceEvent]>> = obs.raw.map(Arc::from);
         self.fsum.injected = self.net.fault_counts();
         let (max_fl_len, window_closes) = self.p.fl_stats();
         RunMetrics {
@@ -464,11 +466,7 @@ impl<P: Protocol> Kernel<P> {
             net: self.net.acct,
             end_time: self.cal.now(),
             history: self.history,
-            trace: if self.trace.enabled() {
-                Some(self.trace.into_events())
-            } else {
-                None
-            },
+            trace: stream.clone(),
             max_fl_len,
             window_closes,
             access_wait: self.collector.access_wait,
@@ -486,9 +484,17 @@ impl<P: Protocol> Kernel<P> {
             }),
             phases: obs.breakdown,
             flight: obs.flight,
-            spans: obs.raw,
+            spans: stream,
             trace_dropped,
         }
+    }
+
+    /// Emit one transition into the run's event stream — the one path by
+    /// which engines report what they did. The recorder charges it to the
+    /// transaction's phases and rounds and, when recording, logs it for
+    /// the checker and the JSONL export.
+    pub(crate) fn emit(&mut self, ev: TraceEvent) {
+        self.recorder.record(ev);
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
@@ -599,14 +605,7 @@ impl<P: Protocol> Kernel<P> {
         if self.faults_on {
             self.clients[client.index()].retry_progress();
         }
-        self.trace.record(
-            now,
-            TraceKind::RequestSent,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.req_sent(now, txn, item);
+        self.emit(TraceKind::RequestSent.at(now, Some(txn), Some(item), client));
         self.send_lock_request(client, txn, item, mode);
         self.arm_retry(client);
     }
@@ -662,9 +661,9 @@ impl<P: Protocol> Kernel<P> {
         );
     }
 
-    /// Re-send the outstanding lock request. No `RequestSent` trace or
-    /// request span is recorded for a retransmission: trace consumers
-    /// pair each logical request with one grant.
+    /// Re-send the outstanding lock request. No `RequestSent` event is
+    /// emitted for a retransmission: the checker pairs each logical
+    /// request with one grant.
     fn resend_request(&mut self, client: ClientId) {
         let c = &mut self.clients[client.index()];
         let Some(active) = &c.txn else { return };
@@ -725,8 +724,7 @@ impl<P: Protocol> Kernel<P> {
         c.crashed = true;
         self.fsum.crashes += 1;
         P::on_client_crash(self, client);
-        self.trace
-            .record(now, TraceKind::FaultInjected, None, None, client.into());
+        self.emit(TraceKind::FaultInjected.at(now, None, None, client));
     }
 
     /// A crashed client comes back up. Every timer it had died with the
@@ -922,15 +920,20 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// Record a commit decided at the client: response time, the commit
-    /// span (`releases` = release arrivals to expect) and the history
-    /// record. The engine traces the commit itself.
-    pub(crate) fn record_commit(&mut self, now: SimTime, active: &ActiveTxn, releases: u32) {
+    /// Record a commit decided at `client`: response time and the
+    /// history record. Returns the `Committed` event (`releases` =
+    /// release arrivals to expect) for the engine to emit.
+    pub(crate) fn record_commit(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        active: &ActiveTxn,
+        releases: u32,
+    ) -> TraceEvent {
         let txn = active.id;
         let measured = self
             .collector
             .on_commit_sized(now.since(active.start), active.spec.len());
-        self.spans.commit_local(now, txn, releases, measured);
         if let Some(h) = &mut self.history {
             let accesses = active
                 .spec
@@ -952,6 +955,11 @@ impl<P: Protocol> Kernel<P> {
                 at: now,
                 accesses,
             });
+        }
+        TraceEvent {
+            n: releases,
+            measured,
+            ..TraceKind::Committed.at(now, Some(txn), None, client)
         }
     }
 
@@ -1036,7 +1044,7 @@ impl<P: Protocol> Kernel<P> {
     /// The client side of an abort, once the engine set the status: the
     /// transaction leaves the client (withdrawing an open voting round;
     /// shards that already voted are cleaned up by the victim's
-    /// release), and the abort is counted and logged. The engine traces
+    /// release), and the abort is counted and logged. The engine emits
     /// it. `None` when the client no longer runs `txn`.
     pub(crate) fn end_aborted_txn(
         &mut self,
@@ -1140,13 +1148,12 @@ impl<P: Protocol> Kernel<P> {
                         involved,
                     });
                     self.mark_prepared(txn, shard);
-                    self.trace.record(
+                    self.emit(TraceKind::Prepared.at(
                         now,
-                        TraceKind::Prepared,
                         Some(txn),
                         None,
                         SiteId::server(shard as u32),
-                    );
+                    ));
                 }
                 self.send_prepare_ack(shard, client, txn);
             }
@@ -1218,17 +1225,11 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Shard `shard`'s prepared vote for `txn` was consumed by the
-    /// commit decision: retire it and trace the applied commit.
+    /// commit decision: retire it and emit the applied commit.
     pub(crate) fn vote_applied(&mut self, now: SimTime, shard: usize, txn: TxnId) {
         self.clear_prepared(txn, shard);
         self.fault_state[shard].in_doubt.remove(&txn);
-        self.trace.record(
-            now,
-            TraceKind::CommitApplied,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
+        self.emit(TraceKind::CommitApplied.at(now, Some(txn), None, SiteId::server(shard as u32)));
     }
 
     /// `victim` was chosen as a victim: its prepared votes and grants die
@@ -1301,17 +1302,10 @@ impl<P: Protocol> Kernel<P> {
             TxnStatus::Active => {
                 self.fsum.lease_expiries += 1;
                 self.fsum.recovery_stall += idle_for.as_f64();
-                self.trace.record(
-                    now,
-                    TraceKind::LeaseExpired,
-                    Some(txn),
-                    None,
-                    SiteId::SERVER0,
-                );
+                self.emit(TraceKind::LeaseExpired.at(now, Some(txn), None, SiteId::SERVER0));
                 P::abort_victim(self, now, txn);
                 self.fsum.redispatches += 1;
-                self.trace
-                    .record(now, TraceKind::Redispatch, Some(txn), None, SiteId::SERVER0);
+                self.emit(TraceKind::Redispatch.at(now, Some(txn), None, SiteId::SERVER0));
             }
             TxnStatus::Aborting | TxnStatus::Aborted => {
                 self.leased[txn.index()] = false;
@@ -1333,13 +1327,7 @@ impl<P: Protocol> Kernel<P> {
         );
         self.fault_state[shard].crash();
         self.fsum.server_crashes += 1;
-        self.trace.record(
-            now,
-            TraceKind::ServerCrashed,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
+        self.emit(TraceKind::ServerCrashed.at(now, None, None, SiteId::server(shard as u32)));
         self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
         P::wipe_shard(self, shard);
         if shard == 0 {
@@ -1492,8 +1480,7 @@ impl<P: Protocol> Kernel<P> {
         }
         st.reregistered[client.index()] = true;
         self.fsum.reregistrations += 1;
-        self.trace
-            .record(now, TraceKind::Reregister, txn, None, client.into());
+        self.emit(TraceKind::Reregister.at(now, txn, None, client));
         P::absorb_report(self, shard, client, report);
         if self.fault_state[shard].reregistered.iter().all(|&r| r) {
             self.finish_recovery(now, shard);
@@ -1541,13 +1528,7 @@ impl<P: Protocol> Kernel<P> {
             .expect("recovery image");
         let rebuilt = P::rebuild(self, now, shard, img);
         self.fault_state[shard].recovering = false;
-        self.trace.record(
-            now,
-            TraceKind::ServerRecovered,
-            None,
-            None,
-            SiteId::server(shard as u32),
-        );
+        self.emit(TraceKind::ServerRecovered.at(now, None, None, SiteId::server(shard as u32)));
         P::resume(self, now, rebuilt);
     }
 
@@ -1567,7 +1548,7 @@ impl<P: Protocol> Kernel<P> {
     /// Positive abort evidence arrived for an in-doubt prepared vote at
     /// shard `shard`: retire the vote durably (presumed abort needs no
     /// abort record beyond the release). The abort itself was already
-    /// decided (and traced) elsewhere, and the victim holds nothing here:
+    /// decided (and emitted) elsewhere, and the victim holds nothing here:
     /// the lock table was rebuilt at restart and grants are only restored
     /// after the in-doubt pass.
     fn resolve_indoubt_abort(&mut self, shard: usize, txn: TxnId) {

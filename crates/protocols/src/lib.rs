@@ -44,7 +44,6 @@ pub mod metrics;
 pub mod runtime;
 pub mod s2pl;
 pub mod scale;
-pub mod tracelog;
 
 pub use config::{
     AbortEffect, ConfigError, EngineConfig, EngineConfigBuilder, G2plOpts, ItemSpace, LatencyCfg,
@@ -53,11 +52,11 @@ pub use config::{
 pub use g2pl_faults::{
     CrashWindow, Endpoint, FaultCounts, FaultPlan, LinkPartition, ServerCrashWindow,
 };
+pub use g2pl_obs::{TraceEvent, TraceKind};
 pub use g2pl_workload::{ShardMix, TxnProfile};
 pub use history::{CommitRecord, History};
 pub use metrics::{FaultSummary, RunMetrics, TwoPcCounts};
 pub use scale::{run_scale, run_scale_with_workers, ScaleCfg, ScaleMetrics};
-pub use tracelog::{TraceEvent, TraceKind};
 
 /// Run one simulation of the configured protocol and return its metrics,
 /// or a [`ConfigError`] if the configuration is inconsistent.

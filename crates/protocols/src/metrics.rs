@@ -1,14 +1,14 @@
 //! Per-run metrics and the measurement collector.
 
 use crate::history::History;
-use crate::tracelog::TraceEvent;
 use g2pl_faults::FaultCounts;
 use g2pl_netmodel::NetAccounting;
-use g2pl_obs::{PhaseBreakdown, SpanEvent, TxnDetail};
+use g2pl_obs::{PhaseBreakdown, TraceEvent, TxnDetail};
 use g2pl_simcore::SimTime;
 use g2pl_stats::{Counter, Histogram, RunningStats, TailSketch, TailSummary, WarmupFilter};
 use g2pl_wal::LogMetrics;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Everything one simulation run reports.
 #[derive(Clone, Debug, Serialize)]
@@ -34,8 +34,9 @@ pub struct RunMetrics {
     pub end_time: SimTime,
     /// Commit history for serializability checking, when enabled.
     pub history: Option<History>,
-    /// Fine-grained event trace, when enabled.
-    pub trace: Option<Vec<TraceEvent>>,
+    /// The run's event stream, when `trace_events` was set: every
+    /// transition, as the checker validates it.
+    pub trace: Option<Arc<[TraceEvent]>>,
     /// Observed maximum forward-list length at dispatch (g-2PL only; 0
     /// otherwise).
     pub max_fl_len: usize,
@@ -70,10 +71,12 @@ pub struct RunMetrics {
     /// commits, plus the empirical sequential-round histogram. Always
     /// computed (the streaming aggregation is cheap).
     pub phases: PhaseBreakdown,
-    /// Raw span events for JSONL export, when `trace_events` was set.
-    pub spans: Option<Vec<SpanEvent>>,
-    /// Events the bounded [`crate::tracelog::TraceLog`] dropped; nonzero
-    /// means `trace` is a prefix and must not be validated.
+    /// The same stream as [`trace`](Self::trace) (one shared
+    /// allocation), named for the attribution replay and JSONL export.
+    pub spans: Option<Arc<[TraceEvent]>>,
+    /// Events the bounded [`g2pl_obs::TraceLog`] dropped (equal to
+    /// `phases.spans_dropped`); nonzero means `trace` is a prefix and
+    /// must not be validated.
     pub trace_dropped: u64,
     /// Simulation events processed by the engine's main loop — the
     /// denominator-free throughput counter the bench harness reports.

@@ -16,8 +16,8 @@ use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
 use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
 use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
-use crate::tracelog::TraceKind;
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
+use g2pl_obs::TraceKind;
 use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
 use g2pl_wal::{ServerImage, ServerRecord};
 use std::collections::BTreeMap;
@@ -186,9 +186,8 @@ impl Protocol for S2pl {
         k.table.set_status(txn, TxnStatus::Committed);
         // One commit/release round trip per involved shard, in parallel.
         let slices = k.commit_slices(&active);
-        k.record_commit(now, &active, slices.len() as u32);
-        k.trace
-            .record(now, TraceKind::Committed, Some(txn), None, client.into());
+        let committed = k.record_commit(now, client, &active, slices.len() as u32);
+        k.emit(committed);
         k.log_commit(client, txn, &slices);
         // Commit durability under loss: each shard's release retransmits
         // until that shard acknowledges, and the last ack starts the next
@@ -213,13 +212,11 @@ impl Protocol for S2pl {
         }
         k.table.set_status(txn, TxnStatus::Aborted);
         k.end_aborted_txn(now, client, txn);
-        k.trace
-            .record(now, TraceKind::Aborted, Some(txn), None, client.into());
-        k.spans.aborted(now, txn);
+        k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.schedule_next_txn(client);
     }
 
-    // lint:allow(L5): the abort is traced when it lands — the client records TraceKind::Aborted on the notice; a server-side record here would double-count the event for the P-properties
+    // lint:allow(L5): the abort is emitted when it lands — the client emits TraceKind::Aborted on the notice; a server-side event here would double-count it for the P-properties
     fn abort_victim(k: &mut Kernel<Self>, now: SimTime, victim: TxnId) {
         debug_assert_eq!(k.table.status(victim), TxnStatus::Active);
         k.table.set_status(victim, TxnStatus::Aborting);
@@ -305,14 +302,7 @@ impl<P: ServerLocking> Kernel<P> {
         }
         self.collector.on_access_wait(wait);
         let think = self.cfg.profile.draw_think(&mut c.time_rng);
-        self.trace.record(
-            now,
-            TraceKind::Granted,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.granted(now, txn, item);
+        self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
         self.cal.schedule_in(
             think,
             Ev::Timer {
@@ -379,7 +369,12 @@ impl<P: ServerLocking> Kernel<P> {
                 return; // duplicate of a still-queued request
             }
         }
-        self.spans.req_arrived(now, txn, item);
+        self.emit(TraceKind::RequestArrived.at(
+            now,
+            Some(txn),
+            Some(item),
+            SiteId::server(shard as u32),
+        ));
         match self.p.locking_mut().locks[shard].acquire(txn, item, mode) {
             AcquireOutcome::Granted => P::lock_granted(self, now, client, txn, item, mode),
             AcquireOutcome::Queued => P::detect_deadlocks(self, now, txn),
@@ -418,14 +413,7 @@ impl<P: ServerLocking> Kernel<P> {
             // consumed and the slice applied.
             self.vote_applied(now, shard, txn);
         }
-        self.trace.record(
-            now,
-            TraceKind::ReleasedAtServer,
-            Some(txn),
-            None,
-            SiteId::server(shard as u32),
-        );
-        self.spans.release_arrived(now, txn, true);
+        self.emit(TraceKind::ReleaseArrived.at(now, Some(txn), None, SiteId::server(shard as u32)));
         self.release_locks(now, shard, txn);
         if self.faults_on {
             self.send_commit_ack(shard, committer, txn);
@@ -503,15 +491,7 @@ impl<P: ServerLocking> Kernel<P> {
                 },
             );
         }
-        self.trace.record(
-            now,
-            TraceKind::Dispatched,
-            Some(txn),
-            Some(item),
-            client.into(),
-        );
-        self.spans.dispatched(now, txn, item);
-        self.spans.hop_departed(now, txn, item);
+        self.emit(TraceKind::HopDeparted.at(now, Some(txn), Some(item), client));
         self.net.send(
             &mut self.cal,
             SiteId::server(shard as u32),

@@ -10,7 +10,7 @@
 //! only the last holder sends a data message back to the server.
 
 use g2pl_core::prelude::*;
-use g2pl_obs::{ObsReport, Phase, SpanKind, SpanRecorder, FLIGHT_K};
+use g2pl_obs::{ObsReport, Phase, SpanRecorder, TraceKind, FLIGHT_K};
 
 /// `set_trace_out` is process-global; tests that flip it must not
 /// interleave.
@@ -189,7 +189,7 @@ fn trace_export_round_trips_flight_markers() {
     let markers: Vec<_> = tf
         .events
         .iter()
-        .filter(|e| e.kind == SpanKind::SlowTxn)
+        .filter(|e| e.kind == TraceKind::SlowTxn)
         .collect();
     assert!(!markers.is_empty());
     let report = SpanRecorder::replay(&tf.events).finish();
