@@ -34,14 +34,17 @@ cargo test -q --workspace
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench fault_recovery smoke (one second, untraced)"
-# The only benchmark workload that runs the shared fault and commit
-# core (loss, WAL replay, re-registration, 2PC): it must still verify
-# every cell (P1-P10) and report no failed cell.
-bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
-  --workload fault_recovery --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
-  || { echo "perfbench fault_recovery: incorrect or failed cells"; echo "$bench_out"; exit 1; }
+echo "==> perfbench fault_recovery + paper_reads smoke (one second each, untraced)"
+# fault_recovery is the only benchmark workload that runs the shared
+# fault and commit core (loss, WAL replay, re-registration, 2PC);
+# paper_reads is the workload the engine event-loop speed-up is claimed
+# on. Each must still verify every cell and report no failed cell.
+for workload in fault_recovery paper_reads; do
+  bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+    || { echo "perfbench $workload: incorrect or failed cells"; echo "$bench_out"; exit 1; }
+done
 
 echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 check)"
 # fig2 exports both paper engines on a reliable network; fig_shard_faults

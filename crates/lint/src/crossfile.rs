@@ -293,8 +293,11 @@ pub fn l5_trace_completeness(files: &[(ParsedFile, crate::FileConfig)]) -> Vec<D
                     if variant.kind != TokKind::Ident {
                         continue;
                     }
-                    // Comparisons are consumption, not emission.
-                    let before_eq = i >= 1 && toks[i - 1].is_punct('=');
+                    // Comparisons are consumption, not emission; a
+                    // single `=` (a `let` binding) is not a comparison.
+                    let before_eq = i >= 2
+                        && toks[i - 1].is_punct('=')
+                        && (toks[i - 2].is_punct('=') || toks[i - 2].is_punct('!'));
                     let after = toks.get(i + 3);
                     let after_eq = after.is_some_and(|x| x.is_punct('='))
                         && toks.get(i + 4).is_some_and(|x| x.is_punct('='));
@@ -480,6 +483,8 @@ mod tests {
                 "fn check(k: TraceKind) { match k { TraceKind::Granted => {} }\n\
                  if let TraceKind::Granted = k {}\n\
                  let b = matches!(k, TraceKind::Granted);\n\
+                 let eq = k == TraceKind::Granted;\n\
+                 let ne = k != TraceKind::Granted;\n\
                  assert_eq!(k, TraceKind::Granted); }",
             ),
         ]);
@@ -488,6 +493,18 @@ mod tests {
                 .any(|d| d.lint == Lint::L5 && d.message.contains("Granted")),
             "pattern/comparison uses must not count as emissions: {d:?}"
         );
+    }
+
+    #[test]
+    fn l5_let_binding_counts_as_emission() {
+        let d = analyze(&[
+            ("def.rs", "pub enum TraceKind { Granted }"),
+            (
+                "eng.rs",
+                "fn f(&mut self) { let ev = TraceKind::Granted.at(now, t, i, s); self.emit(ev); }",
+            ),
+        ]);
+        assert!(d.iter().all(|d| d.lint != Lint::L5), "{d:?}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::runtime::{
     ShardFaultState, TimerKind, TxnStatus, TxnTable,
 };
 use g2pl_lockmgr::LockMode;
-use g2pl_obs::{SpanRecorder, TraceEvent, TraceKind};
+use g2pl_obs::{PhaseBreakdown, SpanRecorder, TraceEvent, TraceKind};
 use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerLog, ServerRecord, SiteLog};
 use g2pl_workload::{AccessMode, TxnGenerator};
@@ -214,9 +214,10 @@ pub struct Kernel<P> {
     generator: TxnGenerator,
     pub(crate) collector: Collector,
     history: Option<History>,
-    /// The event stream's recorder: always-on attribution, plus the
-    /// bounded log when `trace_events` is set.
-    recorder: SpanRecorder,
+    /// The event stream's recorder (phase and round attribution, the
+    /// flight recorder, the bounded log), built only when `trace_events`
+    /// is set: unrecorded runs skip the aggregation nothing would read.
+    recorder: Option<SpanRecorder>,
     pub(crate) wal: Option<Vec<SiteLog>>,
     admitting: bool,
     /// Whether a fault plan is active (the exact fault-free code path is
@@ -316,7 +317,7 @@ impl<P: Protocol> Kernel<P> {
                 nominal.max(2) / 2,
             ),
             history: cfg.record_history.then(History::new),
-            recorder: SpanRecorder::new(cfg.trace_events),
+            recorder: cfg.trace_events.then(|| SpanRecorder::new(true)),
             wal: cfg.enable_wal.then(|| {
                 (0..cfg.num_clients)
                     .map(|_| SiteLog::new(cfg.item_size_bytes))
@@ -447,9 +448,15 @@ impl<P: Protocol> Kernel<P> {
             }
         }
 
-        let obs = self.recorder.finish();
-        let trace_dropped = obs.breakdown.spans_dropped;
-        let stream: Option<Arc<[TraceEvent]>> = obs.raw.map(Arc::from);
+        let (phases, flight, stream) = match self.recorder.map(SpanRecorder::finish) {
+            Some(obs) => (
+                obs.breakdown,
+                obs.flight,
+                obs.raw.map(Arc::<[TraceEvent]>::from),
+            ),
+            None => (PhaseBreakdown::new(), Vec::new(), None),
+        };
+        let trace_dropped = phases.spans_dropped;
         self.fsum.injected = self.net.fault_counts();
         let (max_fl_len, window_closes) = self.p.fl_stats();
         RunMetrics {
@@ -482,19 +489,22 @@ impl<P: Protocol> Kernel<P> {
                 }
                 r
             }),
-            phases: obs.breakdown,
-            flight: obs.flight,
+            phases,
+            flight,
             spans: stream,
             trace_dropped,
         }
     }
 
     /// Emit one transition into the run's event stream — the one path by
-    /// which engines report what they did. The recorder charges it to the
-    /// transaction's phases and rounds and, when recording, logs it for
-    /// the checker and the JSONL export.
+    /// which engines report what they did. When the run records, the
+    /// recorder charges it to the transaction's phases and rounds and
+    /// logs it for the checker and the JSONL export; otherwise it is
+    /// dropped.
     pub(crate) fn emit(&mut self, ev: TraceEvent) {
-        self.recorder.record(ev);
+        if let Some(r) = &mut self.recorder {
+            r.record(ev);
+        }
     }
 
     fn on_client_msg(&mut self, now: SimTime, client: ClientId, msg: Message) {
@@ -548,8 +558,10 @@ impl<P: Protocol> Kernel<P> {
                 }
             }
             Message::SReregister {
-                client, epoch, txn, ..
-            } => self.on_reregister(now, shard, client, epoch, txn, &msg),
+                client,
+                epoch,
+                ref report,
+            } => self.on_reregister(now, shard, client, epoch, report.txn, &msg),
             Message::GReregister { client, epoch, .. } => {
                 self.on_reregister(now, shard, client, epoch, None, &msg);
             }

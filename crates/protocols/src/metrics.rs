@@ -65,14 +65,17 @@ pub struct RunMetrics {
     pub response_tail: TailSketch,
     /// The flight recorder: the run's worst measured committed
     /// transactions (up to [`g2pl_obs::FLIGHT_K`]), worst-first, with
-    /// full per-phase attribution.
+    /// full per-phase attribution. Filled only when `trace_events` was
+    /// set; empty otherwise.
     pub flight: Vec<TxnDetail>,
     /// Critical-path attribution: per-phase mean/max over measured
-    /// commits, plus the empirical sequential-round histogram. Always
-    /// computed (the streaming aggregation is cheap).
+    /// commits, plus the empirical sequential-round histogram. Filled
+    /// only when `trace_events` was set (the run builds no recorder
+    /// otherwise); an unrecorded run reports an empty breakdown.
     pub phases: PhaseBreakdown,
     /// The same stream as [`trace`](Self::trace) (one shared
-    /// allocation), named for the attribution replay and JSONL export.
+    /// allocation), named for the attribution replay and JSONL export;
+    /// present only when `trace_events` was set.
     pub spans: Option<Arc<[TraceEvent]>>,
     /// Events the bounded [`g2pl_obs::TraceLog`] dropped (equal to
     /// `phases.spans_dropped`); nonzero means `trace` is a prefix and

@@ -262,17 +262,9 @@ pub enum Message {
         client: ClientId,
         /// Recovery epoch being answered.
         epoch: u64,
-        /// The client's active transaction, if any.
-        txn: Option<TxnId>,
-        /// Server locks granted to the active transaction (checked-out
-        /// items), in grant order.
-        held: Vec<(ItemId, LockMode)>,
-        /// A committed-but-unacknowledged commit release
-        /// (committed-but-unreturned versions live here).
-        pending: Option<PendingCommit>,
-        /// c-2PL: items cached (with retained shared locks) across
-        /// transaction boundaries; empty under s-2PL.
-        cached: Vec<ItemId>,
+        /// The reported state. Boxed because the variant travels only
+        /// while a shard recovers: inline, it would double every [`Ev`].
+        report: Box<LockReport>,
     },
     /// Client → restarted server (g-2PL): every slot this client holds
     /// on a dispatched forward list, with its in-flight position and
@@ -285,6 +277,23 @@ pub enum Message {
         /// One report per held forward-list slot.
         holds: Vec<HoldReport>,
     },
+}
+
+/// What an s/c-2PL client re-reports to a restarted shard in a
+/// [`Message::SReregister`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LockReport {
+    /// The client's active transaction, if any.
+    pub txn: Option<TxnId>,
+    /// Server locks granted to the active transaction (checked-out
+    /// items), in grant order.
+    pub held: Vec<(ItemId, LockMode)>,
+    /// A committed-but-unacknowledged commit release
+    /// (committed-but-unreturned versions live here).
+    pub pending: Option<PendingCommit>,
+    /// c-2PL: items cached (with retained shared locks) across
+    /// transaction boundaries; empty under s-2PL.
+    pub cached: Vec<ItemId>,
 }
 
 /// One client-held forward-list slot, as re-reported during server crash
@@ -390,6 +399,10 @@ pub enum Ev {
         epoch: u64,
     },
 }
+
+// Every calendar entry copies an `Ev`, so cold recovery payloads go
+// behind a `Box`: a new fat variant fails the build, not every event.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 72 && std::mem::size_of::<Message>() <= 56);
 
 /// A serial server CPU: each message costs `per_op` units of processing,
 /// and messages queue when they arrive faster than they are served.

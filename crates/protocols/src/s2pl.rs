@@ -15,7 +15,7 @@
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
 use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
-use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
+use crate::runtime::{ClientPhase, Ev, LockReport, Message, TimerKind, TxnStatus};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::TraceKind;
 use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
@@ -535,10 +535,12 @@ impl<P: ServerLocking> Kernel<P> {
         let report = Message::SReregister {
             client,
             epoch,
-            txn,
-            held,
-            pending,
-            cached,
+            report: Box::new(LockReport {
+                txn,
+                held,
+                pending,
+                cached,
+            }),
         };
         (bytes, report)
     }
@@ -550,16 +552,15 @@ impl<P: ServerLocking> Kernel<P> {
     /// report): every claim a live client re-reports for a still-live
     /// transaction must have been durably granted before the crash.
     pub(crate) fn absorb_lock_report(&mut self, shard: usize, client: ClientId, report: &Message) {
-        let Message::SReregister {
+        let Message::SReregister { report, .. } = report else {
+            return;
+        };
+        let LockReport {
             txn,
             held,
             pending,
             cached,
-            ..
-        } = report
-        else {
-            return;
-        };
+        } = &**report;
         self.p.absorb_cached(client, cached);
         if cfg!(debug_assertions) {
             let img = self.image(shard);

@@ -1,6 +1,8 @@
 //! Observability integration tests: the golden Fig-1 round counts, the
 //! phase-partition property on real engine runs, consistency of the
-//! aggregates under heavy aborts, and the `--trace-out` JSONL export.
+//! aggregates under heavy aborts, the recording contract (only runs with
+//! `trace_events` set aggregate, and recording perturbs nothing), and
+//! the `--trace-out` JSONL export.
 //!
 //! The round counts pin the paper's §3.1 analysis: on the best-case
 //! workload (single-item exclusive transactions, one hot item, nothing
@@ -10,7 +12,7 @@
 //! only the last holder sends a data message back to the server.
 
 use g2pl_core::prelude::*;
-use g2pl_obs::{ObsReport, Phase, SpanRecorder, TraceKind, FLIGHT_K};
+use g2pl_obs::{ObsReport, Phase, SpanRecorder, TraceKind, TxnDetail, FLIGHT_K};
 
 /// `set_trace_out` is process-global; tests that flip it must not
 /// interleave.
@@ -142,6 +144,9 @@ fn response_sketch_and_flight_recorder_ride_in_run_metrics() {
     );
     let t = m.tail_summary();
     assert!(t.p50 <= t.p90 && t.p90 <= t.p99 && t.p99 <= t.p999 && t.p999 <= t.max);
+    // Phase tails and the flight recorder ride in runs that record.
+    cfg.trace_events = true;
+    let m = run(&cfg).expect("valid config");
     // Each response phase's tail sketch saw every measured commit.
     for p in Phase::ALL.iter().take(Phase::RESPONSE_PHASES) {
         assert_eq!(m.phases.tail(*p).count(), m.phases.measured_commits);
@@ -161,6 +166,46 @@ fn response_sketch_and_flight_recorder_ride_in_run_metrics() {
         "flight not sorted worst-first: {responses:?}"
     );
     assert_eq!(responses[0], max);
+}
+
+#[test]
+fn unrecorded_runs_skip_aggregation_and_match_recorded_runs() {
+    for kind in [
+        ProtocolKind::S2pl,
+        ProtocolKind::g2pl_paper(),
+        ProtocolKind::C2pl,
+    ] {
+        let mut cfg = EngineConfig::table1(kind, 8, 250, 0.25);
+        cfg.warmup_txns = 30;
+        cfg.measured_txns = 200;
+        let plain = run(&cfg).expect("valid config");
+        cfg.trace_events = true;
+        let rec = run(&cfg).expect("valid config");
+        let name = rec.protocol;
+        // Recording is passive: the simulation itself is unchanged.
+        assert_eq!(plain.events, rec.events, "{name}");
+        assert_eq!(plain.committed_total, rec.committed_total, "{name}");
+        assert_eq!(plain.net.messages(), rec.net.messages(), "{name}");
+        assert_eq!(plain.response_tail, rec.response_tail, "{name}");
+        // An unrecorded run builds no recorder, so it aggregates nothing.
+        assert_eq!(plain.phases.measured_commits, 0, "{name}");
+        assert!(plain.flight.is_empty(), "{name}");
+        assert!(plain.trace.is_none() && plain.spans.is_none(), "{name}");
+        // A recorded run aggregates live exactly what a replay of its
+        // stream rebuilds.
+        assert!(rec.phases.measured_commits > 0, "{name}");
+        let replay = replayed(&rec);
+        assert_eq!(
+            rec.phases.rounds_total, replay.breakdown.rounds_total,
+            "{name}"
+        );
+        assert_eq!(
+            rec.phases.measured_commits, replay.breakdown.measured_commits,
+            "{name}"
+        );
+        let ids = |f: &[TxnDetail]| f.iter().map(|d| d.txn).collect::<Vec<_>>();
+        assert_eq!(ids(&rec.flight), ids(&replay.flight), "{name}");
+    }
 }
 
 #[test]
