@@ -49,17 +49,22 @@ done
 echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 check)"
 # fig2 exports both paper engines on a reliable network; fig_shard_faults
 # adds per-shard crashes, recovery and 2PC across 1-8 shards, so the
-# offline check runs P8-P10 on exported files too. Every exported file
-# must print `trace-check: PASS`: the exported trace is the checked one.
+# offline check runs P8-P10 on exported files too; ext-victims is an
+# extension study whose 18 cells differ only in engine, victim policy and
+# read probability, one export file each. Every exported file must print
+# `trace-check: PASS`: the exported trace is the checked one.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults >/dev/null
+cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults ext-victims >/dev/null
 explain_out="$(cargo run -q -p g2pl-bench --bin trace-explain -- --best-case "$trace_dir"/*.jsonl || true)"
-echo "$explain_out" | grep -q "round-check: PASS (s-2PL" \
+# grep -q stops reading at its first match, so under pipefail `echo | grep -q`
+# fails with SIGPIPE once the output outgrows the pipe buffer; the reports
+# below are fed to grep as here-strings instead.
+grep -q "round-check: PASS (s-2PL" <<< "$explain_out" \
   || { echo "trace-explain: s-2PL round check failed"; echo "$explain_out"; exit 1; }
-echo "$explain_out" | grep -q "round-check: PASS (g-2PL" \
+grep -q "round-check: PASS (g-2PL" <<< "$explain_out" \
   || { echo "trace-explain: g-2PL round check failed"; echo "$explain_out"; exit 1; }
-if echo "$explain_out" | grep -q "FAIL"; then
+if grep -q "FAIL" <<< "$explain_out"; then
   echo "trace-explain: a check failed"; echo "$explain_out"; exit 1
 fi
 n_files="$(ls "$trace_dir"/*.jsonl | wc -l)"
@@ -74,9 +79,9 @@ echo "==> trace-explain --tail smoke (flight recorder + marker cross-check)"
 # transactions to phases, and cross-checks the exporter's slow_txn
 # markers against the replayed flight recorder.
 tail_out="$(cargo run -q -p g2pl-bench --bin trace-explain -- --tail "$trace_dir"/*.jsonl || true)"
-echo "$tail_out" | grep -q "tail-check: PASS" \
+grep -q "tail-check: PASS" <<< "$tail_out" \
   || { echo "trace-explain --tail: marker cross-check failed"; echo "$tail_out"; exit 1; }
-if echo "$tail_out" | grep -q "FAIL"; then
+if grep -q "FAIL" <<< "$tail_out"; then
   echo "trace-explain --tail: a check failed"; echo "$tail_out"; exit 1
 fi
 

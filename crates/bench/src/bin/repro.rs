@@ -1,29 +1,28 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, and the
+//! extension studies beyond it.
 //!
 //! ```text
 //! repro [--scale smoke|default|full] [--out DIR] [--trace-out DIR]
-//!       [--no-verify] [--bench-out FILE] [--baseline FILE] <artifact>...
+//!       [--no-verify] [--ascii] [--bench-out FILE] [--baseline FILE] <artifact>...
 //!
-//! artifacts: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!            fig10 fig11 fig12 fig13 fig14 fig15 headline all bench
-//!            fig_faults fig_faults_aborts fig_server_faults fig_tail
-//!            fig_scale scale-bench list
+//! artifacts: table1 table2 fig1 headline scorecard bench scale-bench list
+//!            all ext <figure id>...
 //! ```
 //!
-//! Figures are dispatched from the declarative registry
-//! (`g2pl_core::experiments::FIGURES`); `repro list` prints it. `all`
-//! regenerates exactly the paper's artifacts; the fault figures
-//! (`fig_faults`, `fig_faults_aborts`) sweep message-loss probability
-//! with the fault-injection subsystem on and are requested by name.
+//! Every figure is a row of the declarative registry
+//! (`g2pl_core::experiments::FIGURES`): `repro <id>` builds it, `repro
+//! list` prints the rows, and the usage message lists their ids. `all`
+//! regenerates exactly the paper's artifacts; `ext` runs every `ext-*`
+//! extension study in registry order; the fault, tail and scale figures
+//! are requested by id.
 //!
 //! Markdown goes to stdout; with `--out DIR`, each figure's raw data is
 //! also written as `DIR/<id>.csv` — and, for figures that carry pooled
 //! tail-quantile sketches (response-time metrics), a side file
 //! `DIR/<id>_tail.csv` with `p50,p90,p99,p999,max,count` columns per
-//! sweep point. Existing `<id>.csv` files are unchanged byte-for-byte.
-//! `--ascii` appends a terminal chart under each table. With
-//! `--trace-out DIR`, replication 0 of every data point dumps its event
-//! stream as `DIR/*.jsonl` for the `trace-explain` analyzer.
+//! sweep point. `--ascii` appends a terminal chart under each table.
+//! With `--trace-out DIR`, replication 0 of every data point dumps its
+//! event stream as `DIR/*.jsonl` for the `trace-explain` analyzer.
 //!
 //! Every data point self-verifies by default: replication 0 of each
 //! configuration is re-checked against the protocol trace properties
@@ -44,41 +43,37 @@
 //! committed engine-cell throughput for comparison.
 
 use g2pl_bench::harness;
-use g2pl_core::experiments::{self, Scale};
-use g2pl_core::extensions;
+use g2pl_core::experiments::{self, Scale, FIGURES};
 use g2pl_core::figure::FigureData;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+/// What `all` regenerates: exactly the paper's artifacts, in order.
 const ALL: [&str; 18] = [
     "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "headline",
 ];
 
-/// Extension studies beyond the paper's figures (see
-/// `g2pl_core::extensions`). Included in `ext` but not in `all`, which
-/// regenerates exactly the paper.
-const EXTS: [&str; 10] = [
-    "ext-protocols",
-    "ext-skew",
-    "ext-bandwidth",
-    "ext-abort-effect",
-    "ext-window-hold",
-    "ext-ordering",
-    "ext-victims",
-    "ext-read-expansion",
-    "ext-log-retention",
-    "ext-server-cpu",
+/// The artifacts that are not registry figures.
+const PROSE: [&str; 8] = [
+    "table1",
+    "table2",
+    "fig1",
+    "headline",
+    "scorecard",
+    "bench",
+    "scale-bench",
+    "list",
 ];
 
 fn usage() -> ! {
+    let figures: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     eprintln!(
         "usage: repro [--scale smoke|default|full] [--out DIR] [--trace-out DIR] \
-         [--no-verify] [--bench-out FILE] [--baseline FILE] <artifact>...\n\
-         artifacts: {} all\n\
-         fault studies: fig_faults fig_faults_aborts fig_server_faults\n\
-         tail study: fig_tail (p99/p999 vs load, all three engines)\n\
-         extensions: {} ext scorecard bench; `list` prints the figure registry\n\
+         [--no-verify] [--ascii] [--bench-out FILE] [--baseline FILE] <artifact>...\n\
+         artifacts: {} all ext\n\
+         figures (`list` describes them): {}\n\
+         all = the paper's tables and figures; ext = every ext-* study\n\
          verification of every data point is on by default; --no-verify skips it\n\
          --trace-out DIR dumps replication 0 of each point as a JSONL event \
          trace for trace-explain\n\
@@ -88,8 +83,8 @@ fn usage() -> ! {
          scale-bench runs one big sharded PDES cell, writes --bench-out \
          (default results/scale_datapoint.json); --baseline FILE adds the \
          engine-cell throughput comparison",
-        ALL.join(" "),
-        EXTS.join(" ")
+        PROSE.join(" "),
+        figures.join(" ")
     );
     std::process::exit(2);
 }
@@ -159,12 +154,13 @@ fn main() {
                 baseline = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
             }
             "all" => artifacts.extend(ALL.iter().map(std::string::ToString::to_string)),
-            "ext" => artifacts.extend(EXTS.iter().map(std::string::ToString::to_string)),
-            "scorecard" => artifacts.push("scorecard".to_string()),
-            "bench" => artifacts.push("bench".to_string()),
-            "scale-bench" => artifacts.push("scale-bench".to_string()),
-            "list" => artifacts.push("list".to_string()),
-            a if ALL.contains(&a) || EXTS.contains(&a) || experiments::figure(a).is_some() => {
+            "ext" => artifacts.extend(
+                FIGURES
+                    .iter()
+                    .filter(|f| f.id.starts_with("ext-"))
+                    .map(|f| f.id.to_string()),
+            ),
+            a if PROSE.contains(&a) || experiments::figure(a).is_some() => {
                 artifacts.push(a.to_string());
             }
             _ => usage(),
@@ -185,28 +181,7 @@ fn main() {
             "fig1" => println!("{}", experiments::fig1()),
             "headline" => println!("{}", experiments::headline(scale)),
             "list" => print!("{}", experiments::list_figures()),
-            "ext-protocols" => emit_figure(&extensions::ext_protocols(scale), &out_dir),
-            "ext-skew" => emit_figure(&extensions::ext_skew(scale), &out_dir),
-            "ext-bandwidth" => emit_figure(&extensions::ext_bandwidth(scale), &out_dir),
-            "ext-abort-effect" => emit_figure(&extensions::ext_abort_effect(scale), &out_dir),
-            "ext-window-hold" => emit_figure(&extensions::ext_window_hold(scale), &out_dir),
-            "ext-ordering" => emit_figure(&extensions::ext_ordering(scale), &out_dir),
-            "ext-victims" => emit_figure(&extensions::ext_victims(scale), &out_dir),
-            "ext-read-expansion" => {
-                emit_figure(&extensions::ext_read_expansion(scale), &out_dir);
-            }
-            "ext-log-retention" => {
-                emit_figure(&extensions::ext_log_retention(scale), &out_dir);
-            }
-            "ext-server-cpu" => {
-                emit_figure(&extensions::ext_server_cpu(scale), &out_dir);
-            }
             "scorecard" => println!("{}", g2pl_core::scorecard::run_scorecard(scale)),
-            fig if experiments::figure(fig).is_some() => {
-                // lint:allow(L3): the arm guard just looked it up
-                let spec = experiments::figure(fig).expect("guarded above");
-                emit_figure(&spec.build(scale), &out_dir);
-            }
             "bench" => {
                 let report = harness::run_bench(scale);
                 println!("{}", report.render());
@@ -250,7 +225,11 @@ fn main() {
                 std::fs::write(&path, json).expect("write scale datapoint");
                 eprintln!("wrote {}", path.display());
             }
-            _ => unreachable!("validated above"),
+            id => {
+                // lint:allow(L3): argument parsing admits only prose artifacts and registry ids
+                let spec = experiments::figure(id).expect("validated above");
+                emit_figure(&spec.build(scale), &out_dir);
+            }
         }
         // Throughput trailer: what the engines did during this artifact
         // (the counters are drained per artifact, so each line stands

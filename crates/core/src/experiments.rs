@@ -1,12 +1,17 @@
-//! The experiment registry: every figure of the paper as data.
+//! The experiment registry: every figure of the paper, and every study
+//! beyond it, as data.
 //!
-//! Each chart is declared as a [`FigureSpec`] — id, caption, metric and
-//! sweep — and collected in [`FIGURES`]; [`FigureSpec::build`]
-//! regenerates the data behind it at a chosen [`Scale`]. The `repro`
-//! binary in `g2pl-bench` lists and dispatches straight from the
-//! registry; integration tests assert the qualitative *shapes* (who
-//! wins, where the crossover falls) at smoke scale. Prose artifacts
-//! (tables, the Fig 1 timeline, the headline claim) remain functions.
+//! Each chart is one [`FigureSpec`] row of [`FIGURES`]: its caption and
+//! axes, the x values and series labels it sweeps, the [`Metric`] it
+//! plots and one function from `(series, x, scale)` to the engine config
+//! of that cell. [`FigureSpec::build`] turns any row into its series × x
+//! configs, runs them on one [`run_grid`] and reduces each point by the
+//! metric. The `repro` binary lists and dispatches straight from the
+//! registry; the smoke output of every row is pinned byte for byte
+//! (`tests/registry_fixtures.rs`), and integration tests assert the
+//! qualitative *shapes* (who wins, where the crossover falls). Prose
+//! artifacts (tables, the Fig 1 timeline, the headline claim) remain
+//! functions.
 //!
 //! | id | artifact |
 //! |----|----------|
@@ -25,15 +30,29 @@
 //! | `fig_shard_faults` | commit rate & p99 vs per-shard outage duration, 1–8 shards |
 //! | `fig_tail` | p99/p999 response time vs number of clients, 3 engines |
 //! | `fig_scale` | response time vs clients × shard count, PDES scale-out |
+//! | `ext-*` | ten extension studies (below) |
 //! | `headline` | the 20–25% response-time improvement claim |
+//!
+//! The `ext-*` rows go beyond the paper's figures. The paper's conclusion
+//! lists future work — comparing against more caching protocols, exploring
+//! forward-list ordering disciplines, and the read-only optimization —
+//! and its §2 and footnote 1 make claims (message size stops mattering;
+//! window tuning gains little) that it never plots. Each row's comment
+//! gives the claim it tests; `repro list` prints their one-line
+//! summaries.
 
 use crate::figure::{FigureData, Series, TailPoint, TailSeries};
-use crate::runner::run_grid;
+use crate::runner::{run_grid, ReplicatedResult};
 use g2pl_faults::FaultPlan;
+use g2pl_fwdlist::{order::BaseOrder, OrderingRule};
+use g2pl_lockmgr::VictimPolicy;
 use g2pl_netmodel::NetworkEnv;
 use g2pl_protocols::{
-    run, run_scale, EngineConfig, ProtocolKind, ScaleCfg, ShardMix, TraceEvent, TraceKind,
+    run, run_scale, AbortEffect, EngineConfig, G2plOpts, ItemSpace, LatencyCfg, ProtocolKind,
+    ScaleCfg, ShardMix, TraceEvent, TraceKind,
 };
+use g2pl_stats::{ConfidenceInterval, Replications};
+use g2pl_workload::AccessDistribution;
 use std::fmt::Write as _;
 
 /// How much compute to spend per experiment.
@@ -85,6 +104,24 @@ pub const OUTAGE_SWEEP: [u64; 5] = [0, 200, 500, 1_000, 2_000];
 /// directory is partitioned into fault domains.
 pub const SHARD_FAULT_SHARDS: [u32; 4] = [1, 2, 4, 8];
 
+/// An integer sweep as plotted x values.
+macro_rules! xs_of {
+    ($sweep:expr) => {{
+        let mut xs = [0.0; $sweep.len()];
+        let mut i = 0;
+        while i < xs.len() {
+            xs[i] = $sweep[i] as f64;
+            i += 1;
+        }
+        xs
+    }};
+}
+
+const LATENCY_XS: [f64; LATENCY_SWEEP.len()] = xs_of!(LATENCY_SWEEP);
+const CLIENT_XS: [f64; CLIENT_SWEEP.len()] = xs_of!(CLIENT_SWEEP);
+const OUTAGE_XS: [f64; OUTAGE_SWEEP.len()] = xs_of!(OUTAGE_SWEEP);
+
+/// The Table 1 system at the scale's warm-up and measured counts.
 fn base_cfg(
     protocol: ProtocolKind,
     clients: u32,
@@ -99,111 +136,729 @@ fn base_cfg(
     cfg
 }
 
-/// Metric a figure plots on its y-axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// Mean transaction response time over measured commits.
-    Response,
-    /// Percentage of measured completions that aborted.
-    AbortPct,
+/// The paper's g-2PL with one option changed.
+fn g2pl_with(f: impl FnOnce(&mut G2plOpts)) -> ProtocolKind {
+    let mut opts = G2plOpts::default();
+    f(&mut opts);
+    ProtocolKind::G2pl(opts)
 }
 
-/// Sweep an x-axis for both protocols and collect one metric.
-///
-/// Every `(protocol, x, replication)` cell of the figure is built up
-/// front and handed to [`run_grid`], which schedules the whole grid on
-/// one worker pool; results come back in point order, so the figure is
-/// identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-fn sweep(
-    id: &str,
-    title: &str,
-    x_label: &str,
-    metric: Metric,
-    xs: &[f64],
-    scale: Scale,
-    protocols: &[ProtocolKind],
-    mut cfg_of: impl FnMut(ProtocolKind, f64) -> EngineConfig,
-) -> FigureData {
-    let (_, _, reps) = scale.params();
-    let mut configs = Vec::with_capacity(protocols.len() * xs.len());
-    for p in protocols {
-        for &x in xs {
-            configs.push(cfg_of(p.clone(), x));
+/// The engine of series `s` in every engine-comparison row: g-2PL,
+/// s-2PL, then c-2PL.
+fn engine(s: usize) -> ProtocolKind {
+    match s {
+        0 => ProtocolKind::g2pl_paper(),
+        1 => ProtocolKind::S2pl,
+        _ => ProtocolKind::C2pl,
+    }
+}
+
+/// Series labels of the rows comparing the first two or all three
+/// [`engine`]s.
+const BOTH_LABELS: &[&str] = &["g-2PL", "s-2PL"];
+const TRIO_LABELS: &[&str] = &["g-2PL", "s-2PL", "c-2PL"];
+
+/// The deadlock victim policies of `ext-victims`, in series order.
+const VICTIMS: [VictimPolicy; 3] = [
+    VictimPolicy::Youngest,
+    VictimPolicy::Oldest,
+    VictimPolicy::FewestLocks,
+];
+
+// ---- the figure registry ----
+
+/// What a figure plots, and how one grid point's replications reduce to
+/// its y values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Metric {
+    /// Mean transaction response time over measured commits, ± 95% CI;
+    /// the pooled tail quantiles ride along in the `_tail.csv`.
+    Response,
+    /// Percentage of measured completions that aborted, ± 95% CI.
+    AbortPct,
+    /// Worst per-site live WAL high-water mark in KiB, ± 95% CI. The
+    /// row's configs must enable the WAL.
+    WalKib,
+    /// Two series per label: measured commits per 1 000 simulated time
+    /// units (sensitive to outage dead time and atomic-commitment round
+    /// trips) and the pooled p99 response, plus the tail columns.
+    CommitRate,
+    /// Two series per label: pooled p99 and p999 response time, plus the
+    /// tail columns. Exact sketch bucket edges, so no error bars.
+    TailQuantiles,
+}
+
+impl Metric {
+    fn y_label(self) -> &'static str {
+        match self {
+            Metric::Response => "mean response time",
+            Metric::AbortPct => "% aborted",
+            Metric::WalKib => "live log high-water (KiB)",
+            Metric::CommitRate => "commits per 1k units / p99 response",
+            Metric::TailQuantiles => "response time quantile",
         }
     }
-    let mut results = run_grid(&configs, reps).into_iter();
-    let mut series = Vec::with_capacity(protocols.len());
-    let mut tails = Vec::new();
-    for p in protocols {
-        let mut points = Vec::with_capacity(xs.len());
-        let mut tail_points = Vec::with_capacity(xs.len());
-        for &x in xs {
-            // lint:allow(L3): run_grid returns one result per config
-            let r = results.next().expect("one result per grid point");
-            let ci = match metric {
-                Metric::Response => r.response_ci(),
-                Metric::AbortPct => r.abort_pct_ci(),
-            };
-            points.push((x, ci.mean, ci.half_width));
-            if metric == Metric::Response {
+
+    /// The plotted series per row label, by label suffix.
+    fn suffixes(self) -> &'static [&'static str] {
+        match self {
+            Metric::CommitRate => &[" commit rate", " p99"],
+            Metric::TailQuantiles => &[" p99", " p999"],
+            Metric::Response | Metric::AbortPct | Metric::WalKib => &[""],
+        }
+    }
+
+    /// Whether the figure writes pooled tail quantiles.
+    fn has_tails(self) -> bool {
+        !matches!(self, Metric::AbortPct | Metric::WalKib)
+    }
+
+    /// One grid point's `(y, ci)` per suffix.
+    fn reduce(self, r: &ReplicatedResult) -> Vec<(f64, f64)> {
+        let mean_ci = |ci: ConfidenceInterval| vec![(ci.mean, ci.half_width)];
+        match self {
+            Metric::Response => mean_ci(r.response_ci()),
+            Metric::AbortPct => mean_ci(r.abort_pct_ci()),
+            Metric::WalKib => {
+                let kib: Vec<f64> = r
+                    .runs
+                    .iter()
+                    // lint:allow(L3): a WalKib row enables the WAL, so every run carries WAL metrics
+                    .map(|m| m.wal.expect("wal enabled").high_water_bytes_max as f64 / 1024.0)
+                    .collect();
+                mean_ci(Replications::from_values(&kib).interval_95())
+            }
+            Metric::CommitRate => {
+                let rate: Vec<f64> = r
+                    .runs
+                    .iter()
+                    .map(|m| 1_000.0 * m.committed_total as f64 / m.end_time.units() as f64)
+                    .collect();
+                let mean = rate.iter().sum::<f64>() / rate.len() as f64;
+                vec![(mean, 0.0), (r.tail_summary().p99 as f64, 0.0)]
+            }
+            Metric::TailQuantiles => {
                 let t = r.tail_summary();
-                tail_points.push(TailPoint {
-                    x,
-                    p50: t.p50,
-                    p90: t.p90,
-                    p99: t.p99,
-                    p999: t.p999,
-                    max: t.max,
-                    count: t.count,
+                vec![(t.p99 as f64, 0.0), (t.p999 as f64, 0.0)]
+            }
+        }
+    }
+}
+
+/// Where a registered figure's cells run.
+#[derive(Clone, Copy, Debug)]
+pub enum Cells {
+    /// The engine config of series `s` at `x`: every (series, x) cell of
+    /// the figure runs on one [`run_grid`].
+    Grid(fn(usize, f64, Scale) -> EngineConfig),
+    /// `fig_scale`'s clients × shard-count grid on the PDES scale engine
+    /// ([`scale_cell`]), whose axes grow with the scale. The row's `xs`
+    /// and `series` are empty.
+    ScaleOut,
+}
+
+/// One registered figure. The whole chart is data —
+/// [`FigureSpec::build`] interprets it.
+#[derive(Clone, Copy, Debug)]
+pub struct FigureSpec {
+    /// Artifact id, e.g. `"fig2"` (what `repro <id>` dispatches on).
+    pub id: &'static str,
+    /// One-line summary shown by `repro list`.
+    pub blurb: &'static str,
+    /// The caption.
+    pub title: &'static str,
+    /// X-axis label.
+    pub x_label: &'static str,
+    /// The swept x values, in plot order.
+    pub xs: &'static [f64],
+    /// Series labels, in legend order.
+    pub series: &'static [&'static str],
+    /// Quantity plotted on the y-axis.
+    pub metric: Metric,
+    /// The cells behind every point.
+    pub cells: Cells,
+}
+
+/// Every registered figure: the paper's in paper order, then the
+/// extension studies. `repro list`, `repro all`/`ext` and the figure
+/// dispatch all read this table; adding a chart means adding a row.
+pub static FIGURES: &[FigureSpec] = &[
+    FigureSpec {
+        id: "fig2",
+        blurb: "response time vs latency, write-only (pr=0.0)",
+        title: "Mean transaction response time vs network latency, pr=0",
+        x_label: "network latency",
+        xs: &LATENCY_XS,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 0.0, scale)),
+    },
+    FigureSpec {
+        id: "fig3",
+        blurb: "response time vs latency, mixed (pr=0.6)",
+        title: "Mean transaction response time vs network latency, pr=0.6",
+        x_label: "network latency",
+        xs: &LATENCY_XS,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 0.6, scale)),
+    },
+    FigureSpec {
+        id: "fig4",
+        blurb: "response time vs latency, read-only (pr=1.0)",
+        title: "Mean transaction response time vs network latency, pr=1",
+        x_label: "network latency",
+        xs: &LATENCY_XS,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 1.0, scale)),
+    },
+    FigureSpec {
+        id: "fig5",
+        blurb: "response time vs read probability, ss-LAN (latency 1)",
+        title: "Mean response time vs read probability in ss-LAN (latency 1)",
+        x_label: "read probability",
+        xs: &PR_SWEEP,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, 1, x, scale)),
+    },
+    FigureSpec {
+        id: "fig6",
+        blurb: "response time vs read probability, MAN (latency 250)",
+        title: "Mean response time vs read probability in MAN (latency 250)",
+        x_label: "read probability",
+        xs: &PR_SWEEP,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, 250, x, scale)),
+    },
+    FigureSpec {
+        id: "fig7",
+        blurb: "response time vs read probability, l-WAN (latency 750)",
+        title: "Mean response time vs read probability in l-WAN (latency 750)",
+        x_label: "read probability",
+        xs: &PR_SWEEP,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, 750, x, scale)),
+    },
+    FigureSpec {
+        id: "fig8",
+        blurb: "abort % vs latency, pr=0.6",
+        title: "Percentage of transactions aborted vs latency, pr=0.6, 50 clients, 25 items",
+        x_label: "network latency",
+        xs: &LATENCY_XS,
+        series: BOTH_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 0.6, scale)),
+    },
+    FigureSpec {
+        id: "fig9",
+        blurb: "abort % vs latency, pr=0.8",
+        title: "Percentage of transactions aborted vs latency, pr=0.8, 50 clients, 25 items",
+        x_label: "network latency",
+        xs: &LATENCY_XS,
+        series: BOTH_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 0.8, scale)),
+    },
+    // g-2PL's unique read-only deadlocks, over the short latencies
+    // where they occur.
+    FigureSpec {
+        id: "fig10",
+        blurb: "abort % vs latency, read-only system",
+        title: "Percentage of transactions aborted vs latency, read-only system",
+        x_label: "network latency",
+        xs: &[1.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+        series: BOTH_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, x as u64, 1.0, scale)),
+    },
+    FigureSpec {
+        id: "fig11",
+        blurb: "abort % vs forward-list length cap, read-only ss-LAN",
+        title: "Percentage of transactions aborted vs forward-list length, pr=1.0, ss-LAN",
+        x_label: "forward list length cap",
+        xs: &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0],
+        series: &["g-2PL"],
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|_, x, scale| {
+            let capped = g2pl_with(|o| o.fl_cap = Some(x as usize));
+            base_cfg(capped, 50, 1, 1.0, scale)
+        }),
+    },
+    FigureSpec {
+        id: "fig12",
+        blurb: "response time vs number of clients, pr=0.25, s-WAN",
+        title: "Mean response time vs number of clients: 25 items, pr=0.25, s-WAN",
+        x_label: "number of clients",
+        xs: &CLIENT_XS,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), x as u32, 500, 0.25, scale)),
+    },
+    FigureSpec {
+        id: "fig13",
+        blurb: "abort % vs number of clients, pr=0.25, s-WAN",
+        title: "Percentage aborted vs number of clients: 25 items, pr=0.25, s-WAN",
+        x_label: "number of clients",
+        xs: &CLIENT_XS,
+        series: BOTH_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), x as u32, 500, 0.25, scale)),
+    },
+    FigureSpec {
+        id: "fig14",
+        blurb: "response time vs number of clients, pr=0.75, s-WAN",
+        title: "Mean response time vs number of clients: 25 items, pr=0.75, s-WAN",
+        x_label: "number of clients",
+        xs: &CLIENT_XS,
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), x as u32, 500, 0.75, scale)),
+    },
+    FigureSpec {
+        id: "fig15",
+        blurb: "abort % vs number of clients, pr=0.75, s-WAN",
+        title: "Percentage aborted vs number of clients: 25 items, pr=0.75, s-WAN",
+        x_label: "number of clients",
+        xs: &CLIENT_XS,
+        series: BOTH_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), x as u32, 500, 0.75, scale)),
+    },
+    // The fault-injection subsystem on every engine. The x = 0 plan is
+    // inert, so the curve anchors to the reliable-network figures, and
+    // every run drains: recovery liveness is part of what the figure
+    // shows, so every non-aborted transaction must finish.
+    FigureSpec {
+        id: "fig_faults",
+        blurb: "response time vs message-loss probability, 3 engines",
+        title: "Mean response time vs message-loss probability, pr=0.6, MAN",
+        x_label: "message loss probability",
+        xs: &LOSS_SWEEP,
+        series: TRIO_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(lossy_cell),
+    },
+    FigureSpec {
+        id: "fig_faults_aborts",
+        blurb: "abort % vs message-loss probability, 3 engines",
+        title: "Percentage of transactions aborted vs message-loss probability, pr=0.6, MAN",
+        x_label: "message loss probability",
+        xs: &LOSS_SWEEP,
+        series: TRIO_LABELS,
+        metric: Metric::AbortPct,
+        cells: Cells::Grid(lossy_cell),
+    },
+    // Two fixed server outages per run, WAL replay plus the
+    // re-registration handshake on each restart. Every run drains:
+    // every non-aborted transaction must finish despite losing the
+    // server twice — recovery liveness is the point of the figure.
+    FigureSpec {
+        id: "fig_server_faults",
+        blurb: "response time vs server outage duration, 3 engines",
+        title: "Mean response time vs server outage duration, pr=0.6, latency 50",
+        x_label: "server outage duration",
+        xs: &OUTAGE_XS,
+        series: TRIO_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), 50, 50, 0.6, scale);
+            cfg.drain = true;
+            cfg.faults = Some(FaultPlan::server_outage(x as u64));
+            cfg
+        }),
+    },
+    // Shard fault domains under s-2PL, one series per shard count in
+    // SHARD_FAULT_SHARDS. Beyond one shard the workload mixes 30%
+    // multi-home transactions (θ = 0.5 shard popularity), so a crash
+    // strands in-doubt prepare votes that recovery must resolve.
+    FigureSpec {
+        id: "fig_shard_faults",
+        blurb: "commit rate & p99 vs per-shard outage duration, 1/2/4/8 shards",
+        title: "Commit rate and p99 response vs per-shard outage duration, \
+                s-2PL, 30% multi-home beyond one shard",
+        x_label: "outage duration per crash",
+        xs: &OUTAGE_XS,
+        series: &["1 shard", "2 shards", "4 shards", "8 shards"],
+        metric: Metric::CommitRate,
+        cells: Cells::Grid(|s, x, scale| {
+            let shards = SHARD_FAULT_SHARDS[s];
+            let mut cfg = base_cfg(ProtocolKind::S2pl, 50, 50, 0.6, scale);
+            // Hold the hot set at 24 items however it is partitioned,
+            // so the series differ only in fault-domain layout.
+            cfg.items = ItemSpace::sharded(shards, 24 / shards);
+            if shards > 1 {
+                cfg.profile.shard_mix = Some(ShardMix {
+                    cross_frac: 0.3,
+                    shard_theta: 0.5,
+                });
+            }
+            // Acknowledged commits must survive the outage: drain so
+            // every non-aborted transaction finishes and is counted.
+            cfg.drain = true;
+            // x = 0 carries no plan at all — the inert anchor runs the
+            // pristine code path (no WAL forcing, no 2PC). Otherwise
+            // both crashes land on the *highest* shard, a non-zero fault
+            // domain whenever one exists.
+            if x > 0.0 {
+                cfg.faults = Some(FaultPlan::shard_outage(shards - 1, x as u64));
+            }
+            cfg
+        }),
+    },
+    // Every run drains: stragglers must finish and be counted — the
+    // tail is the point.
+    FigureSpec {
+        id: "fig_tail",
+        blurb: "p99/p999 response time vs number of clients, 3 engines",
+        title: "Tail response time (p99/p999) vs number of clients, pr=0.6, MAN",
+        x_label: "number of clients",
+        xs: &CLIENT_XS,
+        series: TRIO_LABELS,
+        metric: Metric::TailQuantiles,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), x as u32, 250, 0.6, scale);
+            cfg.drain = true;
+            cfg
+        }),
+    },
+    FigureSpec {
+        id: "fig_scale",
+        blurb: "response time vs clients x shard count, sharded PDES scale-out",
+        title: "Response time vs number of clients per shard count, pr=0.6, \
+                20% multi-home, sharded scale-out",
+        x_label: "number of clients",
+        xs: &[],
+        series: &[],
+        metric: Metric::Response,
+        cells: Cells::ScaleOut,
+    },
+    // "Compare with more caching protocols": c-2PL converges towards
+    // s-2PL at low read probabilities (callbacks eat the cache) and
+    // beats both on read-mostly hot data.
+    FigureSpec {
+        id: "ext-protocols",
+        blurb: "s-2PL vs g-2PL vs c-2PL across the read-probability sweep",
+        title: "s-2PL vs g-2PL vs c-2PL across read probabilities, MAN",
+        x_label: "read probability",
+        xs: &PR_SWEEP,
+        series: TRIO_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| base_cfg(engine(s), 50, 250, x, scale)),
+    },
+    // A Zipf-distributed item choice concentrates load on a few
+    // scorching items. The paper predicts "the more a certain data item
+    // is requested … more is the performance gain" for g-2PL.
+    FigureSpec {
+        id: "ext-skew",
+        blurb: "Zipf access skew: the hotter the hot set, the bigger the grouping win",
+        title: "Zipf access skew vs response time, pr=0.25, s-WAN",
+        x_label: "zipf theta",
+        xs: &[0.0, 0.4, 0.8, 1.2, 1.6],
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), 50, 500, 0.25, scale);
+            cfg.profile.access = AccessDistribution::Zipf { theta: x };
+            cfg
+        }),
+    },
+    // §2's claim: at low data rates the transmission term dominates and
+    // g-2PL's bigger messages (data migration plus forward lists) cost
+    // real time; as the rate grows the latency term takes over and the
+    // round savings win. x is payload bytes per simulation time unit.
+    FigureSpec {
+        id: "ext-bandwidth",
+        blurb: "finite bandwidth: g-2PL's bigger messages vs fewer rounds",
+        title: "Finite bandwidth: response time vs data rate, pr=0.25, MAN",
+        x_label: "bytes per time unit",
+        xs: &[64.0, 256.0, 1024.0, 4096.0, 16384.0],
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), 50, 250, 0.25, scale);
+            cfg.latency = LatencyCfg::Bandwidth {
+                latency: 250,
+                bytes_per_unit: x as u64,
+            };
+            cfg
+        }),
+    },
+    // The reproduction finding: `g-2PL (instant)` reproduces the paper;
+    // `g-2PL (messaged)` charges the real notice + migration cost of
+    // each deadlock abort and loses its advantage at high contention.
+    FigureSpec {
+        id: "ext-abort-effect",
+        blurb: "the reproduction finding: instant vs messaged abort recovery",
+        title: "Abort-effect semantics: instant (paper) vs messaged (faithful), pr=0.6",
+        x_label: "network latency",
+        xs: &[50.0, 250.0, 500.0, 750.0],
+        series: &["g-2PL (instant)", "g-2PL (messaged)", "s-2PL"],
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            // Series 0 and 1 run g-2PL, series 2 s-2PL.
+            let mut cfg = base_cfg(engine(s / 2), 50, x as u64, 0.6, scale);
+            if s == 1 {
+                cfg.abort_effect = AbortEffect::Messaged;
+            }
+            cfg
+        }),
+    },
+    // Footnote 1: holding a returned item for up to two latencies to
+    // gather a bigger window "does not produce significant performance
+    // gains".
+    FigureSpec {
+        id: "ext-window-hold",
+        blurb: "footnote 1: holding windows open buys little",
+        title: "Collection-window hold time vs response, pr=0.25, s-WAN (footnote 1)",
+        x_label: "window hold (time units)",
+        xs: &[0.0, 125.0, 250.0, 500.0, 1000.0],
+        series: &["g-2PL"],
+        metric: Metric::Response,
+        cells: Cells::Grid(|_, x, scale| {
+            let hold = g2pl_with(|o| o.dispatch_delay = (x > 0.0).then_some(x as u64));
+            base_cfg(hold, 50, 500, 0.25, scale)
+        }),
+    },
+    // §6 future work: "the various ordering disciplines in forming the
+    // forward lists".
+    FigureSpec {
+        id: "ext-ordering",
+        blurb: "forward-list ordering disciplines",
+        title: "Forward-list ordering disciplines, MAN",
+        x_label: "read probability",
+        xs: &[0.0, 0.3, 0.6, 0.9],
+        series: &[
+            "fifo+avoidance (paper)",
+            "fifo only",
+            "aging",
+            "coalesce readers",
+        ],
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let rule = g2pl_with(|o| match s {
+                1 => o.ordering = OrderingRule::fifo(),
+                2 => o.ordering.base = BaseOrder::Aging,
+                3 => o.ordering.coalesce_readers = true,
+                _ => {}
+            });
+            base_cfg(rule, 50, 250, x, scale)
+        }),
+    },
+    // Both engines at the contended s-WAN cell, one series per
+    // (engine, policy) in VICTIMS order.
+    FigureSpec {
+        id: "ext-victims",
+        blurb: "deadlock victim policies",
+        title: "Victim policies vs response time, s-WAN",
+        x_label: "read probability",
+        xs: &[0.0, 0.3, 0.6],
+        series: &[
+            "g-2PL / youngest",
+            "g-2PL / oldest",
+            "g-2PL / fewest-locks",
+            "s-2PL / youngest",
+            "s-2PL / oldest",
+            "s-2PL / fewest-locks",
+        ],
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s / 3), 50, 500, x, scale);
+            cfg.victim = VICTIMS[s % 3];
+            cfg
+        }),
+    },
+    // "Expanding a dispatched forward list to include new read
+    // requests", which the paper leaves as future work: it removes the
+    // read penalty at high read probabilities.
+    FigureSpec {
+        id: "ext-read-expansion",
+        blurb: "the §3.3 read-expansion variant at high read probabilities",
+        title: "Read-expansion variant at high read probabilities, MAN",
+        x_label: "read probability",
+        xs: &[0.6, 0.8, 0.9, 1.0],
+        series: &["g-2PL", "g-2PL + read expansion", "s-2PL"],
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let protocol = match s {
+                0 => ProtocolKind::g2pl_paper(),
+                1 => g2pl_with(|o| o.expand_reads = true),
+                _ => ProtocolKind::S2pl,
+            };
+            base_cfg(protocol, 50, 250, x, scale)
+        }),
+    },
+    // The §1 recovery substrate. Under s-2PL a committed version is
+    // permanent as soon as the commit message lands, so logs stay
+    // shallow; under g-2PL it only becomes permanent when the item
+    // finishes migrating home, so sites must provision log space that
+    // grows with the forward-list pipelines.
+    FigureSpec {
+        id: "ext-log-retention",
+        blurb: "WAL log-space high-water marks (§1's recovery substrate)",
+        title: "Worst per-site live WAL (KiB) vs latency, pr=0.25",
+        x_label: "network latency",
+        xs: &[50.0, 250.0, 500.0, 750.0],
+        series: BOTH_LABELS,
+        metric: Metric::WalKib,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), 50, x as u64, 0.25, scale);
+            cfg.enable_wal = true;
+            cfg
+        }),
+    },
+    // §3.3 argues the forward-list reordering computations overlap
+    // communication and "do not increase the transaction blocking
+    // time". A serial per-message server CPU cost shows how much
+    // headroom that claim has, and where the server becomes each
+    // protocol's bottleneck (s-2PL pushes roughly 3 messages per
+    // transaction through it; g-2PL offloads data migration to the
+    // clients).
+    FigureSpec {
+        id: "ext-server-cpu",
+        blurb: "§3.3's \"server computation overlaps communication\" claim",
+        title: "Server CPU cost per message vs response, pr=0.6, s-WAN",
+        x_label: "server cpu per message (time units)",
+        xs: &[0.0, 1.0, 2.0, 5.0, 10.0, 20.0],
+        series: BOTH_LABELS,
+        metric: Metric::Response,
+        cells: Cells::Grid(|s, x, scale| {
+            let mut cfg = base_cfg(engine(s), 50, 500, 0.6, scale);
+            cfg.server_cpu_per_op = x as u64;
+            cfg
+        }),
+    },
+];
+
+/// The cell of both `fig_faults*` rows: loss probability `x` on every
+/// link, drained.
+fn lossy_cell(s: usize, x: f64, scale: Scale) -> EngineConfig {
+    let mut cfg = base_cfg(engine(s), 50, 250, 0.6, scale);
+    cfg.drain = true;
+    cfg.faults = Some(FaultPlan::message_loss(x));
+    cfg
+}
+
+/// Look up a registered figure by id.
+pub fn figure(id: &str) -> Option<&'static FigureSpec> {
+    FIGURES.iter().find(|f| f.id == id)
+}
+
+/// The registry as a markdown table (the body of `repro list`).
+pub fn list_figures() -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "| id | figure |");
+    let _ = writeln!(out, "|---|---|");
+    for f in FIGURES {
+        let _ = writeln!(out, "| {} | {} |", f.id, f.blurb);
+    }
+    out
+}
+
+impl FigureSpec {
+    /// Regenerate the figure's data at the given scale. Replication 0
+    /// of every point is trace-verified (P1–P10 plus serializability)
+    /// by the grid runner unless verification is off.
+    pub fn build(&self, scale: Scale) -> FigureData {
+        let Cells::Grid(cell) = self.cells else {
+            return self.build_scale(scale);
+        };
+        let (_, _, reps) = scale.params();
+        let configs: Vec<EngineConfig> = (0..self.series.len())
+            .flat_map(|s| self.xs.iter().map(move |&x| cell(s, x, scale)))
+            .collect();
+        let mut results = run_grid(&configs, reps).into_iter();
+        let mut fig = self.empty_figure(self.metric.y_label());
+        for label in self.series {
+            let mut columns: Vec<Series> = self
+                .metric
+                .suffixes()
+                .iter()
+                .map(|suffix| Series {
+                    label: format!("{label}{suffix}"),
+                    points: Vec::with_capacity(self.xs.len()),
+                })
+                .collect();
+            let mut tail = Vec::with_capacity(self.xs.len());
+            for &x in self.xs {
+                // lint:allow(L3): run_grid returns one result per config
+                let r = results.next().expect("one result per grid point");
+                for (column, (y, ci)) in columns.iter_mut().zip(self.metric.reduce(&r)) {
+                    column.points.push((x, y, ci));
+                }
+                if self.metric.has_tails() {
+                    tail.push(TailPoint::new(x, r.tail_summary()));
+                }
+            }
+            fig.series.extend(columns);
+            if self.metric.has_tails() {
+                fig.tails.push(TailSeries {
+                    label: label.to_string(),
+                    points: tail,
                 });
             }
         }
-        series.push(Series {
-            label: p.label().to_string(),
-            points,
-        });
-        if metric == Metric::Response {
-            tails.push(TailSeries {
-                label: p.label().to_string(),
-                points: tail_points,
-            });
+        fig
+    }
+
+    fn empty_figure(&self, y_label: &str) -> FigureData {
+        FigureData {
+            id: self.id.into(),
+            title: self.title.into(),
+            x_label: self.x_label.into(),
+            y_label: y_label.into(),
+            series: Vec::new(),
+            tails: Vec::new(),
         }
     }
-    FigureData {
-        id: id.into(),
-        title: title.into(),
-        x_label: x_label.into(),
-        y_label: match metric {
-            Metric::Response => "mean response time".into(),
-            Metric::AbortPct => "% aborted".into(),
-        },
-        series,
-        tails,
-    }
-}
 
-const BOTH: &[ProtocolKind] = &[ProtocolKind::G2pl(g2pl_paper_opts()), ProtocolKind::S2pl];
-
-/// All three engines, for the fault experiments.
-const TRIO: &[ProtocolKind] = &[
-    ProtocolKind::G2pl(g2pl_paper_opts()),
-    ProtocolKind::S2pl,
-    ProtocolKind::C2pl,
-];
-
-/// `G2plOpts::default()` as a const-friendly constructor.
-const fn g2pl_paper_opts() -> g2pl_protocols::G2plOpts {
-    g2pl_protocols::G2plOpts {
-        ordering: g2pl_fwdlist::OrderingRule {
-            base: g2pl_fwdlist::order::BaseOrder::Fifo,
-            consistent: true,
-            coalesce_readers: false,
-        },
-        mr1w: true,
-        expand_reads: false,
-        fl_cap: None,
-        dispatch_delay: None,
+    /// `fig_scale`: mean response time over a clients × shard-count
+    /// grid of the sharded scale-out engine. Each cell is one PDES run
+    /// (one LP per shard, link latency as the lookahead) that drains to
+    /// quiescence and verifies its lock tables before reporting, so
+    /// every plotted point is backed by a clean multi-home history. The
+    /// per-LP statistics merge deterministically, making the whole
+    /// figure bit-identical at any worker count.
+    fn build_scale(&self, scale: Scale) -> FigureData {
+        let (clients_axis, shard_axis): (&[u32], &[u32]) = match scale {
+            Scale::Smoke => (&[64, 128, 256], &[1, 2, 4]),
+            Scale::Default => (&[1_000, 10_000, 100_000], &[1, 4, 8]),
+            Scale::Full => (&[100_000, 400_000, 1_000_000], &[4, 16, 64]),
+        };
+        let mut fig = self.empty_figure("response time");
+        for &shards in shard_axis {
+            let label = if shards == 1 {
+                "1 shard".to_string()
+            } else {
+                format!("{shards} shards")
+            };
+            let mut points = Vec::with_capacity(clients_axis.len());
+            let mut tail = Vec::with_capacity(clients_axis.len());
+            for &clients in clients_axis {
+                let mut cfg = scale_cell(clients, shards);
+                if scale == Scale::Smoke {
+                    cfg.warmup = 50;
+                    cfg.measured = 200;
+                }
+                // lint:allow(L3): the registry grid is valid by construction
+                let m = run_scale(&cfg).unwrap_or_else(|e| panic!("fig_scale cell: {e}"));
+                let x = clients as f64;
+                points.push((x, m.response.mean(), 0.0));
+                tail.push(TailPoint::new(x, m.tail.summary()));
+            }
+            fig.series.push(Series {
+                label: label.clone(),
+                points,
+            });
+            fig.tails.push(TailSeries {
+                label,
+                points: tail,
+            });
+        }
+        fig
     }
 }
 
@@ -337,603 +992,6 @@ pub fn fig1() -> String {
     out
 }
 
-// ---- the declarative figure registry ----
-
-/// The x-axis sweep of a registered figure, with its fixed parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Sweep {
-    /// Network latency over [`LATENCY_SWEEP`] at a fixed read
-    /// probability, 50 clients (figs 2–4, 8–9).
-    Latency {
-        /// Read probability held fixed across the sweep.
-        pr: f64,
-    },
-    /// Network latency over the short read-only range 1–10, pr = 1.0
-    /// (fig 10: g-2PL's unique read-only deadlocks).
-    LatencyReadOnly,
-    /// Read probability over [`PR_SWEEP`] at a fixed latency (figs 5–7).
-    ReadProb {
-        /// Network latency held fixed across the sweep.
-        latency: u64,
-    },
-    /// Client count over [`CLIENT_SWEEP`] in the s-WAN (figs 12–15).
-    Clients {
-        /// Read probability held fixed across the sweep.
-        pr: f64,
-    },
-    /// Forward-list length cap, read-only ss-LAN, g-2PL only (fig 11).
-    FlCap,
-    /// Message-loss probability over [`LOSS_SWEEP`], all three engines
-    /// with the fault-injection subsystem on (`fig_faults*`).
-    LossRate,
-    /// Server outage duration over [`OUTAGE_SWEEP`], all three engines
-    /// with crash-recovery on (`fig_server_faults`): two fixed outages
-    /// per run, WAL replay plus the re-registration handshake on each
-    /// restart.
-    ServerOutage,
-    /// Per-shard outage duration over [`OUTAGE_SWEEP`], one s-2PL series
-    /// per shard count in [`SHARD_FAULT_SHARDS`] (`fig_shard_faults`).
-    /// Every run beyond one shard mixes 30% multi-home transactions, the
-    /// crash always takes down the *highest* shard (a non-zero fault
-    /// domain whenever one exists), and x = 0 runs with no fault plan at
-    /// all — the inert anchor. Runs drain, so the commit-rate dip and
-    /// the p99 tail both reflect recovery plus the atomic-commitment
-    /// detour, never dropped work.
-    ShardFaults,
-    /// Client count over [`CLIENT_SWEEP`] in the MAN, pr = 0.6, all
-    /// three engines, draining every run: plots p99 and p999 response
-    /// time from the pooled quantile sketch instead of the mean
-    /// (`fig_tail`).
-    TailLoad,
-    /// Client count × shard count under the sharded scale-out engine
-    /// (`fig_scale`): every cell runs the lean multi-home s-2PL harness
-    /// on the conservative PDES with one LP per shard, 20% multi-home
-    /// transactions over mildly skewed shard popularity, then drains
-    /// and verifies quiescence. One series per shard count; tail rows
-    /// come from the merged per-LP sketches.
-    ScaleOut,
-}
-
-/// One registered figure: id, caption material, metric and sweep. The
-/// whole chart is data — [`FigureSpec::build`] interprets it.
-#[derive(Clone, Copy, Debug)]
-pub struct FigureSpec {
-    /// Artifact id, e.g. `"fig2"` (what `repro <id>` dispatches on).
-    pub id: &'static str,
-    /// One-line summary shown by `repro list`.
-    pub blurb: &'static str,
-    /// Quantity plotted on the y-axis.
-    pub metric: Metric,
-    /// X-axis sweep and its fixed parameters.
-    pub sweep: Sweep,
-}
-
-/// Every registered figure, in paper order. `repro list` and the figure
-/// dispatch both read this table; adding a chart means adding a row.
-pub static FIGURES: &[FigureSpec] = &[
-    FigureSpec {
-        id: "fig2",
-        blurb: "response time vs latency, write-only (pr=0.0)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 0.0 },
-    },
-    FigureSpec {
-        id: "fig3",
-        blurb: "response time vs latency, mixed (pr=0.6)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 0.6 },
-    },
-    FigureSpec {
-        id: "fig4",
-        blurb: "response time vs latency, read-only (pr=1.0)",
-        metric: Metric::Response,
-        sweep: Sweep::Latency { pr: 1.0 },
-    },
-    FigureSpec {
-        id: "fig5",
-        blurb: "response time vs read probability, ss-LAN (latency 1)",
-        metric: Metric::Response,
-        sweep: Sweep::ReadProb { latency: 1 },
-    },
-    FigureSpec {
-        id: "fig6",
-        blurb: "response time vs read probability, MAN (latency 250)",
-        metric: Metric::Response,
-        sweep: Sweep::ReadProb { latency: 250 },
-    },
-    FigureSpec {
-        id: "fig7",
-        blurb: "response time vs read probability, l-WAN (latency 750)",
-        metric: Metric::Response,
-        sweep: Sweep::ReadProb { latency: 750 },
-    },
-    FigureSpec {
-        id: "fig8",
-        blurb: "abort % vs latency, pr=0.6",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Latency { pr: 0.6 },
-    },
-    FigureSpec {
-        id: "fig9",
-        blurb: "abort % vs latency, pr=0.8",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Latency { pr: 0.8 },
-    },
-    FigureSpec {
-        id: "fig10",
-        blurb: "abort % vs latency, read-only system",
-        metric: Metric::AbortPct,
-        sweep: Sweep::LatencyReadOnly,
-    },
-    FigureSpec {
-        id: "fig11",
-        blurb: "abort % vs forward-list length cap, read-only ss-LAN",
-        metric: Metric::AbortPct,
-        sweep: Sweep::FlCap,
-    },
-    FigureSpec {
-        id: "fig12",
-        blurb: "response time vs number of clients, pr=0.25, s-WAN",
-        metric: Metric::Response,
-        sweep: Sweep::Clients { pr: 0.25 },
-    },
-    FigureSpec {
-        id: "fig13",
-        blurb: "abort % vs number of clients, pr=0.25, s-WAN",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Clients { pr: 0.25 },
-    },
-    FigureSpec {
-        id: "fig14",
-        blurb: "response time vs number of clients, pr=0.75, s-WAN",
-        metric: Metric::Response,
-        sweep: Sweep::Clients { pr: 0.75 },
-    },
-    FigureSpec {
-        id: "fig15",
-        blurb: "abort % vs number of clients, pr=0.75, s-WAN",
-        metric: Metric::AbortPct,
-        sweep: Sweep::Clients { pr: 0.75 },
-    },
-    FigureSpec {
-        id: "fig_faults",
-        blurb: "response time vs message-loss probability, 3 engines",
-        metric: Metric::Response,
-        sweep: Sweep::LossRate,
-    },
-    FigureSpec {
-        id: "fig_faults_aborts",
-        blurb: "abort % vs message-loss probability, 3 engines",
-        metric: Metric::AbortPct,
-        sweep: Sweep::LossRate,
-    },
-    FigureSpec {
-        id: "fig_server_faults",
-        blurb: "response time vs server outage duration, 3 engines",
-        metric: Metric::Response,
-        sweep: Sweep::ServerOutage,
-    },
-    FigureSpec {
-        id: "fig_shard_faults",
-        blurb: "commit rate & p99 vs per-shard outage duration, 1/2/4/8 shards",
-        metric: Metric::Response,
-        sweep: Sweep::ShardFaults,
-    },
-    FigureSpec {
-        id: "fig_tail",
-        blurb: "p99/p999 response time vs number of clients, 3 engines",
-        metric: Metric::Response,
-        sweep: Sweep::TailLoad,
-    },
-    FigureSpec {
-        id: "fig_scale",
-        blurb: "response time vs clients x shard count, sharded PDES scale-out",
-        metric: Metric::Response,
-        sweep: Sweep::ScaleOut,
-    },
-];
-
-/// Look up a registered figure by id.
-pub fn figure(id: &str) -> Option<&'static FigureSpec> {
-    FIGURES.iter().find(|f| f.id == id)
-}
-
-/// The registry as a markdown table (the body of `repro list`).
-pub fn list_figures() -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| id | figure |");
-    let _ = writeln!(out, "|---|---|");
-    for f in FIGURES {
-        let _ = writeln!(out, "| {} | {} |", f.id, f.blurb);
-    }
-    out
-}
-
-impl FigureSpec {
-    /// Regenerate the figure's data at the given scale.
-    pub fn build(&self, scale: Scale) -> FigureData {
-        match self.sweep {
-            Sweep::Latency { pr } => sweep(
-                self.id,
-                &match self.metric {
-                    Metric::Response => {
-                        format!("Mean transaction response time vs network latency, pr={pr}")
-                    }
-                    Metric::AbortPct => format!(
-                        "Percentage of transactions aborted vs latency, pr={pr}, \
-                         50 clients, 25 items"
-                    ),
-                },
-                "network latency",
-                self.metric,
-                &LATENCY_SWEEP.map(|l| l as f64),
-                scale,
-                BOTH,
-                |p, latency| base_cfg(p, 50, latency as u64, pr, scale),
-            ),
-            Sweep::LatencyReadOnly => sweep(
-                self.id,
-                "Percentage of transactions aborted vs latency, read-only system",
-                "network latency",
-                self.metric,
-                &[1.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-                scale,
-                BOTH,
-                |p, latency| base_cfg(p, 50, latency as u64, 1.0, scale),
-            ),
-            Sweep::ReadProb { latency } => {
-                let env = NetworkEnv::nearest(g2pl_simcore::SimTime::new(latency));
-                sweep(
-                    self.id,
-                    &format!("Mean response time vs read probability in {env} (latency {latency})"),
-                    "read probability",
-                    self.metric,
-                    &PR_SWEEP,
-                    scale,
-                    BOTH,
-                    |p, pr| base_cfg(p, 50, latency, pr, scale),
-                )
-            }
-            Sweep::Clients { pr } => sweep(
-                self.id,
-                &match self.metric {
-                    Metric::Response => {
-                        format!("Mean response time vs number of clients: 25 items, pr={pr}, s-WAN")
-                    }
-                    Metric::AbortPct => {
-                        format!("Percentage aborted vs number of clients: 25 items, pr={pr}, s-WAN")
-                    }
-                },
-                "number of clients",
-                self.metric,
-                &CLIENT_SWEEP.map(|c| c as f64),
-                scale,
-                BOTH,
-                |p, clients| base_cfg(p, clients as u32, 500, pr, scale),
-            ),
-            Sweep::FlCap => self.build_fl_cap(scale),
-            Sweep::LossRate => sweep(
-                self.id,
-                &match self.metric {
-                    Metric::Response => {
-                        "Mean response time vs message-loss probability, pr=0.6, MAN".to_string()
-                    }
-                    Metric::AbortPct => {
-                        "Percentage of transactions aborted vs message-loss probability, \
-                         pr=0.6, MAN"
-                            .to_string()
-                    }
-                },
-                "message loss probability",
-                self.metric,
-                &LOSS_SWEEP,
-                scale,
-                TRIO,
-                |p, loss| {
-                    let mut cfg = base_cfg(p, 50, 250, 0.6, scale);
-                    // Recovery liveness is part of what the figure shows:
-                    // drain so every non-aborted transaction must finish.
-                    cfg.drain = true;
-                    cfg.faults = Some(FaultPlan::message_loss(loss));
-                    cfg
-                },
-            ),
-            Sweep::ServerOutage => sweep(
-                self.id,
-                &match self.metric {
-                    Metric::Response => {
-                        "Mean response time vs server outage duration, pr=0.6, latency 50"
-                            .to_string()
-                    }
-                    Metric::AbortPct => {
-                        "Percentage of transactions aborted vs server outage duration, \
-                         pr=0.6, latency 50"
-                            .to_string()
-                    }
-                },
-                "server outage duration",
-                self.metric,
-                &OUTAGE_SWEEP.map(|d| d as f64),
-                scale,
-                TRIO,
-                |p, down_for| {
-                    let mut cfg = base_cfg(p, 50, 50, 0.6, scale);
-                    // Every non-aborted transaction must finish despite
-                    // losing the server twice — recovery liveness is the
-                    // point of the figure.
-                    cfg.drain = true;
-                    cfg.faults = Some(FaultPlan::server_outage(down_for as u64));
-                    cfg
-                },
-            ),
-            Sweep::ShardFaults => self.build_shard_faults(scale),
-            Sweep::TailLoad => self.build_tail(scale),
-            Sweep::ScaleOut => self.build_scale(scale),
-        }
-    }
-
-    /// Fig 11: single-series g-2PL sweep over the forward-list cap.
-    fn build_fl_cap(&self, scale: Scale) -> FigureData {
-        let caps: [u64; 8] = [1, 2, 3, 4, 5, 6, 8, 10];
-        let (_, _, reps) = scale.params();
-        let configs: Vec<EngineConfig> = caps
-            .iter()
-            .map(|&cap| {
-                let opts = g2pl_protocols::G2plOpts {
-                    fl_cap: Some(cap as usize),
-                    ..Default::default()
-                };
-                base_cfg(ProtocolKind::G2pl(opts), 50, 1, 1.0, scale)
-            })
-            .collect();
-        let points = caps
-            .iter()
-            .zip(run_grid(&configs, reps))
-            .map(|(&cap, r)| {
-                let ci = r.abort_pct_ci();
-                (cap as f64, ci.mean, ci.half_width)
-            })
-            .collect();
-        FigureData {
-            id: self.id.into(),
-            title: "Percentage of transactions aborted vs forward-list length, pr=1.0, ss-LAN"
-                .into(),
-            x_label: "forward list length cap".into(),
-            y_label: "% aborted".into(),
-            series: vec![Series {
-                label: "g-2PL".into(),
-                points,
-            }],
-            tails: Vec::new(),
-        }
-    }
-
-    /// `fig_shard_faults`: shard fault domains under the s-2PL engine.
-    /// One series pair per shard count in [`SHARD_FAULT_SHARDS`]; the
-    /// x-axis is [`OUTAGE_SWEEP`] outage durations with both scheduled
-    /// crashes landing on the highest shard. Beyond one shard the
-    /// workload mixes 30% multi-home transactions (θ = 0.5 shard
-    /// popularity), so a crash strands in-doubt prepare votes that
-    /// recovery must resolve. Every run drains; replication 0 of every
-    /// point is trace-verified (P1–P10 plus serializability) by the
-    /// grid runner. The plotted commit rate is measured commits per
-    /// 1 000 simulated time units — sensitive to both the outage dead
-    /// time and the atomic-commitment round trips — and p99 comes from
-    /// the pooled quantile sketch.
-    fn build_shard_faults(&self, scale: Scale) -> FigureData {
-        let (_, _, reps) = scale.params();
-        let mut configs = Vec::with_capacity(SHARD_FAULT_SHARDS.len() * OUTAGE_SWEEP.len());
-        for &shards in &SHARD_FAULT_SHARDS {
-            for &down_for in &OUTAGE_SWEEP {
-                let mut cfg = base_cfg(ProtocolKind::S2pl, 50, 50, 0.6, scale);
-                // Hold the hot set at 24 items however it is partitioned,
-                // so the series differ only in fault-domain layout.
-                cfg.items = g2pl_protocols::ItemSpace::sharded(shards, 24 / shards);
-                if shards > 1 {
-                    cfg.profile.shard_mix = Some(ShardMix {
-                        cross_frac: 0.3,
-                        shard_theta: 0.5,
-                    });
-                }
-                // Acknowledged commits must survive the outage: drain so
-                // every non-aborted transaction finishes and is counted.
-                cfg.drain = true;
-                // x = 0 carries no plan at all — the inert anchor runs
-                // the pristine code path (no WAL forcing, no 2PC).
-                if down_for > 0 {
-                    cfg.faults = Some(FaultPlan::shard_outage(shards - 1, down_for));
-                }
-                configs.push(cfg);
-            }
-        }
-        let mut results = run_grid(&configs, reps).into_iter();
-        let mut series = Vec::with_capacity(2 * SHARD_FAULT_SHARDS.len());
-        let mut tails = Vec::with_capacity(SHARD_FAULT_SHARDS.len());
-        for &shards in &SHARD_FAULT_SHARDS {
-            let label = if shards == 1 {
-                "1 shard".to_string()
-            } else {
-                format!("{shards} shards")
-            };
-            let mut rate = Vec::with_capacity(OUTAGE_SWEEP.len());
-            let mut p99 = Vec::with_capacity(OUTAGE_SWEEP.len());
-            let mut tail_points = Vec::with_capacity(OUTAGE_SWEEP.len());
-            for &down_for in &OUTAGE_SWEEP {
-                let x = down_for as f64;
-                // lint:allow(L3): run_grid returns one result per config
-                let r = results.next().expect("one result per grid point");
-                let per_rep: Vec<f64> = r
-                    .runs
-                    .iter()
-                    .map(|m| 1_000.0 * m.committed_total as f64 / m.end_time.units() as f64)
-                    .collect();
-                let mean = per_rep.iter().sum::<f64>() / per_rep.len() as f64;
-                rate.push((x, mean, 0.0));
-                let t = r.tail_summary();
-                p99.push((x, t.p99 as f64, 0.0));
-                tail_points.push(TailPoint {
-                    x,
-                    p50: t.p50,
-                    p90: t.p90,
-                    p99: t.p99,
-                    p999: t.p999,
-                    max: t.max,
-                    count: t.count,
-                });
-            }
-            series.push(Series {
-                label: format!("{label} commit rate"),
-                points: rate,
-            });
-            series.push(Series {
-                label: format!("{label} p99"),
-                points: p99,
-            });
-            tails.push(TailSeries {
-                label,
-                points: tail_points,
-            });
-        }
-        FigureData {
-            id: self.id.into(),
-            title: "Commit rate and p99 response vs per-shard outage duration, \
-                    s-2PL, 30% multi-home beyond one shard"
-                .into(),
-            x_label: "outage duration per crash".into(),
-            y_label: "commits per 1k units / p99 response".into(),
-            series,
-            tails,
-        }
-    }
-
-    /// `fig_tail`: load vs tail quantiles for all three engines. Every
-    /// run drains (stragglers must finish and be counted — the tail is
-    /// the point), and the plotted y values come straight from the
-    /// pooled [`g2pl_stats::TailSketch`], so the curves are exact bucket
-    /// edges with no sampling error bars (ci = 0).
-    fn build_tail(&self, scale: Scale) -> FigureData {
-        let (_, _, reps) = scale.params();
-        let mut configs = Vec::with_capacity(TRIO.len() * CLIENT_SWEEP.len());
-        for p in TRIO {
-            for &clients in &CLIENT_SWEEP {
-                let mut cfg = base_cfg(p.clone(), clients, 250, 0.6, scale);
-                cfg.drain = true;
-                configs.push(cfg);
-            }
-        }
-        let mut results = run_grid(&configs, reps).into_iter();
-        let mut series = Vec::with_capacity(2 * TRIO.len());
-        let mut tails = Vec::with_capacity(TRIO.len());
-        for p in TRIO {
-            let mut p99 = Vec::with_capacity(CLIENT_SWEEP.len());
-            let mut p999 = Vec::with_capacity(CLIENT_SWEEP.len());
-            let mut tail_points = Vec::with_capacity(CLIENT_SWEEP.len());
-            for &clients in &CLIENT_SWEEP {
-                let x = clients as f64;
-                // lint:allow(L3): run_grid returns one result per config
-                let r = results.next().expect("one result per grid point");
-                let t = r.tail_summary();
-                p99.push((x, t.p99 as f64, 0.0));
-                p999.push((x, t.p999 as f64, 0.0));
-                tail_points.push(TailPoint {
-                    x,
-                    p50: t.p50,
-                    p90: t.p90,
-                    p99: t.p99,
-                    p999: t.p999,
-                    max: t.max,
-                    count: t.count,
-                });
-            }
-            series.push(Series {
-                label: format!("{} p99", p.label()),
-                points: p99,
-            });
-            series.push(Series {
-                label: format!("{} p999", p.label()),
-                points: p999,
-            });
-            tails.push(TailSeries {
-                label: p.label().to_string(),
-                points: tail_points,
-            });
-        }
-        FigureData {
-            id: self.id.into(),
-            title: "Tail response time (p99/p999) vs number of clients, pr=0.6, MAN".into(),
-            x_label: "number of clients".into(),
-            y_label: "response time quantile".into(),
-            series,
-            tails,
-        }
-    }
-
-    /// `fig_scale`: mean response time over a clients × shard-count
-    /// grid of the sharded scale-out engine. Each cell is one PDES run
-    /// (one LP per shard, link latency as the lookahead) that drains to
-    /// quiescence and verifies its lock tables before reporting, so
-    /// every plotted point is backed by a clean multi-home history. The
-    /// per-LP statistics merge deterministically, making the whole
-    /// figure bit-identical at any worker count.
-    fn build_scale(&self, scale: Scale) -> FigureData {
-        let (clients_axis, shard_axis): (&[u32], &[u32]) = match scale {
-            Scale::Smoke => (&[64, 128, 256], &[1, 2, 4]),
-            Scale::Default => (&[1_000, 10_000, 100_000], &[1, 4, 8]),
-            Scale::Full => (&[100_000, 400_000, 1_000_000], &[4, 16, 64]),
-        };
-        let mut series = Vec::with_capacity(shard_axis.len());
-        let mut tails = Vec::with_capacity(shard_axis.len());
-        for &shards in shard_axis {
-            let label = if shards == 1 {
-                "1 shard".to_string()
-            } else {
-                format!("{shards} shards")
-            };
-            let mut points = Vec::with_capacity(clients_axis.len());
-            let mut tail_points = Vec::with_capacity(clients_axis.len());
-            for &clients in clients_axis {
-                let mut cfg = scale_cell(clients, shards);
-                if scale == Scale::Smoke {
-                    cfg.warmup = 50;
-                    cfg.measured = 200;
-                }
-                // lint:allow(L3): the registry grid is valid by construction
-                let m = run_scale(&cfg).unwrap_or_else(|e| panic!("fig_scale cell: {e}"));
-                let x = clients as f64;
-                points.push((x, m.response.mean(), 0.0));
-                let t = m.tail.summary();
-                tail_points.push(TailPoint {
-                    x,
-                    p50: t.p50,
-                    p90: t.p90,
-                    p99: t.p99,
-                    p999: t.p999,
-                    max: t.max,
-                    count: t.count,
-                });
-            }
-            series.push(Series {
-                label: label.clone(),
-                points,
-            });
-            tails.push(TailSeries {
-                label,
-                points: tail_points,
-            });
-        }
-        FigureData {
-            id: self.id.into(),
-            title: "Response time vs number of clients per shard count, pr=0.6, \
-                    20% multi-home, sharded scale-out"
-                .into(),
-            x_label: "number of clients".into(),
-            y_label: "response time".into(),
-            series,
-            tails,
-        }
-    }
-}
-
 /// One `fig_scale` grid cell: Table-1-flavored workload at pr = 0.6,
 /// link latency 10 (the PDES lookahead), and — beyond one shard — 20%
 /// multi-home transactions over mildly skewed (θ = 0.5) shard
@@ -1043,6 +1101,50 @@ mod tests {
         assert!(figure("fig_shard_faults").is_some());
         assert!(figure("fig_tail").is_some());
         assert!(figure("fig99").is_none());
+    }
+
+    #[test]
+    fn registry_ends_with_the_ten_extension_studies() {
+        // `repro ext` runs the ext-* rows in registry order.
+        let ext: Vec<&str> = FIGURES
+            .iter()
+            .map(|f| f.id)
+            .filter(|id| id.starts_with("ext-"))
+            .collect();
+        assert_eq!(
+            ext,
+            [
+                "ext-protocols",
+                "ext-skew",
+                "ext-bandwidth",
+                "ext-abort-effect",
+                "ext-window-hold",
+                "ext-ordering",
+                "ext-victims",
+                "ext-read-expansion",
+                "ext-log-retention",
+                "ext-server-cpu",
+            ]
+        );
+        assert_eq!(FIGURES.len(), 30);
+        assert!(FIGURES[20..].iter().all(|f| f.id.starts_with("ext-")));
+    }
+
+    #[test]
+    fn grid_rows_label_every_series_and_engine_labels_match() {
+        for f in FIGURES {
+            match f.cells {
+                Cells::Grid(_) => assert!(
+                    !f.series.is_empty() && !f.xs.is_empty(),
+                    "{} sweeps nothing",
+                    f.id
+                ),
+                Cells::ScaleOut => assert!(f.series.is_empty() && f.xs.is_empty()),
+            }
+        }
+        let labels: Vec<&str> = (0..3).map(|s| engine(s).label()).collect();
+        assert_eq!(labels, TRIO_LABELS);
+        assert_eq!(TRIO_LABELS[..2], *BOTH_LABELS);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `(x, y, ci)` points, plus axis labels — enough to regenerate any plot
 //! of the paper as a markdown table, a CSV file, or a quick ASCII chart.
 
+use g2pl_stats::TailSummary;
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -34,6 +35,21 @@ pub struct TailPoint {
     pub max: u64,
     /// Measured commits pooled into the sketch at this point.
     pub count: u64,
+}
+
+impl TailPoint {
+    /// The tail row at sweep position `x` from a pooled sketch summary.
+    pub fn new(x: f64, t: TailSummary) -> Self {
+        TailPoint {
+            x,
+            p50: t.p50,
+            p90: t.p90,
+            p99: t.p99,
+            p999: t.p999,
+            max: t.max,
+            count: t.count,
+        }
+    }
 }
 
 /// Per-series tail-quantile columns riding alongside the mean±CI series

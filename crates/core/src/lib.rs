@@ -40,7 +40,6 @@
 //! ```
 
 pub mod experiments;
-pub mod extensions;
 pub mod figure;
 pub mod runner;
 pub mod scorecard;
@@ -58,7 +57,6 @@ pub use verify::check_serializable;
 /// Convenient re-exports of the types most callers need.
 pub mod prelude {
     pub use crate::experiments::{self, Scale};
-    pub use crate::extensions;
     pub use crate::figure::{FigureData, Series};
     pub use crate::runner::{
         run_grid, run_replicated, set_grid_workers, set_trace_out, set_verify, take_perf,

@@ -204,10 +204,11 @@ fn run_verified(cfg: &EngineConfig) -> RunMetrics {
 }
 
 /// Write the run's event stream to
-/// `DIR/<label>_c<n>_l<L>_pr<p>_s<seed>[_sh<shards>][_f<plan>].jsonl`, the
-/// suffixes naming the shard count of a sharded run and (by hash) the
-/// fault plan of a faulty one, so the cells of one sweep never share a
-/// file.
+/// `DIR/<label>_c<n>_l<L>_pr<p>_s<seed>_<hash>.jsonl`: a readable
+/// prefix, then the FNV-1a 64 hash of the config's `Debug` rendering, so
+/// cells differing in any field (victim policy, g-2PL options, shard
+/// count, fault plan, ...) get one file each and identical cells share
+/// one.
 fn export_trace(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
     let Some(events) = &m.trace else { return };
     let meta = g2pl_obs::RunMeta {
@@ -234,25 +235,19 @@ fn export_trace(dir: &std::path::Path, cfg: &EngineConfig, m: &RunMetrics) {
         .filter(|c| *c != '-')
         .collect::<String>()
         .to_lowercase();
-    let mut file = format!(
-        "{label}_c{}_l{}_pr{}_s{}",
+    // FNV-1a rather than std's hasher, whose keys are random per process.
+    let hash = format!("{cfg:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    let file = format!(
+        "{label}_c{}_l{}_pr{}_s{}_{hash:016x}",
         cfg.num_clients,
         cfg.latency.nominal(),
         cfg.profile.read_prob,
         cfg.seed
     );
-    if cfg.num_shards() > 1 {
-        file.push_str(&format!("_sh{}", cfg.num_shards()));
-    }
-    if let Some(plan) = cfg.active_faults() {
-        // FNV-1a of the plan's rendering: stable across runs and builds.
-        let hash = format!("{plan:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
-        file.push_str(&format!("_f{:08x}", hash as u32));
-    }
     // The flight-recorder markers ride at the end of the stream, after
     // the recorded events, so replaying the prefix stays byte-compatible
     // with pre-tail traces.
@@ -570,6 +565,42 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(s.max, max);
+    }
+
+    #[test]
+    fn trace_exports_get_one_file_per_distinct_config() {
+        // Points that differ only in fields the readable prefix omits
+        // export one file each; identical points share one. Exporting
+        // straight into this test's own directory leaves the process-wide
+        // trace-out setting alone.
+        let dir = std::env::temp_dir().join(format!("g2pl-export-names-{}", std::process::id()));
+        let mut s2pl = cfg();
+        s2pl.trace_events = true;
+        let mut oldest = s2pl.clone();
+        oldest.victim = g2pl_lockmgr::VictimPolicy::Oldest;
+        let mut g2pl = s2pl.clone();
+        g2pl.protocol = ProtocolKind::g2pl_paper();
+        let mut expanding = g2pl.clone();
+        expanding.protocol = ProtocolKind::G2pl(g2pl_protocols::G2plOpts {
+            expand_reads: true,
+            ..Default::default()
+        });
+        for point in [&s2pl, &oldest, &s2pl, &g2pl, &expanding, &g2pl] {
+            export_trace(&dir, point, &run(point).expect("valid config"));
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("export directory exists")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        assert_eq!(count("s2pl_"), 2, "victim policies share a file: {names:?}");
+        assert_eq!(count("g2pl_"), 2, "g-2PL options share a file: {names:?}");
     }
 
     #[test]

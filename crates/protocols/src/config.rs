@@ -258,14 +258,6 @@ impl EngineConfig {
         }
     }
 
-    /// Start building a configuration from the Table 1 baseline for the
-    /// given protocol. See [`EngineConfigBuilder`].
-    pub fn builder(protocol: ProtocolKind) -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            cfg: EngineConfig::table1(protocol, 50, 100, 0.5),
-        }
-    }
-
     /// Total hot items across every shard.
     pub fn num_items(&self) -> u32 {
         self.items.num_items()
@@ -507,206 +499,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Typed builder for [`EngineConfig`].
-///
-/// Starts from the Table 1 baseline (25 hot items, think 1–3, idle 2–10,
-/// 1–5 items per transaction, 50 clients, constant latency 100, read
-/// probability 0.5) and lets callers override the knobs they care about;
-/// [`EngineConfigBuilder::build`] validates the result instead of letting
-/// an inconsistent config panic deep inside an engine.
-///
-/// ```
-/// use g2pl_protocols::{EngineConfig, ProtocolKind};
-///
-/// let cfg = EngineConfig::builder(ProtocolKind::g2pl_paper())
-///     .num_clients(25)
-///     .latency_const(250)
-///     .read_prob(0.8)
-///     .seed(7)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.num_clients, 25);
-/// ```
-#[derive(Clone, Debug)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Number of client sites.
-    #[must_use]
-    pub fn num_clients(mut self, n: u32) -> Self {
-        self.cfg.num_clients = n;
-        self
-    }
-
-    /// Number of hot data items at the (single) server.
-    #[deprecated(
-        note = "use `shards(n)` + `items_per_shard(m)`; this maps to one shard of n items"
-    )]
-    #[must_use]
-    pub fn num_items(mut self, n: u32) -> Self {
-        self.cfg.items = ItemSpace::single(n);
-        self
-    }
-
-    /// Number of server shards. The items-per-shard count is preserved
-    /// (Table 1's 25 unless overridden), so `shards(4)` yields a 100-item
-    /// pool partitioned 25 per shard.
-    #[must_use]
-    pub fn shards(mut self, n: u32) -> Self {
-        self.cfg.items.num_shards = n;
-        self
-    }
-
-    /// Hot items owned by each shard.
-    #[must_use]
-    pub fn items_per_shard(mut self, m: u32) -> Self {
-        self.cfg.items.items_per_shard = m;
-        self
-    }
-
-    /// The full item-space partition in one call.
-    #[must_use]
-    pub fn item_space(mut self, items: ItemSpace) -> Self {
-        self.cfg.items = items;
-        self
-    }
-
-    /// Latency model.
-    #[must_use]
-    pub fn latency(mut self, l: LatencyCfg) -> Self {
-        self.cfg.latency = l;
-        self
-    }
-
-    /// Constant one-way latency (the paper's model).
-    #[must_use]
-    pub fn latency_const(self, units: u64) -> Self {
-        self.latency(LatencyCfg::Constant(units))
-    }
-
-    /// Link topology with per-class overrides. Also adopts the
-    /// topology's base as the run latency, keeping the two coherent
-    /// (validation rejects a mismatch).
-    #[must_use]
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.cfg.latency = t.base;
-        self.cfg.topology = Some(t);
-        self
-    }
-
-    /// Per-client transaction profile.
-    #[must_use]
-    pub fn profile(mut self, p: TxnProfile) -> Self {
-        self.cfg.profile = p;
-        self
-    }
-
-    /// Table 1 profile with the given read probability.
-    #[must_use]
-    pub fn read_prob(self, p: f64) -> Self {
-        self.profile(TxnProfile::table1(p))
-    }
-
-    /// Recorded workload to replay.
-    #[must_use]
-    pub fn replay(mut self, trace: Trace) -> Self {
-        self.cfg.replay = Some(trace);
-        self
-    }
-
-    /// Deadlock victim policy.
-    #[must_use]
-    pub fn victim(mut self, v: VictimPolicy) -> Self {
-        self.cfg.victim = v;
-        self
-    }
-
-    /// Warm-up transaction count.
-    #[must_use]
-    pub fn warmup_txns(mut self, n: u64) -> Self {
-        self.cfg.warmup_txns = n;
-        self
-    }
-
-    /// Measured transaction count.
-    #[must_use]
-    pub fn measured_txns(mut self, n: u64) -> Self {
-        self.cfg.measured_txns = n;
-        self
-    }
-
-    /// Master seed.
-    #[must_use]
-    pub fn seed(mut self, s: u64) -> Self {
-        self.cfg.seed = s;
-        self
-    }
-
-    /// Data item payload size in bytes.
-    #[must_use]
-    pub fn item_size_bytes(mut self, b: u64) -> Self {
-        self.cfg.item_size_bytes = b;
-        self
-    }
-
-    /// Run the calendar dry after measurement and check conservation.
-    #[must_use]
-    pub fn drain(mut self, on: bool) -> Self {
-        self.cfg.drain = on;
-        self
-    }
-
-    /// Record per-commit version history.
-    #[must_use]
-    pub fn record_history(mut self, on: bool) -> Self {
-        self.cfg.record_history = on;
-        self
-    }
-
-    /// Record the run's event stream.
-    #[must_use]
-    pub fn trace_events(mut self, on: bool) -> Self {
-        self.cfg.trace_events = on;
-        self
-    }
-
-    /// Abort-effect semantics.
-    #[must_use]
-    pub fn abort_effect(mut self, e: AbortEffect) -> Self {
-        self.cfg.abort_effect = e;
-        self
-    }
-
-    /// Serial server CPU cost per processed message.
-    #[must_use]
-    pub fn server_cpu_per_op(mut self, units: u64) -> Self {
-        self.cfg.server_cpu_per_op = units;
-        self
-    }
-
-    /// Track per-site write-ahead logs.
-    #[must_use]
-    pub fn enable_wal(mut self, on: bool) -> Self {
-        self.cfg.enable_wal = on;
-        self
-    }
-
-    /// Fault-injection plan.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,54 +529,59 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_num_items_shim_maps_to_one_shard() {
-        #[allow(deprecated)]
-        let cfg = EngineConfig::builder(ProtocolKind::S2pl)
-            .num_items(40)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.items, ItemSpace::single(40));
-        assert_eq!(cfg.num_items(), 40);
+    fn builder_overrides_and_validates() {
+        let cfg = EngineConfig {
+            items: ItemSpace::single(5),
+            seed: 3,
+            measured_txns: 100,
+            ..EngineConfig::table1(ProtocolKind::S2pl, 10, 42, 1.0)
+        };
+        assert!(cfg.validate().is_ok());
+        assert_eq!(cfg.num_clients, 10);
+        assert_eq!(cfg.num_items(), 5);
+        assert_eq!(cfg.latency.nominal(), 42);
+        assert_eq!(cfg.seed, 3);
+
+        let cfg = EngineConfig {
+            num_clients: 0,
+            ..cfg
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::NoClients));
     }
 
     #[test]
     fn sharded_builder_and_validation() {
-        let cfg = EngineConfig::builder(ProtocolKind::S2pl)
-            .shards(3)
-            .items_per_shard(10)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.num_shards(), 3);
-        assert_eq!(cfg.num_items(), 30);
-
-        let err = EngineConfig::builder(ProtocolKind::S2pl)
-            .shards(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::NoShards);
-        let err = EngineConfig::builder(ProtocolKind::S2pl)
-            .shards(65)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::TooManyShards { num_shards: 65 }));
+        let mut c = EngineConfig::table1(ProtocolKind::S2pl, 50, 500, 0.6);
+        c.items = ItemSpace::sharded(3, 10);
+        assert!(c.validate().is_ok());
+        assert_eq!(c.num_shards(), 3);
+        assert_eq!(c.num_items(), 30);
+        c.items.num_shards = 0;
+        assert_eq!(c.validate(), Err(ConfigError::NoShards));
+        c.items.num_shards = 65;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyShards { num_shards: 65 })
+        );
     }
 
     #[test]
     fn validation_rejects_degenerate_configs() {
-        let mut c = EngineConfig::table1(ProtocolKind::S2pl, 50, 500, 0.6);
+        let table1 = || EngineConfig::table1(ProtocolKind::S2pl, 50, 500, 0.6);
+        let mut c = table1();
         c.num_clients = 0;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(ConfigError::NoClients));
 
-        let mut c = EngineConfig::table1(ProtocolKind::S2pl, 50, 500, 0.6);
+        let mut c = table1();
         c.measured_txns = 0;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(ConfigError::NoMeasuredTxns));
 
         let opts = G2plOpts {
             fl_cap: Some(0),
             ..G2plOpts::default()
         };
         let c = EngineConfig::table1(ProtocolKind::G2pl(opts), 50, 500, 0.6);
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(ConfigError::ZeroFlCap));
     }
 
     #[test]
@@ -795,49 +592,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_and_validates() {
-        let cfg = EngineConfig::builder(ProtocolKind::S2pl)
-            .num_clients(10)
-            .items_per_shard(5)
-            .latency_const(42)
-            .read_prob(1.0)
-            .seed(3)
-            .measured_txns(100)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.num_clients, 10);
-        assert_eq!(cfg.latency.nominal(), 42);
-        assert_eq!(cfg.seed, 3);
-
-        let err = EngineConfig::builder(ProtocolKind::S2pl)
-            .num_clients(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::NoClients);
-    }
-
-    #[test]
     fn fault_plan_is_validated_with_the_config() {
-        let err = EngineConfig::builder(ProtocolKind::S2pl)
-            .faults(g2pl_faults::FaultPlan::message_loss(1.5))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::Faults(_)));
+        let mut c = EngineConfig::table1(ProtocolKind::S2pl, 10, 100, 0.5);
+        c.faults = Some(g2pl_faults::FaultPlan::message_loss(1.5));
+        assert!(matches!(c.validate(), Err(ConfigError::Faults(_))));
 
-        let plan = g2pl_faults::FaultPlan {
+        c.faults = Some(g2pl_faults::FaultPlan {
             crashes: vec![g2pl_faults::CrashWindow {
                 client: 99,
                 at: 10,
                 down_for: 5,
             }],
             ..g2pl_faults::FaultPlan::default()
-        };
-        let err = EngineConfig::builder(ProtocolKind::S2pl)
-            .num_clients(10)
-            .faults(plan)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::CrashClientOutOfRange { .. }));
+        });
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::CrashClientOutOfRange {
+                client: 99,
+                num_clients: 10
+            })
+        );
     }
 
     #[test]
