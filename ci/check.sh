@@ -34,12 +34,13 @@ cargo test -q --workspace
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench fault_recovery + paper_reads smoke (one second each, untraced)"
+echo "==> perfbench fault_recovery + paper_reads + paper_writes smoke (one second each, untraced)"
 # fault_recovery is the only benchmark workload that runs the shared
 # fault and commit core (loss, WAL replay, re-registration, 2PC);
 # paper_reads is the workload the engine event-loop speed-up is claimed
+# on, and paper_writes the one the cheaper deadlock search is claimed
 # on. Each must still verify every cell and report no failed cell.
-for workload in fault_recovery paper_reads; do
+for workload in fault_recovery paper_reads paper_writes; do
   bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
   echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \

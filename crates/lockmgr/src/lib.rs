@@ -7,14 +7,19 @@
 //! data server: clients request items, the server acquires a read (shared)
 //! or write (exclusive) lock on their behalf, ships the item, and releases
 //! every lock at transaction end. Requests that cannot be granted are
-//! enqueued; a wait-for-graph deadlock check is run whenever a lock cannot
-//! be granted immediately (§4: "deadlock detection is initiated when a
-//! lock cannot be granted"), and victims are aborted.
+//! enqueued, deadlock detection starts when a lock cannot be granted
+//! (§4: "deadlock detection is initiated when a lock cannot be granted"),
+//! and victims are aborted. The engines search the waits-for relation
+//! lazily from the lock table ([`LockTable::waits_for_into`]), skipping
+//! triggers nothing waits for ([`LockTable::is_waited_on`]).
 //!
 //! Components:
 //! * [`mode::LockMode`] — S/X modes with the standard compatibility matrix;
 //! * [`table::LockTable`] — per-item holders + FIFO wait queues;
-//! * [`wfg::WaitForGraph`] — cycle detection over the waits-for relation;
+//! * [`wfg::WaitForGraph`] — cycle detection over an explicit waits-for
+//!   graph. No engine uses it. It stays only because perfbench's
+//!   `lockmgr.wfg.find_cycle_ns` layer times it, together with
+//!   [`LockTable::all_waiters`] and [`LockTable::waits_for`];
 //! * [`victim::VictimPolicy`] — which deadlocked transaction to abort.
 
 pub mod mode;

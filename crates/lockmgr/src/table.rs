@@ -218,6 +218,17 @@ impl LockTable {
             .all(|l| l.holders.is_empty() && l.queue.is_empty())
     }
 
+    /// Whether another transaction is queued on an item `txn` holds.
+    /// Only such a waiter can wait for `txn`, since `txn` queues either
+    /// at a queue's tail or, upgrading, at the front of an item it
+    /// holds. The deadlock detector skips a search whose trigger nobody
+    /// can wait for.
+    pub fn is_waited_on(&self, txn: TxnId) -> bool {
+        self.held_by(txn)
+            .iter()
+            .any(|&item| self.waiters(item).any(|(t, _)| t != txn))
+    }
+
     /// Every `(txn, item)` pair currently waiting in some queue, in
     /// deterministic (item, txn) order. Used to rebuild the wait-for
     /// graph on demand at detection time.
@@ -248,7 +259,7 @@ impl LockTable {
     /// Allocation-free variant of [`waits_for`](Self::waits_for): appends
     /// the (sorted, deduplicated) blockers to `out`, leaving anything
     /// already in `out` untouched. This is the deadlock detector's hot
-    /// path — it runs on every ungrantable request.
+    /// path: it expands every node a search visits.
     pub fn waits_for_into(&self, txn: TxnId, item: ItemId, out: &mut Vec<TxnId>) {
         let Some(lock) = self.items.get(item.index()) else {
             return;
@@ -264,12 +275,16 @@ impl LockTable {
                 .filter(|&&(t, m)| t != txn && !m.compatible(my_mode))
                 .map(|&(t, _)| t),
         );
-        for &(t, m) in lock.queue.iter().take(pos) {
-            // Queued-ahead conflicting requests also block us under FIFO.
-            if t != txn && (!m.compatible(my_mode) || out[start..].contains(&t)) {
-                out.push(t);
-            }
-        }
+        // Queued-ahead conflicting requests also block us under FIFO. A
+        // holder queued again for an upgrade lands twice; the dedup
+        // below drops the copy.
+        out.extend(
+            lock.queue
+                .iter()
+                .take(pos)
+                .filter(|&&(_, m)| !m.compatible(my_mode))
+                .map(|&(t, _)| t),
+        );
         out[start..].sort_unstable();
         // Dedup the appended range in place.
         let mut w = start;
@@ -407,6 +422,50 @@ mod tests {
         // t3 (S) waits on the queued-ahead writer t2; t1 (S holder) is
         // compatible but t2 is between them.
         assert_eq!(lt.waits_for(t(3), x(0)), vec![t(2)]);
+    }
+
+    #[test]
+    fn waits_for_is_sorted_and_deduplicated_for_upgrades_and_shared_runs() {
+        // An upgrade queued at the front: t1 holds S and waits for X, so
+        // a writer behind it blocks on t1 both as a holder and as a
+        // queued-ahead request, and lists it once.
+        let mut lt = LockTable::new();
+        lt.acquire(t(2), x(0), Shared);
+        lt.acquire(t(1), x(0), Shared);
+        assert_eq!(lt.acquire(t(1), x(0), Exclusive), AcquireOutcome::Queued);
+        lt.acquire(t(3), x(0), Exclusive);
+        assert_eq!(lt.waits_for(t(1), x(0)), vec![t(2)]);
+        assert_eq!(lt.waits_for(t(3), x(0)), vec![t(1), t(2)]);
+        // S waiters queued behind S waiters wait only for what conflicts:
+        // the X holder, or the queued-ahead writer.
+        let mut lt = LockTable::new();
+        lt.acquire(t(9), x(0), Exclusive);
+        lt.acquire(t(5), x(0), Shared);
+        lt.acquire(t(4), x(0), Shared);
+        assert_eq!(lt.waits_for(t(4), x(0)), vec![t(9)]);
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Shared);
+        lt.acquire(t(7), x(0), Exclusive);
+        lt.acquire(t(6), x(0), Shared);
+        lt.acquire(t(2), x(0), Shared);
+        assert_eq!(lt.waits_for(t(2), x(0)), vec![t(7)]);
+        assert_eq!(lt.waits_for(t(6), x(0)), vec![t(7)]);
+    }
+
+    #[test]
+    fn waited_on_means_a_waiter_on_a_held_item() {
+        let mut lt = LockTable::new();
+        lt.acquire(t(1), x(0), Shared);
+        lt.acquire(t(2), x(0), Shared);
+        assert!(!lt.is_waited_on(t(1)), "no queue, no waiter");
+        // t1's own upgrade at the front is no waiter on t1.
+        lt.acquire(t(1), x(0), Exclusive);
+        assert!(!lt.is_waited_on(t(1)));
+        assert!(lt.is_waited_on(t(2)), "the upgrade waits on t2");
+        // A reader queued behind the upgrade waits on t1.
+        lt.acquire(t(3), x(0), Shared);
+        assert!(lt.is_waited_on(t(1)));
+        assert!(!lt.is_waited_on(t(3)), "a pure waiter holds nothing");
     }
 
     #[test]

@@ -21,10 +21,17 @@
 //! transaction is reading its cached copy defers the acknowledgement
 //! until that transaction ends (the standard callback-locking rule, per
 //! the paper's reference \[5\], Franklin & Carey). Deferred callbacks
-//! create waits-for edges, so the deadlock detector sees them.
+//! create waits-for edges, so the deadlock detector sees them: a barrier
+//! owner waits for every transaction pinning a cached copy of the item.
 //!
 //! The engine is the s-2PL lock server ([`ServerLocking`]) plus the
-//! caches, the directory and the callback barriers below.
+//! caches, the directory and the callback barriers below. It shares
+//! s-2PL's deadlock search and adds the barrier edges through two hooks.
+//! A new barrier runs the search from its owner, whose new edges all leave
+//! it; a pin adds an edge into a transaction that waits for nothing at
+//! that moment, so it cannot close a cycle. The skip rule therefore holds
+//! with one more in-edge test: the trigger's client pins no item under a
+//! live barrier.
 
 use crate::config::EngineConfig;
 use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
@@ -32,7 +39,7 @@ use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
 use crate::s2pl::{S2pl, ServerLocking};
 use g2pl_lockmgr::{LockMode, LockTable};
 use g2pl_obs::TraceKind;
-use g2pl_simcore::{ClientId, ItemId, SimTime, TxnId, Version};
+use g2pl_simcore::{ClientId, ItemId, SimTime, Slab, TxnId, Version};
 use g2pl_wal::ServerImage;
 use g2pl_workload::AccessMode;
 
@@ -41,6 +48,94 @@ struct XBarrier {
     txn: TxnId,
     client: ClientId,
     acks_left: usize,
+}
+
+/// Exclusive grants waiting for callback acknowledgements: at most one
+/// per item, also indexed by owner for the deadlock search.
+struct Barriers {
+    /// Indexed by `ItemId::index()`.
+    by_item: Vec<Option<XBarrier>>,
+    /// The items whose barrier each transaction owns, ascending, indexed
+    /// by `TxnId::index()`.
+    by_owner: Slab<Vec<ItemId>>,
+}
+
+impl Barriers {
+    fn new(items: usize) -> Self {
+        Barriers {
+            by_item: (0..items).map(|_| None).collect(),
+            by_owner: Slab::new(),
+        }
+    }
+
+    fn get(&self, item: ItemId) -> Option<&XBarrier> {
+        self.by_item[item.index()].as_ref()
+    }
+
+    fn get_mut(&mut self, item: ItemId) -> Option<&mut XBarrier> {
+        self.by_item[item.index()].as_mut()
+    }
+
+    fn owned_by(&self, txn: TxnId) -> &[ItemId] {
+        self.by_owner.get(txn.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn open(&mut self, item: ItemId, barrier: XBarrier) {
+        debug_assert!(self.get(item).is_none(), "two barriers on {item}");
+        sorted_insert(self.by_owner.ensure(barrier.txn.index()), item);
+        self.by_item[item.index()] = Some(barrier);
+    }
+
+    fn close(&mut self, item: ItemId) {
+        if let Some(b) = self.by_item[item.index()].take() {
+            if let Some(owned) = self.by_owner.get_mut(b.txn.index()) {
+                sorted_remove(owned, item);
+            }
+        }
+    }
+
+    /// Close every barrier `txn` owns.
+    fn close_owned(&mut self, txn: TxnId) {
+        if let Some(owned) = self.by_owner.get_mut(txn.index()) {
+            for item in std::mem::take(owned) {
+                self.by_item[item.index()] = None;
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_item.iter().all(Option::is_none)
+    }
+}
+
+/// The cached copies each client's *current* transaction reads (they pin
+/// the cache entry until transaction end), by client and by item.
+struct Pins {
+    /// A transaction touches at most a handful of items, so a linear
+    /// scan of this list beats hashing.
+    by_client: Vec<Vec<ItemId>>,
+    /// The clients pinning each item, ascending, indexed by
+    /// `ItemId::index()`.
+    by_item: Vec<Vec<ClientId>>,
+}
+
+impl Pins {
+    fn is_pinned(&self, client: ClientId, item: ItemId) -> bool {
+        self.by_client[client.index()].contains(&item)
+    }
+
+    fn pin(&mut self, client: ClientId, item: ItemId) {
+        if !self.is_pinned(client, item) {
+            self.by_client[client.index()].push(item);
+            sorted_insert(&mut self.by_item[item.index()], client);
+        }
+    }
+
+    fn unpin_all(&mut self, client: ClientId) {
+        for item in self.by_client[client.index()].drain(..) {
+            sorted_remove(&mut self.by_item[item.index()], client);
+        }
+    }
 }
 
 /// The c-2PL simulation engine.
@@ -53,11 +148,8 @@ pub struct C2pl {
     /// Per-client cache contents, indexed by `ItemId::index()`: `Some(v)`
     /// when the client caches version `v` of the item.
     caches: Vec<Vec<Option<Version>>>,
-    /// Items of the client's *current* transaction that were read from
-    /// the local cache (they pin the cache entry until transaction end).
-    /// A transaction touches at most a handful of items, so a linear
-    /// scan of this list beats hashing.
-    reading_cached: Vec<Vec<ItemId>>,
+    /// Items of the clients' current transactions read from the cache.
+    pins: Pins,
     /// Callbacks received while the item was pinned; acknowledged at
     /// transaction end. A `Vec` (not a set) so every callback message
     /// gets exactly one acknowledgement, even if the same item is
@@ -67,9 +159,7 @@ pub struct C2pl {
     /// sorted vector per item (so recall fan-out needs no re-sort).
     /// Indexed globally by item; each row is owned by the item's shard.
     directory: Vec<Vec<ClientId>>,
-    /// Exclusive grants waiting for callback acknowledgements, indexed
-    /// by `ItemId::index()` (at most one barrier per item).
-    barriers: Vec<Option<XBarrier>>,
+    barriers: Barriers,
 }
 
 impl ServerLocking for C2pl {
@@ -99,17 +189,20 @@ impl ServerLocking for C2pl {
                 .filter(|&c| c != client)
                 .collect();
             // The writer's own stale copy is superseded by the grant.
-            directory_remove(&mut k.p.directory[item.index()], client);
+            sorted_remove(&mut k.p.directory[item.index()], client);
             k.p.caches[client.index()][item.index()] = None;
             if !remote.is_empty() {
                 for &target in &remote {
                     k.send_callback(target, item);
                 }
-                k.p.barriers[item.index()] = Some(XBarrier {
-                    txn,
-                    client,
-                    acks_left: remote.len(),
-                });
+                k.p.barriers.open(
+                    item,
+                    XBarrier {
+                        txn,
+                        client,
+                        acks_left: remote.len(),
+                    },
+                );
                 if k.faults_on {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
@@ -126,66 +219,34 @@ impl ServerLocking for C2pl {
         k.send_grant(now, client, txn, item);
     }
 
-    /// Waits-for search over lock-table waits plus callback waits: a
-    /// barrier owner additionally waits for every transaction currently
-    /// pinning a cached copy of the item. Only live transactions source
-    /// edges (an aborting barrier owner still holds its lock until the
-    /// callbacks drain, but no longer waits — otherwise the victim loop
-    /// could pick it twice).
-    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId) {
-        let mut finder = std::mem::take(&mut k.p.s.finder);
-        loop {
-            let locks = &k.p.s.locks;
-            let table = &k.table;
-            let barriers = &k.p.barriers;
-            let reading_cached = &k.p.reading_cached;
-            let clients = &k.clients;
-            let found = finder.find_cycle(trigger, |t, out| {
-                if !table.is_live(t) {
-                    return;
+    /// A barrier owner waits for every transaction pinning a cached copy
+    /// of the item, in item then client order.
+    fn barrier_waits(k: &Kernel<Self>, t: TxnId, out: &mut Vec<TxnId>) {
+        for &item in k.p.barriers.owned_by(t) {
+            for &c in &k.p.pins.by_item[item.index()] {
+                if let Some(active) = &k.clients[c.index()].txn {
+                    out.push(active.id);
                 }
-                // Accesses are sequential, so a transaction queues on at
-                // most one item globally — scan the shards for it.
-                for lt in locks {
-                    if let Some(item) = lt.queued_on(t) {
-                        lt.waits_for_into(t, item, out);
-                        break;
-                    }
-                }
-                for (i, slot) in barriers.iter().enumerate() {
-                    let Some(barrier) = slot else { continue };
-                    if barrier.txn != t {
-                        continue;
-                    }
-                    let item = ItemId::new(i as u32);
-                    for (ci, pins) in reading_cached.iter().enumerate() {
-                        if pins.contains(&item) {
-                            if let Some(active) = &clients[ci].txn {
-                                out.push(active.id);
-                            }
-                        }
-                    }
-                }
-            });
-            let Some(cycle) = found else { break };
-            let victim = k.cfg.victim.choose(cycle, |t| {
-                k.p.s.locks.iter().map(|lt| lt.held_by(t).len()).sum()
-            });
-            Self::abort_victim(k, now, victim);
-            if victim == trigger {
-                break;
             }
         }
-        k.p.s.finder = finder;
+    }
+
+    /// A live transaction is its client's current one, so a barrier edge
+    /// enters `t` when its client pins an item under a live barrier.
+    fn barrier_waits_on(k: &Kernel<Self>, t: TxnId) -> bool {
+        let client = k.table.info(t).client;
+        k.p.pins.by_client[client.index()].iter().any(|&item| {
+            k.p.barriers
+                .get(item)
+                .is_some_and(|b| k.table.is_live(b.txn))
+        })
     }
 
     /// Already granted: unless the exclusive grant is still gated on a
     /// callback barrier (the callback-retry timer then drives progress),
     /// the lost grant is re-shipped.
     fn grant_gated(&self, txn: TxnId, item: ItemId) -> bool {
-        self.barriers[item.index()]
-            .as_ref()
-            .is_some_and(|b| b.txn == txn)
+        self.barriers.get(item).is_some_and(|b| b.txn == txn)
     }
 
     fn slice_applied(
@@ -202,7 +263,7 @@ impl ServerLocking for C2pl {
                 self.directory[item.index()].iter().all(|&c| c == committer),
                 "cached copies survived an exclusive grant"
             );
-            directory_insert(&mut self.directory[item.index()], committer);
+            sorted_insert(&mut self.directory[item.index()], committer);
         }
         for &item in reads {
             // A commit-release can be retried and arrive late: by then
@@ -214,12 +275,12 @@ impl ServerLocking for C2pl {
             if faults_on && self.caches[committer.index()][item.index()].is_none() {
                 continue;
             }
-            directory_insert(&mut self.directory[item.index()], committer);
+            sorted_insert(&mut self.directory[item.index()], committer);
         }
     }
 
     fn pinned(&self, client: ClientId, item: ItemId) -> bool {
-        self.reading_cached[client.index()].contains(&item)
+        self.pins.is_pinned(client, item)
     }
 
     fn cached_on(&self, client: ClientId, shard: u32, cfg: &EngineConfig) -> Vec<ItemId> {
@@ -236,7 +297,7 @@ impl ServerLocking for C2pl {
     /// reports alone is exact, not merely safe.
     fn absorb_cached(&mut self, client: ClientId, cached: &[ItemId]) {
         for &item in cached {
-            directory_insert(&mut self.directory[item.index()], client);
+            sorted_insert(&mut self.directory[item.index()], client);
         }
     }
 }
@@ -253,10 +314,13 @@ impl Protocol for C2pl {
         C2pl {
             s: S2pl::with_config(cfg),
             caches: vec![vec![None; items]; n],
-            reading_cached: vec![Vec::new(); n],
+            pins: Pins {
+                by_client: vec![Vec::new(); n],
+                by_item: vec![Vec::new(); items],
+            },
             deferred_callbacks: vec![Vec::new(); n],
             directory: vec![Vec::new(); items],
-            barriers: (0..items).map(|_| None).collect(),
+            barriers: Barriers::new(items),
         }
     }
 
@@ -271,7 +335,7 @@ impl Protocol for C2pl {
         match msg {
             Message::SGrant { txn, item, version } => k.on_grant(now, client, txn, item, version),
             Message::Callback { item } => {
-                if k.p.reading_cached[client.index()].contains(&item) {
+                if k.p.pins.is_pinned(client, item) {
                     // The current transaction reads this cached copy:
                     // defer the acknowledgement until it finishes.
                     k.p.deferred_callbacks[client.index()].push(item);
@@ -293,13 +357,12 @@ impl Protocol for C2pl {
         // decrement the barrier: duplicate acks (possible when a
         // dismantled barrier's callbacks race a successor barrier's) must
         // not release the successor early.
-        let evicted = directory_remove(&mut k.p.directory[item.index()], client);
-        let barrier = &mut k.p.barriers[item.index()];
-        if let (true, Some(b)) = (evicted, barrier.as_mut()) {
+        let evicted = sorted_remove(&mut k.p.directory[item.index()], client);
+        if let (true, Some(b)) = (evicted, k.p.barriers.get_mut(item)) {
             b.acks_left -= 1;
             if b.acks_left == 0 {
                 let (txn, owner) = (b.txn, b.client);
-                *barrier = None;
+                k.p.barriers.close(item);
                 // Aborted owners dismantle their barriers eagerly, so a
                 // surviving barrier always has a live owner.
                 debug_assert_eq!(k.table.status(txn), TxnStatus::Active);
@@ -325,10 +388,7 @@ impl Protocol for C2pl {
             return false;
         };
         k.collector.on_access_wait(SimTime::ZERO);
-        let pins = &mut k.p.reading_cached[client.index()];
-        if !pins.contains(&item) {
-            pins.push(item);
-        }
+        k.p.pins.pin(client, item);
         let c = &mut k.clients[client.index()];
         let active = c.txn_mut();
         active.versions.push(version);
@@ -408,11 +468,7 @@ impl Protocol for C2pl {
         // permanent deadlock (a pinning transaction may be waiting on
         // another lock the victim holds). Outstanding callbacks still
         // arrive and merely shrink the directory.
-        for slot in &mut k.p.barriers {
-            if slot.as_ref().is_some_and(|b| b.txn == victim) {
-                *slot = None;
-            }
-        }
+        k.p.barriers.close_owned(victim);
         k.release_victim(now, victim);
     }
 
@@ -424,7 +480,7 @@ impl Protocol for C2pl {
         k.p.caches[client.index()]
             .iter_mut()
             .for_each(|v| *v = None);
-        k.p.reading_cached[client.index()].clear();
+        k.p.pins.unpin_all(client);
         k.p.deferred_callbacks[client.index()].clear();
     }
 
@@ -447,7 +503,9 @@ impl Protocol for C2pl {
         let per = k.cfg.items.items_per_shard as usize;
         let range = shard * per..(shard + 1) * per;
         k.p.directory[range.clone()].iter_mut().for_each(Vec::clear);
-        k.p.barriers[range].iter_mut().for_each(|b| *b = None);
+        for i in range {
+            k.p.barriers.close(ItemId::new(i as u32));
+        }
     }
 
     fn restore_image(k: &mut Kernel<Self>, img: &ServerImage) {
@@ -485,10 +543,7 @@ impl Protocol for C2pl {
             self.s.locks.iter().all(LockTable::is_quiescent),
             "locks leaked after drain"
         );
-        assert!(
-            self.barriers.iter().all(Option::is_none),
-            "callback barriers leaked"
-        );
+        assert!(self.barriers.is_empty(), "callback barriers leaked");
     }
 }
 
@@ -496,7 +551,7 @@ impl Kernel<C2pl> {
     /// Release this transaction's cache pins and answer its deferred
     /// callbacks.
     fn answer_deferred_callbacks(&mut self, client: ClientId) {
-        self.p.reading_cached[client.index()].clear();
+        self.p.pins.unpin_all(client);
         let mut deferred = std::mem::take(&mut self.p.deferred_callbacks[client.index()]);
         deferred.sort_unstable();
         for item in deferred {
@@ -533,43 +588,36 @@ impl Kernel<C2pl> {
     /// callback to a pinning client yields a duplicate ack, which the
     /// ack handler already refuses to double-count.
     fn on_callback_retry(&mut self, txn: TxnId) {
-        let mut any = false;
-        for i in 0..self.p.barriers.len() {
-            let Some(b) = &self.p.barriers[i] else {
-                continue;
-            };
-            if b.txn != txn {
-                continue;
-            }
-            any = true;
-            let owner = b.client;
-            let remote: Vec<ClientId> = self.p.directory[i]
+        let owned = self.p.barriers.owned_by(txn).to_vec();
+        let owner = self.table.info(txn).client;
+        for &item in &owned {
+            let remote: Vec<ClientId> = self.p.directory[item.index()]
                 .iter()
                 .copied()
                 .filter(|&c| c != owner)
                 .collect();
             for target in remote {
                 self.fsum.retries += 1;
-                self.send_callback(target, ItemId::new(i as u32));
+                self.send_callback(target, item);
             }
         }
-        if any {
+        if !owned.is_empty() {
             self.cal
                 .schedule_in(self.retry_base, Ev::CallbackRetry { txn });
         }
     }
 }
 
-/// Insert `client` into a sorted directory row (no-op when present).
-fn directory_insert(row: &mut Vec<ClientId>, client: ClientId) {
-    if let Err(pos) = row.binary_search(&client) {
-        row.insert(pos, client);
+/// Insert `x` into a sorted row (no-op when present).
+fn sorted_insert<T: Ord>(row: &mut Vec<T>, x: T) {
+    if let Err(pos) = row.binary_search(&x) {
+        row.insert(pos, x);
     }
 }
 
-/// Remove `client` from a sorted directory row; true when it was there.
-fn directory_remove(row: &mut Vec<ClientId>, client: ClientId) -> bool {
-    match row.binary_search(&client) {
+/// Remove `x` from a sorted row; true when it was there.
+fn sorted_remove<T: Ord>(row: &mut Vec<T>, x: T) -> bool {
+    match row.binary_search(&x) {
         Ok(pos) => {
             row.remove(pos);
             true

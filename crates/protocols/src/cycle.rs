@@ -1,18 +1,27 @@
 //! Reusable lazy cycle search over implicit waits-for relations.
 //!
-//! Deadlock detection runs on every request that cannot be granted, so
-//! the DFS here is engineered to allocate nothing on the steady state:
-//! visited colours live in an epoch-stamped slab indexed by the dense
-//! `TxnId` (bumping the epoch invalidates every mark in O(1) — no
-//! clearing sweep), successor lists are stored in one arena that grows
-//! and shrinks with the DFS stack, and the discovered cycle is returned
-//! as a slice of the internal path buffer.
+//! Deadlock detection is started whenever a request cannot be granted
+//! (§4). s-2PL and c-2PL skip the search when nothing can wait for the
+//! blocked transaction (see `ServerLocking::detect_deadlocks`); every
+//! search that does run goes through this finder. The DFS allocates
+//! nothing on the steady state: visited colours live in an
+//! epoch-stamped slab indexed by the dense `TxnId` (bumping the epoch
+//! invalidates every mark in O(1) — no clearing sweep), successor lists
+//! are stored in one arena that grows and shrinks with the DFS stack,
+//! and the discovered cycle is returned as a slice of the internal path
+//! buffer.
 //!
 //! The search order is identical to the recursive formulation the
 //! engines originally used: successors of a node are expanded exactly
 //! once, in the order the `succ` callback produced them, and the first
 //! back edge found closes the reported cycle. Simulated outcomes (which
 //! cycle is found, hence which victim dies) therefore do not change.
+//!
+//! Searches from several starts over one unchanged graph may keep their
+//! marks ([`CycleFinder::find_cycle_keeping_marks`]): a node an earlier
+//! search finished without finding a cycle reaches no cycle and no node
+//! on the current path, so a fresh search would explore it and find
+//! nothing there. Skipping it returns the same cycle.
 
 use g2pl_simcore::TxnId;
 
@@ -82,14 +91,8 @@ impl CycleFinder {
         });
     }
 
-    /// Search for a cycle reachable from `start`. Returns the cycle as a
-    /// path slice (entry node first) or `None`. The slice borrows the
-    /// finder's internal buffer and is only valid until the next call.
-    pub(crate) fn find_cycle(
-        &mut self,
-        start: TxnId,
-        mut succ: impl FnMut(TxnId, &mut Vec<TxnId>),
-    ) -> Option<&[TxnId]> {
+    /// Drop every mark of earlier searches.
+    pub(crate) fn forget(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // The stamp space wrapped: old marks could alias the new
@@ -97,9 +100,36 @@ impl CycleFinder {
             self.stamp.fill(0);
             self.epoch = 1;
         }
+    }
+
+    /// Search for a cycle reachable from `start`. Returns the cycle as a
+    /// path slice (entry node first) or `None`. The slice borrows the
+    /// finder's internal buffer and is only valid until the next call.
+    pub(crate) fn find_cycle(
+        &mut self,
+        start: TxnId,
+        succ: impl FnMut(TxnId, &mut Vec<TxnId>),
+    ) -> Option<&[TxnId]> {
+        self.forget();
+        self.find_cycle_keeping_marks(start, succ)
+    }
+
+    /// [`find_cycle`](Self::find_cycle) without forgetting what the
+    /// searches since the last [`forget`](Self::forget) finished: those
+    /// nodes are not expanded again. Valid only while the graph is the
+    /// one those searches saw and none of them found a cycle; call
+    /// `forget` once the graph changes.
+    pub(crate) fn find_cycle_keeping_marks(
+        &mut self,
+        start: TxnId,
+        mut succ: impl FnMut(TxnId, &mut Vec<TxnId>),
+    ) -> Option<&[TxnId]> {
         self.path.clear();
         self.frames.clear();
         self.arena.clear();
+        if self.color(start) == DONE {
+            return None;
+        }
         self.push_node(start, &mut succ);
         loop {
             let top = self.frames.len().checked_sub(1)?;
@@ -192,6 +222,65 @@ mod tests {
             Some(&[t(1), t(2), t(3)][..])
         );
         assert_eq!(f.find_cycle(t(9), graph(&cyclic)), None);
+    }
+
+    #[test]
+    fn kept_marks_find_the_same_cycle_as_a_fresh_search() {
+        // 1 and 4 reach only the acyclic part {2, 3, 5}; 6 reaches it
+        // too before it reaches the cycle 7 -> 8 -> 7.
+        let edges = [
+            (1, 2),
+            (2, 3),
+            (3, 5),
+            (4, 3),
+            (6, 3),
+            (6, 7),
+            (7, 8),
+            (8, 7),
+        ];
+        let mut kept = CycleFinder::default();
+        for s in [1, 4, 6] {
+            let got = kept
+                .find_cycle_keeping_marks(t(s), graph(&edges))
+                .map(<[TxnId]>::to_vec);
+            let fresh = CycleFinder::default()
+                .find_cycle(t(s), graph(&edges))
+                .map(<[TxnId]>::to_vec);
+            assert_eq!(got, fresh, "start {s}");
+        }
+        assert_eq!(
+            CycleFinder::default().find_cycle(t(6), graph(&edges)),
+            Some(&[t(7), t(8)][..])
+        );
+    }
+
+    #[test]
+    fn kept_marks_skip_finished_nodes_until_forget() {
+        let mut f = CycleFinder::default();
+        let expanded = std::cell::RefCell::new(Vec::new());
+        let acyclic = [(1, 2), (2, 3)];
+        let counting = |n: TxnId, out: &mut Vec<TxnId>| {
+            expanded.borrow_mut().push(n);
+            graph(&acyclic)(n, out);
+        };
+        assert_eq!(f.find_cycle(t(1), counting), None);
+        assert_eq!(f.find_cycle_keeping_marks(t(2), counting), None);
+        assert_eq!(
+            *expanded.borrow(),
+            [t(1), t(2), t(3)],
+            "2 was finished by the first search"
+        );
+        // After `forget` the same graph is explored again, and a changed
+        // graph is seen as it is.
+        f.forget();
+        assert_eq!(f.find_cycle_keeping_marks(t(2), counting), None);
+        assert_eq!(*expanded.borrow(), [t(1), t(2), t(3), t(2), t(3)]);
+        f.forget();
+        let cyclic = [(2, 3), (3, 2)];
+        assert_eq!(
+            f.find_cycle_keeping_marks(t(2), graph(&cyclic)),
+            Some(&[t(2), t(3)][..])
+        );
     }
 
     #[test]

@@ -1669,21 +1669,26 @@ impl Kernel<G2pl> {
     /// Find and break every deadlock reachable from the given start
     /// transactions, re-probing a start until it is cycle-free. Uses the
     /// engine's [`CycleFinder`] so repeated probes reuse one set of DFS
-    /// buffers.
+    /// buffers. The probes keep their marks until a victim is aborted:
+    /// while the graph is unchanged, a node finished without a cycle
+    /// cannot reach one, so later starts do not expand it again.
     fn detect_deadlocks_from(&mut self, now: SimTime, starts: &[TxnId]) {
         let mut finder = std::mem::take(&mut self.p.finder);
+        finder.forget();
         for &start in starts {
-            loop {
-                if !self.table.is_live(start) {
-                    break;
-                }
+            if self.table.is_live(start) {
+                self.collector.deadlock_searches += 1;
+            }
+            while self.table.is_live(start) {
                 let this = &*self;
-                let found = finder.find_cycle(start, |t, out| this.waits_of_into(t, out));
+                let found =
+                    finder.find_cycle_keeping_marks(start, |t, out| this.waits_of_into(t, out));
                 let Some(cycle) = found else { break };
                 let victim = self.cfg.victim.choose(cycle, |t| {
                     self.p.entries_of.get(t.index()).map_or(0, Vec::len)
                 });
                 G2pl::abort_victim(self, now, victim);
+                finder.forget();
             }
         }
         self.p.finder = finder;
@@ -1731,6 +1736,8 @@ mod tests {
         assert!(m.committed_total > 0);
         assert!(m.window_closes > 0);
         assert!(m.max_fl_len >= 1);
+        assert!(m.deadlock_searches > 0);
+        assert_eq!(m.deadlock_searches_skipped, 0, "g-2PL never skips");
     }
 
     #[test]

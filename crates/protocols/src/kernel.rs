@@ -476,6 +476,8 @@ impl<P: Protocol> Kernel<P> {
             trace: stream.clone(),
             max_fl_len,
             window_closes,
+            deadlock_searches: self.collector.deadlock_searches,
+            deadlock_searches_skipped: self.collector.deadlock_searches_skipped,
             access_wait: self.collector.access_wait,
             abort_waste: self.collector.abort_waste,
             abort_depth: self.collector.abort_depth,

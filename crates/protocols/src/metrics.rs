@@ -42,6 +42,13 @@ pub struct RunMetrics {
     pub max_fl_len: usize,
     /// Number of window closes (g-2PL dispatches; 0 for s-2PL).
     pub window_closes: u64,
+    /// Deadlock searches requested over the whole run: one per trigger
+    /// (s-2PL, c-2PL: a queued request or a new callback barrier; g-2PL:
+    /// each live start of a probe).
+    pub deadlock_searches: u64,
+    /// Of those, the s-2PL and c-2PL searches skipped because nothing
+    /// could wait for the trigger, so no cycle could pass through it.
+    pub deadlock_searches_skipped: u64,
     /// Per-access wait time (request sent → access granted), over every
     /// grant in the run — the queueing-delay diagnostic.
     pub access_wait: RunningStats,
@@ -265,6 +272,10 @@ pub struct Collector {
     pub committed_total: u64,
     /// All aborts, including warm-up.
     pub aborted_total: u64,
+    /// Deadlock searches requested, including warm-up.
+    pub deadlock_searches: u64,
+    /// Deadlock searches skipped by the no-waiter rule.
+    pub deadlock_searches_skipped: u64,
 }
 
 impl Collector {
@@ -285,6 +296,8 @@ impl Collector {
             read_only_aborts: 0,
             committed_total: 0,
             aborted_total: 0,
+            deadlock_searches: 0,
+            deadlock_searches_skipped: 0,
         }
     }
 

@@ -4,13 +4,38 @@
 //! one grant round shipping the data, and one commit round returning every
 //! dirty item and releasing all locks — the "three rounds" the paper
 //! counts, or `2n + 1` rounds for `n` sequentially requested items.
-//! Deadlocks are detected with a wait-for graph, rebuilt from the lock
-//! table whenever a request cannot be granted (§4), and resolved by
-//! aborting a victim chosen by the configured policy.
+//!
+//! Deadlock detection starts whenever a request cannot be granted (§4):
+//! a depth-first search of the waits-for relation, read lazily from the
+//! lock tables, from the blocked transaction (the trigger). Each cycle it
+//! finds is broken by aborting a victim chosen by the configured policy.
+//! The search is skipped when no other transaction is queued on an item
+//! the trigger holds. Such a search could not have found a cycle:
+//!
+//! * Every cycle was broken where it formed, so the graph was acyclic
+//!   before the trigger queued. Queueing adds edges that all leave the
+//!   trigger, so a new cycle must pass through it and needs an edge into
+//!   it.
+//! * Only a waiter on an item the trigger holds can wait for it. A request
+//!   queues at the tail of its queue, with nothing behind it. The
+//!   exception is an upgrade, which queues at the front of an item its
+//!   requester already holds; the waiters behind it are waiters on a held
+//!   item, which the test counts.
+//! * Grants and releases add no edges: a promoted request blocks the
+//!   waiters behind it as a holder exactly when it blocked them as a
+//!   queued-ahead request. Crash recovery restores grants into a fresh
+//!   table of holders with empty queues, which adds no edges either.
+//!
+//! A search started while another is breaking a cycle (c-2PL only: a
+//! victim's release grants a write that opens a new callback barrier)
+//! always runs. It can find the outer search's remaining cycle without
+//! passing through its own trigger, and must find it to pick the same
+//! victims. Debug builds run every skipped search anyway and assert that
+//! it finds nothing.
 //!
 //! The engine is a [`Protocol`] on the shared [`Kernel`]. Its lock-server
 //! side ([`ServerLocking`]) is also c-2PL's: c-2PL is s-2PL plus client
-//! caching.
+//! caching, and adds its callback-barrier edges to the same search.
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
@@ -33,7 +58,10 @@ pub struct S2pl {
     pub(crate) locks: Vec<LockTable>,
     /// Installed version per item, held by the item's shard.
     pub(crate) versions: Vec<Version>,
-    pub(crate) finder: CycleFinder,
+    finder: CycleFinder,
+    /// Whether a deadlock search is breaking a cycle right now: a search
+    /// started meanwhile is nested and never skipped.
+    searching: bool,
 }
 
 impl S2pl {
@@ -42,6 +70,7 @@ impl S2pl {
             locks: (0..cfg.num_shards()).map(|_| LockTable::new()).collect(),
             versions: vec![0; cfg.num_items() as usize],
             finder: CycleFinder::default(),
+            searching: false,
         }
     }
 }
@@ -63,8 +92,66 @@ pub trait ServerLocking: Protocol {
         item: ItemId,
         mode: LockMode,
     );
-    /// Break every deadlock through `trigger`.
-    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId);
+    /// The waits-for edges out of live `t` beyond its lock-queue wait
+    /// (c-2PL: a callback barrier's owner waits for every transaction
+    /// pinning a cached copy of the item), appended to `out` in search
+    /// order.
+    fn barrier_waits(_k: &Kernel<Self>, _t: TxnId, _out: &mut Vec<TxnId>) {}
+    /// Whether a [`barrier_waits`](Self::barrier_waits) edge may enter
+    /// `t`.
+    fn barrier_waits_on(_k: &Kernel<Self>, _t: TxnId) -> bool {
+        false
+    }
+
+    /// §4: "deadlock detection is initiated when a lock cannot be
+    /// granted." The waits-for relation is explored lazily from the
+    /// blocked transaction — successors are computed on demand, so only
+    /// the reachable part of the graph is visited — and victims are
+    /// aborted until no cycle through `trigger` remains. A top-level
+    /// search whose trigger nothing waits for is skipped (see the
+    /// module doc for why it cannot find a cycle).
+    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId) {
+        k.collector.deadlock_searches += 1;
+        let nested = std::mem::replace(&mut k.p.locking_mut().searching, true);
+        // The finder is moved out for the duration of the search so its
+        // buffers can be reused while the successor closure borrows the
+        // kernel; a nested search starts from a fresh one.
+        let mut finder = std::mem::take(&mut k.p.locking_mut().finder);
+        if !nested && !k.waited_on(trigger) {
+            k.collector.deadlock_searches_skipped += 1;
+            if cfg!(debug_assertions) {
+                let kr = &*k;
+                let found = finder.find_cycle(trigger, |t, out| kr.waits_of_into(t, out));
+                debug_assert!(
+                    found.is_none(),
+                    "{}: skipped the deadlock search from {trigger}, which nothing waits \
+                     for, but a full search finds the cycle {found:?}",
+                    Self::NAME
+                );
+            }
+        } else {
+            loop {
+                let kr = &*k;
+                let found = finder.find_cycle(trigger, |t, out| kr.waits_of_into(t, out));
+                let Some(cycle) = found else { break };
+                let victim = kr.cfg.victim.choose(cycle, |t| {
+                    kr.p.locking()
+                        .locks
+                        .iter()
+                        .map(|lt| lt.held_by(t).len())
+                        .sum()
+                });
+                Self::abort_victim(k, now, victim);
+                if victim == trigger {
+                    break;
+                }
+            }
+        }
+        let s = k.p.locking_mut();
+        s.finder = finder;
+        s.searching = nested;
+    }
+
     /// Whether the shipment of an already-held grant waits on something
     /// else (c-2PL callback barrier).
     fn grant_gated(&self, _txn: TxnId, _item: ItemId) -> bool {
@@ -108,41 +195,6 @@ impl ServerLocking for S2pl {
         _mode: LockMode,
     ) {
         k.send_grant(now, client, txn, item);
-    }
-
-    /// §4: "deadlock detection is initiated when a lock cannot be
-    /// granted." The waits-for relation is explored lazily from the
-    /// blocked transaction — successors are computed on demand from the
-    /// lock table, so only the reachable part of the graph is visited —
-    /// and victims are aborted until no cycle through `trigger` remains.
-    fn detect_deadlocks(k: &mut Kernel<Self>, now: SimTime, trigger: TxnId) {
-        // The finder is moved out for the duration of the search so its
-        // buffers can be reused while the successor closure borrows the
-        // lock table.
-        let mut finder = std::mem::take(&mut k.p.finder);
-        loop {
-            let locks = &k.p.locks;
-            // Deadlock detection stays centralized: accesses are
-            // sequential, so a transaction queues on at most one item
-            // globally — the scan finds the (unique) shard it waits at.
-            let found = finder.find_cycle(trigger, |t, out| {
-                for lt in locks {
-                    if let Some(item) = lt.queued_on(t) {
-                        lt.waits_for_into(t, item, out);
-                        break;
-                    }
-                }
-            });
-            let Some(cycle) = found else { break };
-            let victim = k.cfg.victim.choose(cycle, |t| {
-                k.p.locks.iter().map(|lt| lt.held_by(t).len()).sum()
-            });
-            Self::abort_victim(k, now, victim);
-            if victim == trigger {
-                break;
-            }
-        }
-        k.p.finder = finder;
     }
 }
 
@@ -271,6 +323,33 @@ impl Protocol for S2pl {
 
 /// The lock-server side shared by s-2PL and c-2PL.
 impl<P: ServerLocking> Kernel<P> {
+    /// The transactions live `t` waits for: the conflicting holders and
+    /// queued-ahead requests of the item it is queued on, then its
+    /// barrier waits. Deadlock detection stays centralized: accesses are
+    /// sequential, so a transaction queues on at most one item globally,
+    /// and the scan finds the (unique) shard it waits at. Only live
+    /// transactions source edges (an aborting c-2PL barrier owner still
+    /// holds its lock until the callbacks drain, but no longer waits);
+    /// s-2PL releases a victim everywhere at once, so it queues nowhere.
+    fn waits_of_into(&self, t: TxnId, out: &mut Vec<TxnId>) {
+        if !self.table.is_live(t) {
+            return;
+        }
+        for lt in &self.p.locking().locks {
+            if let Some(item) = lt.queued_on(t) {
+                lt.waits_for_into(t, item, out);
+                break;
+            }
+        }
+        P::barrier_waits(self, t, out);
+    }
+
+    /// Whether some transaction may wait for `t`: a waiter on an item `t`
+    /// holds at any shard, or a barrier edge into `t`.
+    fn waited_on(&self, t: TxnId) -> bool {
+        self.p.locking().locks.iter().any(|lt| lt.is_waited_on(t)) || P::barrier_waits_on(self, t)
+    }
+
     /// A lock grant (with the data) arrived at the client.
     pub(crate) fn on_grant(
         &mut self,

@@ -93,6 +93,8 @@ proptest! {
         prop_assert_eq!(a.net.messages(), b.net.messages());
         prop_assert_eq!(a.net.bytes(), b.net.bytes());
         prop_assert_eq!(a.end_time, b.end_time);
+        prop_assert_eq!(a.deadlock_searches, b.deadlock_searches);
+        prop_assert_eq!(a.deadlock_searches_skipped, b.deadlock_searches_skipped);
     }
 }
 
