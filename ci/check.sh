@@ -37,9 +37,10 @@ cargo test -q --release --manifest-path perfbench/Cargo.toml
 echo "==> perfbench fault_recovery + paper_reads + paper_writes smoke (one second each, untraced)"
 # fault_recovery is the only benchmark workload that runs the shared
 # fault and commit core (loss, WAL replay, re-registration, 2PC);
-# paper_reads is the workload the engine event-loop speed-up is claimed
-# on, and paper_writes the one the cheaper deadlock search is claimed
-# on. Each must still verify every cell and report no failed cell.
+# paper_reads is the workload the engine event-loop speed-up and the
+# cheaper g-2PL window close (closure-row precedence DAG) are claimed on,
+# and paper_writes the one the cheaper deadlock search is claimed on.
+# Each must still verify every cell and report no failed cell.
 for workload in fault_recovery paper_reads paper_writes; do
   bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
@@ -52,11 +53,14 @@ echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 ch
 # adds per-shard crashes, recovery and 2PC across 1-8 shards, so the
 # offline check runs P8-P10 on exported files too; ext-victims is an
 # extension study whose 18 cells differ only in engine, victim policy and
-# read probability, one export file each. Every exported file must print
-# `trace-check: PASS`: the exported trace is the checked one.
+# read probability, one export file each; fig14's g-2PL cell at 150
+# clients and read probability 0.75 closes the longest collection windows
+# of any export (25 entries at smoke scale), so the precedence DAG's
+# debug assertions run on it in this dev build. Every exported file must
+# print `trace-check: PASS`: the exported trace is the checked one.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults ext-victims >/dev/null
+cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults ext-victims fig14 >/dev/null
 explain_out="$(cargo run -q -p g2pl-bench --bin trace-explain -- --best-case "$trace_dir"/*.jsonl || true)"
 # grep -q stops reading at its first match, so under pipefail `echo | grep -q`
 # fails with SIGPIPE once the output outgrows the pipe buffer; the reports

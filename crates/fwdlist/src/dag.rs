@@ -13,15 +13,50 @@
 //! transactions consistently — which eliminates deadlocks among
 //! transactions whose conflicting requests land in the same collection
 //! windows.
+//!
+//! **Closure rows.** The DAG is stored as its own transitive closure. Each
+//! live transaction owns a dense *slot*, and each slot one *closure row*:
+//! a bit set over the slots, with bit `j` of row `i` set when slot `i`'s
+//! transaction precedes slot `j`'s, directly or transitively. So
+//! [`PrecedenceDag::precedes`] is one bit test that allocates nothing, and
+//! [`PrecedenceDag::add_order`]`(a, b)` ORs `b`'s row and `b` itself into
+//! `a`'s row and into every row that already reaches `a`.
+//!
+//! **Removal inserts nothing.** A finished transaction's constraints must
+//! outlive it: if `a < t < b` was fixed by dispatched lists, the order of
+//! the still-active `a` and `b` is decided and no later window may invert
+//! it. An edge list has to join every predecessor of `t` to every
+//! successor to keep that. The closure already holds `a < b` in `a`'s
+//! row, so [`PrecedenceDag::remove_txn`] only clears `t`'s row and column
+//! and recycles its slot.
+//!
+//! **Cost.** With `L` live transactions a row is `⌈L/64⌉` words. Closing a
+//! window of `n` requests ([`crate::order::OrderingRule::order`]) makes
+//! `n(n−1)` bit tests to count in-window predecessors, at most
+//! `n(n−1)/2` more as it places requests, and at most `n−1` chain-edge
+//! insertions, each one pass over the `L` rows. A removal is one pass
+//! over the rows.
 
-use g2pl_simcore::TxnId;
-use std::collections::{BTreeMap, BTreeSet};
+use g2pl_simcore::{Slab, TxnId};
 
-/// An acyclic precedence relation over active transactions.
+/// Bits per closure-row word.
+const WORD: usize = u64::BITS as usize;
+
+/// An acyclic precedence relation over active transactions, kept as its
+/// transitive closure.
 #[derive(Clone, Debug, Default)]
 pub struct PrecedenceDag {
-    succ: BTreeMap<TxnId, BTreeSet<TxnId>>,
-    pred: BTreeMap<TxnId, BTreeSet<TxnId>>,
+    /// The slot of each live transaction, keyed by [`TxnId::index`].
+    slot_of: Slab<Option<u32>>,
+    /// Slots ever handed out; live ones plus `free`.
+    slots: usize,
+    /// Free slots, reused last-freed first. A free slot's row and column
+    /// are zero.
+    free: Vec<u32>,
+    /// Words per closure row.
+    words: usize,
+    /// The closure rows, `words` words per slot in slot order.
+    reach: Vec<u64>,
 }
 
 impl PrecedenceDag {
@@ -42,102 +77,107 @@ impl PrecedenceDag {
             !self.precedes(after, before),
             "adding {before:?} -> {after:?} would create a precedence cycle"
         );
-        self.succ.entry(before).or_default().insert(after);
-        self.pred.entry(after).or_default().insert(before);
+        let a = self.slot_or_insert(before);
+        let b = self.slot_or_insert(after);
+        let w = self.words;
+        for r in 0..self.slots {
+            if r == a || self.reaches(r, a) {
+                for k in 0..w {
+                    let own = if k == b / WORD { 1 << (b % WORD) } else { 0 };
+                    let add = self.reach[b * w + k] | own;
+                    self.reach[r * w + k] |= add;
+                }
+            }
+        }
     }
 
     /// True when `a` (transitively) precedes `b`.
     pub fn precedes(&self, a: TxnId, b: TxnId) -> bool {
-        if a == b {
-            return false;
+        match (self.slot(a), self.slot(b)) {
+            (Some(i), Some(j)) => i != j && self.reaches(i, j),
+            _ => false,
         }
-        // DFS from a.
-        let mut stack = vec![a];
-        let mut seen = BTreeSet::new();
-        while let Some(t) = stack.pop() {
-            if let Some(next) = self.succ.get(&t) {
-                for &n in next {
-                    if n == b {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        stack.push(n);
-                    }
-                }
-            }
-        }
-        false
     }
 
-    /// Remove a finished transaction, preserving transitive constraints:
-    /// every predecessor becomes a direct predecessor of every successor.
-    ///
-    /// Keeping the closure matters: if `a < t` and `t < b` were fixed by
-    /// dispatched lists, then after `t` commits the serialization order
-    /// between the still-active `a` and `b` is already determined and
-    /// future windows must not order them the other way.
+    /// Remove a finished transaction, preserving transitive constraints
+    /// among the others: every predecessor still precedes every successor.
+    /// Removing a transaction not in the DAG is a no-op.
     pub fn remove_txn(&mut self, txn: TxnId) {
-        let preds = self.pred.remove(&txn).unwrap_or_default();
-        let succs = self.succ.remove(&txn).unwrap_or_default();
-        for &p in &preds {
-            if let Some(s) = self.succ.get_mut(&p) {
-                s.remove(&txn);
-            }
+        let Some(s) = self.slot(txn) else {
+            return;
+        };
+        if let Some(slot) = self.slot_of.get_mut(txn.index()) {
+            *slot = None;
         }
-        for &s in &succs {
-            if let Some(p) = self.pred.get_mut(&s) {
-                p.remove(&txn);
-            }
-        }
-        for &p in &preds {
-            for &s in &succs {
-                if p != s {
-                    self.succ.entry(p).or_default().insert(s);
-                    self.pred.entry(s).or_default().insert(p);
-                }
-            }
+        self.free.push(s as u32);
+        let w = self.words;
+        self.reach[s * w..(s + 1) * w].fill(0);
+        let mask = !(1u64 << (s % WORD));
+        for word in self.reach.iter_mut().skip(s / WORD).step_by(w) {
+            *word &= mask;
         }
     }
 
-    /// Number of transactions with at least one constraint.
+    /// Number of transactions in the DAG: each named by an
+    /// [`add_order`](Self::add_order) since its last
+    /// [`remove_txn`](Self::remove_txn).
     pub fn constrained_count(&self) -> usize {
-        let mut nodes: BTreeSet<TxnId> = self.succ.keys().copied().collect();
-        nodes.extend(self.pred.keys().copied());
-        nodes.len()
+        self.slots - self.free.len()
     }
 
-    /// Verify acyclicity by Kahn's algorithm (test/debug helper; the DAG
-    /// is acyclic by construction in production use).
+    /// True when no transaction precedes itself (test/debug helper; the
+    /// DAG is acyclic by construction in production use). The rows are a
+    /// closure, so this is a scan of the diagonal bits.
     pub fn is_acyclic(&self) -> bool {
-        let mut indeg: BTreeMap<TxnId, usize> = BTreeMap::new();
-        let mut nodes: BTreeSet<TxnId> = BTreeSet::new();
-        for (&n, succs) in &self.succ {
-            nodes.insert(n);
-            for &s in succs {
-                nodes.insert(s);
-                *indeg.entry(s).or_insert(0) += 1;
-            }
-        }
-        let mut ready: Vec<TxnId> = nodes
-            .iter()
+        (0..self.slots).all(|s| !self.reaches(s, s))
+    }
+
+    /// The slot of `txn`, if it is in the DAG.
+    fn slot(&self, txn: TxnId) -> Option<usize> {
+        self.slot_of
+            .get(txn.index())
             .copied()
-            .filter(|n| indeg.get(n).copied().unwrap_or(0) == 0)
-            .collect();
-        let mut removed = 0usize;
-        while let Some(n) = ready.pop() {
-            removed += 1;
-            if let Some(succs) = self.succ.get(&n) {
-                for &s in succs {
-                    // lint:allow(L3): every edge target was given an indegree above
-                    let d = indeg.get_mut(&s).expect("edge target has indegree");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(s);
-                    }
+            .flatten()
+            .map(|s| s as usize)
+    }
+
+    /// Bit `j` of closure row `i`.
+    fn reaches(&self, i: usize, j: usize) -> bool {
+        self.reach[i * self.words + j / WORD] >> (j % WORD) & 1 == 1
+    }
+
+    /// The slot of `txn`, giving it a free or new slot (with a zero row
+    /// and column) when it is not in the DAG yet.
+    fn slot_or_insert(&mut self, txn: TxnId) -> usize {
+        if let Some(s) = self.slot(txn) {
+            return s;
+        }
+        let s = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                if self.slots == self.words * WORD {
+                    self.widen();
                 }
+                self.slots += 1;
+                self.reach.resize(self.slots * self.words, 0);
+                self.slots - 1
+            }
+        };
+        *self.slot_of.ensure(txn.index()) = Some(s as u32);
+        s
+    }
+
+    /// Add one word to every row, making room for 64 more slots.
+    fn widen(&mut self) {
+        let old = self.words;
+        self.words += 1;
+        let mut reach = vec![0; self.slots * self.words];
+        if old > 0 {
+            for (new, row) in reach.chunks_mut(self.words).zip(self.reach.chunks(old)) {
+                new[..old].copy_from_slice(row);
             }
         }
-        removed == nodes.len()
+        self.reach = reach;
     }
 }
 

@@ -66,11 +66,16 @@ impl OrderingRule {
     /// The order produced is a linear extension of `dag` restricted to the
     /// window (when `consistent`), choosing at each step the
     /// minimum-priority request among those with no unplaced DAG
-    /// predecessor inside the window. Because the DAG is acyclic, a valid
-    /// choice always exists — this is the formal reason the §3.3 scheme
-    /// "does not require predeclaration" and cannot get stuck at window
-    /// close.
-    pub fn order(self, mut pending: Vec<PendingReq>, dag: &mut PrecedenceDag) -> ForwardList {
+    /// predecessor inside the window, the earliest in `pending` on a tie.
+    /// Because the DAG is acyclic, a valid choice always exists — this is
+    /// the formal reason the §3.3 scheme "does not require predeclaration"
+    /// and cannot get stuck at window close.
+    ///
+    /// One pass: each request's unplaced in-window predecessors are
+    /// counted once, and placing a request decrements the counts of the
+    /// requests it precedes. The DAG does not change until every request
+    /// is placed.
+    pub fn order(self, pending: Vec<PendingReq>, dag: &mut PrecedenceDag) -> ForwardList {
         let key = |r: &PendingReq| -> (u8, i64, u64) {
             let reader_rank = if self.coalesce_readers {
                 u8::from(r.entry.mode.is_exclusive())
@@ -84,26 +89,38 @@ impl OrderingRule {
             (reader_rank, age_rank, r.arrival)
         };
 
-        let mut out: Vec<FlEntry> = Vec::with_capacity(pending.len());
-        while !pending.is_empty() {
-            // Eligible: no DAG predecessor still unplaced in the window.
-            let eligible = |i: usize, pending: &[PendingReq]| -> bool {
-                if !self.consistent {
-                    return true;
-                }
-                let me = pending[i].entry.txn;
-                pending
-                    .iter()
-                    .enumerate()
-                    .all(|(j, other)| j == i || !dag.precedes(other.entry.txn, me))
-            };
-            let pick = (0..pending.len())
-                .filter(|&i| eligible(i, &pending))
+        let txn = |i: usize| pending[i].entry.txn;
+        let n = pending.len();
+        // Unplaced in-window DAG predecessors of each request; `None` once
+        // the request is placed.
+        let mut preds: Vec<Option<usize>> = (0..n)
+            .map(|i| {
+                let count = if self.consistent {
+                    (0..n).filter(|&j| dag.precedes(txn(j), txn(i))).count()
+                } else {
+                    0
+                };
+                Some(count)
+            })
+            .collect();
+        let mut out: Vec<FlEntry> = Vec::with_capacity(n);
+        while out.len() < n {
+            let pick = (0..n)
+                .filter(|&i| preds[i] == Some(0))
                 .min_by_key(|&i| key(&pending[i]))
                 // lint:allow(L3): the DAG is acyclic, so some pending request is unconstrained
                 .expect("acyclic DAG always leaves an eligible request");
-            let req = pending.remove(pick);
-            out.push(req.entry);
+            preds[pick] = None;
+            out.push(pending[pick].entry);
+            if self.consistent {
+                for (j, count) in preds.iter_mut().enumerate() {
+                    if let Some(c) = count {
+                        if dag.precedes(txn(pick), txn(j)) {
+                            *c -= 1;
+                        }
+                    }
+                }
+            }
         }
 
         if self.consistent {
@@ -113,6 +130,7 @@ impl OrderingRule {
                     dag.add_order(w[0].txn, w[1].txn);
                 }
             }
+            debug_assert!(dag.is_acyclic(), "window close left a precedence cycle");
         }
         ForwardList::from_entries(out)
     }

@@ -11,12 +11,15 @@
 //! assuming it: the engines emit one typed [`tracelog::TraceEvent`] per
 //! transition, and [`tracker::SpanRecorder`] streams them into a
 //! [`tracker::PhaseBreakdown`] — mean/max time per [`span::Phase`], a
-//! round-count histogram, and exact round totals — that rides along in
-//! `RunMetrics`, while keeping the stream itself in a bounded
-//! [`tracelog::TraceLog`] when recording is on. The same stream is what
-//! `g2pl-core`'s tracecheck validates against P1–P10 and what [`export`]
-//! serialises to JSONL for the `trace-explain` analyzer, so an exported
-//! file can be checked offline.
+//! round-count histogram, and exact round totals — while keeping the
+//! stream itself in a bounded [`tracelog::TraceLog`] when recording is
+//! on. The engine kernel builds a recorder only for runs with
+//! `trace_events` set, so only those runs report a breakdown and a flight
+//! recorder in `RunMetrics`; an unrecorded run reports an empty `phases`
+//! and `flight`. The same stream is what `g2pl-core`'s tracecheck
+//! validates against P1–P10 and what [`export`] serialises to JSONL for
+//! the `trace-explain` analyzer, so an exported file can be checked
+//! offline.
 //!
 //! Layering: depends only on `g2pl-simcore` (ids, time) and `g2pl-stats`
 //! (moments, histograms); the protocols crate depends on *it*.

@@ -182,13 +182,16 @@ pub struct ObsReport {
     /// Per-transaction detail, when detail mode was on.
     pub details: Vec<TxnDetail>,
     /// The flight recorder: up to [`FLIGHT_K`] worst measured committed
-    /// transactions, worst (longest response) first. Always collected.
+    /// transactions, worst (longest response) first. Every recorder
+    /// collects it, whether or not it keeps the log.
     pub flight: Vec<TxnDetail>,
 }
 
 /// The recorder the engines feed: the bounded log of the event stream
-/// plus its always-on streaming aggregation. Recording is passive: it
-/// perturbs no random draw and no simulation event.
+/// plus its streaming aggregation. The engine kernel builds one only for
+/// runs with `trace_events` set; unrecorded runs aggregate nothing.
+/// Recording is passive: it perturbs no random draw and no simulation
+/// event.
 #[derive(Debug)]
 pub struct SpanRecorder {
     detail: bool,
@@ -202,8 +205,8 @@ pub struct SpanRecorder {
 
 impl SpanRecorder {
     /// A recorder; `record` keeps the event stream in a bounded log (for
-    /// the checker and JSONL export) in addition to the always-on
-    /// streaming aggregation.
+    /// the checker and JSONL export) in addition to the streaming
+    /// aggregation, which every recorder keeps.
     pub fn new(record: bool) -> Self {
         SpanRecorder {
             detail: false,

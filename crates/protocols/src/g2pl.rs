@@ -908,6 +908,13 @@ impl Protocol for G2pl {
                 .all(|(_, v)| v.iter().all(|(_, h)| h.forwarded || !h.data_arrived)),
             "data arrived at a hold but was never passed on"
         );
+        // Every transaction a window close put in the DAG has committed or
+        // gone through `abort_victim`, and both remove it.
+        assert_eq!(
+            self.dag.constrained_count(),
+            0,
+            "precedence DAG still holds transactions after drain"
+        );
     }
 
     fn fl_stats(&self) -> (usize, u64) {
