@@ -39,7 +39,9 @@ echo "==> perfbench fault_recovery + paper_reads + paper_writes smoke (one secon
 # fault and commit core (loss, WAL replay, re-registration, 2PC);
 # paper_reads is the workload the engine event-loop speed-up and the
 # cheaper g-2PL window close (closure-row precedence DAG) are claimed on,
-# and paper_writes the one the cheaper deadlock search is claimed on.
+# and its `wall_s` the metric the cheaper self-verification (dense-indexed
+# span recorder, P1-P10 tracecheck and serializability check) is claimed
+# on; paper_writes is the one the cheaper deadlock search is claimed on.
 # Each must still verify every cell and report no failed cell.
 for workload in fault_recovery paper_reads paper_writes; do
   bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
@@ -56,11 +58,14 @@ echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 ch
 # read probability, one export file each; fig14's g-2PL cell at 150
 # clients and read probability 0.75 closes the longest collection windows
 # of any export (25 entries at smoke scale), so the precedence DAG's
-# debug assertions run on it in this dev build. Every exported file must
-# print `trace-check: PASS`: the exported trace is the checked one.
+# debug assertions run on it in this dev build; fig_faults adds 18 lossy
+# files, the only c-2PL traces of the set, with `fault_injected` events
+# and g-2PL item-keyed lease expiries, so the P8 expiry matching runs
+# offline too. Every exported file must print `trace-check: PASS`: the
+# exported trace is the checked one.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults ext-victims fig14 >/dev/null
+cargo run -q -p g2pl-bench --bin repro -- --scale smoke --trace-out "$trace_dir" fig2 fig_shard_faults ext-victims fig14 fig_faults >/dev/null
 explain_out="$(cargo run -q -p g2pl-bench --bin trace-explain -- --best-case "$trace_dir"/*.jsonl || true)"
 # grep -q stops reading at its first match, so under pipefail `echo | grep -q`
 # fails with SIGPIPE once the output outgrows the pipe buffer; the reports

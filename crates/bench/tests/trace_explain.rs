@@ -1,7 +1,7 @@
 //! `trace-explain` end to end on exported traces: the offline P1–P10
 //! check passes on an intact export, fails on a tampered one, skips the
-//! files it cannot check, and rejects malformed input with an error
-//! rather than a panic.
+//! files it cannot check, treats the largest ids like any other, and
+//! rejects malformed input with an error rather than a panic.
 
 use g2pl_core::prelude::*;
 use std::path::Path;
@@ -149,4 +149,42 @@ fn malformed_input_is_an_error_not_a_panic() {
             "{bad}: {stderr}"
         );
     }
+}
+
+/// A two-event trace naming the largest transaction and item ids. Ids in
+/// a file are outside input: the replay and the check must size nothing
+/// by them.
+const LARGEST_IDS: &str = concat!(
+    "{\"protocol\":\"s-2PL\",\"clients\":4,\"latency\":100,\"read_prob\":0.25,\"seed\":1,",
+    "\"committed\":0,\"aborted\":0,\"measured\":0,\"mean_response\":0,\"dropped\":0,",
+    "\"lease_expiries\":0,\"recovery_stall\":0,\"server_crashes\":0,\"response_p99\":0,",
+    "\"response_p999\":0,\"fl_consistent\":true,\"expand_reads\":false,\"faults\":false}\n",
+    "{\"at\":0,\"kind\":\"request_sent\",\"txn\":4294967295,\"item\":4294967295,\"site\":\"C0\"}\n",
+    "{\"at\":5,\"kind\":\"granted\",\"txn\":4294967295,\"item\":4294967295,\"site\":\"C0\"}\n",
+);
+
+#[test]
+fn largest_ids_replay_and_pass_like_any_other() {
+    let out = explain("largest-ids", LARGEST_IDS, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    let text = stdout(&out);
+    let report: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(
+        report,
+        [
+            "  s-2PL  clients=4 latency=100 pr=0.25 seed=1  committed=0 aborted=0 measured=0",
+            "  phase             count         mean          max    share",
+            "  req-prop              0          0.0          0.0       --",
+            "  server-queue          0          0.0          0.0       --",
+            "  migration             0          0.0          0.0       --",
+            "  dispatch-prop         0          0.0          0.0       --",
+            "  client-proc           0          0.0          0.0       --",
+            "  commit-return         0          0.0          0.0       --",
+            "  rounds: total=0 mean=0.00 over 0 measured commits (0 server returns)",
+            "  (no finalized transactions to draw)",
+            "phase-sum check: SKIP (s-2PL: no measured commits)",
+            "trace-check: PASS (s-2PL: P1-P10 hold over 2 events)",
+            "",
+        ]
+    );
 }

@@ -43,6 +43,7 @@ pub mod experiments;
 pub mod figure;
 pub mod runner;
 pub mod scorecard;
+mod slots;
 pub mod tracecheck;
 pub mod verify;
 

@@ -58,11 +58,25 @@
 //!   abort retires those votes with unlogged-to-the-trace release
 //!   records). Like P8/P9, any 2PC event in a no-fault trace is itself
 //!   a violation.
+//!
+//! # Dense state
+//!
+//! The checker keeps one record per transaction: its request and grant
+//! counts, commit instant, abort flag, first forward, outstanding 2PC
+//! votes, the transactions an earlier forward list ordered it before
+//! (P6), and one `(item, requests, grants, arrived)` entry per item it
+//! touched. Records and the current forward list of each item sit in
+//! `Vec`s indexed through `Slots`, so a step is a bounds check and a
+//! short scan, never a hash or a tree search. Ids come from files too
+//! (`trace-explain`), so tables are sized from the trace, never from a
+//! raw id, and the end-of-trace P8 and P10 walks visit transactions in id
+//! order: the first violation and its message do not depend on how the
+//! state is stored.
 
+use crate::slots::Slots;
 pub use g2pl_obs::TraceCheckOpts;
 use g2pl_protocols::{TraceEvent, TraceKind};
 use g2pl_simcore::{ItemId, SimTime, SiteId, TxnId};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Validate a trace under the default (paper g-2PL) assumptions; returns
 /// a description of the first violation.
@@ -70,38 +84,72 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<(), String> {
     check_trace_with(events, TraceCheckOpts::default())
 }
 
+/// What the checker knows of one transaction.
+#[derive(Clone, Debug, Default)]
+struct TxnState {
+    requests: u64,
+    grants: u64,
+    committed: Option<SimTime>,
+    aborted: bool,
+    /// Earliest forward, for the strictness check at commit.
+    first_forward: Option<SimTime>,
+    /// Per-item request and grant counts and data arrival.
+    items: Vec<ItemState>,
+    /// Transactions a dispatched list ordered this one before (P6).
+    before: Vec<TxnId>,
+    /// Shards that logged a prepare vote and have not yet applied the
+    /// commit (P10).
+    votes: Vec<SiteId>,
+}
+
+#[derive(Clone, Debug)]
+struct ItemState {
+    item: ItemId,
+    requests: u64,
+    grants: u64,
+    arrived: bool,
+}
+
+impl TxnState {
+    fn item(&mut self, item: ItemId) -> &mut ItemState {
+        let i = match self.items.iter().position(|s| s.item == item) {
+            Some(i) => i,
+            None => {
+                self.items.push(ItemState {
+                    item,
+                    requests: 0,
+                    grants: 0,
+                    arrived: false,
+                });
+                self.items.len() - 1
+            }
+        };
+        &mut self.items[i]
+    }
+}
+
 /// Validate a trace; returns a description of the first violation.
 pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(), String> {
-    let mut requested: HashMap<(TxnId, ItemId), u64> = HashMap::new();
-    let mut granted: HashMap<(TxnId, ItemId), u64> = HashMap::new();
-    let mut arrived: HashSet<(TxnId, ItemId)> = HashSet::new();
-    // BTreeMap: P8 iterates this to report a stuck transaction, and the
-    // one it names must not depend on hash order.
-    let mut req_count: BTreeMap<TxnId, u64> = BTreeMap::new();
-    let mut grant_count: HashMap<TxnId, u64> = HashMap::new();
-    let mut committed: HashMap<TxnId, SimTime> = HashMap::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
-    // Earliest forward per transaction, for the strictness check at commit.
-    let mut first_forward: HashMap<TxnId, SimTime> = HashMap::new();
+    let budget = 2 * events.len() + 1024;
+    let txn_slots = Slots::new(|| events.iter().filter_map(|e| e.txn).map(|t| t.0), budget);
+    let item_slots = Slots::new(|| events.iter().filter_map(|e| e.item).map(|i| i.0), budget);
+    let mut txns: Vec<TxnState> = vec![TxnState::default(); txn_slots.len()];
     // The most recently dispatched forward list of each item (P6/P7).
-    let mut current_fl: HashMap<ItemId, Vec<TxnId>> = HashMap::new();
+    let mut current_fl: Vec<Option<Vec<TxnId>>> = vec![None; item_slots.len()];
     // Item whose dispatch group (WindowClosed + FlOrdered run) is open.
     let mut open_group: Option<ItemId> = None;
-    // Global pairwise order fixed by dispatched lists: (a, b) = a before b.
-    let mut fl_order: HashSet<(TxnId, TxnId)> = HashSet::new();
     // Lease expiries not yet resolved by a redispatch (P8b).
     let mut open_expiries: Vec<(Option<TxnId>, Option<ItemId>, SimTime)> = Vec::new();
     // Server sites currently inside a crash window, each tracked
     // independently (P9): in a sharded space only the crashed shard must
     // fall silent — the surviving shards keep serving.
-    let mut down_servers: HashSet<SiteId> = HashSet::new();
+    let mut down_servers: Vec<SiteId> = Vec::new();
     // Whether any server crash has occurred yet (P9 lost-commit check).
     let mut server_crashed_once = false;
-    // Outstanding prepared votes per transaction: shards that logged a
-    // vote and have not yet applied the commit (P10). BTreeMap so the
-    // end-of-trace report names a deterministic transaction.
-    let mut prepared: BTreeMap<TxnId, HashSet<SiteId>> = BTreeMap::new();
     let mut last_t = SimTime::ZERO;
+    let txn_of = |e: &TraceEvent, what: &str| -> Result<TxnId, String> {
+        e.txn.ok_or_else(|| format!("{what} without txn: {e}"))
+    };
 
     for e in events {
         if e.kind == TraceKind::SlowTxn {
@@ -123,17 +171,16 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
         // (`HopDeparted` is absent from this set: committing clients keep
         // forwarding segments client-to-client while a server is down,
         // and those hops are attributed to each receiver.)
-        if down_servers.contains(&e.site)
-            && matches!(
-                e.kind,
-                TraceKind::WindowClosed
-                    | TraceKind::FlOrdered
-                    | TraceKind::FlExtended
-                    | TraceKind::ReleaseArrived
-                    | TraceKind::LeaseExpired
-                    | TraceKind::Redispatch
-                    | TraceKind::Prepared
-            )
+        if matches!(
+            e.kind,
+            TraceKind::WindowClosed
+                | TraceKind::FlOrdered
+                | TraceKind::FlExtended
+                | TraceKind::ReleaseArrived
+                | TraceKind::LeaseExpired
+                | TraceKind::Redispatch
+                | TraceKind::Prepared
+        ) && down_servers.contains(&e.site)
         {
             // `CommitApplied` is deliberately absent from this set: a
             // recovering shard resolves in-doubt votes (and records the
@@ -143,42 +190,43 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
         match e.kind {
             TraceKind::RequestSent => {
                 let (txn, item) = ids(e)?;
-                *requested.entry((txn, item)).or_insert(0) += 1;
-                *req_count.entry(txn).or_insert(0) += 1;
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                t.item(item).requests += 1;
+                t.requests += 1;
             }
-            TraceKind::DataArrived => {
+            TraceKind::DataArrived | TraceKind::CacheHit => {
                 let (txn, item) = ids(e)?;
-                arrived.insert((txn, item));
+                txns[txn_slots.slot(txn.0)].item(item).arrived = true;
             }
             TraceKind::Granted => {
                 let (txn, item) = ids(e)?;
-                let reqs = requested.get(&(txn, item)).copied().unwrap_or(0);
-                let grants = granted.entry((txn, item)).or_insert(0);
-                *grants += 1;
-                if *grants > reqs {
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                let s = t.item(item);
+                s.grants += 1;
+                if s.grants > s.requests {
                     return Err(format!("P1: grant without request at {e}"));
                 }
-                *grant_count.entry(txn).or_insert(0) += 1;
-                if committed.contains_key(&txn) {
+                t.grants += 1;
+                if t.committed.is_some() {
                     return Err(format!("P2: grant after commit at {e}"));
                 }
             }
             TraceKind::Committed => {
-                let txn = e.txn.ok_or_else(|| format!("commit without txn: {e}"))?;
-                if committed.insert(txn, e.at).is_some() {
+                let txn = txn_of(e, "commit")?;
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                if t.committed.replace(e.at).is_some() {
                     return Err(format!("P3: double commit at {e}"));
                 }
-                if aborted.contains(&txn) {
+                if t.aborted {
                     return Err(format!("P3: commit after abort at {e}"));
                 }
-                let r = req_count.get(&txn).copied().unwrap_or(0);
-                let g = grant_count.get(&txn).copied().unwrap_or(0);
+                let (r, g) = (t.requests, t.grants);
                 if r != g {
                     return Err(format!(
                         "P2: {txn} committed with {g} grants for {r} requests"
                     ));
                 }
-                if let Some(&f) = first_forward.get(&txn) {
+                if let Some(f) = t.first_forward {
                     if f < e.at {
                         return Err(format!(
                             "P5: {txn} forwarded data at t={} before committing at {e}",
@@ -188,11 +236,12 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                 }
             }
             TraceKind::Aborted => {
-                let txn = e.txn.ok_or_else(|| format!("abort without txn: {e}"))?;
-                if !aborted.insert(txn) {
+                let txn = txn_of(e, "abort")?;
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                if std::mem::replace(&mut t.aborted, true) {
                     return Err(format!("P3: double abort at {e}"));
                 }
-                if committed.contains_key(&txn) {
+                if t.committed.is_some() {
                     // Across a server crash this is the recovery failure
                     // P9 exists to catch: an acknowledged commit undone.
                     if server_crashed_once {
@@ -205,27 +254,26 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
             }
             TraceKind::Forwarded => {
                 let (txn, item) = ids(e)?;
-                let has_grant = granted.get(&(txn, item)).copied().unwrap_or(0) > 0;
-                if !has_grant && !arrived.contains(&(txn, item)) {
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                let s = t.item(item);
+                if s.grants == 0 && !s.arrived {
                     return Err(format!("P4: forward without possession at {e}"));
                 }
-                if let Some(&c) = committed.get(&txn) {
+                if let Some(c) = t.committed {
                     if e.at < c {
                         return Err(format!("P5: committed data forwarded early at {e}"));
                     }
                 }
-                first_forward.entry(txn).or_insert(e.at);
-            }
-            TraceKind::CacheHit => {
-                let (txn, item) = ids(e)?;
-                arrived.insert((txn, item));
+                t.first_forward.get_or_insert(e.at);
             }
             TraceKind::WindowClosed => {
                 let item = e
                     .item
                     .ok_or_else(|| format!("window close without item: {e}"))?;
                 open_group = Some(item);
-                current_fl.insert(item, Vec::new());
+                current_fl[item_slots.slot(item.0)]
+                    .get_or_insert_with(Vec::new)
+                    .clear();
             }
             TraceKind::FlOrdered => {
                 let (txn, item) = ids(e)?;
@@ -234,20 +282,21 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                         "P7: forward-list entry outside its window close at {e}"
                     ));
                 }
-                // lint:allow(L3): WindowClosed inserted the list above
-                let fl = current_fl.get_mut(&item).expect("open group has a list");
+                // The open group's WindowClosed dispatched this list.
+                let fl = current_fl[item_slots.slot(item.0)].get_or_insert_with(Vec::new);
                 if fl.contains(&txn) {
                     return Err(format!("P6: {txn} appears twice in the list at {e}"));
                 }
                 if opts.fl_consistent {
+                    let t = txn_slots.slot(txn.0);
                     for &prior in fl.iter() {
-                        if fl_order.contains(&(txn, prior)) {
+                        if txns[t].before.contains(&prior) {
                             return Err(format!(
                                 "P6: {prior} ordered after {txn} at {e}, but an \
                                  earlier list fixed the opposite order"
                             ));
                         }
-                        fl_order.insert((prior, txn));
+                        txns[txn_slots.slot(prior.0)].before.push(txn);
                     }
                 }
                 fl.push(txn);
@@ -259,7 +308,7 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                         "P7: forward list mutated after window close at {e}"
                     ));
                 }
-                let Some(fl) = current_fl.get_mut(&item) else {
+                let Some(fl) = &mut current_fl[item_slots.slot(item.0)] else {
                     return Err(format!(
                         "P7: reader joined an item with no dispatched list at {e}"
                     ));
@@ -310,18 +359,20 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                 if !opts.faults {
                     return Err(format!("P9: server crash on a reliable network at {e}"));
                 }
-                if !down_servers.insert(e.site) {
+                if down_servers.contains(&e.site) {
                     return Err(format!("P9: server crashed while already down at {e}"));
                 }
+                down_servers.push(e.site);
                 server_crashed_once = true;
             }
             TraceKind::ServerRecovered => {
                 if !opts.faults {
                     return Err(format!("P9: server recovery on a reliable network at {e}"));
                 }
-                if !down_servers.remove(&e.site) {
+                let Some(i) = down_servers.iter().position(|&s| s == e.site) else {
                     return Err(format!("P9: server recovered without a crash at {e}"));
-                }
+                };
+                down_servers.swap_remove(i);
             }
             TraceKind::Reregister => {
                 if !opts.faults {
@@ -337,36 +388,40 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
                 if !opts.faults {
                     return Err(format!("P10: prepare vote on a reliable network at {e}"));
                 }
-                let txn = e.txn.ok_or_else(|| format!("prepare without txn: {e}"))?;
-                if committed.contains_key(&txn) || aborted.contains(&txn) {
+                let txn = txn_of(e, "prepare")?;
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                if t.committed.is_some() || t.aborted {
                     return Err(format!(
                         "P10: prepare vote for a decided transaction at {e}"
                     ));
                 }
-                if !prepared.entry(txn).or_default().insert(e.site) {
+                if t.votes.contains(&e.site) {
                     return Err(format!("P10: shard voted twice at {e}"));
                 }
+                t.votes.push(e.site);
             }
             TraceKind::CommitApplied => {
                 if !opts.faults {
                     return Err(format!("P10: commit applied on a reliable network at {e}"));
                 }
-                let txn = e.txn.ok_or_else(|| format!("apply without txn: {e}"))?;
-                if aborted.contains(&txn) {
+                let txn = txn_of(e, "apply")?;
+                let t = &mut txns[txn_slots.slot(txn.0)];
+                if t.aborted {
                     return Err(format!(
                         "P10: commit applied for an aborted transaction at {e}"
                     ));
                 }
-                if !committed.contains_key(&txn) {
+                if t.committed.is_none() {
                     return Err(format!(
                         "P10: commit applied before the coordinator decided at {e}"
                     ));
                 }
-                if !prepared.get_mut(&txn).is_some_and(|s| s.remove(&e.site)) {
+                let Some(i) = t.votes.iter().position(|&s| s == e.site) else {
                     return Err(format!(
                         "P10: commit applied at a shard that never prepared at {e}"
                     ));
-                }
+                };
+                t.votes.swap_remove(i);
             }
             TraceKind::RequestArrived
             | TraceKind::HopDeparted
@@ -387,8 +442,9 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
         }
         // Eventual completion: nobody who asked for anything waits
         // forever (assumes a drained run — see the module docs).
-        for txn in req_count.keys() {
-            if !committed.contains_key(txn) && !aborted.contains(txn) {
+        for (slot, t) in txns.iter().enumerate() {
+            if t.requests > 0 && t.committed.is_none() && !t.aborted {
+                let txn = TxnId::new(txn_slots.id(slot));
                 return Err(format!(
                     "P8: {txn} sent requests but neither committed nor aborted"
                 ));
@@ -399,16 +455,17 @@ pub fn check_trace_with(events: &[TraceEvent], opts: TraceCheckOpts) -> Result<(
         // are retired by release records the trace does not carry), but
         // an undecided one with outstanding votes blocks those shards
         // forever.
-        for (txn, shards) in &prepared {
-            if shards.is_empty() {
+        for (slot, t) in txns.iter().enumerate() {
+            if t.votes.is_empty() {
                 continue;
             }
-            if committed.contains_key(txn) {
+            let txn = TxnId::new(txn_slots.id(slot));
+            if t.committed.is_some() {
                 return Err(format!(
                     "P10: {txn} committed but a prepared shard never applied it"
                 ));
             }
-            if !aborted.contains(txn) {
+            if !t.aborted {
                 return Err(format!("P10: prepared vote of {txn} was never resolved"));
             }
         }

@@ -16,25 +16,85 @@
 //!
 //! Versions install densely (1, 2, 3, …) per item, so the checker also
 //! validates the write chain itself.
+//!
+//! # Dense state
+//!
+//! Every write and read becomes one row tagged with its item's slot
+//! (see `Slots`) and its position in the history. The writes are sorted
+//! by item, version and position, so each item's write chain is a
+//! contiguous run in which version `v` sits at offset `v − 1`, and a read
+//! finds its writer and the next one by indexing. The conflict edges are
+//! one sorted, deduplicated list of transaction-slot pairs, and Kahn's
+//! algorithm runs over a `Vec` of in-degrees. Histories can come from
+//! outside the engines, so no table is sized by a raw id or a version.
+//! The checks run in the old order with the old messages; a cycle's
+//! message also names one cycle, edge by edge.
 
+use crate::slots::Slots;
 use g2pl_protocols::History;
 use g2pl_simcore::{ItemId, TxnId, Version};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt::Write;
+
+/// One access: the item's slot, the version read or installed, the
+/// access's position in the history, and the transaction.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    item: u32,
+    version: Version,
+    pos: usize,
+    txn: TxnId,
+}
+
+/// Why one transaction precedes another: the conflict kind (`ww`, `wr`
+/// or `rw`), the item, and the versions the two accessed.
+type Reason = (&'static str, ItemId, Version, Version);
 
 /// Check that a committed history is conflict-serializable and its
 /// version chains are well-formed. Returns a description of the first
 /// violation found.
 pub fn check_serializable(history: &History) -> Result<(), String> {
-    // Per item: version -> writer, and version -> readers.
-    // BTreeMaps throughout: the checker reports the *first* violation it
-    // finds, so which one that is must not depend on hash order.
-    let mut writers: BTreeMap<ItemId, BTreeMap<Version, TxnId>> = BTreeMap::new();
-    let mut readers: BTreeMap<ItemId, BTreeMap<Version, Vec<TxnId>>> = BTreeMap::new();
+    let records = history.records();
+    let accesses = || records.iter().flat_map(|r| r.accesses.iter());
+    let budget = 2 * (accesses().count() + records.len()) + 1024;
+    let items = Slots::new(|| accesses().map(|a| a.item.0), budget);
+    let txns = Slots::new(|| records.iter().map(|r| r.txn.0), budget);
 
-    for rec in history.records() {
-        let mut seen: HashSet<ItemId> = HashSet::new();
+    let mut writes: Vec<Row> = Vec::new();
+    let mut reads: Vec<Row> = Vec::new();
+    for (pos, (rec, acc)) in records
+        .iter()
+        .flat_map(|r| r.accesses.iter().map(move |a| (r, a)))
+        .enumerate()
+    {
+        let row = Row {
+            item: items.slot(acc.item.0) as u32,
+            version: acc.version,
+            pos,
+            txn: rec.txn,
+        };
+        if !acc.mode.is_write() {
+            reads.push(row);
+        } else if acc.version != 0 {
+            writes.push(row);
+        }
+    }
+    writes.sort_unstable_by_key(|w| (w.item, w.version, w.pos));
+    // The earliest write, in history order, of a version some earlier
+    // access already installed, with that earlier writer.
+    let twice: Option<(usize, TxnId)> = writes
+        .windows(2)
+        .filter(|w| (w[0].item, w[0].version) == (w[1].item, w[1].version))
+        .map(|w| (w[1].pos, w[0].txn))
+        .min_by_key(|&(pos, _)| pos);
+
+    // Per-record checks, in history order: the record's previous access
+    // to each item is marked with the record's index.
+    let mut seen_in: Vec<usize> = vec![usize::MAX; items.len()];
+    let mut pos = 0usize;
+    for (r, rec) in records.iter().enumerate() {
         for acc in &rec.accesses {
-            if !seen.insert(acc.item) {
+            let last = &mut seen_in[items.slot(acc.item.0)];
+            if std::mem::replace(last, r) == r {
                 return Err(format!(
                     "{} accesses {} twice in one transaction",
                     rec.txn, acc.item
@@ -47,121 +107,219 @@ pub fn check_serializable(history: &History) -> Result<(), String> {
                         rec.txn, acc.item
                     ));
                 }
-                if let Some(prev) = writers
-                    .entry(acc.item)
-                    .or_default()
-                    .insert(acc.version, rec.txn)
-                {
+                if let Some((_, prev)) = twice.filter(|&(p, _)| p == pos) {
                     return Err(format!(
                         "two writers ({prev} and {}) installed version {} of {}",
                         rec.txn, acc.version, acc.item
                     ));
                 }
-            } else {
-                readers
-                    .entry(acc.item)
-                    .or_default()
-                    .entry(acc.version)
-                    .or_default()
-                    .push(rec.txn);
             }
+            pos += 1;
         }
     }
 
-    // Validate write chains: versions must be dense from 1.
-    for (item, chain) in &writers {
-        for (i, (&v, _)) in chain.iter().enumerate() {
-            if v != (i + 1) as Version {
+    // Validate write chains: versions must be dense from 1. Each item's
+    // chain is then `writes[start..start + len]`, version v at offset v − 1.
+    let mut chains: Vec<(usize, usize)> = vec![(0, 0); items.len()];
+    let mut start = 0;
+    for run in writes.chunk_by(|a, b| a.item == b.item) {
+        for (i, w) in run.iter().enumerate() {
+            if w.version != (i + 1) as Version {
+                let item = ItemId::new(items.id(w.item as usize));
                 return Err(format!(
-                    "write chain of {item} has a gap: expected version {}, found {v}",
-                    i + 1
+                    "write chain of {item} has a gap: expected version {}, found {}",
+                    i + 1,
+                    w.version
                 ));
             }
         }
+        chains[run[0].item as usize] = (start, run.len());
+        start += run.len();
     }
 
-    // Validate reads observe existing versions.
-    for (item, by_version) in &readers {
-        let max_written = writers
-            .get(item)
-            .and_then(|c| c.keys().next_back().copied())
-            .unwrap_or(0);
-        for (&v, txns) in by_version {
-            if v > max_written {
-                return Err(format!(
-                    "{txns:?} read version {v} of {item}, but only {max_written} were written"
-                ));
-            }
-        }
+    // Validate reads observe existing versions: report the lowest
+    // (item, version) read past its chain, with every reader of it.
+    let chain_len = |rd: &Row| chains[rd.item as usize].1 as Version;
+    if let Some(bad) = reads
+        .iter()
+        .filter(|rd| rd.version > chain_len(rd))
+        .min_by_key(|rd| (rd.item, rd.version))
+    {
+        let txns: Vec<TxnId> = reads
+            .iter()
+            .filter(|rd| (rd.item, rd.version) == (bad.item, bad.version))
+            .map(|rd| rd.txn)
+            .collect();
+        let item = ItemId::new(items.id(bad.item as usize));
+        return Err(format!(
+            "{txns:?} read version {} of {item}, but only {} were written",
+            bad.version,
+            chain_len(bad)
+        ));
     }
 
     // Build the conflict graph and check acyclicity with Kahn's
     // algorithm.
-    let mut succ: BTreeMap<TxnId, BTreeSet<TxnId>> = BTreeMap::new();
-    let mut add = |a: TxnId, b: TxnId| {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    conflicts(&writes, &reads, &chains, &items, |a, b, _| {
         if a != b {
-            succ.entry(a).or_default().insert(b);
+            edges.push((txns.slot(a.0) as u32, txns.slot(b.0) as u32));
         }
-    };
-    for (item, chain) in &writers {
-        let empty = BTreeMap::new();
-        let item_readers = readers.get(item).unwrap_or(&empty);
-        let versions: Vec<(Version, TxnId)> = chain.iter().map(|(&v, &t)| (v, t)).collect();
-        for w in versions.windows(2) {
-            add(w[0].1, w[1].1); // ww
-        }
-        for &(v, writer) in &versions {
-            if let Some(rs) = item_readers.get(&v) {
-                for &r in rs {
-                    add(writer, r); // wr
-                }
-            }
-            // Readers of the previous version precede this writer.
-            if let Some(rs) = item_readers.get(&(v - 1)) {
-                for &r in rs {
-                    add(r, writer); // rw
-                }
-            }
-        }
+    });
+    edges.sort_unstable();
+    edges.dedup();
+    let n = txns.len();
+    let mut first_out = vec![0usize; n + 1];
+    let mut indeg = vec![0u32; n];
+    let mut in_graph = vec![false; n];
+    for &(a, b) in &edges {
+        first_out[a as usize + 1] += 1;
+        indeg[b as usize] += 1;
+        in_graph[a as usize] = true;
+        in_graph[b as usize] = true;
     }
-    // Items that were only read never generate edges.
-
-    let mut indeg: BTreeMap<TxnId, usize> = BTreeMap::new();
-    let mut nodes: BTreeSet<TxnId> = BTreeSet::new();
-    for (&n, ss) in &succ {
-        nodes.insert(n);
-        for &s in ss {
-            nodes.insert(s);
-            *indeg.entry(s).or_insert(0) += 1;
-        }
+    for i in 0..n {
+        first_out[i + 1] += first_out[i];
     }
-    let mut ready: Vec<TxnId> = nodes
-        .iter()
-        .copied()
-        .filter(|n| indeg.get(n).copied().unwrap_or(0) == 0)
-        .collect();
+    let nodes = in_graph.iter().filter(|&&g| g).count();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| in_graph[i] && indeg[i] == 0).collect();
     let mut removed = 0usize;
-    while let Some(n) = ready.pop() {
+    while let Some(v) = ready.pop() {
         removed += 1;
-        if let Some(ss) = succ.get(&n) {
-            for &s in ss {
-                // lint:allow(L3): Kahn invariant: every edge target was given an indegree in the build loop above
-                let d = indeg.get_mut(&s).expect("edge target has indegree");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(s);
-                }
+        for &(_, s) in &edges[first_out[v]..first_out[v + 1]] {
+            let d = &mut indeg[s as usize];
+            *d -= 1;
+            if *d == 0 {
+                ready.push(s as usize);
             }
         }
     }
-    if removed != nodes.len() {
+    if removed != nodes {
+        let cycle = find_cycle(&edges, &indeg, &txns);
         return Err(format!(
-            "conflict graph has a cycle among {} of {} transactions",
-            nodes.len() - removed,
-            nodes.len()
+            "conflict graph has a cycle among {} of {} transactions; one cycle: {}",
+            nodes - removed,
+            nodes,
+            describe(&cycle, &writes, &reads, &chains, &items)
         ));
     }
     Ok(())
+}
+
+/// Call `add(a, b, why)` for every conflict edge `a → b`: ww edges item
+/// by item, then each read's wr and rw edges in history order.
+fn conflicts(
+    writes: &[Row],
+    reads: &[Row],
+    chains: &[(usize, usize)],
+    items: &Slots,
+    mut add: impl FnMut(TxnId, TxnId, Reason),
+) {
+    let item_of = |slot: u32| ItemId::new(items.id(slot as usize));
+    for &(start, len) in chains {
+        for w in writes[start..start + len].windows(2) {
+            add(
+                w[0].txn,
+                w[1].txn,
+                ("ww", item_of(w[0].item), w[0].version, w[1].version),
+            );
+        }
+    }
+    for rd in reads {
+        let (start, len) = chains[rd.item as usize];
+        let v = rd.version as usize;
+        // Items that were only read never generate edges.
+        if v >= 1 && v <= len {
+            let w = writes[start + v - 1];
+            add(
+                w.txn,
+                rd.txn,
+                ("wr", item_of(rd.item), w.version, rd.version),
+            );
+        }
+        // Readers of a version precede the writer of the next one.
+        if v < len {
+            let w = writes[start + v];
+            add(
+                rd.txn,
+                w.txn,
+                ("rw", item_of(rd.item), rd.version, w.version),
+            );
+        }
+    }
+}
+
+/// One cycle among the transactions Kahn's pass left (in-degree still
+/// positive), as transactions in edge order. Each such transaction has a
+/// predecessor that was also left, so walking to the least such
+/// predecessor must revisit a transaction; the walk from there is a
+/// cycle, read backwards. It is rotated to start at its least member.
+fn find_cycle(edges: &[(u32, u32)], indeg: &[u32], txns: &Slots) -> Vec<TxnId> {
+    let mut preds: Vec<(u32, u32)> = edges
+        .iter()
+        .filter(|&&(a, b)| indeg[a as usize] > 0 && indeg[b as usize] > 0)
+        .map(|&(a, b)| (b, a))
+        .collect();
+    preds.sort_unstable();
+    let mut on_path = vec![usize::MAX; indeg.len()];
+    let mut path: Vec<u32> = Vec::new();
+    let Some(&(mut at, _)) = preds.first() else {
+        return Vec::new();
+    };
+    while on_path[at as usize] == usize::MAX {
+        on_path[at as usize] = path.len();
+        path.push(at);
+        let i = preds.partition_point(|&(b, _)| b < at);
+        match preds.get(i) {
+            Some(&(b, a)) if b == at => at = a,
+            _ => break,
+        }
+    }
+    let mut cycle: Vec<u32> = path[on_path[at as usize]..].iter().rev().copied().collect();
+    if let Some(least) = cycle
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &t)| t)
+        .map(|(i, _)| i)
+    {
+        cycle.rotate_left(least);
+    }
+    cycle
+        .into_iter()
+        .map(|slot| TxnId::new(txns.id(slot as usize)))
+        .collect()
+}
+
+/// Render a cycle edge by edge, each with the first conflict that
+/// explains it: `T1 -[rw x0 v0->v1]-> T2 -[...]-> T1`.
+fn describe(
+    cycle: &[TxnId],
+    writes: &[Row],
+    reads: &[Row],
+    chains: &[(usize, usize)],
+    items: &Slots,
+) -> String {
+    let hops: Vec<(TxnId, TxnId)> = cycle
+        .iter()
+        .zip(cycle.iter().cycle().skip(1))
+        .map(|(&a, &b)| (a, b))
+        .collect();
+    let mut why: Vec<Option<Reason>> = vec![None; hops.len()];
+    conflicts(writes, reads, chains, items, |a, b, r| {
+        for (hop, w) in hops.iter().zip(why.iter_mut()) {
+            if *hop == (a, b) && w.is_none() {
+                *w = Some(r);
+            }
+        }
+    });
+    let mut out = cycle.first().map(ToString::to_string).unwrap_or_default();
+    for ((_, b), w) in hops.iter().zip(why) {
+        let _ = match w {
+            Some((kind, item, va, vb)) => write!(out, " -[{kind} {item} v{va}->v{vb}]-> {b}"),
+            None => write!(out, " -> {b}"),
+        };
+    }
+    out
 }
 
 #[cfg(test)]
@@ -237,7 +395,11 @@ mod tests {
         h.push(rec(1, 10, &[(0, Read, 0), (1, Write, 1)]));
         h.push(rec(2, 20, &[(1, Read, 0), (0, Write, 1)]));
         let err = check_serializable(&h).unwrap_err();
-        assert!(err.contains("cycle"), "{err}");
+        assert_eq!(
+            err,
+            "conflict graph has a cycle among 2 of 2 transactions; one cycle: \
+             T1 -[rw x0 v0->v1]-> T2 -[rw x1 v0->v1]-> T1"
+        );
     }
 
     #[test]

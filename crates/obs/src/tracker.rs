@@ -32,10 +32,22 @@
 //!
 //! A transaction's rounds are finalized when its expected release
 //! arrivals (declared by `Committed`) have all landed.
+//!
+//! # Dense state
+//!
+//! Open and committed-but-returning transactions live in two
+//! [`Slab`]s keyed by `TxnId::index()`: the engines number transactions
+//! densely from 0, so a lookup is one bounds check. `replay` also reads
+//! ids from files, which can name any `u32`. A slab therefore grows only
+//! as far as the stream has earned: to twice the number of events that
+//! may add an entry (requests, cache hits and commits awaiting releases),
+//! plus a constant. A transaction past that bound waits in a small
+//! ordered map until the slab reaches it. No table is ever sized by a raw
+//! id, and `finish` still flushes in-flight commits in id order.
 
 use crate::span::Phase;
 use crate::tracelog::{TraceEvent, TraceKind, TraceLog};
-use g2pl_simcore::{SimTime, TxnId};
+use g2pl_simcore::{SimTime, Slab, TxnId};
 use g2pl_stats::{Histogram, RunningStats, TailSketch};
 use serde::Serialize;
 use std::cmp::Reverse;
@@ -48,6 +60,10 @@ pub const FLIGHT_K: usize = 16;
 
 /// Width of the round-count histogram buckets (1 = exact counts).
 const ROUND_BUCKETS: usize = 64;
+
+/// Slots a [`TxnTable`] may grow past twice the events that may add an
+/// entry.
+const DENSE_SLACK: usize = 1024;
 
 /// Streaming per-phase aggregate over measured committed transactions.
 #[derive(Clone, Debug, Serialize)]
@@ -148,6 +164,73 @@ struct Post {
     intervals: Vec<(Phase, SimTime, SimTime)>,
 }
 
+/// Per-transaction state keyed by `TxnId::index()`: a slab for the ids
+/// below its length, and an ordered map for the ids past it that arrived
+/// before the slab could grow to them (ids read from a file).
+#[derive(Debug)]
+struct TxnTable<V> {
+    dense: Slab<Option<V>>,
+    sparse: BTreeMap<TxnId, Option<V>>,
+}
+
+impl<V> TxnTable<V> {
+    fn new() -> Self {
+        TxnTable {
+            dense: Slab::new(),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    fn get_mut(&mut self, txn: TxnId) -> Option<&mut V> {
+        match self.dense.get_mut(txn.index()) {
+            Some(slot) => slot.as_mut(),
+            None => self.sparse.get_mut(&txn).and_then(Option::as_mut),
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) -> Option<V> {
+        match self.dense.get_mut(txn.index()) {
+            Some(slot) => slot.take(),
+            None => self.sparse.remove(&txn).flatten(),
+        }
+    }
+
+    /// The slot of `txn`. The slab grows to reach it only while it stays
+    /// below `cap` slots; parked ids it reaches move into it.
+    fn slot(&mut self, txn: TxnId, cap: usize) -> &mut Option<V> {
+        let i = txn.index();
+        if i >= self.dense.len() {
+            if i >= cap {
+                return self.sparse.entry(txn).or_insert(None);
+            }
+            self.dense.ensure(i);
+            if !self.sparse.is_empty() {
+                let above = match u32::try_from(i + 1) {
+                    Ok(next) => self.sparse.split_off(&TxnId::new(next)),
+                    Err(_) => BTreeMap::new(),
+                };
+                for (t, parked) in std::mem::replace(&mut self.sparse, above) {
+                    *self.dense.ensure(t.index()) = parked;
+                }
+            }
+        }
+        self.dense.ensure(i)
+    }
+
+    /// Remove and return every entry, in id order.
+    fn drain(&mut self) -> Vec<(TxnId, V)> {
+        let mut out = Vec::new();
+        for i in 0..self.dense.len() {
+            if let Some(v) = self.dense.get_mut(i).and_then(Option::take) {
+                out.push((TxnId::new(i as u32), v));
+            }
+        }
+        let parked = std::mem::take(&mut self.sparse);
+        out.extend(parked.into_iter().filter_map(|(t, v)| Some((t, v?))));
+        out
+    }
+}
+
 /// Fully attributed lifetime of one committed transaction (kept by the
 /// flight recorder for the worst transactions, and for every commit in
 /// detail mode). `intervals` are collected only in detail mode.
@@ -196,8 +279,10 @@ pub struct ObsReport {
 pub struct SpanRecorder {
     detail: bool,
     log: TraceLog,
-    open: BTreeMap<TxnId, Open>,
-    post: BTreeMap<TxnId, Post>,
+    open: TxnTable<Open>,
+    post: TxnTable<Post>,
+    /// Events so far that may add a table entry; bounds the slabs.
+    inserts: usize,
     agg: PhaseBreakdown,
     details: Vec<TxnDetail>,
     flight: Vec<TxnDetail>,
@@ -211,8 +296,9 @@ impl SpanRecorder {
         SpanRecorder {
             detail: false,
             log: TraceLog::new(record),
-            open: BTreeMap::new(),
-            post: BTreeMap::new(),
+            open: TxnTable::new(),
+            post: TxnTable::new(),
+            inserts: 0,
             agg: PhaseBreakdown::new(),
             details: Vec::new(),
             flight: Vec::new(),
@@ -247,7 +333,8 @@ impl SpanRecorder {
             // access so far hit the cache, with a local grant.
             TraceKind::RequestSent | TraceKind::CacheHit => {
                 let Some(txn) = ev.txn else { return };
-                let open = self.open.entry(txn).or_insert_with(|| Open {
+                let cap = self.cap();
+                let open = self.open.slot(txn, cap).get_or_insert_with(|| Open {
                     start: ev.at,
                     last: ev.at,
                     mark: ev.kind,
@@ -267,7 +354,7 @@ impl SpanRecorder {
             | TraceKind::HopDeparted
             | TraceKind::Granted => {
                 let Some(txn) = ev.txn else { return };
-                let Some(open) = self.open.get_mut(&txn) else {
+                let Some(open) = self.open.get_mut(txn) else {
                     return; // e.g. pass-through traffic of an aborted txn
                 };
                 Self::charge(open, ev.at, self.detail);
@@ -278,7 +365,7 @@ impl SpanRecorder {
             }
             TraceKind::Committed => {
                 let Some(txn) = ev.txn else { return };
-                let mut open = self.open.remove(&txn).unwrap_or(Open {
+                let mut open = self.open.remove(txn).unwrap_or(Open {
                     start: ev.at,
                     last: ev.at,
                     mark: TraceKind::Granted,
@@ -307,7 +394,8 @@ impl SpanRecorder {
                 if ev.n == 0 {
                     self.finalize(txn, post);
                 } else {
-                    self.post.insert(txn, post);
+                    let cap = self.cap();
+                    *self.post.slot(txn, cap) = Some(post);
                 }
             }
             TraceKind::ReleaseArrived => {
@@ -316,7 +404,7 @@ impl SpanRecorder {
                     self.agg.server_returns += 1;
                 }
                 let Some(txn) = ev.txn else { return };
-                let Some(post) = self.post.get_mut(&txn) else {
+                let Some(post) = self.post.get_mut(txn) else {
                     return; // release of an aborted or unseen transaction
                 };
                 if at_server {
@@ -325,15 +413,15 @@ impl SpanRecorder {
                 post.last = ev.at;
                 post.left = post.left.saturating_sub(1);
                 if post.left == 0 {
-                    if let Some(post) = self.post.remove(&txn) {
+                    if let Some(post) = self.post.remove(txn) {
                         self.finalize(txn, post);
                     }
                 }
             }
             TraceKind::Aborted => {
                 let Some(txn) = ev.txn else { return };
-                self.open.remove(&txn);
-                self.post.remove(&txn);
+                self.open.remove(txn);
+                self.post.remove(txn);
             }
             // Off the critical path: the checker's possession,
             // forward-list, fault, recovery and 2PC events, and the
@@ -351,6 +439,13 @@ impl SpanRecorder {
             | TraceKind::CommitApplied
             | TraceKind::SlowTxn => {}
         }
+    }
+
+    /// Count one more event that may add a table entry, and return how
+    /// many slots a slab may now grow to.
+    fn cap(&mut self) -> usize {
+        self.inserts += 1;
+        2 * self.inserts + DENSE_SLACK
     }
 
     /// Charge the interval since the last event to the phase opened by
@@ -435,11 +530,8 @@ impl SpanRecorder {
     /// Close the recorder: flush commits whose releases were still in
     /// flight at run end and return the report.
     pub fn finish(mut self) -> ObsReport {
-        let in_flight: Vec<TxnId> = self.post.keys().copied().collect();
-        for txn in in_flight {
-            if let Some(post) = self.post.remove(&txn) {
-                self.finalize(txn, post);
-            }
+        for (txn, post) in self.post.drain() {
+            self.finalize(txn, post);
         }
         self.agg.spans_dropped = self.log.dropped();
         ObsReport {
