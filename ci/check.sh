@@ -105,6 +105,14 @@ test -f "$trace_dir/fig_tail_tail.csv" || { echo "tail smoke: fig_tail_tail.csv 
 grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/fig_tail_tail.csv" \
   || { echo "tail smoke: quantile header missing"; exit 1; }
 
+echo "==> scorecard smoke (the paper's claims, checked on the rows they read)"
+# Builds every registry row a claim of experiments::CLAIMS reads, once,
+# at smoke scale, verified, and checks every claim. repro exits 1 when a
+# claim gated at smoke scale disagrees with its expected verdict: a
+# claim expected to hold fails, or a known divergence closes.
+cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke scorecard >/dev/null \
+  || { echo "scorecard smoke: a claim disagrees with its expected verdict"; exit 1; }
+
 echo "==> fault smoke (fig_faults loss sweep, P1-P8 verification on)"
 # Verification is on by default: every cell of the sweep re-runs with
 # trace + history recording and must pass P1-P8 plus the serializability

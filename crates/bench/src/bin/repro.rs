@@ -16,6 +16,11 @@
 //! extension study in registry order; the fault, tail and scale figures
 //! are requested by id.
 //!
+//! `repro scorecard` builds every row the paper's claims read
+//! (`experiments::CLAIMS`) once at `--scale`, prints each claim's
+//! expected and measured verdict, and exits 1 when a claim gated at that
+//! scale disagrees with its expectation.
+//!
 //! Markdown goes to stdout; with `--out DIR`, each figure's raw data is
 //! also written as `DIR/<id>.csv` — and, for figures that carry pooled
 //! tail-quantile sketches (response-time metrics), a side file
@@ -43,7 +48,7 @@
 //! committed engine-cell throughput for comparison.
 
 use g2pl_bench::harness;
-use g2pl_core::experiments::{self, Scale, FIGURES};
+use g2pl_core::experiments::{self, Scale, CLAIMS, FIGURES};
 use g2pl_core::figure::FigureData;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -181,7 +186,16 @@ fn main() {
             "fig1" => println!("{}", experiments::fig1()),
             "headline" => println!("{}", experiments::headline(scale)),
             "list" => print!("{}", experiments::list_figures()),
-            "scorecard" => println!("{}", g2pl_core::scorecard::run_scorecard(scale)),
+            "scorecard" => {
+                let figs = experiments::claim_rows(CLAIMS, scale);
+                let card = experiments::check_claims(CLAIMS, &figs, scale);
+                println!("{}", card.table);
+                if !card.mismatches.is_empty() {
+                    let ids = card.mismatches.join(", ");
+                    eprintln!("scorecard: verdict differs from the expected one for {ids}");
+                    failed = true;
+                }
+            }
             "bench" => {
                 let report = harness::run_bench(scale);
                 println!("{}", report.render());

@@ -42,7 +42,6 @@
 pub mod experiments;
 pub mod figure;
 pub mod runner;
-pub mod scorecard;
 mod slots;
 pub mod tracecheck;
 pub mod verify;
@@ -63,7 +62,6 @@ pub mod prelude {
         run_grid, run_replicated, set_grid_workers, set_trace_out, set_verify, take_perf,
         trace_out, verify_enabled, PerfTotals, ReplicatedResult,
     };
-    pub use crate::scorecard::{self, run_scorecard};
     pub use crate::tracecheck::{check_trace, check_trace_with, TraceCheckOpts};
     pub use crate::verify::check_serializable;
     pub use g2pl_netmodel::NetworkEnv;

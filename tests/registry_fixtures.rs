@@ -1,26 +1,18 @@
-//! Every registered figure, pinned byte for byte.
+//! Every registered figure, pinned byte for byte, and every claim of the
+//! paper checked on the figures it reads.
 //!
 //! `tests/data/` holds the `repro --scale smoke --out` output of every
 //! row of the experiment registry: `<id>.csv`, plus `<id>_tail.csv` for
 //! the rows that carry pooled tail quantiles. Rebuilding each row through
 //! today's code must reproduce both files exactly, so a refactor of the
 //! registry, the grid runner or an engine that moves any number shows up
-//! here, named by figure.
+//! here, named by figure. The same rows then feed the claim table
+//! (`experiments::CLAIMS`): every claim gated at smoke scale must reach
+//! its expected verdict.
 
+use g2pl_core::experiments::{check_claims, claim_rows, CLAIMS};
 use g2pl_core::prelude::*;
 use std::path::PathBuf;
-
-/// The fixture names of a row: fig2 reuses the fixture pinned before the
-/// sharding refactor, every other row is named by its id.
-fn fixture_names(id: &str) -> (String, String) {
-    match id {
-        "fig2" => (
-            "fig2_smoke_pr7.csv".into(),
-            "fig2_tail_smoke_pr7.csv".into(),
-        ),
-        _ => (format!("{id}.csv"), format!("{id}_tail.csv")),
-    }
-}
 
 fn read_fixture(name: &str) -> Option<String> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -31,8 +23,9 @@ fn read_fixture(name: &str) -> Option<String> {
 
 #[test]
 fn every_registry_row_matches_its_smoke_fixture() {
+    let mut figs = Vec::new();
     for spec in experiments::FIGURES {
-        let (csv_name, tail_name) = fixture_names(spec.id);
+        let (csv_name, tail_name) = (format!("{}.csv", spec.id), format!("{}_tail.csv", spec.id));
         let fig = spec.build(Scale::Smoke);
         let csv = read_fixture(&csv_name)
             .unwrap_or_else(|| panic!("{}: fixture tests/data/{csv_name} missing", spec.id));
@@ -50,5 +43,19 @@ fn every_registry_row_matches_its_smoke_fixture() {
             (Some(_), None) => panic!("{}: fixture tests/data/{tail_name} missing", spec.id),
             (None, Some(_)) => panic!("{}: has a tail fixture but no tail data", spec.id),
         }
+        figs.push(fig);
     }
+    let card = check_claims(CLAIMS, &figs, Scale::Smoke);
+    assert!(card.mismatches.is_empty(), "{}", card.table);
+}
+
+#[test]
+fn default_scale_claims_reach_their_expected_verdict() {
+    let claims = || CLAIMS.iter().filter(|c| c.from_scale == Scale::Default);
+    let card = check_claims(
+        claims(),
+        &claim_rows(claims(), Scale::Default),
+        Scale::Default,
+    );
+    assert!(card.mismatches.is_empty(), "{}", card.table);
 }

@@ -3,10 +3,9 @@
 //! Multi-shard runs of every engine must preserve the single-server
 //! guarantees: conflict-serializable committed histories, a clean trace
 //! (P1–P9), drain to quiescence, and bit-determinism under a fixed
-//! seed. A one-shard item space must stay *byte-identical* to the
-//! pre-sharding engine (verified against the committed PR 7 fig2
-//! fixture), so the directory-sharding refactor is provably
-//! behavior-preserving for every figure that predates it.
+//! seed. A one-shard item space stays *byte-identical* to the
+//! pre-sharding engine: `tests/registry_fixtures.rs` pins fig2's smoke
+//! output, written before the directory-sharding refactor.
 
 use g2pl_core::prelude::*;
 
@@ -166,60 +165,4 @@ fn fig_scale_builds_bit_identical_figure_data() {
     assert!(tail_a.starts_with("x,series,p50,p90,p99,p999,max,count\n"));
     assert_eq!(a.series.len(), 3, "one series per shard count");
     assert!(a.series.iter().all(|s| s.points.len() == 3));
-}
-
-#[test]
-fn one_shard_fig2_matches_pr7_fixture_byte_for_byte() {
-    // The committed fixture was generated at PR 7 HEAD, before the
-    // sharding refactor; regenerating it through today's engines must
-    // reproduce it exactly.
-    let fig = experiments::figure("fig2")
-        .expect("fig2 exists")
-        .build(Scale::Smoke);
-    let csv = fig.to_csv();
-    let fixture = include_str!("data/fig2_smoke_pr7.csv");
-    assert_eq!(
-        csv, fixture,
-        "1-shard fig2 CSV diverged from the PR 7 baseline"
-    );
-    let tail = fig.to_tail_csv().expect("fig2 has tail data");
-    let tail_fixture = include_str!("data/fig2_tail_smoke_pr7.csv");
-    assert_eq!(
-        tail, tail_fixture,
-        "1-shard fig2 tail CSV diverged from the PR 7 baseline"
-    );
-}
-
-#[test]
-fn fault_figures_match_fixtures_byte_for_byte() {
-    // Smoke-scale output of the three fault sweeps, captured before the
-    // engines shared one fault and commit core. Recovery, re-registration
-    // and 2PC all feed these cells, so any change in event order shows.
-    let fixtures = [
-        (
-            "fig_faults",
-            include_str!("data/fig_faults.csv"),
-            include_str!("data/fig_faults_tail.csv"),
-        ),
-        (
-            "fig_server_faults",
-            include_str!("data/fig_server_faults.csv"),
-            include_str!("data/fig_server_faults_tail.csv"),
-        ),
-        (
-            "fig_shard_faults",
-            include_str!("data/fig_shard_faults.csv"),
-            include_str!("data/fig_shard_faults_tail.csv"),
-        ),
-    ];
-    for (id, csv, tail) in fixtures {
-        let fig = experiments::figure(id)
-            .unwrap_or_else(|| panic!("{id} registered"))
-            .build(Scale::Smoke);
-        assert_eq!(fig.to_csv(), csv, "{id} CSV diverged from its fixture");
-        let got_tail = fig
-            .to_tail_csv()
-            .unwrap_or_else(|| panic!("{id} has tail data"));
-        assert_eq!(got_tail, tail, "{id} tail CSV diverged from its fixture");
-    }
 }
