@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, clippy (deny warnings), the project's own
-# determinism/invariant lint, and the full test suite. Run from anywhere;
+# determinism/invariant lint, the full test suite, the artifact smokes and
+# a same-host benchmark A/B against the parent commit. Run from anywhere;
 # CI and contributors run exactly this script (see CONTRIBUTING.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,22 +34,6 @@ cargo test -q --workspace
 
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-
-echo "==> perfbench fault_recovery + paper_reads + paper_writes smoke (one second each, untraced)"
-# fault_recovery is the only benchmark workload that runs the shared
-# fault and commit core (loss, WAL replay, re-registration, 2PC);
-# paper_reads is the workload the engine event-loop speed-up and the
-# cheaper g-2PL window close (closure-row precedence DAG) are claimed on,
-# and its `wall_s` the metric the cheaper self-verification (dense-indexed
-# span recorder, P1-P10 tracecheck and serializability check) is claimed
-# on; paper_writes is the one the cheaper deadlock search is claimed on.
-# Each must still verify every cell and report no failed cell.
-for workload in fault_recovery paper_reads paper_writes; do
-  bench_out="$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-  echo "$bench_out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
-    || { echo "perfbench $workload: incorrect or failed cells"; echo "$bench_out"; exit 1; }
-done
 
 echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 check)"
 # fig2 exports both paper engines on a reliable network; fig_shard_faults
@@ -148,15 +133,6 @@ test -f "$trace_dir/fig_scale_tail.csv" || { echo "scale smoke: fig_scale_tail.c
 grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/fig_scale_tail.csv" \
   || { echo "scale smoke: quantile header missing"; exit 1; }
 
-echo "==> scale-bench smoke (10k clients x 4 shards PDES datapoint)"
-# One mid-size sharded cell end to end: drain + quiescence verification
-# are part of the run; the datapoint JSON must parse under the schema
-# the committed results/scale_datapoint.json uses.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke scale-bench \
-  --bench-out target/scale_datapoint_smoke.json >/dev/null
-grep -q '"schema": "g2pl-scale-bench/1"' target/scale_datapoint_smoke.json \
-  || { echo "scale-bench smoke: datapoint schema missing"; exit 1; }
-
 echo "==> chaos smoke (randomized fault-plan search with shrinking, shard-aware)"
 # A small fixed-seed search: samples (seed, FaultPlan) pairs across all
 # three engines, verifies every run end to end, and fails the gate with
@@ -173,11 +149,15 @@ for engine in g2pl s2pl c2pl; do
     || { echo "multi-shard chaos smoke: $engine failed"; exit 1; }
 done
 
-echo "==> bench smoke (engine throughput vs committed baseline)"
-# The engine cells are scale-independent (fixed workload, best-of-3), so
-# a smoke run is comparable to the committed default-scale BENCH_pr7.json.
-# Fails if aggregate cell throughput regresses more than 30%.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke bench \
-  --bench-out target/BENCH_pr7.json --baseline BENCH_pr7.json >/dev/null
+echo "==> perfbench A/B against the commit under test's parent (same host)"
+# The only speed gate: every BENCHMARK.json workload, 5 alternating pairs
+# of one-second runs of the base's and the change's perfbench. Every run
+# must verify every cell and fail none, and each workload's change median
+# events_per_s may fall below the base's by at most its BENCHMARK.json
+# bound. scale_pdes drains and verifies 10k x 4 and 40k x 8 clients x
+# shards on the PDES. With uncommitted changes the working tree is the
+# change and HEAD its base; otherwise HEAD is the change and HEAD~1.
+if git diff --quiet HEAD; then base_rev=HEAD~1; else base_rev=HEAD; fi
+ci/bench_ab.sh "$base_rev"
 
 echo "ci/check.sh: all gates passed"

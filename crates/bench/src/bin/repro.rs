@@ -3,10 +3,9 @@
 //!
 //! ```text
 //! repro [--scale smoke|default|full] [--out DIR] [--trace-out DIR]
-//!       [--no-verify] [--ascii] [--bench-out FILE] [--baseline FILE] <artifact>...
+//!       [--no-verify] [--ascii] <artifact>...
 //!
-//! artifacts: table1 table2 fig1 headline scorecard bench scale-bench list
-//!            all ext <figure id>...
+//! artifacts: table1 table2 fig1 headline scorecard list all ext <figure id>...
 //! ```
 //!
 //! Every figure is a row of the declarative registry
@@ -34,20 +33,7 @@
 //! P1–P10 and conflict-serializability, and the run aborts with
 //! diagnostics on any violation. `--no-verify` (or `--verify=off`)
 //! disables this for quick, unchecked regeneration.
-//!
-//! `repro bench` runs the measurement harness (engine hot-spot cells
-//! plus timed figure sweeps), prints the report, and writes it as JSON
-//! to `--bench-out FILE` (default `BENCH_pr7.json`). With
-//! `--baseline FILE`, the run fails if aggregate engine throughput
-//! regressed more than 30% below the baseline's — the CI gate.
-//!
-//! `repro scale-bench` runs one big sharded scale-out cell on the
-//! conservative PDES (10k/100k/1M clients at smoke/default/full scale),
-//! prints the datapoint, and writes it as JSON to `--bench-out FILE`
-//! (default `results/scale_datapoint.json`). `--baseline FILE` adds the
-//! committed engine-cell throughput for comparison.
 
-use g2pl_bench::harness;
 use g2pl_core::experiments::{self, Scale, CLAIMS, FIGURES};
 use g2pl_core::figure::FigureData;
 use std::io::Write as _;
@@ -60,34 +46,19 @@ const ALL: [&str; 18] = [
 ];
 
 /// The artifacts that are not registry figures.
-const PROSE: [&str; 8] = [
-    "table1",
-    "table2",
-    "fig1",
-    "headline",
-    "scorecard",
-    "bench",
-    "scale-bench",
-    "list",
-];
+const PROSE: [&str; 6] = ["table1", "table2", "fig1", "headline", "scorecard", "list"];
 
 fn usage() -> ! {
     let figures: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     eprintln!(
         "usage: repro [--scale smoke|default|full] [--out DIR] [--trace-out DIR] \
-         [--no-verify] [--ascii] [--bench-out FILE] [--baseline FILE] <artifact>...\n\
+         [--no-verify] [--ascii] <artifact>...\n\
          artifacts: {} all ext\n\
          figures (`list` describes them): {}\n\
          all = the paper's tables and figures; ext = every ext-* study\n\
          verification of every data point is on by default; --no-verify skips it\n\
          --trace-out DIR dumps replication 0 of each point as a JSONL event \
-         trace for trace-explain\n\
-         bench times engine cells + figure sweeps, writes --bench-out \
-         (default BENCH_pr7.json), and fails on >30% throughput regression \
-         vs --baseline FILE\n\
-         scale-bench runs one big sharded PDES cell, writes --bench-out \
-         (default results/scale_datapoint.json); --baseline FILE adds the \
-         engine-cell throughput comparison",
+         trace for trace-explain",
         PROSE.join(" "),
         figures.join(" ")
     );
@@ -121,8 +92,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut artifacts: Vec<String> = Vec::new();
 
     let mut i = 0;
@@ -150,14 +119,6 @@ fn main() {
             "--ascii" => {} // handled in emit_figure
             "--no-verify" | "--verify=off" => g2pl_core::set_verify(false),
             "--verify" | "--verify=on" => g2pl_core::set_verify(true),
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
             "all" => artifacts.extend(ALL.iter().map(std::string::ToString::to_string)),
             "ext" => artifacts.extend(
                 FIGURES
@@ -178,7 +139,7 @@ fn main() {
 
     let mut failed = false;
     for a in &artifacts {
-        // lint:allow(L2): host-side wall-clock self-timing of the bench run, reported to stderr
+        // lint:allow(L2): host-side wall-clock self-timing of each artifact, reported to stderr
         let started = std::time::Instant::now();
         match a.as_str() {
             "table1" => println!("{}", experiments::table1()),
@@ -196,49 +157,6 @@ fn main() {
                     failed = true;
                 }
             }
-            "bench" => {
-                let report = harness::run_bench(scale);
-                println!("{}", report.render());
-                let path = bench_out
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
-                // lint:allow(L3): CLI fails fast when the bench report cannot be written
-                std::fs::write(&path, report.to_json()).expect("write bench report");
-                eprintln!("wrote {}", path.display());
-                if let Some(base) = &baseline {
-                    // lint:allow(L3): CLI fails fast when the --baseline file is unreadable
-                    let text = std::fs::read_to_string(base).expect("read bench baseline");
-                    match harness::regression_vs(&text, &report, 0.30) {
-                        Some(msg) => {
-                            eprintln!("bench: {msg}");
-                            failed = true;
-                        }
-                        None => {
-                            eprintln!("bench: within 30% of baseline {}", base.display());
-                        }
-                    }
-                }
-            }
-            "scale-bench" => {
-                let (clients, shards) = harness::scale_bench_size(scale);
-                let baseline_text = baseline
-                    .as_deref()
-                    .or(Some(std::path::Path::new("BENCH_pr7.json")))
-                    .and_then(|p| std::fs::read_to_string(p).ok());
-                let (md, json) =
-                    harness::run_scale_bench(scale, clients, shards, baseline_text.as_deref());
-                println!("{md}");
-                let path = bench_out
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("results/scale_datapoint.json"));
-                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                    // lint:allow(L3): CLI fails fast when the output directory cannot be created
-                    std::fs::create_dir_all(dir).expect("create output directory");
-                }
-                // lint:allow(L3): CLI fails fast when the datapoint cannot be written
-                std::fs::write(&path, json).expect("write scale datapoint");
-                eprintln!("wrote {}", path.display());
-            }
             id => {
                 // lint:allow(L3): argument parsing admits only prose artifacts and registry ids
                 let spec = experiments::figure(id).expect("validated above");
@@ -247,7 +165,7 @@ fn main() {
         }
         // Throughput trailer: what the engines did during this artifact
         // (the counters are drained per artifact, so each line stands
-        // alone). `bench` drains them itself and reports via its table.
+        // alone).
         let perf = g2pl_core::take_perf();
         let wall = started.elapsed().as_secs_f64();
         if perf.runs > 0 {

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// opting out is loud.
 pub const OPT_OUT: [(&str, &str); 1] = [(
     "vendor/",
-    "offline API stand-ins for external crates (proptest/criterion/serde); \
+    "offline API stand-ins for external crates (proptest/serde); \
      they mirror foreign interfaces and never run inside a simulation",
 )];
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// without fixing a policy; commercial s-2PL systems typically abort the
 /// youngest transaction (cheapest to redo, and guarantees progress because
 /// the oldest transaction in any cycle eventually wins). We default to
-/// youngest and expose the alternatives for the ablation benches.
+/// youngest and expose the alternatives for the `ext-victims` study.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VictimPolicy {
     /// Abort the youngest transaction (highest `TxnId`, i.e. latest

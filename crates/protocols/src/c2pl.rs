@@ -387,7 +387,6 @@ impl Protocol for C2pl {
         let Some(version) = k.p.caches[client.index()][item.index()] else {
             return false;
         };
-        k.collector.on_access_wait(SimTime::ZERO);
         k.p.pins.pin(client, item);
         let c = &mut k.clients[client.index()];
         let active = c.txn_mut();
@@ -452,7 +451,7 @@ impl Protocol for C2pl {
             return;
         }
         k.table.set_status(txn, TxnStatus::Aborted);
-        k.end_aborted_txn(now, client, txn);
+        k.end_aborted_txn(client, txn);
         k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.answer_deferred_callbacks(client);
         k.schedule_next_txn(client);

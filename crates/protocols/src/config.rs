@@ -42,8 +42,9 @@ impl ProtocolKind {
     }
 }
 
-/// The g-2PL optimization toggles (§3.2–3.4), individually switchable for
-/// the ablation benches.
+/// The g-2PL optimization toggles (§3.2–3.4), individually switchable; the
+/// registry's `fig11`, `ext-ordering`, `ext-read-expansion` and
+/// `ext-window-hold` rows each vary one.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct G2plOpts {
     /// Window-close ordering rule. `ordering.consistent == true` is the
@@ -66,8 +67,8 @@ pub struct G2plOpts {
     /// Hold a returned item at the server for this many extra time units
     /// before closing its window, gathering more requests into the batch.
     /// Footnote 1 of the paper reports that "tuning the collection window
-    /// does not produce significant performance gains" — this knob lets
-    /// the ablation bench verify that. `None` (default) dispatches
+    /// does not produce significant performance gains" — the
+    /// `ext-window-hold` row measures that. `None` (default) dispatches
     /// immediately on return.
     pub dispatch_delay: Option<u64>,
 }

@@ -587,7 +587,7 @@ impl Protocol for G2pl {
         }
         k.table.set_status(txn, TxnStatus::Aborted);
         k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
-        let Some(active) = k.end_aborted_txn(now, client, txn) else {
+        let Some(active) = k.end_aborted_txn(client, txn) else {
             return;
         };
         k.schedule_next_txn(client);
@@ -1237,8 +1237,6 @@ impl Kernel<G2pl> {
         active.versions.push(version);
         active.granted += 1;
         active.phase = ClientPhase::Thinking;
-        let wait = now.since(active.request_sent_at);
-        self.collector.on_access_wait(wait);
         let think = self.cfg.profile.draw_think(&mut c.time_rng);
         self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
         self.cal.schedule_in(

@@ -311,11 +311,7 @@ impl<P: Protocol> Kernel<P> {
             clients,
             table: TxnTable::new(),
             generator,
-            collector: Collector::with_histogram(
-                cfg.warmup_txns,
-                cfg.measured_txns,
-                nominal.max(2) / 2,
-            ),
+            collector: Collector::new(cfg.warmup_txns, cfg.measured_txns),
             history: cfg.record_history.then(History::new),
             recorder: cfg.trace_events.then(|| SpanRecorder::new(true)),
             wal: cfg.enable_wal.then(|| {
@@ -478,11 +474,6 @@ impl<P: Protocol> Kernel<P> {
             window_closes,
             deadlock_searches: self.collector.deadlock_searches,
             deadlock_searches_skipped: self.collector.deadlock_searches_skipped,
-            access_wait: self.collector.access_wait,
-            abort_waste: self.collector.abort_waste,
-            abort_depth: self.collector.abort_depth,
-            response_by_size: self.collector.response_by_size,
-            response_hist: self.collector.response_hist,
             response_tail: self.collector.response_tail,
             wal: self.wal.map(|sites| {
                 let mut r = WalReport::default();
@@ -615,7 +606,6 @@ impl<P: Protocol> Kernel<P> {
         let t = self.clients[client.index()].txn_mut();
         let (item, mode) = t.spec.access(idx);
         t.phase = ClientPhase::WaitingGrant(idx);
-        t.request_sent_at = now;
         if self.faults_on {
             self.clients[client.index()].retry_progress();
         }
@@ -945,9 +935,7 @@ impl<P: Protocol> Kernel<P> {
         releases: u32,
     ) -> TraceEvent {
         let txn = active.id;
-        let measured = self
-            .collector
-            .on_commit_sized(now.since(active.start), active.spec.len());
+        let measured = self.collector.on_commit(now.since(active.start));
         if let Some(h) = &mut self.history {
             let accesses = active
                 .spec
@@ -1060,12 +1048,7 @@ impl<P: Protocol> Kernel<P> {
     /// shards that already voted are cleaned up by the victim's
     /// release), and the abort is counted and logged. The engine emits
     /// it. `None` when the client no longer runs `txn`.
-    pub(crate) fn end_aborted_txn(
-        &mut self,
-        now: SimTime,
-        client: ClientId,
-        txn: TxnId,
-    ) -> Option<ActiveTxn> {
+    pub(crate) fn end_aborted_txn(&mut self, client: ClientId, txn: TxnId) -> Option<ActiveTxn> {
         let c = &mut self.clients[client.index()];
         if c.txn.as_ref().is_none_or(|a| a.id != txn) {
             return None;
@@ -1076,11 +1059,7 @@ impl<P: Protocol> Kernel<P> {
         if self.faults_on {
             c.retry_progress();
         }
-        self.collector.on_abort_diag(
-            active.spec.is_read_only(),
-            now.since(active.start),
-            active.granted,
-        );
+        self.collector.on_abort(active.spec.is_read_only());
         if let Some(wal) = &mut self.wal {
             wal[client.index()].append(LogRecord::Abort { txn });
         }

@@ -5,7 +5,7 @@ use g2pl_faults::FaultCounts;
 use g2pl_netmodel::NetAccounting;
 use g2pl_obs::{PhaseBreakdown, TraceEvent, TxnDetail};
 use g2pl_simcore::SimTime;
-use g2pl_stats::{Counter, Histogram, RunningStats, TailSketch, TailSummary, WarmupFilter};
+use g2pl_stats::{Counter, RunningStats, TailSketch, TailSummary, WarmupFilter};
 use g2pl_wal::LogMetrics;
 use serde::Serialize;
 use std::sync::Arc;
@@ -49,26 +49,10 @@ pub struct RunMetrics {
     /// Of those, the s-2PL and c-2PL searches skipped because nothing
     /// could wait for the trigger, so no cycle could pass through it.
     pub deadlock_searches_skipped: u64,
-    /// Per-access wait time (request sent → access granted), over every
-    /// grant in the run — the queueing-delay diagnostic.
-    pub access_wait: RunningStats,
-    /// Lifetime of aborted transactions (creation → abort): the work a
-    /// deadlock abort throws away.
-    pub abort_waste: RunningStats,
-    /// Number of items the victim had been granted when aborted.
-    pub abort_depth: RunningStats,
-    /// Response-time statistics bucketed by transaction size (index =
-    /// number of items; index 0 unused).
-    pub response_by_size: Vec<RunningStats>,
     /// Write-ahead-log accounting, when `enable_wal` was set.
     pub wal: Option<WalReport>,
-    /// Response-time histogram over measured commits (bucket width scales
-    /// with the configured latency), for tail percentiles.
-    pub response_hist: Histogram,
     /// Deterministic quantile sketch over the same measured responses as
-    /// [`response`](Self::response) — the authoritative p50/p90/p99/p999
-    /// source (the fixed-width histogram saturates into its overflow
-    /// bucket; the sketch never does).
+    /// [`response`](Self::response): the p50/p90/p99/p999 source.
     pub response_tail: TailSketch,
     /// The flight recorder: the run's worst measured committed
     /// transactions (up to [`g2pl_obs::FLIGHT_K`]), worst-first, with
@@ -206,11 +190,6 @@ impl RunMetrics {
         self.aborts.percentage()
     }
 
-    /// Approximate response-time quantile (0..=1) over measured commits.
-    pub fn response_quantile(&self, q: f64) -> Option<f64> {
-        self.response_hist.quantile(q)
-    }
-
     /// The p50/p90/p99/p999/max response-time summary from the
     /// deterministic sketch (all zeros when nothing was measured).
     pub fn tail_summary(&self) -> TailSummary {
@@ -250,18 +229,8 @@ impl RunMetrics {
 #[derive(Debug)]
 pub struct Collector {
     filter: WarmupFilter,
-    /// Response-time histogram over measured commits.
-    pub response_hist: Histogram,
     /// Quantile sketch over the same measured responses (in ticks).
     pub response_tail: TailSketch,
-    /// Per-access wait times (request → grant), all grants.
-    pub access_wait: RunningStats,
-    /// Aborted-transaction lifetimes.
-    pub abort_waste: RunningStats,
-    /// Items granted to victims at abort time.
-    pub abort_depth: RunningStats,
-    /// Response by transaction size (item count).
-    pub response_by_size: Vec<RunningStats>,
     /// Response times of measured commits.
     pub response: RunningStats,
     /// Measured completion outcomes (hit = aborted).
@@ -280,17 +249,10 @@ pub struct Collector {
 
 impl Collector {
     /// Discard `warmup` completions, then measure the next `measured`.
-    /// `hist_bucket` sets the response-histogram bucket width (e.g. half
-    /// the network latency).
-    pub fn with_histogram(warmup: u64, measured: u64, hist_bucket: u64) -> Self {
+    pub fn new(warmup: u64, measured: u64) -> Self {
         Collector {
             filter: WarmupFilter::new(warmup, Some(measured)),
-            response_hist: Histogram::new(hist_bucket.max(1) as f64, 4096),
             response_tail: TailSketch::new(),
-            access_wait: RunningStats::new(),
-            abort_waste: RunningStats::new(),
-            abort_depth: RunningStats::new(),
-            response_by_size: vec![RunningStats::new(); 9],
             response: RunningStats::new(),
             aborts: Counter::new(),
             read_only_aborts: 0,
@@ -301,46 +263,18 @@ impl Collector {
         }
     }
 
-    /// Discard `warmup` completions, then measure the next `measured`.
-    pub fn new(warmup: u64, measured: u64) -> Self {
-        Self::with_histogram(warmup, measured, 1)
-    }
-
-    /// Record a commit with the given response time; `size` is the
-    /// transaction's item count. Returns whether the commit fell inside
-    /// the measurement window (callers label span aggregation with it).
-    pub fn on_commit_sized(&mut self, response: SimTime, size: usize) -> bool {
+    /// Record a commit with the given response time. Returns whether the
+    /// commit fell inside the measurement window (callers label span
+    /// aggregation with it).
+    pub fn on_commit(&mut self, response: SimTime) -> bool {
         self.committed_total += 1;
         let measured = self.filter.admit();
         if measured {
             self.response.record(response.as_f64());
-            self.response_hist.record(response.as_f64());
             self.response_tail.record(response.units());
-            if size < self.response_by_size.len() {
-                self.response_by_size[size].record(response.as_f64());
-            }
             self.aborts.miss();
         }
         measured
-    }
-
-    /// Record a commit with the given response time; returns whether it
-    /// was measured.
-    pub fn on_commit(&mut self, response: SimTime) -> bool {
-        self.on_commit_sized(response, 0)
-    }
-
-    /// Record one access wait (request sent → granted).
-    pub fn on_access_wait(&mut self, wait: SimTime) {
-        self.access_wait.record(wait.as_f64());
-    }
-
-    /// Record an abort with diagnostics: the victim's lifetime and how
-    /// many items it had been granted.
-    pub fn on_abort_diag(&mut self, read_only: bool, waste: SimTime, depth: usize) {
-        self.abort_waste.record(waste.as_f64());
-        self.abort_depth.record(depth as f64);
-        self.on_abort(read_only);
     }
 
     /// Record an abort; `read_only` marks a read-only transaction.

@@ -761,9 +761,6 @@ pub struct ActiveTxn {
     pub versions: Vec<Version>,
     /// Current phase.
     pub phase: ClientPhase,
-    /// When the outstanding request was sent (valid in `WaitingGrant`);
-    /// used for the per-access wait diagnostic.
-    pub request_sent_at: SimTime,
 }
 
 /// Per-client state shared by all engines.
@@ -880,7 +877,6 @@ impl ClientCore {
             start: now,
             versions: Vec::new(),
             phase: ClientPhase::WaitingGrant(0),
-            request_sent_at: now,
         });
         id
     }

@@ -263,7 +263,7 @@ impl Protocol for S2pl {
             return;
         }
         k.table.set_status(txn, TxnStatus::Aborted);
-        k.end_aborted_txn(now, client, txn);
+        k.end_aborted_txn(client, txn);
         k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.schedule_next_txn(client);
     }
@@ -375,11 +375,9 @@ impl<P: ServerLocking> Kernel<P> {
         active.versions.push(version);
         active.granted += 1;
         active.phase = ClientPhase::Thinking;
-        let wait = now.since(active.request_sent_at);
         if faults_on {
             c.retry_progress();
         }
-        self.collector.on_access_wait(wait);
         let think = self.cfg.profile.draw_think(&mut c.time_rng);
         self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
         self.cal.schedule_in(

@@ -16,13 +16,10 @@
 //! * [`WarmupFilter`] — transient-phase elimination by observation count;
 //! * [`Counter`] — ratio counters (e.g. percentage of transactions
 //!   aborted);
-//! * [`BatchMeans`] — single-run batch-means intervals with an
-//!   autocorrelation diagnostic;
 //! * [`TailSketch`] — deterministic, mergeable log-bucketed quantile
 //!   sketch over integer ticks (p50/p90/p99/p999/max with a
 //!   `2^-SUB_BITS` relative-error bound).
 
-pub mod batch;
 pub mod counter;
 pub mod histogram;
 pub mod replication;
@@ -31,7 +28,6 @@ pub mod sketch;
 pub mod tdist;
 pub mod warmup;
 
-pub use batch::BatchMeans;
 pub use counter::Counter;
 pub use histogram::Histogram;
 pub use replication::{ConfidenceInterval, Replications};
