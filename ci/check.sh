@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, clippy (deny warnings), the project's own
-# determinism/invariant lint, the full test suite, the artifact smokes and
-# a same-host benchmark A/B against the parent commit. Run from anywhere;
-# CI and contributors run exactly this script (see CONTRIBUTING.md).
+# Pre-merge gate: formatting, clippy and rustdoc (deny warnings), the
+# project's own determinism/invariant lint, the full test suite, the
+# artifact smokes and a same-host benchmark A/B against the parent commit.
+# Run from anywhere; CI and contributors run exactly this script (see
+# CONTRIBUTING.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,11 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny rustdoc warnings)"
+# A doc comment linking to a deleted or renamed item fails here as an
+# unresolved intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> g2pl-lint (workspace analyzer: L1-L7 + state-machine reachability)"
 # Deny-new-findings mode: the analyzer exits nonzero on ANY unsuppressed

@@ -67,8 +67,7 @@ pub mod prelude {
     pub use g2pl_netmodel::NetworkEnv;
     pub use g2pl_protocols::{
         run, run_scale, run_scale_with_workers, AbortEffect, EngineConfig, G2plOpts, ItemSpace,
-        LatencyCfg, ProtocolKind, RunMetrics, ScaleCfg, ScaleMetrics, ShardMix, Topology,
-        TxnProfile,
+        LatencyCfg, ProtocolKind, RunMetrics, ScaleCfg, ScaleMetrics, ShardMix, TxnProfile,
     };
     pub use g2pl_simcore::SimTime;
     pub use g2pl_stats::ConfidenceInterval;

@@ -411,7 +411,7 @@ pub enum Verdict {
     Deliver,
     /// Drop the message (link loss or partition).
     Drop,
-    /// Deliver the message twice, with independent latency draws.
+    /// Deliver the message twice, both copies after the same latency.
     Duplicate,
     /// Deliver once, delayed by the given extra time.
     Delay(SimTime),
@@ -461,11 +461,6 @@ impl FaultInjector {
             master_seed,
             counts: FaultCounts::default(),
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Decide the fate of one message from `from` to `to` at time `now`.

@@ -122,11 +122,6 @@ impl ForwardList {
         Some(Segment::Readers(start..end))
     }
 
-    /// The first segment of the list.
-    pub fn first_segment(&self) -> Option<Segment> {
-        self.segment_at(0)
-    }
-
     /// The segment *containing* index `idx`.
     pub fn segment_of(&self, idx: usize) -> Segment {
         assert!(idx < self.entries.len(), "index {idx} out of range");
@@ -139,11 +134,6 @@ impl ForwardList {
         }
         // lint:allow(L3): caller-checked index; segment_at(start) <= idx always exists
         self.segment_at(start).expect("idx is in range")
-    }
-
-    /// The segment after the one containing `idx`, if any.
-    pub fn next_segment_after(&self, idx: usize) -> Option<Segment> {
-        self.segment_at(self.segment_of(idx).end())
     }
 
     /// Index of the first writer at or after `idx`, if any.
@@ -227,15 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn next_segment_navigation() {
-        let fl = rwlist();
-        assert_eq!(fl.next_segment_after(0), Some(Segment::Writer(2)));
-        assert_eq!(fl.next_segment_after(1), Some(Segment::Writer(2)));
-        assert_eq!(fl.next_segment_after(2), Some(Segment::Readers(3..4)));
-        assert_eq!(fl.next_segment_after(8), None);
-    }
-
-    #[test]
     fn next_writer_lookup() {
         let fl = rwlist();
         assert_eq!(fl.next_writer_at_or_after(0), Some(2));
@@ -247,7 +228,7 @@ mod tests {
     #[test]
     fn empty_list_has_no_segments() {
         let fl = ForwardList::new();
-        assert!(fl.first_segment().is_none());
+        assert!(fl.segments().next().is_none());
         assert_eq!(fl.segments().count(), 0);
         assert!(fl.is_empty());
     }
@@ -255,7 +236,7 @@ mod tests {
     #[test]
     fn single_writer_list() {
         let fl = ForwardList::from_entries(vec![e(0, Exclusive)]);
-        assert_eq!(fl.first_segment(), Some(Segment::Writer(0)));
+        assert_eq!(fl.segments().next(), Some(Segment::Writer(0)));
         assert_eq!(fl.segments().count(), 1);
     }
 

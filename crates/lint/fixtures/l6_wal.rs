@@ -1,5 +1,6 @@
 //! L6 fixture: write-ahead ordering. `broadcast_first` ships the grant
-//! before the log append that records it (the seeded violation);
+//! before the log append that records it, and `notify_first` does the
+//! same with an instant send (the two seeded violations);
 //! `log_then_send` appends first and must stay clean, as must the
 //! send/append pair sitting on mutually exclusive match arms.
 
@@ -7,6 +8,11 @@ impl Server {
     pub fn broadcast_first(&mut self) {
         self.net.send(Msg::Grant); // seeded: send precedes the append below
         self.log.append(ServerRecord::Granted);
+    }
+
+    pub fn notify_first(&mut self) {
+        self.net.send_instant(Msg::Abort); // seeded: instant send precedes the append below
+        self.log.append(LogRecord::Abort);
     }
 
     pub fn log_then_send(&mut self) {

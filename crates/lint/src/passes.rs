@@ -417,7 +417,7 @@ fn l3_panics(file: &ParsedFile, diags: &mut Vec<Diagnostic>) {
 ///
 /// Within a function that both appends durable records
 /// (`…append(ServerRecord::…)` / `…append(LogRecord::…)`) and ships
-/// messages (`….send(…)` / `….send_with_delay(…)` on a `net` receiver,
+/// messages (`….send(…)` / `….send_instant(…)` on a `net` receiver,
 /// or a `send_segment*` dispatch helper), a send that has a durable
 /// append *after* it on the same straight-line path but none *before*
 /// it violates write-ahead: the message would promise state the log
@@ -439,7 +439,7 @@ fn l6_wal_ordering(file: &ParsedFile, diags: &mut Vec<Diagnostic>) {
                 appends.push(fs);
             }
             let is_send = (0..toks.len()).any(|i| {
-                (toks[i].is_ident("send") || toks[i].is_ident("send_with_delay"))
+                (toks[i].is_ident("send") || toks[i].is_ident("send_instant"))
                     && i >= 2
                     && toks[i - 1].is_punct('.')
                     && toks[i - 2].is_ident("net")

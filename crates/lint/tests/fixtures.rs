@@ -159,17 +159,18 @@ fn l5_flight_fixture_golden() {
 fn l6_fixture_golden() {
     let src = include_str!("../fixtures/l6_wal.rs");
     let diags = findings("fixtures/l6_wal.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(
-        (diags[0].lint, diags[0].line),
-        (Lint::L6, line_of(src, "seeded: send precedes")),
-        "{diags:?}"
-    );
-    assert!(
-        diags[0].message.contains("`broadcast_first`"),
-        "{}",
-        diags[0]
-    );
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    for (d, seeded, func) in [
+        (&diags[0], "seeded: send precedes", "`broadcast_first`"),
+        (&diags[1], "seeded: instant send precedes", "`notify_first`"),
+    ] {
+        assert_eq!(
+            (d.lint, d.line),
+            (Lint::L6, line_of(src, seeded)),
+            "{diags:?}"
+        );
+        assert!(d.message.contains(func), "{d}");
+    }
 }
 
 #[test]

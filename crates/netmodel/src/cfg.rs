@@ -1,28 +1,24 @@
-//! Serializable latency-model configuration.
+//! The latency model: one serializable description of the network.
 //!
-//! This is the single source of truth for latency configuration: the
-//! protocol engines re-export [`LatencyCfg`] (it used to live in
-//! `g2pl-protocols`), and the lossy-link fault wrapper builds on the same
-//! type, so a figure spec, an engine config, and a fault plan all describe
-//! the network the same way.
+//! The protocol engines re-export [`LatencyCfg`], and [`crate::LossyLink`]
+//! prices every message with [`LatencyCfg::delay`], so a figure spec, an
+//! engine config and a fault plan all describe the network the same way.
 
-use crate::latency::{BandwidthLatency, ConstantLatency, JitteredLatency, LatencyModel};
 use g2pl_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Serializable latency-model choice, instantiated per run.
+/// Per-message delay model of a run.
+///
+/// The paper's simulation assumes "the network latency between any two
+/// sites (server-client, client-client) and in either direction is the
+/// same", so a delay depends on nothing but the message's size.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LatencyCfg {
     /// The paper's model: every message takes exactly this many units.
     Constant(u64),
-    /// Constant base plus uniform jitter in `[0, jitter]`.
-    Jittered {
-        /// Base one-way delay.
-        base: u64,
-        /// Maximum extra delay.
-        jitter: u64,
-    },
-    /// Propagation latency plus `size / bytes_per_unit` transmission time.
+    /// Propagation latency plus `ceil(size / bytes_per_unit)` transmission
+    /// time (§2's split of delay), so the `ext-bandwidth` row can sweep
+    /// from slow-network to gigabit data rates.
     Bandwidth {
         /// Propagation component.
         latency: u64,
@@ -32,17 +28,18 @@ pub enum LatencyCfg {
 }
 
 impl LatencyCfg {
-    /// Build the runtime latency model.
-    pub fn build(self) -> Box<dyn LatencyModel> {
+    /// Delay of one message of `size_bytes`, between any two sites.
+    ///
+    /// # Panics
+    /// Panics on `Bandwidth { bytes_per_unit: 0, .. }`, a config the
+    /// engines' validation rejects.
+    pub fn delay(self, size_bytes: u64) -> SimTime {
         match self {
-            LatencyCfg::Constant(l) => Box::new(ConstantLatency::new(SimTime::new(l))),
-            LatencyCfg::Jittered { base, jitter } => {
-                Box::new(JitteredLatency::new(SimTime::new(base), jitter))
-            }
+            LatencyCfg::Constant(l) => SimTime::new(l),
             LatencyCfg::Bandwidth {
                 latency,
                 bytes_per_unit,
-            } => Box::new(BandwidthLatency::new(SimTime::new(latency), bytes_per_unit)),
+            } => SimTime::new(latency).after(SimTime::new(size_bytes.div_ceil(bytes_per_unit))),
         }
     }
 
@@ -51,7 +48,6 @@ impl LatencyCfg {
     pub fn nominal(self) -> u64 {
         match self {
             LatencyCfg::Constant(l) => l,
-            LatencyCfg::Jittered { base, jitter } => base + jitter / 2,
             LatencyCfg::Bandwidth { latency, .. } => latency,
         }
     }
@@ -62,21 +58,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_cfg_builds_models() {
-        assert_eq!(LatencyCfg::Constant(5).nominal(), 5);
-        assert_eq!(
-            LatencyCfg::Jittered {
-                base: 10,
-                jitter: 4
-            }
-            .nominal(),
-            12
-        );
+    fn constant_ignores_everything() {
+        let m = LatencyCfg::Constant(250);
+        assert_eq!(m.delay(0), SimTime::new(250));
+        assert_eq!(m.delay(1_000_000), SimTime::new(250));
+        assert_eq!(m.nominal(), 250);
+    }
+
+    #[test]
+    fn bandwidth_adds_transmission_time() {
         let m = LatencyCfg::Bandwidth {
-            latency: 7,
-            bytes_per_unit: 100,
+            latency: 100,
+            bytes_per_unit: 1000,
         };
-        assert_eq!(m.nominal(), 7);
-        let _ = m.build();
+        // Empty message: pure latency.
+        assert_eq!(m.delay(0), SimTime::new(100));
+        // 2500 bytes at 1000 B/unit: ceil = 3 extra units.
+        assert_eq!(m.delay(2500), SimTime::new(103));
+        assert_eq!(m.nominal(), 100);
     }
 }

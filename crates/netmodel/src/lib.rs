@@ -10,10 +10,11 @@
 //!
 //! This crate models exactly that decomposition:
 //!
-//! * [`latency::LatencyModel`] — pluggable per-message delay models:
-//!   the paper's uniform constant latency ([`latency::ConstantLatency`]),
-//!   a jittered variant, a per-pair matrix, and a bandwidth-aware model
-//!   that adds `size / bandwidth` transmission time for ablations;
+//! * [`cfg::LatencyCfg`] — the per-message delay model: the paper's
+//!   uniform constant latency, or latency plus `size / bandwidth`
+//!   transmission time for the bandwidth ablation;
+//! * [`lossy::LossyLink`] — that model composed with an optional fault
+//!   plan (loss, duplication, delay, partitions, crash schedules);
 //! * [`env::NetworkEnv`] — the six Table 2 environments (ss-LAN … l-WAN);
 //! * [`accounting::NetAccounting`] — message / byte / per-kind counters so
 //!   experiments can report the message-complexity claims of §3.2
@@ -22,15 +23,9 @@
 pub mod accounting;
 pub mod cfg;
 pub mod env;
-pub mod latency;
 pub mod lossy;
-pub mod topology;
 
 pub use accounting::NetAccounting;
 pub use cfg::LatencyCfg;
 pub use env::NetworkEnv;
-pub use latency::{
-    BandwidthLatency, ConstantLatency, JitteredLatency, LatencyModel, MatrixLatency,
-};
 pub use lossy::LossyLink;
-pub use topology::Topology;

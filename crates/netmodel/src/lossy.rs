@@ -1,58 +1,45 @@
-//! Lossy-link wrapper: a latency model composed with a fault plan.
+//! Lossy-link wrapper: the latency model composed with a fault plan.
 //!
 //! [`LossyLink`] is the delivery layer the engines' `Net` sits on. In its
-//! reliable form it is a transparent pass-through to the wrapped
-//! [`LatencyModel`] — same draws from the same stream, so a run with no
-//! fault plan (or an inert one) is byte-identical to the pre-fault
-//! simulator. With an active [`FaultPlan`] it consults a
+//! reliable form every message is delivered once, after
+//! [`LatencyCfg::delay`]. With an active [`FaultPlan`] it consults a
 //! [`FaultInjector`] per message and turns the verdict into zero
 //! (dropped), one (delivered, possibly delayed), or two (duplicated)
 //! delivery delays.
 
-use crate::latency::LatencyModel;
+use crate::cfg::LatencyCfg;
 use g2pl_faults::{FaultCounts, FaultInjector, FaultPlan, Verdict};
-use g2pl_simcore::{RngStream, SimTime, SiteId};
+use g2pl_simcore::{SimTime, SiteId};
 
-/// A network link: a latency model, optionally composed with a fault
+/// A network link: the latency model, optionally composed with a fault
 /// injector.
 pub struct LossyLink {
-    model: Box<dyn LatencyModel>,
+    latency: LatencyCfg,
     injector: Option<FaultInjector>,
 }
 
 impl LossyLink {
     /// A perfectly reliable link (the paper's model): every `transmit`
-    /// yields exactly one delivery with the wrapped model's delay.
-    pub fn reliable(model: Box<dyn LatencyModel>) -> Self {
+    /// yields exactly one delivery after `latency`'s delay.
+    pub fn reliable(latency: LatencyCfg) -> Self {
         LossyLink {
-            model,
+            latency,
             injector: None,
         }
     }
 
     /// A link executing the given fault plan. The injector draws from its
-    /// own `"faults"` stream derived from `master_seed`, never from the
-    /// latency stream.
-    pub fn lossy(model: Box<dyn LatencyModel>, plan: FaultPlan, master_seed: u64) -> Self {
+    /// own `"faults"` stream derived from `master_seed`.
+    pub fn lossy(latency: LatencyCfg, plan: FaultPlan, master_seed: u64) -> Self {
         LossyLink {
-            model,
+            latency,
             injector: Some(FaultInjector::new(plan, master_seed)),
         }
-    }
-
-    /// Nominal one-way delay of the underlying model.
-    pub fn nominal(&self) -> SimTime {
-        self.model.nominal()
     }
 
     /// True if this link can inject faults.
     pub fn faults_active(&self) -> bool {
         self.injector.is_some()
-    }
-
-    /// The active fault plan, if any.
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.injector.as_ref().map(FaultInjector::plan)
     }
 
     /// Counters of faults injected so far.
@@ -90,27 +77,26 @@ impl LossyLink {
         to: SiteId,
         size_bytes: u64,
         now: SimTime,
-        rng: &mut RngStream,
         out: &mut Vec<SimTime>,
     ) -> bool {
         out.clear();
+        let delay = self.latency.delay(size_bytes);
         let Some(inj) = &mut self.injector else {
-            out.push(self.model.delay(from, to, size_bytes, rng));
+            out.push(delay);
             return false;
         };
         match inj.judge(from, to, now) {
             Verdict::Deliver => {
-                out.push(self.model.delay(from, to, size_bytes, rng));
+                out.push(delay);
                 false
             }
             Verdict::Drop => true,
             Verdict::Duplicate => {
-                out.push(self.model.delay(from, to, size_bytes, rng));
-                out.push(self.model.delay(from, to, size_bytes, rng));
+                out.extend([delay, delay]);
                 true
             }
             Verdict::Delay(extra) => {
-                out.push(self.model.delay(from, to, size_bytes, rng) + extra);
+                out.push(delay + extra);
                 true
             }
         }
@@ -120,7 +106,6 @@ impl LossyLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
     use g2pl_simcore::ClientId;
 
     fn site(c: u32) -> SiteId {
@@ -129,17 +114,9 @@ mod tests {
 
     #[test]
     fn reliable_link_is_passthrough() {
-        let mut link = LossyLink::reliable(Box::new(ConstantLatency::new(SimTime::new(9))));
-        let mut rng = RngStream::new(1);
+        let mut link = LossyLink::reliable(LatencyCfg::Constant(9));
         let mut out = Vec::new();
-        let injected = link.transmit(
-            site(0),
-            SiteId::SERVER0,
-            64,
-            SimTime::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        let injected = link.transmit(site(0), SiteId::SERVER0, 64, SimTime::ZERO, &mut out);
         assert!(!injected);
         assert_eq!(out, vec![SimTime::new(9)]);
         assert!(!link.faults_active());
@@ -148,22 +125,10 @@ mod tests {
 
     #[test]
     fn certain_loss_drops_everything() {
-        let mut link = LossyLink::lossy(
-            Box::new(ConstantLatency::new(SimTime::new(9))),
-            FaultPlan::message_loss(1.0),
-            7,
-        );
-        let mut rng = RngStream::new(1);
+        let mut link = LossyLink::lossy(LatencyCfg::Constant(9), FaultPlan::message_loss(1.0), 7);
         let mut out = Vec::new();
         for _ in 0..10 {
-            let injected = link.transmit(
-                site(0),
-                SiteId::SERVER0,
-                64,
-                SimTime::ZERO,
-                &mut rng,
-                &mut out,
-            );
+            let injected = link.transmit(site(0), SiteId::SERVER0, 64, SimTime::ZERO, &mut out);
             assert!(injected);
             assert!(out.is_empty());
         }
@@ -176,18 +141,9 @@ mod tests {
             dup_prob: 1.0,
             ..FaultPlan::default()
         };
-        let mut link =
-            LossyLink::lossy(Box::new(ConstantLatency::new(SimTime::new(3))), dup_plan, 7);
-        let mut rng = RngStream::new(1);
+        let mut link = LossyLink::lossy(LatencyCfg::Constant(3), dup_plan, 7);
         let mut out = Vec::new();
-        link.transmit(
-            site(0),
-            SiteId::SERVER0,
-            64,
-            SimTime::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        link.transmit(site(0), SiteId::SERVER0, 64, SimTime::ZERO, &mut out);
         assert_eq!(out, vec![SimTime::new(3), SimTime::new(3)]);
 
         let delay_plan = FaultPlan {
@@ -195,19 +151,8 @@ mod tests {
             delay_extra: 5,
             ..FaultPlan::default()
         };
-        let mut link = LossyLink::lossy(
-            Box::new(ConstantLatency::new(SimTime::new(3))),
-            delay_plan,
-            7,
-        );
-        link.transmit(
-            site(0),
-            SiteId::SERVER0,
-            64,
-            SimTime::ZERO,
-            &mut rng,
-            &mut out,
-        );
+        let mut link = LossyLink::lossy(LatencyCfg::Constant(3), delay_plan, 7);
+        link.transmit(site(0), SiteId::SERVER0, 64, SimTime::ZERO, &mut out);
         assert_eq!(out, vec![SimTime::new(8)]);
         assert_eq!(link.counts().delayed, 1);
     }

@@ -4,14 +4,13 @@ use g2pl_faults::FaultPlan;
 use g2pl_fwdlist::OrderingRule;
 use g2pl_lockmgr::VictimPolicy;
 use g2pl_obs::TraceCheckOpts;
-use g2pl_workload::{Trace, TxnProfile};
+use g2pl_workload::TxnProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-// The latency-model configuration lives with the latency models themselves
-// (single source of truth for the lossy-link wrapper); re-exported here so
-// `g2pl_protocols::LatencyCfg` keeps working.
-pub use g2pl_netmodel::{LatencyCfg, Topology};
+// The latency model lives in `g2pl-netmodel`, whose `LossyLink` prices
+// every message with it; re-exported so engine configs can name it.
+pub use g2pl_netmodel::LatencyCfg;
 
 /// Which protocol engine to run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -142,21 +141,11 @@ pub struct EngineConfig {
     /// The hot-item pool and its partition across server shards
     /// (Table 1: one shard of 25 items).
     pub items: ItemSpace,
-    /// Network latency model (Table 2 values under `Constant`).
+    /// Network latency model (Table 2 values under `Constant`), the same
+    /// on every link.
     pub latency: LatencyCfg,
-    /// Optional link topology over `latency`: per-link-class overrides
-    /// for client↔client and server↔server (cross-shard) hops. `None`
-    /// means the paper's full mesh — every link prices at `latency`,
-    /// byte-identical to the pre-topology engines.
-    pub topology: Option<Topology>,
     /// Per-client transaction profile (Table 1).
     pub profile: TxnProfile,
-    /// Optional recorded workload: when set, each client replays its
-    /// per-client spec sequence from the trace (cycling when exhausted)
-    /// instead of drawing from `profile`'s item/mode distributions.
-    /// Think and idle *times* still come from `profile`. Lets two
-    /// protocol engines be driven by byte-identical transaction streams.
-    pub replay: Option<Trace>,
     /// Protocol under test.
     pub protocol: ProtocolKind,
     /// Deadlock victim selection policy.
@@ -167,9 +156,6 @@ pub struct EngineConfig {
     pub measured_txns: u64,
     /// Master seed; every random stream of the run derives from it.
     pub seed: u64,
-    /// Payload size of a data item in bytes (for byte accounting and the
-    /// bandwidth latency model).
-    pub item_size_bytes: u64,
     /// After the measurement target is reached, stop admitting new
     /// transactions and run the calendar dry so conservation invariants
     /// (all items home, no locks held) can be checked.
@@ -240,15 +226,12 @@ impl EngineConfig {
             num_clients,
             items: ItemSpace::single(25),
             latency: LatencyCfg::Constant(latency),
-            topology: None,
             profile: TxnProfile::table1(read_prob),
-            replay: None,
             protocol,
             victim: VictimPolicy::Youngest,
             warmup_txns: 500,
             measured_txns: 5_000,
             seed: 0x9e3779b9,
-            item_size_bytes: 4096,
             drain: false,
             record_history: false,
             trace_events: false,
@@ -288,25 +271,6 @@ impl EngineConfig {
         self.faults.as_ref().filter(|p| p.is_active())
     }
 
-    /// The effective link topology: the configured one, or the paper's
-    /// full mesh over `latency`.
-    pub fn effective_topology(&self) -> Topology {
-        self.topology
-            .unwrap_or_else(|| Topology::full_mesh(self.latency))
-    }
-
-    /// The effective latency configuration of one specific link — the
-    /// per-link hook the topology surface exposes.
-    pub fn link_latency(&self, from: g2pl_simcore::SiteId, to: g2pl_simcore::SiteId) -> LatencyCfg {
-        self.effective_topology().latency(from, to)
-    }
-
-    /// Build the runtime latency model, honouring the topology when set.
-    /// A uniform (or absent) topology builds exactly `latency.build()`.
-    pub fn build_latency(&self) -> Box<dyn g2pl_netmodel::latency::LatencyModel> {
-        self.effective_topology().build()
-    }
-
     /// Check internal consistency.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_clients == 0 {
@@ -335,13 +299,11 @@ impl EngineConfig {
                 return Err(ConfigError::ZeroFlCap);
             }
         }
-        if let Some(t) = &self.topology {
-            // One source of truth: a topology's base must restate the
-            // run's nominal latency, not silently replace it (timeouts
-            // and lease periods derive from `latency.nominal()`).
-            if t.base != self.latency {
-                return Err(ConfigError::TopologyBaseMismatch);
-            }
+        if let LatencyCfg::Bandwidth {
+            bytes_per_unit: 0, ..
+        } = self.latency
+        {
+            return Err(ConfigError::ZeroBandwidth);
         }
         if let Some(plan) = &self.faults {
             plan.validate().map_err(ConfigError::Faults)?;
@@ -428,8 +390,9 @@ pub enum ConfigError {
     NoMeasuredTxns,
     /// A forward-list cap of 0 would never dispatch.
     ZeroFlCap,
-    /// `topology.base` disagrees with `latency`.
-    TopologyBaseMismatch,
+    /// `latency` is `Bandwidth` with `bytes_per_unit == 0`: no message
+    /// could ever be transmitted.
+    ZeroBandwidth,
     /// The fault plan is invalid.
     Faults(g2pl_faults::FaultPlanError),
     /// A crash window names a client outside `0..num_clients`.
@@ -469,10 +432,9 @@ impl fmt::Display for ConfigError {
             ConfigError::Profile(msg) => write!(f, "invalid transaction profile: {msg}"),
             ConfigError::NoMeasuredTxns => write!(f, "measured_txns must be positive"),
             ConfigError::ZeroFlCap => write!(f, "fl_cap of 0 would never dispatch"),
-            ConfigError::TopologyBaseMismatch => write!(
-                f,
-                "topology.base must equal the run's latency (timeouts derive from it)"
-            ),
+            ConfigError::ZeroBandwidth => {
+                write!(f, "bandwidth latency needs bytes_per_unit > 0")
+            }
             ConfigError::Faults(e) => write!(f, "invalid fault plan: {e}"),
             ConfigError::CrashClientOutOfRange {
                 client,
@@ -583,6 +545,16 @@ mod tests {
         };
         let c = EngineConfig::table1(ProtocolKind::G2pl(opts), 50, 500, 0.6);
         assert_eq!(c.validate(), Err(ConfigError::ZeroFlCap));
+    }
+
+    #[test]
+    fn zero_bandwidth_is_a_config_error() {
+        let mut c = EngineConfig::table1(ProtocolKind::S2pl, 5, 10, 0.5);
+        c.latency = LatencyCfg::Bandwidth {
+            latency: 10,
+            bytes_per_unit: 0,
+        };
+        assert_eq!(crate::run(&c).err(), Some(ConfigError::ZeroBandwidth));
     }
 
     #[test]

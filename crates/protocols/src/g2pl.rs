@@ -50,7 +50,7 @@
 
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
-use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES, ITEM_BYTES};
 use crate::runtime::{ClientPhase, Ev, HoldReport, Message, TimerKind, TxnStatus};
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
@@ -615,14 +615,13 @@ impl Protocol for G2pl {
         // Abort coordination stays at shard 0 (leases and deadlock
         // detection are centralized there).
         if k.cfg.abort_effect == AbortEffect::Instant {
-            k.net.send_with_delay(
+            k.net.send_instant(
                 &mut k.cal,
                 SiteId::SERVER0,
                 client.into(),
                 Self::LABELS.abort_notice,
                 CTRL_BYTES,
                 Message::AbortNotice { txn: victim },
-                SimTime::ZERO,
             );
             // Prune notices are pointless under instant-abort semantics,
             // where dead entries already cost nothing.
@@ -1050,15 +1049,11 @@ impl Kernel<G2pl> {
                             Some(item),
                             to.client,
                         ));
-                        CTRL_BYTES + self.cfg.item_size_bytes
+                        CTRL_BYTES + ITEM_BYTES
                     };
                     (SiteId::Client(fl.entry(w).client), Some(w), bytes)
                 }
-                None => (
-                    self.cfg.shard_site(item),
-                    None,
-                    CTRL_BYTES + self.cfg.item_size_bytes,
-                ),
+                None => (self.cfg.shard_site(item), None, CTRL_BYTES + ITEM_BYTES),
             };
             let msg = Message::GReaderRelease {
                 item,
@@ -1114,7 +1109,7 @@ impl Kernel<G2pl> {
                     epoch,
                 };
                 let home = self.cfg.shard_site(item);
-                let bytes = CTRL_BYTES + self.cfg.item_size_bytes;
+                let bytes = CTRL_BYTES + ITEM_BYTES;
                 self.send_hop(client.into(), home, "g2pl.return", bytes, msg, instant);
             }
         }
@@ -1133,7 +1128,7 @@ impl Kernel<G2pl> {
     ) {
         if instant {
             self.net
-                .send_with_delay(&mut self.cal, from, to, kind, bytes, msg, SimTime::ZERO);
+                .send_instant(&mut self.cal, from, to, kind, bytes, msg);
         } else {
             self.net.send(&mut self.cal, from, to, kind, bytes, msg);
         }
@@ -1176,7 +1171,7 @@ impl Kernel<G2pl> {
             .segment_at(seg_start)
             // lint:allow(L3): callers advance seg_start only to valid segment starts
             .expect("send_segment called past the end of the list");
-        let data_bytes = CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
+        let data_bytes = CTRL_BYTES + ITEM_BYTES + fl.len() as u64 * FL_ENTRY_BYTES;
         // The MR1W extra copy to the writer after a reader group chains
         // onto the segment's own range, so no target list is materialised.
         let extra_writer = match (&seg, self.p.opts.mr1w) {
@@ -1302,8 +1297,7 @@ impl Kernel<G2pl> {
                 let fl = Rc::clone(&out.fl);
                 let version = st.version;
                 let epoch = st.epoch;
-                let data_bytes =
-                    CTRL_BYTES + self.cfg.item_size_bytes + fl.len() as u64 * FL_ENTRY_BYTES;
+                let data_bytes = CTRL_BYTES + ITEM_BYTES + fl.len() as u64 * FL_ENTRY_BYTES;
                 let home = self.cfg.shard_site(item);
                 self.emit(TraceKind::FlExtended.at(now, Some(txn), Some(item), home));
                 self.emit(TraceKind::HopDeparted.at(now, Some(txn), Some(item), client));

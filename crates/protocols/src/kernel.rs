@@ -37,11 +37,15 @@ use g2pl_simcore::{Calendar, ClientId, ItemId, SimTime, SiteId, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerLog, ServerRecord, SiteLog};
 use g2pl_workload::{AccessMode, TxnGenerator};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Control-message payload size in bytes (requests, notices).
 pub(crate) const CTRL_BYTES: u64 = 64;
+
+/// Payload size of one data item in bytes: a message shipping an item
+/// costs this on top of its control header, and a WAL update record
+/// carries two such images.
+pub(crate) const ITEM_BYTES: u64 = 4096;
 
 /// Hard cap on processed events — a deterministic simulation exceeding
 /// this has livelocked, and panicking beats spinning forever.
@@ -269,25 +273,17 @@ impl<P: Protocol> Kernel<P> {
             cfg.items.num_shards,
             cfg.items.items_per_shard,
         );
-        let replay = cfg.replay.clone().map(Rc::new);
         let clients = (0..cfg.num_clients)
-            .map(|i| match &replay {
-                Some(t) => ClientCore::with_replay(ClientId::new(i), cfg.seed, Rc::clone(t)),
-                None => ClientCore::new(ClientId::new(i), cfg.seed),
-            })
+            .map(|i| ClientCore::new(ClientId::new(i), cfg.seed))
             .collect();
         let nominal = cfg.latency.nominal();
         let (net, lease, retry_base) = match cfg.active_faults() {
             Some(plan) => (
-                Net::with_faults(cfg.build_latency(), plan.clone(), cfg.seed),
+                Net::with_faults(cfg.latency, plan.clone(), cfg.seed),
                 lease_period(plan, nominal),
                 retry_period(plan, nominal),
             ),
-            None => (
-                Net::new(cfg.build_latency(), cfg.seed),
-                SimTime::MAX,
-                SimTime::MAX,
-            ),
+            None => (Net::new(cfg.latency), SimTime::MAX, SimTime::MAX),
         };
         let srv_faults = cfg
             .active_faults()
@@ -316,7 +312,7 @@ impl<P: Protocol> Kernel<P> {
             recorder: cfg.trace_events.then(|| SpanRecorder::new(true)),
             wal: cfg.enable_wal.then(|| {
                 (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(cfg.item_size_bytes))
+                    .map(|_| SiteLog::new(ITEM_BYTES))
                     .collect()
             }),
             admitting: true,
@@ -695,7 +691,7 @@ impl<P: Protocol> Kernel<P> {
             let (kind, bytes) = match &msg {
                 Message::SCommit { writes, .. } => (
                     P::LABELS.commit_release,
-                    CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes,
+                    CTRL_BYTES + writes.len() as u64 * ITEM_BYTES,
                 ),
                 Message::Prepare { writes, .. } => {
                     (P::LABELS.prepare, CTRL_BYTES + 12 * writes.len() as u64)
@@ -1031,7 +1027,7 @@ impl<P: Protocol> Kernel<P> {
                 .collect();
         }
         for (shard, (writes, reads)) in slices {
-            let bytes = CTRL_BYTES + writes.len() as u64 * self.cfg.item_size_bytes;
+            let bytes = CTRL_BYTES + writes.len() as u64 * ITEM_BYTES;
             self.net.send(
                 &mut self.cal,
                 client.into(),

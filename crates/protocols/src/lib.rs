@@ -46,7 +46,7 @@ pub mod s2pl;
 pub mod scale;
 
 pub use config::{
-    AbortEffect, ConfigError, EngineConfig, G2plOpts, ItemSpace, LatencyCfg, ProtocolKind, Topology,
+    AbortEffect, ConfigError, EngineConfig, G2plOpts, ItemSpace, LatencyCfg, ProtocolKind,
 };
 pub use g2pl_faults::{
     CrashWindow, Endpoint, FaultCounts, FaultPlan, LinkPartition, ServerCrashWindow,

@@ -4,9 +4,9 @@
 use g2pl_faults::{FaultCounts, FaultPlan};
 use g2pl_fwdlist::ForwardList;
 use g2pl_lockmgr::LockMode;
-use g2pl_netmodel::{LatencyModel, LossyLink, NetAccounting};
+use g2pl_netmodel::{LatencyCfg, LossyLink, NetAccounting};
 use g2pl_simcore::{Calendar, ClientId, ItemId, RngStream, SimTime, SiteId, TxnId, Version};
-use g2pl_workload::{Trace, TxnGenerator, TxnSpec};
+use g2pl_workload::{TxnGenerator, TxnSpec};
 use std::rc::Rc;
 
 /// Client-side timers.
@@ -447,7 +447,6 @@ impl ServerCpu {
 /// primitive.
 pub struct Net {
     link: LossyLink,
-    rng: RngStream,
     /// Message/byte counters (public: engines move it into the metrics).
     pub acct: NetAccounting,
     /// Scratch buffer of delivery delays for one send.
@@ -458,21 +457,20 @@ pub struct Net {
 }
 
 impl Net {
-    /// A reliable network over `model`, with randomness derived from
-    /// `seed`.
-    pub fn new(model: Box<dyn LatencyModel>, seed: u64) -> Self {
-        Self::build(LossyLink::reliable(model), seed)
+    /// A reliable network pricing every message with `latency`.
+    pub fn new(latency: LatencyCfg) -> Self {
+        Self::build(LossyLink::reliable(latency))
     }
 
-    /// A network executing the given fault plan over `model`.
-    pub fn with_faults(model: Box<dyn LatencyModel>, plan: FaultPlan, seed: u64) -> Self {
-        Self::build(LossyLink::lossy(model, plan, seed), seed)
+    /// A network executing the given fault plan over `latency`, with the
+    /// injector's randomness derived from `seed`.
+    pub fn with_faults(latency: LatencyCfg, plan: FaultPlan, seed: u64) -> Self {
+        Self::build(LossyLink::lossy(latency, plan, seed))
     }
 
-    fn build(link: LossyLink, seed: u64) -> Self {
+    fn build(link: LossyLink) -> Self {
         Net {
             link,
-            rng: RngStream::derive(seed, "net"),
             acct: NetAccounting::new(),
             delays: Vec::with_capacity(2),
             fault_marks: Vec::new(),
@@ -523,9 +521,7 @@ impl Net {
     ) {
         self.acct.record(from, to, kind, size);
         let mut delays = std::mem::take(&mut self.delays);
-        let injected = self
-            .link
-            .transmit(from, to, size, cal.now(), &mut self.rng, &mut delays);
+        let injected = self.link.transmit(from, to, size, cal.now(), &mut delays);
         if injected {
             self.fault_marks.push((cal.now(), from));
         }
@@ -544,12 +540,12 @@ impl Net {
         self.delays = delays;
     }
 
-    /// Like [`Net::send`] but with an explicit delay, bypassing the
-    /// latency model *and* the fault injector (an instant-effect abort
-    /// notice is a modelling construct, not a real wire message). Used
-    /// only by diagnostic/ablation modes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_with_delay(
+    /// Like [`Net::send`] but delivered in the same instant, bypassing
+    /// the latency model *and* the fault injector: g-2PL's abort notice
+    /// and the victim's item hops under the default
+    /// [`crate::AbortEffect::Instant`] are a modelling construct of the
+    /// paper's simulator, not real wire messages. They are still counted.
+    pub fn send_instant(
         &mut self,
         cal: &mut Calendar<Ev>,
         from: SiteId,
@@ -557,10 +553,9 @@ impl Net {
         kind: &'static str,
         size: u64,
         msg: Message,
-        delay: SimTime,
     ) {
         self.acct.record(from, to, kind, size);
-        cal.schedule_in(delay, Ev::Deliver { to, msg });
+        cal.schedule_in(SimTime::ZERO, Ev::Deliver { to, msg });
     }
 }
 
@@ -773,10 +768,6 @@ pub struct ClientCore {
     pub spec_rng: RngStream,
     /// Workload stream: think/idle durations.
     pub time_rng: RngStream,
-    /// Recorded spec sequence to replay instead of drawing, if any.
-    pub replay: Option<Rc<Trace>>,
-    /// Next replay position for this client.
-    pub replay_idx: usize,
     /// True while the client is crashed (fault plan): inbound messages
     /// and local timers are dropped until the scheduled restart.
     pub crashed: bool,
@@ -805,8 +796,6 @@ impl ClientCore {
             txn: None,
             spec_rng: RngStream::derive_indexed(seed, "spec-client", u64::from(id.0)),
             time_rng: RngStream::derive_indexed(seed, "time-client", u64::from(id.0)),
-            replay: None,
-            replay_idx: 0,
             crashed: false,
             retry_epoch: 0,
             retry_attempts: 0,
@@ -828,34 +817,6 @@ impl ClientCore {
         SimTime::new(base.units() << self.retry_attempts.min(6))
     }
 
-    /// Like [`ClientCore::new`], replaying specs from `trace` (clients
-    /// beyond the trace's width fall back to generated specs).
-    pub fn with_replay(id: ClientId, seed: u64, trace: Rc<Trace>) -> Self {
-        let mut c = Self::new(id, seed);
-        if id.0 < trace.clients() {
-            c.replay = Some(trace);
-        }
-        c
-    }
-
-    /// Produce the next transaction spec: the recorded one when
-    /// replaying (cycling past the end), a fresh draw otherwise.
-    fn next_spec(&mut self, generator: &TxnGenerator) -> TxnSpec {
-        if let Some(trace) = &self.replay {
-            let per_client = trace.total_txns() / trace.clients() as usize;
-            if per_client > 0 {
-                let spec = trace
-                    .get(self.id, self.replay_idx % per_client)
-                    // lint:allow(L3): index is reduced modulo per_client
-                    .expect("index within per-client length")
-                    .clone();
-                self.replay_idx += 1;
-                return spec;
-            }
-        }
-        generator.draw(&mut self.spec_rng)
-    }
-
     /// Draw the next spec and open a transaction at time `now`.
     pub fn begin_txn(
         &mut self,
@@ -868,7 +829,7 @@ impl ClientCore {
             "client {} already has a transaction",
             self.id
         );
-        let spec = self.next_spec(generator);
+        let spec = generator.draw(&mut self.spec_rng);
         let id = table.create(self.id, spec.is_read_only());
         self.txn = Some(ActiveTxn {
             id,
@@ -897,13 +858,12 @@ impl ClientCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use g2pl_netmodel::ConstantLatency;
     use g2pl_workload::TxnProfile;
 
     #[test]
     fn net_send_schedules_after_latency() {
         let mut cal: Calendar<Ev> = Calendar::new();
-        let mut net = Net::new(Box::new(ConstantLatency::new(SimTime::new(7))), 1);
+        let mut net = Net::new(LatencyCfg::Constant(7));
         net.send(
             &mut cal,
             SiteId::SERVER0,
@@ -923,7 +883,7 @@ mod tests {
     fn lossy_net_drops_and_marks() {
         let mut cal: Calendar<Ev> = Calendar::new();
         let mut net = Net::with_faults(
-            Box::new(ConstantLatency::new(SimTime::new(7))),
+            LatencyCfg::Constant(7),
             g2pl_faults::FaultPlan::message_loss(1.0),
             1,
         );
@@ -981,15 +941,26 @@ mod tests {
         assert!(matches!(c.txn().phase, ClientPhase::WaitingGrant(0)));
     }
 
+    /// Each client's n-th transaction is the n-th draw from its own
+    /// `"spec-client"` stream, so every engine run at one seed gets the
+    /// same transaction stream.
     #[test]
     fn same_seed_clients_draw_identical_specs() {
         let gen = TxnGenerator::new(TxnProfile::table1(0.5), 25);
-        let mut t1 = TxnTable::new();
-        let mut t2 = TxnTable::new();
-        let mut a = ClientCore::new(ClientId::new(0), 9);
-        let mut b = ClientCore::new(ClientId::new(0), 9);
-        a.begin_txn(&gen, &mut t1, SimTime::ZERO);
-        b.begin_txn(&gen, &mut t2, SimTime::ZERO);
-        assert_eq!(a.txn().spec, b.txn().spec);
+        let seed = 9;
+        let mut table = TxnTable::new();
+        for c in 0..3 {
+            let mut client = ClientCore::new(ClientId::new(c), seed);
+            let mut reference = RngStream::derive_indexed(seed, "spec-client", u64::from(c));
+            for n in 0..50 {
+                client.begin_txn(&gen, &mut table, SimTime::ZERO);
+                let spec = client
+                    .txn
+                    .take()
+                    .expect("begin_txn opened a transaction")
+                    .spec;
+                assert_eq!(spec, gen.draw(&mut reference), "client {c}, txn {n}");
+            }
+        }
     }
 }

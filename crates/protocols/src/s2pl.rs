@@ -39,7 +39,7 @@
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
-use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES, ITEM_BYTES};
 use crate::runtime::{ClientPhase, Ev, LockReport, Message, TimerKind, TxnStatus};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::TraceKind;
@@ -574,7 +574,7 @@ impl<P: ServerLocking> Kernel<P> {
             SiteId::server(shard as u32),
             client.into(),
             P::LABELS.grant,
-            CTRL_BYTES + self.cfg.item_size_bytes,
+            CTRL_BYTES + ITEM_BYTES,
             Message::SGrant {
                 txn,
                 item,

@@ -46,8 +46,7 @@ pub struct ScaleCfg {
     /// Item space; also fixes the shard (= LP) count.
     pub items: ItemSpace,
     /// Constant one-way link latency in time units; doubles as the PDES
-    /// lookahead, so it must be positive. (Only a constant model gives a
-    /// sound lower bound — a jittered nominal is a median, not a floor.)
+    /// lookahead, so it must be positive.
     pub latency: u64,
     /// Workload shape; `sorted_access` is forced on (the deadlock-
     /// freedom argument needs it).

@@ -8,48 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// MSER-y truncation-point detection (White's Marginal Standard Error
-/// Rule): given a completed-observation series, pick the truncation point
-/// that minimises the marginal standard error of the remaining mean.
-///
-/// The paper simply states "the transient phase … was eliminated" without
-/// saying how; this gives the workspace a principled way to choose the
-/// warm-up count instead of hard-coding one. `batch` groups observations
-/// into batch means first (MSER-5 uses `batch = 5`), which smooths the
-/// statistic; the returned index is in raw-observation units and is
-/// capped at half the series, per the usual rule that a truncation point
-/// in the latter half means "run longer".
-pub fn mser_truncation(data: &[f64], batch: usize) -> usize {
-    assert!(batch > 0, "batch size must be positive");
-    let batches: Vec<f64> = data
-        .chunks(batch)
-        .filter(|c| c.len() == batch)
-        .map(|c| c.iter().sum::<f64>() / batch as f64)
-        .collect();
-    let n = batches.len();
-    if n < 4 {
-        return 0;
-    }
-    // Suffix sums let each candidate truncation be evaluated in O(1).
-    let mut suffix_sum = vec![0.0; n + 1];
-    let mut suffix_sq = vec![0.0; n + 1];
-    for i in (0..n).rev() {
-        suffix_sum[i] = suffix_sum[i + 1] + batches[i];
-        suffix_sq[i] = suffix_sq[i + 1] + batches[i] * batches[i];
-    }
-    let mut best = (f64::INFINITY, 0usize);
-    for d in 0..n / 2 {
-        let m = (n - d) as f64;
-        let mean = suffix_sum[d] / m;
-        let var = (suffix_sq[d] / m - mean * mean).max(0.0);
-        let mser = var / m; // marginal standard error squared
-        if mser < best.0 {
-            best = (mser, d);
-        }
-    }
-    best.1 * batch
-}
-
 /// Decides, per completed observation, whether it falls in the measured
 /// window.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -152,56 +110,5 @@ mod tests {
         assert!(!f.is_complete());
         f.admit();
         assert!(f.is_complete());
-    }
-
-    #[test]
-    fn mser_finds_obvious_transient() {
-        // 100 inflated start-up observations, then 400 at steady state.
-        let data: Vec<f64> = (0..500)
-            .map(|i| {
-                if i < 100 {
-                    100.0 - i as f64
-                } else {
-                    2.0 + ((i % 7) as f64) * 0.1
-                }
-            })
-            .collect();
-        let cut = mser_truncation(&data, 5);
-        assert!(
-            (80..=140).contains(&cut),
-            "expected a cut near 100, got {cut}"
-        );
-    }
-
-    #[test]
-    fn mser_on_stationary_series_cuts_little() {
-        let data: Vec<f64> = (0..400)
-            .map(|i| 5.0 + ((i * 31) % 11) as f64 * 0.01)
-            .collect();
-        let cut = mser_truncation(&data, 5);
-        assert!(
-            cut <= 120,
-            "stationary series should need no warm-up, got {cut}"
-        );
-    }
-
-    #[test]
-    fn mser_short_series_returns_zero() {
-        assert_eq!(mser_truncation(&[1.0, 2.0, 3.0], 5), 0);
-        assert_eq!(mser_truncation(&[], 5), 0);
-    }
-
-    #[test]
-    fn mser_cap_at_half() {
-        // Monotonically improving forever: the cut is capped below n/2.
-        let data: Vec<f64> = (0..300).map(|i| 300.0 - i as f64).collect();
-        let cut = mser_truncation(&data, 5);
-        assert!(cut < 150, "cap violated: {cut}");
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn mser_zero_batch_panics() {
-        mser_truncation(&[1.0], 0);
     }
 }

@@ -147,11 +147,6 @@ impl SiteLog {
         self.live.len()
     }
 
-    /// Live (uncollected) bytes.
-    pub fn live_bytes(&self) -> u64 {
-        self.live.values().map(|&(_, s)| s).sum()
-    }
-
     /// Accumulated metrics.
     pub fn metrics(&self) -> LogMetrics {
         self.metrics

@@ -81,11 +81,6 @@ impl LogRecord {
             _ => 32,
         }
     }
-
-    /// Whether the record terminates its transaction.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, LogRecord::Commit { .. } | LogRecord::Abort { .. })
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +123,5 @@ mod tests {
         };
         assert_eq!(upd.size_bytes(4096), 32 + 8192);
         assert_eq!(LogRecord::Commit { txn: t }.size_bytes(4096), 32);
-    }
-
-    #[test]
-    fn terminal_records() {
-        let t = TxnId::new(0);
-        assert!(LogRecord::Commit { txn: t }.is_terminal());
-        assert!(LogRecord::Abort { txn: t }.is_terminal());
-        assert!(!LogRecord::Begin { txn: t }.is_terminal());
     }
 }

@@ -13,16 +13,16 @@
 //! * [`profile::TxnProfile`] — the per-client statistical profile;
 //! * [`dist::AccessDistribution`] — uniform (the paper) plus Zipf-skewed
 //!   item selection (extension for hot/cold ablations);
-//! * [`generator::TxnGenerator`] — draws [`generator::TxnSpec`]s;
-//! * [`trace::Trace`] — record/replay of generated workloads so two
-//!   protocol engines can be driven by *identical* transaction streams.
+//! * [`generator::TxnGenerator`] — draws [`generator::TxnSpec`]s.
+//!
+//! The engines give each client its own spec stream, derived from the
+//! run's master seed and the client's index, so every engine run at one
+//! seed draws the same sequence of specs for each client.
 
 pub mod dist;
 pub mod generator;
 pub mod profile;
-pub mod trace;
 
 pub use dist::AccessDistribution;
 pub use generator::{AccessMode, TxnGenerator, TxnSpec};
 pub use profile::{ShardMix, TxnProfile};
-pub use trace::Trace;

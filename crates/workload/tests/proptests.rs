@@ -1,7 +1,7 @@
 //! Property-based tests of the workload generator.
 
 use g2pl_simcore::RngStream;
-use g2pl_workload::{AccessDistribution, Trace, TxnGenerator, TxnProfile};
+use g2pl_workload::{AccessDistribution, TxnGenerator, TxnProfile};
 use proptest::prelude::*;
 
 fn arb_profile() -> impl Strategy<Value = (TxnProfile, u32)> {
@@ -73,28 +73,6 @@ proptest! {
             prop_assert!(t >= profile.think_min && t <= profile.think_max);
             let i = profile.draw_idle(&mut rng).units();
             prop_assert!(i >= profile.idle_min && i <= profile.idle_max);
-        }
-    }
-
-    /// Traces replay identically and cover the requested shape.
-    #[test]
-    fn trace_shape_and_determinism(
-        clients in 1u32..6,
-        txns in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let generator = TxnGenerator::new(TxnProfile::table1(0.5), 25);
-        let a = Trace::record(&generator, clients, txns, seed);
-        let b = Trace::record(&generator, clients, txns, seed);
-        prop_assert_eq!(a.clients(), clients);
-        prop_assert_eq!(a.total_txns(), clients as usize * txns);
-        for c in 0..clients {
-            for n in 0..txns {
-                prop_assert_eq!(
-                    a.get(g2pl_simcore::ClientId::new(c), n),
-                    b.get(g2pl_simcore::ClientId::new(c), n)
-                );
-            }
         }
     }
 }

@@ -122,36 +122,6 @@ fn aborted_txns_never_commit() {
     assert_eq!(ids.len(), before);
 }
 
-/// Trace replay drives two different protocols with byte-identical
-/// transaction streams.
-#[test]
-fn trace_replay_pairs_protocols() {
-    use g2pl_workload::{Trace, TxnGenerator, TxnProfile};
-    let generator = TxnGenerator::new(TxnProfile::table1(0.4), 25);
-    let trace = Trace::record(&generator, 6, 50, 999);
-
-    let mk = |protocol: ProtocolKind| {
-        let mut cfg = EngineConfig::table1(protocol, 6, 50, 0.4);
-        cfg.replay = Some(trace.clone());
-        cfg.warmup_txns = 0;
-        cfg.measured_txns = 200;
-        cfg.record_history = true;
-        cfg.drain = true;
-        cfg
-    };
-    let s = run(&mk(ProtocolKind::S2pl)).expect("valid config");
-    let g = run(&mk(ProtocolKind::g2pl_paper())).expect("valid config");
-    // Both histories are serializable and built from the same spec pool.
-    check_serializable(s.history.as_ref().unwrap()).unwrap();
-    check_serializable(g.history.as_ref().unwrap()).unwrap();
-    assert!(s.committed_total > 0 && g.committed_total > 0);
-
-    // Replay is deterministic: same protocol, same trace => same metrics.
-    let s2 = run(&mk(ProtocolKind::S2pl)).expect("valid config");
-    assert_eq!(s.response.mean(), s2.response.mean());
-    assert_eq!(s.net.messages(), s2.net.messages());
-}
-
 /// WAL bookkeeping: enabling it changes no modelled metric, logs drain to
 /// empty, and g-2PL retains strictly more log space than s-2PL (versions
 /// migrate before becoming permanent).

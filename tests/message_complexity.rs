@@ -34,6 +34,9 @@ fn s2pl_costs_three_messages_per_commit() {
         (per_commit - 3.0).abs() < 0.05,
         "s-2PL should cost exactly 3 messages/commit, got {per_commit:.3}"
     );
+    // A 64-byte request, a 64 + 4096-byte grant carrying the item and a
+    // 64 + 4096-byte commit-release carrying it back.
+    assert_eq!(m.net.bytes(), m.committed_total * 8_384);
 }
 
 #[test]

@@ -101,33 +101,6 @@ fn multi_shard_commit_splits_are_visible_in_message_kinds() {
 }
 
 #[test]
-fn full_mesh_topology_is_inert_and_link_overrides_take_effect() {
-    let base = sharded_cfg(ProtocolKind::g2pl_paper(), 2, 3);
-
-    // The explicit full mesh must be byte-identical to no topology.
-    let mut mesh = base.clone();
-    mesh.topology = Some(Topology::full_mesh(mesh.latency));
-    let plain = run(&base).expect("valid config");
-    let meshed = run(&mesh).expect("valid config");
-    assert_eq!(plain.response.mean(), meshed.response.mean());
-    assert_eq!(plain.net.messages(), meshed.net.messages());
-    assert_eq!(plain.net.bytes(), meshed.net.bytes());
-
-    // Slowing only the client↔client class must show up in g-2PL, whose
-    // data migrates on exactly those links.
-    let mut slow_cc = base.clone();
-    slow_cc.topology =
-        Some(Topology::full_mesh(slow_cc.latency).with_client_client(LatencyCfg::Constant(400)));
-    let slowed = run(&slow_cc).expect("valid config");
-    assert!(
-        slowed.response.mean() > plain.response.mean(),
-        "slower forwarding links must slow g-2PL: {} vs {}",
-        slowed.response.mean(),
-        plain.response.mean()
-    );
-}
-
-#[test]
 fn scale_engine_is_identical_serial_parallel_and_across_reruns() {
     // One PDES worker is the serial reference; any other worker count —
     // and any rerun — must reproduce the exact same trajectory.
