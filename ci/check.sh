@@ -132,8 +132,17 @@ echo "==> scale smoke (fig_scale clients x shards grid on the PDES)"
 # Every cell of the sharded scale-out grid runs on the conservative PDES
 # (one LP per shard, link latency as lookahead), drains to quiescence,
 # and verifies its lock tables and client states before reporting; the
-# figure must emit both the mean curves and the side tail CSV.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_scale >/dev/null
+# figure must emit both the mean curves and the side tail CSV. The step
+# takes seconds; the timeout turns a PDES worker stuck at a window
+# barrier into a failure instead of a hung gate.
+timeout 300 cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_scale >/dev/null \
+  || { status=$?
+       if [ "$status" -eq 124 ]; then
+         echo "scale smoke: fig_scale ran past 300 s; a PDES worker may be deadlocked at a window barrier"
+       else
+         echo "scale smoke: fig_scale failed (exit $status)"
+       fi
+       exit 1; }
 test -f "$trace_dir/fig_scale.csv" || { echo "scale smoke: fig_scale.csv missing"; exit 1; }
 test -f "$trace_dir/fig_scale_tail.csv" || { echo "scale smoke: fig_scale_tail.csv missing"; exit 1; }
 grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/fig_scale_tail.csv" \

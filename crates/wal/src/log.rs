@@ -3,7 +3,7 @@
 use crate::record::{LogRecord, Lsn};
 use g2pl_simcore::{ItemId, TxnId};
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Accumulated log statistics for one site.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
@@ -32,11 +32,19 @@ pub struct LogMetrics {
 /// server" rule. Aborted transactions' records are reclaimable as soon
 /// as the abort record lands (their versions never become anyone's redo
 /// responsibility).
+///
+/// Record contents are never read back, so the log keeps only how many
+/// records and bytes each transaction has live: an append and a
+/// collection cost O(1), whatever the log's length.
 #[derive(Clone, Debug, Default)]
 pub struct SiteLog {
     next_lsn: Lsn,
-    /// Live records, by LSN.
-    live: BTreeMap<Lsn, (LogRecord, u64)>,
+    /// Per transaction: live record count and bytes.
+    live: HashMap<TxnId, (usize, u64)>,
+    /// Live records over every transaction.
+    live_records: usize,
+    /// Live bytes over every transaction.
+    live_bytes: u64,
     /// Per transaction: outstanding items whose versions are not yet
     /// permanent at the server.
     awaiting: HashMap<TxnId, Vec<ItemId>>,
@@ -86,12 +94,13 @@ impl SiteLog {
             }
             LogRecord::Begin { .. } => {}
         }
-        self.live.insert(lsn, (rec, size));
-        self.metrics.high_water_records = self.metrics.high_water_records.max(self.live.len());
-        self.metrics.high_water_bytes = self
-            .metrics
-            .high_water_bytes
-            .max(self.live.values().map(|&(_, s)| s).sum());
+        let live = self.live.entry(rec.txn()).or_default();
+        live.0 += 1;
+        live.1 += size;
+        self.live_records += 1;
+        self.live_bytes += size;
+        self.metrics.high_water_records = self.metrics.high_water_records.max(self.live_records);
+        self.metrics.high_water_bytes = self.metrics.high_water_bytes.max(self.live_bytes);
         self.try_collect(rec.txn());
         lsn
     }
@@ -121,15 +130,10 @@ impl SiteLog {
         }
         self.awaiting.remove(&txn); // aborted txns owe no redo
         self.terminated.remove(&txn);
-        let victims: Vec<Lsn> = self
-            .live
-            .iter()
-            .filter(|(_, (r, _))| r.txn() == txn)
-            .map(|(&l, _)| l)
-            .collect();
-        self.metrics.collected_records += victims.len() as u64;
-        for l in victims {
-            self.live.remove(&l);
+        if let Some((records, bytes)) = self.live.remove(&txn) {
+            self.live_records -= records;
+            self.live_bytes -= bytes;
+            self.metrics.collected_records += records as u64;
         }
     }
 
@@ -144,7 +148,7 @@ impl SiteLog {
 
     /// Live (uncollected) record count.
     pub fn live_records(&self) -> usize {
-        self.live.len()
+        self.live_records
     }
 
     /// Accumulated metrics.
@@ -154,7 +158,7 @@ impl SiteLog {
 
     /// True when every record has been reclaimed (drain invariant).
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live_records == 0
     }
 }
 

@@ -35,16 +35,83 @@ fn arb_op(txns: u32, items: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
+const ITEM_SIZE: u64 = 512;
+
+/// The live records the log must hold and the retention metrics it must
+/// report, kept independently of its bookkeeping.
+#[derive(Default)]
+struct Live {
+    /// Per transaction: live record count and bytes.
+    per_txn: HashMap<u32, (usize, u64)>,
+    records: usize,
+    bytes: u64,
+    high_water_records: usize,
+    high_water_bytes: u64,
+    collected: u64,
+}
+
+impl Live {
+    /// Append `rec` to both the log and the model.
+    fn append(&mut self, log: &mut SiteLog, rec: LogRecord) {
+        let size = rec.size_bytes(ITEM_SIZE);
+        let entry = self.per_txn.entry(rec.txn().0).or_default();
+        entry.0 += 1;
+        entry.1 += size;
+        self.records += 1;
+        self.bytes += size;
+        self.high_water_records = self.high_water_records.max(self.records);
+        self.high_water_bytes = self.high_water_bytes.max(self.bytes);
+        log.append(rec);
+    }
+
+    /// Reclaim every live record of `txn`.
+    fn collect(&mut self, txn: u32) {
+        if let Some((records, bytes)) = self.per_txn.remove(&txn) {
+            self.records -= records;
+            self.bytes -= bytes;
+            self.collected += records as u64;
+        }
+    }
+
+    fn assert_matches(&self, log: &SiteLog) {
+        let m = log.metrics();
+        assert_eq!(log.live_records(), self.records, "live records");
+        assert_eq!(
+            m.high_water_records, self.high_water_records,
+            "high-water records"
+        );
+        assert_eq!(
+            m.high_water_bytes, self.high_water_bytes,
+            "high-water bytes"
+        );
+        assert_eq!(m.collected_records, self.collected, "collected records");
+    }
+}
+
 /// Replay a schedule against a `SiteLog`, tracking the ground truth of
-/// what each committed transaction still owes, and assert after every
-/// step that no owed record has been collected.
+/// what each committed transaction still owes and which records are
+/// live, and assert after every step that no owed record has been
+/// collected and that the retention metrics match.
 fn run_script(ops: &[Op]) {
-    let mut log = SiteLog::new(512);
+    let mut log = SiteLog::new(ITEM_SIZE);
     // Ground truth, maintained independently of the log's bookkeeping.
     let mut updates: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut committed: HashSet<u32> = HashSet::new();
     let mut aborted: HashSet<u32> = HashSet::new();
     let mut begun: HashSet<u32> = HashSet::new();
+    let mut live = Live::default();
+    // A terminated transaction's records are reclaimed once it owes no
+    // version: at once after an abort, after the last permanence
+    // confirmation after a commit.
+    let settle = |live: &mut Live,
+                  updates: &HashMap<u32, Vec<u32>>,
+                  committed: &HashSet<u32>,
+                  aborted: &HashSet<u32>,
+                  txn: u32| {
+        if aborted.contains(&txn) || (committed.contains(&txn) && !updates.contains_key(&txn)) {
+            live.collect(txn);
+        }
+    };
     for op in ops {
         match *op {
             Op::Begin { txn } => {
@@ -52,30 +119,40 @@ fn run_script(ops: &[Op]) {
                     continue; // one begin per txn id
                 }
                 begun.insert(txn);
-                log.append(LogRecord::Begin {
-                    txn: TxnId::new(txn),
-                });
+                live.append(
+                    &mut log,
+                    LogRecord::Begin {
+                        txn: TxnId::new(txn),
+                    },
+                );
             }
             Op::Update { txn, item } => {
                 if !begun.contains(&txn) || committed.contains(&txn) || aborted.contains(&txn) {
                     continue; // updates only while active
                 }
                 updates.entry(txn).or_default().push(item);
-                log.append(LogRecord::Update {
-                    txn: TxnId::new(txn),
-                    item: ItemId::new(item),
-                    old: 0,
-                    new: 1,
-                });
+                live.append(
+                    &mut log,
+                    LogRecord::Update {
+                        txn: TxnId::new(txn),
+                        item: ItemId::new(item),
+                        old: 0,
+                        new: 1,
+                    },
+                );
             }
             Op::Commit { txn } => {
                 if !begun.contains(&txn) || committed.contains(&txn) || aborted.contains(&txn) {
                     continue;
                 }
                 committed.insert(txn);
-                log.append(LogRecord::Commit {
-                    txn: TxnId::new(txn),
-                });
+                live.append(
+                    &mut log,
+                    LogRecord::Commit {
+                        txn: TxnId::new(txn),
+                    },
+                );
+                settle(&mut live, &updates, &committed, &aborted, txn);
             }
             Op::Abort { txn } => {
                 // Stale aborts for committed txns are exercised by the
@@ -86,9 +163,13 @@ fn run_script(ops: &[Op]) {
                 }
                 aborted.insert(txn);
                 updates.remove(&txn);
-                log.append(LogRecord::Abort {
-                    txn: TxnId::new(txn),
-                });
+                live.append(
+                    &mut log,
+                    LogRecord::Abort {
+                        txn: TxnId::new(txn),
+                    },
+                );
+                settle(&mut live, &updates, &committed, &aborted, txn);
             }
             Op::MarkPermanent { txn, item } => {
                 // The server may confirm permanence for any (txn, item),
@@ -104,8 +185,10 @@ fn run_script(ops: &[Op]) {
                     }
                 }
                 log.mark_permanent(TxnId::new(txn), ItemId::new(item));
+                settle(&mut live, &updates, &committed, &aborted, txn);
             }
         }
+        live.assert_matches(&log);
         // The invariant: every committed txn with outstanding versions
         // still has live records (its redo set was not collected), and
         // the log agrees about what is outstanding.
@@ -133,13 +216,20 @@ fn run_script(ops: &[Op]) {
         for item in items {
             log.mark_permanent(TxnId::new(txn), ItemId::new(item));
         }
+        live.collect(txn);
+        live.assert_matches(&log);
     }
     // Transactions still active at the end abort (crash-style cleanup).
     for &txn in &begun {
         if !committed.contains(&txn) && !aborted.contains(&txn) {
-            log.append(LogRecord::Abort {
-                txn: TxnId::new(txn),
-            });
+            live.append(
+                &mut log,
+                LogRecord::Abort {
+                    txn: TxnId::new(txn),
+                },
+            );
+            live.collect(txn);
+            live.assert_matches(&log);
         }
     }
     assert!(

@@ -24,40 +24,53 @@ pub enum AccessDistribution {
 }
 
 impl AccessDistribution {
-    /// Draw one item index from `0..pool`.
+    /// This distribution over `0..pool`, with its per-pool table (the
+    /// Zipf CDF, O(pool) `powf`s) computed once for every later draw.
     ///
     /// # Panics
     /// Panics if `pool == 0`.
-    pub fn draw_one(&self, pool: usize, rng: &mut RngStream) -> u32 {
+    pub(crate) fn over(&self, pool: usize) -> ItemSampler {
         assert!(pool > 0, "empty pool");
-        match self {
-            AccessDistribution::Uniform => rng.uniform_incl(0, pool as u64 - 1) as u32,
-            AccessDistribution::Zipf { theta } => {
-                let weights = zipf_cdf(pool, *theta);
-                let u = rng.unit_f64();
-                let idx = weights.partition_point(|&c| c < u) as u32;
-                idx.min(pool as u32 - 1)
-            }
+        let cdf = match self {
+            AccessDistribution::Uniform => None,
+            AccessDistribution::Zipf { theta } => Some(zipf_cdf(pool, *theta)),
+        };
+        ItemSampler { pool, cdf }
+    }
+}
+
+/// An [`AccessDistribution`] fixed to a pool of `0..pool` items.
+#[derive(Clone, Debug)]
+pub(crate) struct ItemSampler {
+    pool: usize,
+    /// The Zipf CDF over the pool; `None` for uniform draws.
+    cdf: Option<Vec<f64>>,
+}
+
+impl ItemSampler {
+    /// Draw one item index from the pool.
+    pub(crate) fn one(&self, rng: &mut RngStream) -> u32 {
+        match &self.cdf {
+            None => rng.uniform_incl(0, self.pool as u64 - 1) as u32,
+            Some(cdf) => invert_cdf(cdf, rng),
         }
     }
 
-    /// Draw `k` *distinct* item indices from `0..pool`.
+    /// Draw `k` *distinct* item indices from the pool.
     ///
     /// # Panics
-    /// Panics if `k > pool`.
-    pub fn draw_distinct(&self, k: usize, pool: usize, rng: &mut RngStream) -> Vec<u32> {
+    /// Panics if `k` exceeds the pool.
+    pub(crate) fn distinct(&self, k: usize, rng: &mut RngStream) -> Vec<u32> {
+        let pool = self.pool;
         assert!(k <= pool, "cannot draw {k} distinct items from {pool}");
-        match self {
-            AccessDistribution::Uniform => rng.distinct(k, pool),
-            AccessDistribution::Zipf { theta } => {
-                let weights = zipf_cdf(pool, *theta);
+        match &self.cdf {
+            None => rng.distinct(k, pool),
+            Some(cdf) => {
                 let mut out: Vec<u32> = Vec::with_capacity(k);
                 // Rejection on duplicates: k ≤ 5 and pool ≥ 25 in every
                 // paper configuration, so retries are rare.
                 while out.len() < k {
-                    let u = rng.unit_f64();
-                    let idx = weights.partition_point(|&c| c < u) as u32;
-                    let idx = idx.min(pool as u32 - 1);
+                    let idx = invert_cdf(cdf, rng);
                     if !out.contains(&idx) {
                         out.push(idx);
                     }
@@ -66,6 +79,12 @@ impl AccessDistribution {
             }
         }
     }
+}
+
+/// Draw an index from a cumulative distribution by inversion.
+pub(crate) fn invert_cdf(cdf: &[f64], rng: &mut RngStream) -> u32 {
+    let u = rng.unit_f64();
+    (cdf.partition_point(|&c| c < u) as u32).min(cdf.len() as u32 - 1)
 }
 
 /// Cumulative Zipf distribution over `n` ranks with exponent `theta`.
@@ -91,10 +110,10 @@ mod tests {
     #[test]
     fn uniform_distinct_covers_pool() {
         let mut rng = RngStream::new(2);
-        let d = AccessDistribution::Uniform;
+        let d = AccessDistribution::Uniform.over(25);
         let mut seen = [false; 25];
         for _ in 0..500 {
-            for i in d.draw_distinct(5, 25, &mut rng) {
+            for i in d.distinct(5, &mut rng) {
                 seen[i as usize] = true;
             }
         }
@@ -107,10 +126,10 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = RngStream::new(3);
-        let d = AccessDistribution::Zipf { theta: 1.0 };
+        let d = AccessDistribution::Zipf { theta: 1.0 }.over(25);
         let mut counts = [0u64; 25];
         for _ in 0..5000 {
-            for i in d.draw_distinct(1, 25, &mut rng) {
+            for i in d.distinct(1, &mut rng) {
                 counts[i as usize] += 1;
             }
         }
@@ -125,11 +144,11 @@ mod tests {
     #[test]
     fn zipf_theta_zero_is_uniformish() {
         let mut rng = RngStream::new(4);
-        let d = AccessDistribution::Zipf { theta: 0.0 };
+        let d = AccessDistribution::Zipf { theta: 0.0 }.over(10);
         let mut counts = [0u64; 10];
         let n = 20_000;
         for _ in 0..n {
-            for i in d.draw_distinct(1, 10, &mut rng) {
+            for i in d.distinct(1, &mut rng) {
                 counts[i as usize] += 1;
             }
         }
@@ -145,9 +164,9 @@ mod tests {
     #[test]
     fn distinct_holds_for_zipf() {
         let mut rng = RngStream::new(5);
-        let d = AccessDistribution::Zipf { theta: 1.2 };
+        let d = AccessDistribution::Zipf { theta: 1.2 }.over(25);
         for _ in 0..200 {
-            let mut v = d.draw_distinct(5, 25, &mut rng);
+            let mut v = d.distinct(5, &mut rng);
             v.sort_unstable();
             v.dedup();
             assert_eq!(v.len(), 5);

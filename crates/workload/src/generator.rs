@@ -1,6 +1,6 @@
 //! Transaction spec generation.
 
-use crate::dist::zipf_cdf;
+use crate::dist::{invert_cdf, zipf_cdf, ItemSampler};
 use crate::profile::TxnProfile;
 use g2pl_simcore::{ItemId, RngStream};
 use serde::{Deserialize, Serialize};
@@ -61,11 +61,14 @@ impl TxnSpec {
 #[derive(Clone, Debug)]
 pub struct TxnGenerator {
     profile: TxnProfile,
-    num_shards: u32,
     items_per_shard: u32,
     /// Cumulative shard-popularity distribution, precomputed when the
     /// profile has a shard mix and the space has ≥2 shards.
     shard_cdf: Option<Vec<f64>>,
+    /// The profile's item distribution over the pool one transaction
+    /// draws from: one shard's items when `shard_cdf` is set, else the
+    /// whole pool.
+    items: ItemSampler,
 }
 
 impl TxnGenerator {
@@ -96,11 +99,16 @@ impl TxnGenerator {
             (Some(mix), n) if n >= 2 => Some(zipf_cdf(n as usize, mix.shard_theta)),
             _ => None,
         };
+        let items = profile.access.over(if shard_cdf.is_some() {
+            items_per_shard as usize
+        } else {
+            pool_size as usize
+        });
         TxnGenerator {
             profile,
-            num_shards,
             items_per_shard,
             shard_cdf,
+            items,
         }
     }
 
@@ -109,20 +117,12 @@ impl TxnGenerator {
         &self.profile
     }
 
-    /// Total items across every shard.
-    fn pool_size(&self) -> u32 {
-        self.num_shards * self.items_per_shard
-    }
-
     /// Draw one transaction spec.
     pub fn draw(&self, rng: &mut RngStream) -> TxnSpec {
         let k =
             rng.uniform_incl(self.profile.min_items as u64, self.profile.max_items as u64) as usize;
         let mut items = match &self.shard_cdf {
-            None => self
-                .profile
-                .access
-                .draw_distinct(k, self.pool_size() as usize, rng),
+            None => self.items.distinct(k, rng),
             Some(cdf) => self.draw_placed(k, cdf, rng),
         };
         if self.profile.sorted_access {
@@ -142,12 +142,6 @@ impl TxnGenerator {
         TxnSpec { accesses }
     }
 
-    /// Draw one shard index from the popularity distribution.
-    fn draw_shard(&self, cdf: &[f64], rng: &mut RngStream) -> u32 {
-        let u = rng.unit_f64();
-        (cdf.partition_point(|&c| c < u) as u32).min(self.num_shards - 1)
-    }
-
     /// Placement-aware selection of `k` distinct items.
     ///
     /// Single-home transactions draw every item inside one popularity-
@@ -159,14 +153,13 @@ impl TxnGenerator {
         // lint:allow(L3): draw() built `cdf` from a present shard_mix
         let mix = self.profile.shard_mix.as_ref().expect("cdf implies mix");
         let per_shard = self.items_per_shard as usize;
-        let home = self.draw_shard(cdf, rng);
+        let home = invert_cdf(cdf, rng);
         let cross = k >= 2 && rng.bernoulli(mix.cross_frac);
         if !cross {
             let k = k.min(per_shard);
             return self
-                .profile
-                .access
-                .draw_distinct(k, per_shard, rng)
+                .items
+                .distinct(k, rng)
                 .into_iter()
                 .map(|i| home * self.items_per_shard + i)
                 .collect();
@@ -182,15 +175,15 @@ impl TxnGenerator {
                 // from the (unique) one used so far.
                 let used = out[0] / self.items_per_shard;
                 loop {
-                    let s = self.draw_shard(cdf, rng);
+                    let s = invert_cdf(cdf, rng);
                     if s != used {
                         break s;
                     }
                 }
             } else {
-                self.draw_shard(cdf, rng)
+                invert_cdf(cdf, rng)
             };
-            let item = shard * self.items_per_shard + self.profile.access.draw_one(per_shard, rng);
+            let item = shard * self.items_per_shard + self.items.one(rng);
             if !out.contains(&item) {
                 out.push(item);
             }
