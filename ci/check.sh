@@ -86,16 +86,6 @@ if grep -q "FAIL" <<< "$tail_out"; then
   echo "trace-explain --tail: a check failed"; echo "$tail_out"; exit 1
 fi
 
-echo "==> tail smoke (fig_tail load sweep: drained, verified, quantile CSVs)"
-# All three engines over the client sweep with drain on; every cell is
-# verified (P1-P9 + serializability), and the figure must emit both the
-# p99/p999 curves and the side tail CSV.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_tail >/dev/null
-test -f "$trace_dir/fig_tail.csv" || { echo "tail smoke: fig_tail.csv missing"; exit 1; }
-test -f "$trace_dir/fig_tail_tail.csv" || { echo "tail smoke: fig_tail_tail.csv missing"; exit 1; }
-grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/fig_tail_tail.csv" \
-  || { echo "tail smoke: quantile header missing"; exit 1; }
-
 echo "==> scorecard smoke (the paper's claims, checked on the rows they read)"
 # Builds every registry row a claim of experiments::CLAIMS reads, once,
 # at smoke scale, verified, and checks every claim. repro exits 1 when a
@@ -104,49 +94,44 @@ echo "==> scorecard smoke (the paper's claims, checked on the rows they read)"
 cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke scorecard >/dev/null \
   || { echo "scorecard smoke: a claim disagrees with its expected verdict"; exit 1; }
 
-echo "==> fault smoke (fig_faults loss sweep, P1-P8 verification on)"
-# Verification is on by default: every cell of the sweep re-runs with
-# trace + history recording and must pass P1-P8 plus the serializability
-# check, including the lossy cells exercising lease recovery.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_faults >/dev/null
-test -f "$trace_dir/fig_faults.csv" || { echo "fault smoke: fig_faults.csv missing"; exit 1; }
-
-echo "==> server-fault smoke (fig_server_faults outage sweep, P1-P9 verification on)"
-# Each cell crashes the server twice mid-run; verification re-checks the
-# trace against P1-P9 (crash-window hygiene, no lost acknowledged commit)
-# plus serializability, and drain mode proves recovery liveness.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_server_faults >/dev/null
-test -f "$trace_dir/fig_server_faults.csv" || { echo "server-fault smoke: fig_server_faults.csv missing"; exit 1; }
-
-echo "==> shard-fault smoke (fig_shard_faults per-shard outage sweep, P1-P10 verification on)"
-# Each cell beyond one shard mixes 30% multi-home transactions and
-# crashes the highest shard twice mid-run; verification re-checks every
-# trace against P1-P10 (cross-shard atomicity: no lost acknowledged
-# commit, no unresolved prepare vote) plus serializability, and drain
-# mode proves recovery liveness across 1/2/4/8 fault domains.
-cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_shard_faults >/dev/null
-test -f "$trace_dir/fig_shard_faults.csv" || { echo "shard-fault smoke: fig_shard_faults.csv missing"; exit 1; }
-test -f "$trace_dir/fig_shard_faults_tail.csv" || { echo "shard-fault smoke: fig_shard_faults_tail.csv missing"; exit 1; }
-
-echo "==> scale smoke (fig_scale clients x shards grid on the PDES)"
-# Every cell of the sharded scale-out grid runs on the conservative PDES
-# (one LP per shard, link latency as lookahead), drains to quiescence,
-# and verifies its lock tables and client states before reporting; the
-# figure must emit both the mean curves and the side tail CSV. The step
-# takes seconds; the timeout turns a PDES worker stuck at a window
-# barrier into a failure instead of a hung gate.
-timeout 300 cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" fig_scale >/dev/null \
+echo "==> figure smokes (fig_tail, fig_faults, fig_server_faults, fig_shard_faults, fig_scale; P1-P10 verification on)"
+# One repro run writes all five figures' CSVs. Verification is on by
+# default: every cell re-runs with trace + history recording and must
+# pass P1-P10 plus the serializability check, and drain mode proves
+# recovery liveness.
+# - fig_tail: all three engines over the client sweep; the figure must
+#   emit both the p99/p999 curves and the side tail CSV.
+# - fig_faults: the loss sweep, including the lossy cells exercising
+#   lease recovery.
+# - fig_server_faults: each cell crashes the server twice mid-run
+#   (crash-window hygiene, no lost acknowledged commit).
+# - fig_shard_faults: each cell beyond one shard mixes 30% multi-home
+#   transactions and crashes the highest shard twice mid-run
+#   (cross-shard atomicity: no lost acknowledged commit, no unresolved
+#   prepare vote) across 1/2/4/8 fault domains.
+# - fig_scale: every cell of the sharded clients x shards grid runs on
+#   the conservative PDES (one LP per shard, link latency as lookahead),
+#   drains to quiescence, and verifies its lock tables and client states
+#   before reporting.
+# The run takes seconds; the timeout turns a PDES worker stuck at a
+# window barrier into a failure instead of a hung gate.
+timeout 300 cargo run -q --release -p g2pl-bench --bin repro -- --scale smoke --out "$trace_dir" \
+    fig_tail fig_faults fig_server_faults fig_shard_faults fig_scale >/dev/null \
   || { status=$?
        if [ "$status" -eq 124 ]; then
-         echo "scale smoke: fig_scale ran past 300 s; a PDES worker may be deadlocked at a window barrier"
+         echo "figure smokes: repro ran past 300 s; a fig_scale PDES worker may be deadlocked at a window barrier"
        else
-         echo "scale smoke: fig_scale failed (exit $status)"
+         echo "figure smokes: repro failed (exit $status)"
        fi
        exit 1; }
-test -f "$trace_dir/fig_scale.csv" || { echo "scale smoke: fig_scale.csv missing"; exit 1; }
-test -f "$trace_dir/fig_scale_tail.csv" || { echo "scale smoke: fig_scale_tail.csv missing"; exit 1; }
-grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/fig_scale_tail.csv" \
-  || { echo "scale smoke: quantile header missing"; exit 1; }
+for csv in fig_tail fig_tail_tail fig_faults fig_server_faults fig_shard_faults \
+    fig_shard_faults_tail fig_scale fig_scale_tail; do
+  test -f "$trace_dir/$csv.csv" || { echo "figure smokes: $csv.csv missing"; exit 1; }
+done
+for csv in fig_tail_tail fig_scale_tail; do
+  grep -q "^x,series,p50,p90,p99,p999,max,count$" "$trace_dir/$csv.csv" \
+    || { echo "figure smokes: $csv.csv quantile header missing"; exit 1; }
+done
 
 echo "==> chaos smoke (randomized fault-plan search with shrinking, shard-aware)"
 # A small fixed-seed search: samples (seed, FaultPlan) pairs across all

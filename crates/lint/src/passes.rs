@@ -413,12 +413,19 @@ fn l3_panics(file: &ParsedFile, diags: &mut Vec<Diagnostic>) {
     });
 }
 
+/// The engine helpers that ship messages on a caller's behalf, so L6
+/// counts a call to one of them as a send: g-2PL's `send_hop` (returns,
+/// reader releases and every segment copy) and `send_segment` (a
+/// dispatch or forward of the next forward-list segment).
+pub const L6_SEND_HELPERS: [&str; 2] = ["send_hop", "send_segment"];
+
 /// L6 — WAL write-ahead ordering.
 ///
 /// Within a function that both appends durable records
-/// (`…append(ServerRecord::…)` / `…append(LogRecord::…)`) and ships
+/// (`…append(ServerRecord::…)` / `…append(LogRecord::…)`, or the
+/// kernel's `log_at(shard, ServerRecord::…)`) and ships
 /// messages (`….send(…)` / `….send_instant(…)` on a `net` receiver,
-/// or a `send_segment*` dispatch helper), a send that has a durable
+/// or a call to one of [`L6_SEND_HELPERS`]), a send that has a durable
 /// append *after* it on the same straight-line path but none *before*
 /// it violates write-ahead: the message would promise state the log
 /// does not yet hold. Sends and appends on mutually exclusive match
@@ -430,11 +437,12 @@ fn l6_wal_ordering(file: &ParsedFile, diags: &mut Vec<Diagnostic>) {
         let mut sends: Vec<&FlatStmt> = Vec::new();
         for fs in &flat {
             let toks = fs.tokens;
-            let has_append = find_seq(toks, &["append"]).iter().any(|&i| {
+            let has_append = (find_seq(toks, &["append"]).iter().any(|&i| {
                 toks.get(i.wrapping_sub(1)).is_some_and(|t| t.is_punct('.'))
                     && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            }) && (!find_seq(toks, &["ServerRecord", "::"]).is_empty()
-                || !find_seq(toks, &["LogRecord", "::"]).is_empty());
+            }) || !find_seq(toks, &["log_at", "("]).is_empty())
+                && (!find_seq(toks, &["ServerRecord", "::"]).is_empty()
+                    || !find_seq(toks, &["LogRecord", "::"]).is_empty());
             if has_append {
                 appends.push(fs);
             }
@@ -445,7 +453,7 @@ fn l6_wal_ordering(file: &ParsedFile, diags: &mut Vec<Diagnostic>) {
                     && toks[i - 2].is_ident("net")
             }) || toks
                 .iter()
-                .any(|t| t.is_ident("send_segment") || t.is_ident("send_segment_delayed"));
+                .any(|t| L6_SEND_HELPERS.iter().any(|&h| t.is_ident(h)));
             if is_send {
                 sends.push(fs);
             }

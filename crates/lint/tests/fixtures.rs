@@ -159,10 +159,11 @@ fn l5_flight_fixture_golden() {
 fn l6_fixture_golden() {
     let src = include_str!("../fixtures/l6_wal.rs");
     let diags = findings("fixtures/l6_wal.rs", src);
-    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert_eq!(diags.len(), 3, "{diags:?}");
     for (d, seeded, func) in [
         (&diags[0], "seeded: send precedes", "`broadcast_first`"),
         (&diags[1], "seeded: instant send precedes", "`notify_first`"),
+        (&diags[2], "seeded: helper send precedes", "`hop_first`"),
     ] {
         assert_eq!(
             (d.lint, d.line),
@@ -170,6 +171,27 @@ fn l6_fixture_golden() {
             "{diags:?}"
         );
         assert!(d.message.contains(func), "{d}");
+    }
+}
+
+/// Every send helper L6 counts is a real function of the protocol
+/// engines: a renamed or deleted helper would otherwise leave L6
+/// silently blind to the sends it ships.
+#[test]
+fn l6_send_helpers_exist_in_protocols() {
+    let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../protocols/src");
+    let mut engine_src = String::new();
+    for entry in std::fs::read_dir(&src_dir).expect("protocols sources") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            engine_src += &std::fs::read_to_string(&path).expect("readable source");
+        }
+    }
+    for helper in g2pl_lint::passes::L6_SEND_HELPERS {
+        assert!(
+            engine_src.contains(&format!("fn {helper}(")),
+            "L6 matches `{helper}`, which no `fn` in crates/protocols/src defines"
+        );
     }
 }
 

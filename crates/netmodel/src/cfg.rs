@@ -1,8 +1,9 @@
 //! The latency model: one serializable description of the network.
 //!
-//! The protocol engines re-export [`LatencyCfg`], and [`crate::LossyLink`]
-//! prices every message with [`LatencyCfg::delay`], so a figure spec, an
-//! engine config and a fault plan all describe the network the same way.
+//! The protocol engines re-export [`LatencyCfg`], and their network
+//! prices every message with [`LatencyCfg::delay`] of the size the
+//! message names, so a figure spec and an engine config describe the
+//! network the same way.
 
 use g2pl_simcore::SimTime;
 use serde::{Deserialize, Serialize};

@@ -34,7 +34,7 @@
 //! live barrier.
 
 use crate::config::EngineConfig;
-use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES};
+use crate::kernel::{Kernel, Protocol};
 use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
 use crate::s2pl::{S2pl, ServerLocking};
 use g2pl_lockmgr::{LockMode, LockTable};
@@ -304,7 +304,6 @@ impl ServerLocking for C2pl {
 
 impl Protocol for C2pl {
     const NAME: &'static str = "c-2PL";
-    const LABELS: Labels = labels!("c2pl");
     const SERVER_BASED: bool = true;
     type Rebuilt = Vec<TxnId>;
 
@@ -483,7 +482,7 @@ impl Protocol for C2pl {
         k.p.deferred_callbacks[client.index()].clear();
     }
 
-    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> Message {
         k.lock_report(client, shard, epoch)
     }
 
@@ -564,8 +563,6 @@ impl Kernel<C2pl> {
             &mut self.cal,
             self.cfg.shard_site(item),
             target.into(),
-            "c2pl.callback",
-            CTRL_BYTES,
             Message::Callback { item },
         );
     }
@@ -575,8 +572,6 @@ impl Kernel<C2pl> {
             &mut self.cal,
             client.into(),
             self.cfg.shard_site(item),
-            "c2pl.callback_ack",
-            CTRL_BYTES,
             Message::CallbackAck { client, item },
         );
     }
@@ -649,7 +644,7 @@ mod tests {
         assert!(m.committed_total >= 350);
         // After warm-up every read hits the cache; only the first few
         // accesses ever needed a grant.
-        let grants = m.net.of_kind("c2pl.grant");
+        let grants = m.net.of_kind("grant");
         assert!(
             grants < m.committed_total / 10,
             "cached reads should eliminate grants: {grants} grants for {} txns",
@@ -677,12 +672,12 @@ mod tests {
     fn writes_invalidate_remote_caches() {
         let m = C2plEngine::new(cfg(6, 50, 0.5)).run();
         assert!(
-            m.net.of_kind("c2pl.callback") > 0,
+            m.net.of_kind("callback") > 0,
             "mixed workload must trigger callbacks"
         );
         assert_eq!(
-            m.net.of_kind("c2pl.callback"),
-            m.net.of_kind("c2pl.callback_ack"),
+            m.net.of_kind("callback"),
+            m.net.of_kind("callback_ack"),
             "every callback must be acknowledged"
         );
         assert_eq!(m.aborts.trials(), 300);

@@ -8,8 +8,8 @@ use g2pl_workload::TxnProfile;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-// The latency model lives in `g2pl-netmodel`, whose `LossyLink` prices
-// every message with it; re-exported so engine configs can name it.
+// The latency model lives in `g2pl-netmodel`; the engines' `Net` prices
+// every message with it. Re-exported so engine configs can name it.
 pub use g2pl_netmodel::LatencyCfg;
 
 /// Which protocol engine to run.

@@ -50,7 +50,7 @@
 
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
-use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES, ITEM_BYTES};
+use crate::kernel::{Kernel, Protocol};
 use crate::runtime::{ClientPhase, Ev, HoldReport, Message, TimerKind, TxnStatus};
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
@@ -60,9 +60,6 @@ use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerRecord};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// Per-entry size of a forward list inside a message, in bytes.
-const FL_ENTRY_BYTES: u64 = 16;
 
 /// State of one dispatched forward list.
 struct OutState {
@@ -235,7 +232,6 @@ impl G2pl {
 
 impl Protocol for G2pl {
     const NAME: &'static str = "g-2PL";
-    const LABELS: Labels = labels!("g2pl");
     const SERVER_BASED: bool = false;
     /// Items to redispatch (with their surviving entries) and the silent
     /// clients' transactions.
@@ -321,6 +317,7 @@ impl Protocol for G2pl {
                 from_pos,
                 to_pos,
                 epoch,
+                carries_item,
             } => {
                 // lint:allow(L3): the sender set to_pos on every client-bound release
                 let w = to_pos.expect("client-bound release has a writer position");
@@ -342,12 +339,10 @@ impl Protocol for G2pl {
                     Some(item),
                     client,
                 ));
-                let mr1w = k.p.opts.mr1w;
                 let hold = k.hold_or_insert(item, txn, &fl, w, epoch);
                 hold.releases_from.push(from_pos);
                 hold.releases_recv += 1;
-                if !mr1w {
-                    // The release carries the data in the non-MR1W flavor.
+                if carries_item {
                     hold.data_arrived = true;
                     hold.version = version;
                 }
@@ -446,6 +441,7 @@ impl Protocol for G2pl {
                 from_pos,
                 to_pos: None,
                 epoch,
+                ..
             } => {
                 let st = &k.p.items[item.index()];
                 let stale = st.epoch != epoch
@@ -488,8 +484,6 @@ impl Protocol for G2pl {
                     &mut k.cal,
                     SiteId::server(shard as u32),
                     k.table.info(txn).client.into(),
-                    "g2pl.decide_ack",
-                    CTRL_BYTES,
                     Message::DecideAck {
                         txn,
                         shard: shard as u32,
@@ -619,8 +613,6 @@ impl Protocol for G2pl {
                 &mut k.cal,
                 SiteId::SERVER0,
                 client.into(),
-                Self::LABELS.abort_notice,
-                CTRL_BYTES,
                 Message::AbortNotice { txn: victim },
             );
             // Prune notices are pointless under instant-abort semantics,
@@ -649,8 +641,6 @@ impl Protocol for G2pl {
                     &mut k.cal,
                     k.cfg.shard_site(item),
                     e.client.into(),
-                    "g2pl.prune",
-                    CTRL_BYTES,
                     Message::GPrune { item, txn: victim },
                 );
             }
@@ -695,7 +685,7 @@ impl Protocol for G2pl {
     /// holds or anticipates on the restarted shard's items — checked-out
     /// items, in-flight positions, and committed-but-unreturned versions
     /// all ride in the same report.
-    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> Message {
         let mut holds = Vec::new();
         for (_, slots) in k.p.holds.iter() {
             for (item, h) in slots {
@@ -716,15 +706,11 @@ impl Protocol for G2pl {
                 });
             }
         }
-        let bytes = CTRL_BYTES + holds.len() as u64 * FL_ENTRY_BYTES;
-        (
-            bytes,
-            Message::GReregister {
-                client,
-                epoch,
-                holds,
-            },
-        )
+        Message::GReregister {
+            client,
+            epoch,
+            holds,
+        }
     }
 
     /// Reports corroborate the durable dispatch history (restoration
@@ -978,8 +964,6 @@ impl Kernel<G2pl> {
                 &mut self.cal,
                 client.into(),
                 SiteId::server(shard),
-                "g2pl.decide",
-                CTRL_BYTES,
                 Message::Decide { txn },
             );
         }
@@ -1031,29 +1015,27 @@ impl Kernel<G2pl> {
 
         if mode.is_shared() {
             // Readers release to the writer after their group, or to the
-            // server when the group is the list's tail.
+            // server when the group is the list's tail. Under MR1W the
+            // writer already has the data, so the release is a pure token;
+            // otherwise it carries data — a real migration hop toward the
+            // writer.
             let group = fl.segment_of(pos);
-            let to_writer = fl.next_writer_at_or_after(group.end());
-            let (to_site, to_pos, bytes) = match to_writer {
+            let to_pos = fl.next_writer_at_or_after(group.end());
+            let carries_item = to_pos.is_none() || !self.p.opts.mr1w;
+            let to_site = match to_pos {
                 Some(w) => {
-                    // Under MR1W the writer already has the data, so the
-                    // release is a pure token; otherwise it carries data —
-                    // a real migration hop toward the writer.
-                    let bytes = if self.p.opts.mr1w {
-                        CTRL_BYTES
-                    } else {
-                        let to = fl.entry(w);
+                    let to = fl.entry(w);
+                    if carries_item {
                         self.emit(TraceKind::HopDeparted.at(
                             now,
                             Some(to.txn),
                             Some(item),
                             to.client,
                         ));
-                        CTRL_BYTES + ITEM_BYTES
-                    };
-                    (SiteId::Client(fl.entry(w).client), Some(w), bytes)
+                    }
+                    SiteId::Client(to.client)
                 }
-                None => (self.cfg.shard_site(item), None, CTRL_BYTES + ITEM_BYTES),
+                None => self.cfg.shard_site(item),
             };
             let msg = Message::GReaderRelease {
                 item,
@@ -1062,15 +1044,9 @@ impl Kernel<G2pl> {
                 from_pos: pos,
                 to_pos,
                 epoch,
+                carries_item,
             };
-            self.send_hop(
-                client.into(),
-                to_site,
-                "g2pl.reader_release",
-                bytes,
-                msg,
-                instant,
-            );
+            self.send_hop(client.into(), to_site, msg, instant);
         } else {
             // Writers dispatch the next segment, or return the item home.
             // Consecutive successor *writers* known (via GPrune) to be
@@ -1090,7 +1066,7 @@ impl Kernel<G2pl> {
                 next += 1;
             }
             if fl.segment_at(next).is_some() {
-                self.send_segment_delayed(
+                self.send_segment(
                     now,
                     client.into(),
                     item,
@@ -1109,53 +1085,30 @@ impl Kernel<G2pl> {
                     epoch,
                 };
                 let home = self.cfg.shard_site(item);
-                let bytes = CTRL_BYTES + ITEM_BYTES;
-                self.send_hop(client.into(), home, "g2pl.return", bytes, msg, instant);
+                self.send_hop(client.into(), home, msg, instant);
             }
         }
     }
 
     /// Send one migration hop: over the network, or — for an abort under
     /// [`AbortEffect::Instant`] — with no delay and no fault injection.
-    fn send_hop(
-        &mut self,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        bytes: u64,
-        msg: Message,
-        instant: bool,
-    ) {
+    fn send_hop(&mut self, from: SiteId, to: SiteId, msg: Message, instant: bool) {
         if instant {
-            self.net
-                .send_instant(&mut self.cal, from, to, kind, bytes, msg);
+            self.net.send_instant(&mut self.cal, from, to, msg);
         } else {
-            self.net.send(&mut self.cal, from, to, kind, bytes, msg);
+            self.net.send(&mut self.cal, from, to, msg);
         }
     }
 
     /// Ship data to every member of the segment starting at `seg_start`,
     /// plus — under MR1W — the writer that follows a reader group.
-    #[allow(clippy::too_many_arguments)]
-    fn send_segment(
-        &mut self,
-        now: SimTime,
-        from: SiteId,
-        item: ItemId,
-        version: Version,
-        fl: &Rc<ForwardList>,
-        seg_start: usize,
-        epoch: u64,
-    ) {
-        self.send_segment_delayed(now, from, item, version, fl, seg_start, None, false, epoch);
-    }
-
+    ///
     /// `from_txn` is the forwarding holder on a client-to-client hop
     /// (`None` on a server dispatch). Its release rides exactly one of the
     /// outgoing messages — the segment head — so the receiver-side release
     /// accounting sees one arrival per hold even for multi-copy segments.
     #[allow(clippy::too_many_arguments)]
-    fn send_segment_delayed(
+    fn send_segment(
         &mut self,
         now: SimTime,
         from: SiteId,
@@ -1171,7 +1124,6 @@ impl Kernel<G2pl> {
             .segment_at(seg_start)
             // lint:allow(L3): callers advance seg_start only to valid segment starts
             .expect("send_segment called past the end of the list");
-        let data_bytes = CTRL_BYTES + ITEM_BYTES + fl.len() as u64 * FL_ENTRY_BYTES;
         // The MR1W extra copy to the writer after a reader group chains
         // onto the segment's own range, so no target list is materialised.
         let extra_writer = match (&seg, self.p.opts.mr1w) {
@@ -1189,7 +1141,7 @@ impl Kernel<G2pl> {
                 from_txn: if pos == seg_start { from_txn } else { None },
                 epoch,
             };
-            self.send_hop(from, to.into(), "g2pl.data", data_bytes, msg, instant);
+            self.send_hop(from, to.into(), msg, instant);
         }
     }
 
@@ -1297,7 +1249,6 @@ impl Kernel<G2pl> {
                 let fl = Rc::clone(&out.fl);
                 let version = st.version;
                 let epoch = st.epoch;
-                let data_bytes = CTRL_BYTES + ITEM_BYTES + fl.len() as u64 * FL_ENTRY_BYTES;
                 let home = self.cfg.shard_site(item);
                 self.emit(TraceKind::FlExtended.at(now, Some(txn), Some(item), home));
                 self.emit(TraceKind::HopDeparted.at(now, Some(txn), Some(item), client));
@@ -1305,8 +1256,6 @@ impl Kernel<G2pl> {
                     &mut self.cal,
                     home,
                     client.into(),
-                    "g2pl.data",
-                    data_bytes,
                     Message::GData {
                         item,
                         version,
@@ -1563,7 +1512,7 @@ impl Kernel<G2pl> {
                     .collect(),
             },
         );
-        self.send_segment(now, self.cfg.shard_site(item), item, version, &fl, 0, epoch);
+        self.send_segment(now, home, item, version, &fl, 0, None, false, epoch);
 
         // A dispatch creates new waits-for edges (the list's internal
         // order, plus whatever was already pending against these
@@ -1781,6 +1730,10 @@ mod tests {
         }
         let m = G2plEngine::new(c).run();
         assert_eq!(m.aborts.trials(), 300);
+        // The only run whose reader releases carry the item to the next
+        // writer: pins their count and the bytes they add.
+        assert_eq!(m.net.of_kind("reader_release"), 567);
+        assert_eq!(m.net.bytes(), 7_902_064);
     }
 
     #[test]
@@ -1847,7 +1800,7 @@ mod tests {
         let m = G2plEngine::new(c).run();
         assert!(m.aborted_total > 0, "contended run should abort");
         assert!(
-            m.net.of_kind("g2pl.prune") > 0,
+            m.net.of_kind("prune") > 0,
             "aborts with dispatched entries should multicast prunes"
         );
     }
@@ -1856,7 +1809,7 @@ mod tests {
     fn instant_aborts_skip_prune_notices() {
         let m = G2plEngine::new(cfg(20, 100, 0.2)).run();
         assert!(m.aborted_total > 0);
-        assert_eq!(m.net.of_kind("g2pl.prune"), 0);
+        assert_eq!(m.net.of_kind("prune"), 0);
     }
 
     #[test]

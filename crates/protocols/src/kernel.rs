@@ -9,7 +9,9 @@
 //!   server CPUs, clients, transaction table, metrics, the event
 //!   recorder, WALs, fault flags, lease and retry periods);
 //! * `Kernel::emit`, the one path by which every engine transition
-//!   enters the run's event stream;
+//!   enters the run's event stream, beside `Net::send`, the one path by
+//!   which every message leaves: a send passes only the [`Message`],
+//!   which names its own accounting kind and wire size;
 //! * the event loop and the [`RunMetrics`] assembly;
 //! * client requests, retransmission, crash and restart;
 //! * the shard fault core: crash, log replay, the epoch-bumped
@@ -39,14 +41,6 @@ use g2pl_workload::{AccessMode, TxnGenerator};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Control-message payload size in bytes (requests, notices).
-pub(crate) const CTRL_BYTES: u64 = 64;
-
-/// Payload size of one data item in bytes: a message shipping an item
-/// costs this on top of its control header, and a WAL update record
-/// carries two such images.
-pub(crate) const ITEM_BYTES: u64 = 4096;
-
 /// Hard cap on processed events — a deterministic simulation exceeding
 /// this has livelocked, and panicking beats spinning forever.
 const EVENT_BUDGET: u64 = 2_000_000_000;
@@ -62,43 +56,6 @@ pub(crate) fn lock_mode(mode: AccessMode) -> LockMode {
 /// version)` pairs plus read-only items, bound for one home server.
 pub(crate) type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
 
-/// The accounting labels of one engine's messages, prefix included, so
-/// per-kind counts stay engine-qualified (`s2pl.prepare`,
-/// `g2pl.prepare`, ...). Built with the crate-internal `labels!` macro.
-pub struct Labels {
-    pub lock_request: &'static str,
-    pub grant: &'static str,
-    pub abort_notice: &'static str,
-    pub commit_release: &'static str,
-    pub commit_ack: &'static str,
-    pub prepare: &'static str,
-    pub prepare_ack: &'static str,
-    pub commit_query: &'static str,
-    pub commit_verdict: &'static str,
-    pub reregister_req: &'static str,
-    pub reregister: &'static str,
-}
-
-/// The [`Labels`] of the engine with message-label prefix `$prefix`.
-macro_rules! labels {
-    ($prefix:literal) => {
-        $crate::kernel::Labels {
-            lock_request: concat!($prefix, ".lock_request"),
-            grant: concat!($prefix, ".grant"),
-            abort_notice: concat!($prefix, ".abort_notice"),
-            commit_release: concat!($prefix, ".commit_release"),
-            commit_ack: concat!($prefix, ".commit_ack"),
-            prepare: concat!($prefix, ".prepare"),
-            prepare_ack: concat!($prefix, ".prepare_ack"),
-            commit_query: concat!($prefix, ".commit_query"),
-            commit_verdict: concat!($prefix, ".commit_verdict"),
-            reregister_req: concat!($prefix, ".reregister_req"),
-            reregister: concat!($prefix, ".reregister"),
-        }
-    };
-}
-pub(crate) use labels;
-
 /// What one engine adds to the [`Kernel`]: its own state (`Self`), its
 /// own messages and events, and the hooks where the protocols differ.
 /// Hooks take the whole kernel (`k`), so they reach both the shared
@@ -106,8 +63,6 @@ pub(crate) use labels;
 pub trait Protocol: Sized {
     /// Engine name, as reported in [`RunMetrics::protocol`].
     const NAME: &'static str;
-    /// Accounting labels of the engine's messages.
-    const LABELS: Labels;
     /// True for s-2PL and c-2PL, whose server shards grant the locks and
     /// install committed versions; false for g-2PL, whose data migrates
     /// client to client. A server-based engine leases idle transactions,
@@ -171,9 +126,8 @@ pub trait Protocol: Sized {
     /// A client restarted; its timers died with the crash (g-2PL re-arms
     /// its phase-2 timers).
     fn on_client_restart(_k: &mut Kernel<Self>, _client: ClientId) {}
-    /// The client's re-registration report for `shard`: its byte size
-    /// and the message.
-    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message);
+    /// The client's re-registration report for `shard`.
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> Message;
     /// A fresh re-registration report arrived at a recovering shard.
     fn absorb_report(k: &mut Kernel<Self>, shard: usize, client: ClientId, report: &Message);
     /// Shard `shard` crashed: drop the engine state it held.
@@ -277,20 +231,17 @@ impl<P: Protocol> Kernel<P> {
             .map(|i| ClientCore::new(ClientId::new(i), cfg.seed))
             .collect();
         let nominal = cfg.latency.nominal();
-        let (net, lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (
-                Net::with_faults(cfg.latency, plan.clone(), cfg.seed),
-                lease_period(plan, nominal),
-                retry_period(plan, nominal),
-            ),
-            None => (Net::new(cfg.latency), SimTime::MAX, SimTime::MAX),
+        let net = Net::new(cfg.latency, cfg.active_faults(), cfg.seed);
+        let (lease, retry_base) = match cfg.active_faults() {
+            Some(plan) => (lease_period(plan, nominal), retry_period(plan, nominal)),
+            None => (SimTime::MAX, SimTime::MAX),
         };
         let srv_faults = cfg
             .active_faults()
             .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
         let nshards = cfg.num_shards() as usize;
         Kernel {
-            faults_on: net.faults_active(),
+            faults_on: net.faults.is_some(),
             net,
             lease,
             retry_base,
@@ -312,7 +263,7 @@ impl<P: Protocol> Kernel<P> {
             recorder: cfg.trace_events.then(|| SpanRecorder::new(true)),
             wal: cfg.enable_wal.then(|| {
                 (0..cfg.num_clients)
-                    .map(|_| SiteLog::new(ITEM_BYTES))
+                    .map(|_| SiteLog::new(crate::runtime::ITEM_BYTES))
                     .collect()
             }),
             admitting: true,
@@ -337,11 +288,15 @@ impl<P: Protocol> Kernel<P> {
                 },
             );
         }
-        for (client, at, up) in self.net.crash_schedule() {
-            self.cal.schedule(at, Ev::Fault { client, up });
-        }
-        for (shard, at, up) in self.net.server_crash_schedule() {
-            self.cal.schedule(at, Ev::ServerFault { shard, up });
+        if let Some(inj) = &mut self.net.faults {
+            for (client, at, up) in inj.crash_schedule() {
+                self.cal.schedule(at, Ev::Fault { client, up });
+            }
+            // Consumes the per-shard `"server-faults"` jitter draws: once
+            // per run, here.
+            for (shard, at, up) in inj.server_crash_schedule() {
+                self.cal.schedule(at, Ev::ServerFault { shard, up });
+            }
         }
 
         let mut events: u64 = 0;
@@ -449,7 +404,9 @@ impl<P: Protocol> Kernel<P> {
             None => (PhaseBreakdown::new(), Vec::new(), None),
         };
         let trace_dropped = phases.spans_dropped;
-        self.fsum.injected = self.net.fault_counts();
+        if let Some(inj) = &self.net.faults {
+            self.fsum.injected = inj.counts;
+        }
         let (max_fl_len, window_closes) = self.p.fl_stats();
         RunMetrics {
             faults: self.fsum,
@@ -506,15 +463,9 @@ impl<P: Protocol> Kernel<P> {
                 // shard; other shards' state never died. A pure function
                 // of client state, so duplicated deliveries are idempotent
                 // at the server.
-                let (bytes, report) = P::report(self, client, shard, epoch);
-                self.net.send(
-                    &mut self.cal,
-                    client.into(),
-                    SiteId::server(shard),
-                    P::LABELS.reregister,
-                    bytes,
-                    report,
-                );
+                let report = P::report(self, client, shard, epoch);
+                self.net
+                    .send(&mut self.cal, client.into(), SiteId::server(shard), report);
             }
             other => P::on_client_msg(self, now, client, other),
         }
@@ -615,8 +566,6 @@ impl<P: Protocol> Kernel<P> {
             &mut self.cal,
             client.into(),
             self.cfg.shard_site(item),
-            P::LABELS.lock_request,
-            CTRL_BYTES,
             Message::LockReq {
                 txn,
                 client,
@@ -688,25 +637,9 @@ impl<P: Protocol> Kernel<P> {
             c.retry_attempts = c.retry_attempts.saturating_add(1);
         }
         for (shard, msg) in c.pending_commits.clone() {
-            let (kind, bytes) = match &msg {
-                Message::SCommit { writes, .. } => (
-                    P::LABELS.commit_release,
-                    CTRL_BYTES + writes.len() as u64 * ITEM_BYTES,
-                ),
-                Message::Prepare { writes, .. } => {
-                    (P::LABELS.prepare, CTRL_BYTES + 12 * writes.len() as u64)
-                }
-                _ => continue,
-            };
             self.fsum.retries += 1;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                kind,
-                bytes,
-                msg,
-            );
+            self.net
+                .send(&mut self.cal, client.into(), SiteId::server(shard), msg);
         }
         self.arm_retry(client);
     }
@@ -838,8 +771,7 @@ impl<P: Protocol> Kernel<P> {
     /// prepares sit in `pending_commits` and retransmit until
     /// acknowledged.
     fn begin_prepare(&mut self, client: ClientId, txn: TxnId, involved: u64) {
-        let c = &mut self.clients[client.index()];
-        let active = c.txn_mut();
+        let active = self.clients[client.index()].txn_mut();
         debug_assert_eq!(active.id, txn);
         active.phase = ClientPhase::CommitWait;
         let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
@@ -849,35 +781,18 @@ impl<P: Protocol> Kernel<P> {
                 slot.push((item, active.versions[idx] + 1));
             }
         }
-        c.retry_progress();
-        c.pending_commits = by_shard
-            .iter()
-            .map(|(&shard, writes)| {
-                (
-                    shard,
-                    Message::Prepare {
-                        txn,
-                        writes: writes.clone(),
-                        involved,
-                    },
-                )
-            })
-            .collect();
-        for (shard, writes) in by_shard {
-            let bytes = CTRL_BYTES + 12 * writes.len() as u64;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                P::LABELS.prepare,
-                bytes,
-                Message::Prepare {
+        let prepares = by_shard
+            .into_iter()
+            .map(|(shard, writes)| {
+                let prepare = Message::Prepare {
                     txn,
                     writes,
                     involved,
-                },
-            );
-        }
+                };
+                (shard, prepare)
+            })
+            .collect();
+        self.send_commit_phase(client, prepares);
         self.arm_retry(client);
     }
 
@@ -1000,42 +915,33 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// Ship every shard its commit-release slice. Under faults the
-    /// slices also become the client's pending commit (retransmitted
-    /// until each shard acknowledges; the caller arms the retry).
+    /// Ship every shard its commit-release slice (the caller arms the
+    /// retry).
     pub(crate) fn send_commit_slices(
         &mut self,
         client: ClientId,
         txn: TxnId,
         slices: BTreeMap<u32, ShardCommitGroup>,
     ) {
+        let releases = slices
+            .into_iter()
+            .map(|(shard, (writes, reads))| (shard, Message::SCommit { txn, writes, reads }))
+            .collect();
+        self.send_commit_phase(client, releases);
+    }
+
+    /// Send each involved shard its commit-phase message — a prepare or a
+    /// commit-release slice. Under faults the messages also become the
+    /// client's pending commit, retransmitted until each shard answers.
+    fn send_commit_phase(&mut self, client: ClientId, msgs: Vec<(u32, Message)>) {
         if self.faults_on {
             let c = &mut self.clients[client.index()];
             c.retry_progress();
-            c.pending_commits = slices
-                .iter()
-                .map(|(&shard, (writes, reads))| {
-                    (
-                        shard,
-                        Message::SCommit {
-                            txn,
-                            writes: writes.clone(),
-                            reads: reads.clone(),
-                        },
-                    )
-                })
-                .collect();
+            c.pending_commits.clone_from(&msgs);
         }
-        for (shard, (writes, reads)) in slices {
-            let bytes = CTRL_BYTES + writes.len() as u64 * ITEM_BYTES;
-            self.net.send(
-                &mut self.cal,
-                client.into(),
-                SiteId::server(shard),
-                P::LABELS.commit_release,
-                bytes,
-                Message::SCommit { txn, writes, reads },
-            );
+        for (shard, msg) in msgs {
+            self.net
+                .send(&mut self.cal, client.into(), SiteId::server(shard), msg);
         }
     }
 
@@ -1155,8 +1061,6 @@ impl<P: Protocol> Kernel<P> {
             &mut self.cal,
             SiteId::server(shard as u32),
             client.into(),
-            P::LABELS.prepare_ack,
-            CTRL_BYTES,
             Message::PrepareAck {
                 txn,
                 shard: shard as u32,
@@ -1180,8 +1084,6 @@ impl<P: Protocol> Kernel<P> {
             &mut self.cal,
             SiteId::server(shard as u32),
             SiteId::server(from_shard),
-            P::LABELS.commit_verdict,
-            CTRL_BYTES,
             Message::CommitVerdict { txn, committed },
         );
     }
@@ -1192,8 +1094,6 @@ impl<P: Protocol> Kernel<P> {
             &mut self.cal,
             from,
             client.into(),
-            P::LABELS.abort_notice,
-            CTRL_BYTES,
             Message::AbortNotice { txn },
         );
     }
@@ -1204,8 +1104,6 @@ impl<P: Protocol> Kernel<P> {
             &mut self.cal,
             SiteId::server(shard as u32),
             client.into(),
-            P::LABELS.commit_ack,
-            CTRL_BYTES,
             Message::SCommitAck {
                 txn,
                 shard: shard as u32,
@@ -1386,8 +1284,6 @@ impl<P: Protocol> Kernel<P> {
                     &mut self.cal,
                     SiteId::server(shard as u32),
                     SiteId::server(peer),
-                    P::LABELS.commit_query,
-                    CTRL_BYTES,
                     Message::CommitQuery {
                         txn,
                         from_shard: shard as u32,
@@ -1413,8 +1309,6 @@ impl<P: Protocol> Kernel<P> {
                 &mut self.cal,
                 SiteId::server(shard as u32),
                 c.into(),
-                P::LABELS.reregister_req,
-                CTRL_BYTES,
                 Message::ReregisterReq {
                     shard: shard as u32,
                     epoch: self.fault_state[shard].epoch,

@@ -1,10 +1,10 @@
 //! Shared simulation plumbing for all protocol engines: events, messages,
 //! the network sender, per-client state, and the global transaction table.
 
-use g2pl_faults::{FaultCounts, FaultPlan};
+use g2pl_faults::{FaultInjector, FaultPlan, Verdict};
 use g2pl_fwdlist::ForwardList;
 use g2pl_lockmgr::LockMode;
-use g2pl_netmodel::{LatencyCfg, LossyLink, NetAccounting};
+use g2pl_netmodel::{LatencyCfg, NetAccounting};
 use g2pl_simcore::{Calendar, ClientId, ItemId, RngStream, SimTime, SiteId, TxnId, Version};
 use g2pl_workload::{TxnGenerator, TxnSpec};
 use std::rc::Rc;
@@ -42,9 +42,23 @@ pub enum TimerKind {
 /// outstanding [`Message::SCommit`] carries them.
 pub type PendingCommit = (TxnId, Vec<(ItemId, Version)>, Vec<ItemId>);
 
+/// Control-message payload size in bytes (requests, notices, acks).
+const CTRL_BYTES: u64 = 64;
+
+/// Payload size of one data item in bytes: a message shipping an item
+/// costs this on top of its control header, and a WAL update record
+/// carries two such images.
+pub(crate) const ITEM_BYTES: u64 = 4096;
+
+/// Per-entry size of a forward list (or of a re-reported forward-list
+/// slot) inside a message, in bytes.
+const FL_ENTRY_BYTES: u64 = 16;
+
 /// Protocol messages. One enum serves every engine: the kernel handles
 /// the shared ones, and each engine its own subset, treating the rest as
-/// unreachable.
+/// unreachable. A message names its own accounting kind
+/// (`Message::kind`) and wire size (`Message::bytes`), so a send passes
+/// nothing but the message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
     // ---- every engine ----
@@ -135,8 +149,7 @@ pub enum Message {
         /// injected.
         epoch: u64,
     },
-    /// A reader's release: to the next writer on the list (carrying the
-    /// data in the non-MR1W protocol, a pure token under MR1W), or to the
+    /// A reader's release: to the next writer on the list, or to the
     /// server when the reader group is the final segment.
     GReaderRelease {
         /// The item released.
@@ -151,6 +164,11 @@ pub enum Message {
         to_pos: Option<usize>,
         /// Dispatch epoch of the forward list (see [`Message::GData`]).
         epoch: u64,
+        /// Whether the release carries the item's data: always toward
+        /// the server, and toward the writer in the non-MR1W protocol.
+        /// Under MR1W the writer already has the data, so its release is
+        /// a pure token.
+        carries_item: bool,
     },
     /// Final entry → server: the item comes home with its final version.
     GReturn {
@@ -277,6 +295,69 @@ pub enum Message {
         /// One report per held forward-list slot.
         holds: Vec<HoldReport>,
     },
+}
+
+impl Message {
+    /// The accounting label of this message's kind, as counted per kind
+    /// by [`NetAccounting`]. Engine-neutral: the engine is
+    /// `RunMetrics::protocol`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Message::LockReq { .. } => "lock_request",
+            Message::AbortNotice { .. } => "abort_notice",
+            Message::SGrant { .. } => "grant",
+            Message::SCommit { .. } => "commit_release",
+            Message::SCommitAck { .. } => "commit_ack",
+            Message::Callback { .. } => "callback",
+            Message::CallbackAck { .. } => "callback_ack",
+            Message::GData { .. } => "data",
+            Message::GReaderRelease { .. } => "reader_release",
+            Message::GReturn { .. } => "return",
+            Message::GPrune { .. } => "prune",
+            Message::Prepare { .. } => "prepare",
+            Message::PrepareAck { .. } => "prepare_ack",
+            Message::Decide { .. } => "decide",
+            Message::DecideAck { .. } => "decide_ack",
+            Message::CommitQuery { .. } => "commit_query",
+            Message::CommitVerdict { .. } => "commit_verdict",
+            Message::ReregisterReq { .. } => "reregister_req",
+            Message::SReregister { .. } | Message::GReregister { .. } => "reregister",
+        }
+    }
+
+    /// Wire size in bytes, from the payload: a control header, plus one
+    /// item image per data item shipped, plus the forward list riding a
+    /// g-2PL data hop. The bandwidth latency model prices transmission
+    /// time from this, and the accounting sums it.
+    pub(crate) fn bytes(&self) -> u64 {
+        let payload = match self {
+            Message::SGrant { .. } | Message::GReturn { .. } => ITEM_BYTES,
+            Message::SCommit { writes, .. } => writes.len() as u64 * ITEM_BYTES,
+            Message::GData { fl, .. } => ITEM_BYTES + fl.len() as u64 * FL_ENTRY_BYTES,
+            Message::GReaderRelease { carries_item, .. } => u64::from(*carries_item) * ITEM_BYTES,
+            // 12 bytes per prepared write: its item and version, not its
+            // image.
+            Message::Prepare { writes, .. } => 12 * writes.len() as u64,
+            // 8 bytes per re-reported lock or cached copy.
+            Message::SReregister { report, .. } => {
+                8 * (report.held.len() + report.cached.len()) as u64
+            }
+            Message::GReregister { holds, .. } => holds.len() as u64 * FL_ENTRY_BYTES,
+            Message::LockReq { .. }
+            | Message::AbortNotice { .. }
+            | Message::SCommitAck { .. }
+            | Message::Callback { .. }
+            | Message::CallbackAck { .. }
+            | Message::GPrune { .. }
+            | Message::PrepareAck { .. }
+            | Message::Decide { .. }
+            | Message::DecideAck { .. }
+            | Message::CommitQuery { .. }
+            | Message::CommitVerdict { .. }
+            | Message::ReregisterReq { .. } => 0,
+        };
+        CTRL_BYTES + payload
+    }
 }
 
 /// What an s/c-2PL client re-reports to a restarted shard in a
@@ -443,60 +524,32 @@ impl ServerCpu {
     }
 }
 
-/// The network: a (possibly lossy) link + accounting + the send
-/// primitive.
+/// The network: the latency model, the fault injector of an active
+/// plan, the accounting, and the send primitive.
 pub struct Net {
-    link: LossyLink,
+    latency: LatencyCfg,
+    /// The injector executing the run's fault plan (loss, duplication,
+    /// delay, partitions, crash schedules); `None` on the paper's
+    /// perfectly reliable network.
+    pub(crate) faults: Option<FaultInjector>,
     /// Message/byte counters (public: engines move it into the metrics).
     pub acct: NetAccounting,
-    /// Scratch buffer of delivery delays for one send.
-    delays: Vec<SimTime>,
     /// `(time, sending site)` of injected message faults not yet drained
     /// into the engine's trace log (see `take_fault_marks`).
     fault_marks: Vec<(SimTime, SiteId)>,
 }
 
 impl Net {
-    /// A reliable network pricing every message with `latency`.
-    pub fn new(latency: LatencyCfg) -> Self {
-        Self::build(LossyLink::reliable(latency))
-    }
-
-    /// A network executing the given fault plan over `latency`, with the
-    /// injector's randomness derived from `seed`.
-    pub fn with_faults(latency: LatencyCfg, plan: FaultPlan, seed: u64) -> Self {
-        Self::build(LossyLink::lossy(latency, plan, seed))
-    }
-
-    fn build(link: LossyLink) -> Self {
+    /// A network pricing every message with `latency`, executing `plan`
+    /// when one is given, with the injector's `"faults"` stream derived
+    /// from `seed`.
+    pub fn new(latency: LatencyCfg, plan: Option<&FaultPlan>, seed: u64) -> Self {
         Net {
-            link,
+            latency,
+            faults: plan.map(|p| FaultInjector::new(p.clone(), seed)),
             acct: NetAccounting::new(),
-            delays: Vec::with_capacity(2),
             fault_marks: Vec::new(),
         }
-    }
-
-    /// True if this network can inject faults.
-    pub fn faults_active(&self) -> bool {
-        self.link.faults_active()
-    }
-
-    /// Counters of message faults injected so far.
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.link.counts()
-    }
-
-    /// The plan's crash/restart schedule (empty when reliable).
-    pub fn crash_schedule(&self) -> Vec<(ClientId, SimTime, bool)> {
-        self.link.crash_schedule()
-    }
-
-    /// The plan's per-shard server crash/restart schedule as
-    /// `(shard, at, up)` triples (empty when reliable). Consumes the
-    /// dedicated per-shard jitter streams; call once, at engine start.
-    pub fn server_crash_schedule(&mut self) -> Vec<(u32, SimTime, bool)> {
-        self.link.server_crash_schedule()
     }
 
     /// Drain the pending injected-fault marks (engines record one
@@ -506,38 +559,29 @@ impl Net {
         std::mem::take(&mut self.fault_marks)
     }
 
-    /// Send `msg` from `from` to `to`, scheduling its delivery (or
-    /// deliveries, or none, under an active fault plan) on `cal`.
-    /// `kind` labels the message for accounting; `size` is its payload
-    /// size in bytes.
-    pub fn send(
-        &mut self,
-        cal: &mut Calendar<Ev>,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        size: u64,
-        msg: Message,
-    ) {
-        self.acct.record(from, to, kind, size);
-        let mut delays = std::mem::take(&mut self.delays);
-        let injected = self.link.transmit(from, to, size, cal.now(), &mut delays);
-        if injected {
+    /// Send `msg` from `from` to `to`: account it, price it with the
+    /// latency model, and schedule its delivery on `cal` — or, under an
+    /// active fault plan, as many deliveries as the injector's verdict
+    /// says (none when dropped, two when duplicated).
+    pub fn send(&mut self, cal: &mut Calendar<Ev>, from: SiteId, to: SiteId, msg: Message) {
+        let delay = self.latency.delay(self.account(from, to, &msg));
+        let verdict = match &mut self.faults {
+            Some(inj) => inj.judge(from, to, cal.now()),
+            None => Verdict::Deliver,
+        };
+        if verdict != Verdict::Deliver {
             self.fault_marks.push((cal.now(), from));
         }
-        if let Some((&last, rest)) = delays.split_last() {
-            for &d in rest {
-                cal.schedule_in(
-                    d,
-                    Ev::Deliver {
-                        to,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            cal.schedule_in(last, Ev::Deliver { to, msg });
+        let delay = match verdict {
+            Verdict::Deliver | Verdict::Duplicate => delay,
+            Verdict::Delay(extra) => delay + extra,
+            Verdict::Drop => return,
+        };
+        if verdict == Verdict::Duplicate {
+            let copy = msg.clone();
+            cal.schedule_in(delay, Ev::Deliver { to, msg: copy });
         }
-        self.delays = delays;
+        cal.schedule_in(delay, Ev::Deliver { to, msg });
     }
 
     /// Like [`Net::send`] but delivered in the same instant, bypassing
@@ -545,17 +589,16 @@ impl Net {
     /// and the victim's item hops under the default
     /// [`crate::AbortEffect::Instant`] are a modelling construct of the
     /// paper's simulator, not real wire messages. They are still counted.
-    pub fn send_instant(
-        &mut self,
-        cal: &mut Calendar<Ev>,
-        from: SiteId,
-        to: SiteId,
-        kind: &'static str,
-        size: u64,
-        msg: Message,
-    ) {
-        self.acct.record(from, to, kind, size);
+    pub fn send_instant(&mut self, cal: &mut Calendar<Ev>, from: SiteId, to: SiteId, msg: Message) {
+        self.account(from, to, &msg);
         cal.schedule_in(SimTime::ZERO, Ev::Deliver { to, msg });
+    }
+
+    /// Count `msg` under its kind; returns its size in bytes.
+    fn account(&mut self, from: SiteId, to: SiteId, msg: &Message) -> u64 {
+        let bytes = msg.bytes();
+        self.acct.record(from, to, msg.kind(), bytes);
+        bytes
     }
 }
 
@@ -860,46 +903,137 @@ mod tests {
     use super::*;
     use g2pl_workload::TxnProfile;
 
+    fn client(c: u32) -> SiteId {
+        SiteId::Client(ClientId::new(c))
+    }
+
+    fn notice() -> Message {
+        Message::AbortNotice { txn: TxnId::new(0) }
+    }
+
+    /// Every delivery on `cal`, in order: `(time, destination)`.
+    fn deliveries(cal: &mut Calendar<Ev>) -> Vec<(SimTime, SiteId)> {
+        std::iter::from_fn(|| cal.pop())
+            .map(|(at, ev)| match ev {
+                Ev::Deliver { to, .. } => (at, to),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn net_send_schedules_after_latency() {
         let mut cal: Calendar<Ev> = Calendar::new();
-        let mut net = Net::new(LatencyCfg::Constant(7));
-        net.send(
-            &mut cal,
-            SiteId::SERVER0,
-            SiteId::Client(ClientId::new(0)),
-            "grant",
-            64,
-            Message::AbortNotice { txn: TxnId::new(0) },
-        );
-        let (at, ev) = cal.pop().expect("delivery scheduled");
-        assert_eq!(at, SimTime::new(7));
-        assert!(matches!(ev, Ev::Deliver { .. }));
+        let mut net = Net::new(LatencyCfg::Constant(7), None, 1);
+        net.send(&mut cal, SiteId::SERVER0, client(0), notice());
+        assert_eq!(deliveries(&mut cal), vec![(SimTime::new(7), client(0))]);
         assert_eq!(net.acct.messages(), 1);
         assert_eq!(net.acct.bytes(), 64);
+        assert_eq!(net.acct.of_kind("abort_notice"), 1);
+    }
+
+    #[test]
+    fn reliable_link_is_passthrough() {
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let mut net = Net::new(LatencyCfg::Constant(9), None, 7);
+        assert!(net.faults.is_none(), "no plan, no injector");
+        net.send(&mut cal, client(0), SiteId::SERVER0, notice());
+        assert_eq!(
+            deliveries(&mut cal),
+            vec![(SimTime::new(9), SiteId::SERVER0)]
+        );
+        assert!(net.take_fault_marks().is_empty(), "reliable: no marks");
+    }
+
+    #[test]
+    fn net_prices_message_size_under_bandwidth() {
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let latency = LatencyCfg::Bandwidth {
+            latency: 100,
+            bytes_per_unit: 1000,
+        };
+        let mut net = Net::new(latency, None, 1);
+        let grant = Message::SGrant {
+            txn: TxnId::new(0),
+            item: ItemId::new(0),
+            version: 0,
+        };
+        // 64 + 4096 bytes at 1000 B/unit: 5 units of transmission time.
+        assert_eq!(grant.bytes(), 4160);
+        net.send(&mut cal, SiteId::SERVER0, client(0), grant);
+        assert_eq!(deliveries(&mut cal), vec![(SimTime::new(105), client(0))]);
+        assert_eq!(net.acct.of_kind("grant"), 1);
     }
 
     #[test]
     fn lossy_net_drops_and_marks() {
         let mut cal: Calendar<Ev> = Calendar::new();
-        let mut net = Net::with_faults(
-            LatencyCfg::Constant(7),
-            g2pl_faults::FaultPlan::message_loss(1.0),
-            1,
-        );
-        net.send(
-            &mut cal,
-            SiteId::SERVER0,
-            SiteId::Client(ClientId::new(0)),
-            "grant",
-            64,
-            Message::AbortNotice { txn: TxnId::new(0) },
-        );
+        let plan = FaultPlan::message_loss(1.0);
+        let mut net = Net::new(LatencyCfg::Constant(7), Some(&plan), 1);
+        net.send(&mut cal, SiteId::SERVER0, client(0), notice());
         assert!(cal.pop().is_none(), "certain loss delivers nothing");
-        assert_eq!(net.fault_counts().dropped, 1);
+        let counts = net.faults.as_ref().expect("plan active").counts;
+        assert_eq!(counts.dropped, 1);
         assert_eq!(net.take_fault_marks().len(), 1);
         assert!(net.take_fault_marks().is_empty(), "marks drain once");
         assert_eq!(net.acct.messages(), 1, "the send itself is accounted");
+    }
+
+    #[test]
+    fn certain_loss_drops_everything() {
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let plan = FaultPlan::message_loss(1.0);
+        let mut net = Net::new(LatencyCfg::Constant(9), Some(&plan), 7);
+        for _ in 0..10 {
+            net.send(&mut cal, client(0), SiteId::SERVER0, notice());
+            assert!(cal.pop().is_none(), "certain loss delivers nothing");
+        }
+        let counts = net.faults.as_ref().expect("plan active").counts;
+        assert_eq!(counts.dropped, 10);
+        assert_eq!(net.take_fault_marks().len(), 10);
+        assert_eq!(net.acct.messages(), 10, "every send is accounted");
+    }
+
+    #[test]
+    fn duplicate_and_delay_yield_expected_deliveries() {
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let dup_plan = FaultPlan {
+            dup_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut net = Net::new(LatencyCfg::Constant(3), Some(&dup_plan), 7);
+        net.send(&mut cal, client(0), SiteId::SERVER0, notice());
+        let at = SimTime::new(3);
+        assert_eq!(
+            deliveries(&mut cal),
+            vec![(at, SiteId::SERVER0), (at, SiteId::SERVER0)]
+        );
+
+        let delay_plan = FaultPlan {
+            delay_prob: 1.0,
+            delay_extra: 5,
+            ..FaultPlan::default()
+        };
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let mut net = Net::new(LatencyCfg::Constant(3), Some(&delay_plan), 7);
+        net.send(&mut cal, client(0), SiteId::SERVER0, notice());
+        let at = SimTime::new(8);
+        assert_eq!(deliveries(&mut cal), vec![(at, SiteId::SERVER0)]);
+        let counts = net.faults.as_ref().expect("plan active").counts;
+        assert_eq!(counts.delayed, 1);
+        assert_eq!(net.take_fault_marks().len(), 1);
+    }
+
+    #[test]
+    fn send_instant_bypasses_latency_and_faults() {
+        let mut cal: Calendar<Ev> = Calendar::new();
+        let plan = FaultPlan::message_loss(1.0);
+        let mut net = Net::new(LatencyCfg::Constant(9), Some(&plan), 7);
+        net.send_instant(&mut cal, SiteId::SERVER0, client(0), notice());
+        assert_eq!(deliveries(&mut cal), vec![(SimTime::ZERO, client(0))]);
+        let counts = net.faults.as_ref().expect("plan active").counts;
+        assert_eq!(counts.dropped, 0, "the injector is not consulted");
+        assert_eq!(net.acct.of_kind("abort_notice"), 1, "still counted");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
-use crate::kernel::{labels, Kernel, Labels, Protocol, CTRL_BYTES, ITEM_BYTES};
+use crate::kernel::{Kernel, Protocol};
 use crate::runtime::{ClientPhase, Ev, LockReport, Message, TimerKind, TxnStatus};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::TraceKind;
@@ -200,7 +200,6 @@ impl ServerLocking for S2pl {
 
 impl Protocol for S2pl {
     const NAME: &'static str = "s-2PL";
-    const LABELS: Labels = labels!("s2pl");
     const SERVER_BASED: bool = true;
     type Rebuilt = Vec<TxnId>;
 
@@ -276,7 +275,7 @@ impl Protocol for S2pl {
         k.release_victim(now, victim);
     }
 
-    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+    fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> Message {
         k.lock_report(client, shard, epoch)
     }
 
@@ -573,8 +572,6 @@ impl<P: ServerLocking> Kernel<P> {
             &mut self.cal,
             SiteId::server(shard as u32),
             client.into(),
-            P::LABELS.grant,
-            CTRL_BYTES + ITEM_BYTES,
             Message::SGrant {
                 txn,
                 item,
@@ -588,7 +585,7 @@ impl<P: ServerLocking> Kernel<P> {
     /// pins never took a server lock), that shard's slice of an
     /// unacknowledged (committed-but-unreleased) commit, and the cached
     /// copies the rebuilt directory must know about.
-    pub(crate) fn lock_report(&self, client: ClientId, shard: u32, epoch: u64) -> (u64, Message) {
+    pub(crate) fn lock_report(&self, client: ClientId, shard: u32, epoch: u64) -> Message {
         let c = &self.clients[client.index()];
         let mut held = Vec::new();
         let mut txn = None;
@@ -607,19 +604,16 @@ impl<P: ServerLocking> Kernel<P> {
             }
             _ => None,
         });
-        let cached = self.p.cached_on(client, shard, &self.cfg);
-        let bytes = CTRL_BYTES + 8 * (held.len() + cached.len()) as u64;
-        let report = Message::SReregister {
+        Message::SReregister {
             client,
             epoch,
             report: Box::new(LockReport {
                 txn,
                 held,
                 pending,
-                cached,
+                cached: self.p.cached_on(client, shard, &self.cfg),
             }),
-        };
-        (bytes, report)
+        }
     }
 
     /// Absorb a re-registration report: the cached copies rebuild the
@@ -838,9 +832,9 @@ mod tests {
         let mut c = cfg(1, 10, 0.0);
         c.drain = true;
         let m = S2plEngine::new(c).run();
-        let n_req = m.net.of_kind("s2pl.lock_request");
-        let n_grant = m.net.of_kind("s2pl.grant");
-        let n_commit = m.net.of_kind("s2pl.commit_release");
+        let n_req = m.net.of_kind("lock_request");
+        let n_grant = m.net.of_kind("grant");
+        let n_commit = m.net.of_kind("commit_release");
         assert_eq!(n_req, n_grant);
         assert_eq!(n_commit, m.committed_total);
         assert_eq!(m.net.messages(), n_req + n_grant + n_commit);

@@ -88,8 +88,8 @@ fn multi_shard_commit_splits_are_visible_in_message_kinds() {
         cfg.profile.max_items = 4;
         run(&cfg).expect("valid config")
     };
-    let rate_one = one.net.of_kind("s2pl.commit_release") as f64 / one.committed_total as f64;
-    let rate_eight = eight.net.of_kind("s2pl.commit_release") as f64 / eight.committed_total as f64;
+    let rate_one = one.net.of_kind("commit_release") as f64 / one.committed_total as f64;
+    let rate_eight = eight.net.of_kind("commit_release") as f64 / eight.committed_total as f64;
     assert!(
         (rate_one - 1.0).abs() < 1e-9,
         "single shard must send exactly one commit per txn, got {rate_one}"
