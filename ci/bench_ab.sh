@@ -40,10 +40,13 @@ rm -rf "$base_tree" "$out"
 mkdir -p "$base_tree" "$out"
 git archive "$sha" | tar -x -C "$base_tree"
 
-# Each tree builds into its own perfbench/target.
+# Each tree builds into its own perfbench/target. --locked: perfbench's
+# Cargo.lock records the benchmark's dependency graph, so a change that
+# would rewrite it fails here, naming the lock file, instead of silently
+# benchmarking a different graph.
 unset CARGO_TARGET_DIR
 for tree in "$base_tree" .; do
-  cargo build --release --offline --quiet --manifest-path "$tree/perfbench/Cargo.toml"
+  cargo build --release --offline --locked --quiet --manifest-path "$tree/perfbench/Cargo.toml"
 done
 declare -A bin=(
   [base]="$base_tree/perfbench/target/release/perfbench"

@@ -39,7 +39,10 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
-cargo test -q --release --manifest-path perfbench/Cargo.toml
+# --locked: a change that would rewrite perfbench/Cargo.lock changes the
+# benchmark's dependency graph, so it fails here instead of passing
+# silently.
+cargo test -q --release --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> trace-explain smoke (event export, round accounting, offline P1-P10 check)"
 # fig2 exports both paper engines on a reliable network; fig_shard_faults

@@ -47,7 +47,7 @@
 use crate::figure::{FigureData, Series, TailPoint, TailSeries};
 use crate::runner::{run_grid, ReplicatedResult};
 use g2pl_faults::FaultPlan;
-use g2pl_fwdlist::{order::BaseOrder, OrderingRule};
+use g2pl_fwdlist::OrderingRule;
 use g2pl_lockmgr::VictimPolicy;
 use g2pl_netmodel::NetworkEnv;
 use g2pl_protocols::{
@@ -637,18 +637,12 @@ pub static FIGURES: &[FigureSpec] = &[
         title: "Forward-list ordering disciplines, MAN",
         x_label: "read probability",
         xs: &[0.0, 0.3, 0.6, 0.9],
-        series: &[
-            "fifo+avoidance (paper)",
-            "fifo only",
-            "aging",
-            "coalesce readers",
-        ],
+        series: &["fifo+avoidance (paper)", "fifo only", "coalesce readers"],
         metric: Metric::Response,
         cells: Cells::Grid(|s, x, scale| {
             let rule = g2pl_with(|o| match s {
                 1 => o.ordering = OrderingRule::fifo(),
-                2 => o.ordering.base = BaseOrder::Aging,
-                3 => o.ordering.coalesce_readers = true,
+                2 => o.ordering.coalesce_readers = true,
                 _ => {}
             });
             base_cfg(rule, 50, 250, x, scale)

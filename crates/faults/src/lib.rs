@@ -58,9 +58,6 @@ pub struct CrashWindow {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerCrashWindow {
     /// Which server shard crashes (raw index into `0..num_shards`).
-    /// Defaults to 0 on deserialization so pre-sharding plans — which
-    /// described "the server" — keep their meaning.
-    #[serde(default)]
     pub shard: u32,
     /// Earliest simulated time at which the crash occurs.
     pub at: u64,
@@ -122,39 +119,12 @@ impl LinkPartition {
 }
 
 /// A serializable stand-in for [`SiteId`] in fault plans.
-///
-/// The pre-sharding unit variant `Server` is deprecated: it no longer
-/// exists in the enum, but old plans that spell it still deserialize —
-/// as `Shard(0)`, which is what "the server" meant before the item space
-/// was partitioned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "EndpointDe")]
 pub enum Endpoint {
     /// Client with the given raw index.
     Client(u32),
     /// Server shard with the given raw index.
     Shard(u32),
-}
-
-/// Deserialization shadow of [`Endpoint`] that still admits the retired
-/// unit `Server` variant, mapping it to `Shard(0)`.
-#[derive(Deserialize)]
-// Only (currently stubbed) deserialization constructs these variants.
-#[allow(dead_code)]
-enum EndpointDe {
-    Server,
-    Client(u32),
-    Shard(u32),
-}
-
-impl From<EndpointDe> for Endpoint {
-    fn from(e: EndpointDe) -> Self {
-        match e {
-            EndpointDe::Server => Endpoint::Shard(0),
-            EndpointDe::Client(c) => Endpoint::Client(c),
-            EndpointDe::Shard(k) => Endpoint::Shard(k),
-        }
-    }
 }
 
 impl Endpoint {
@@ -204,13 +174,6 @@ pub struct FaultPlan {
     pub server_crashes: Vec<ServerCrashWindow>,
     /// Transient link partitions.
     pub partitions: Vec<LinkPartition>,
-    /// Lease timeout for server-side holder-failure detection, in
-    /// simulated time units. `None` lets the engine derive one from the
-    /// latency model's nominal delay (see `EngineConfig`).
-    pub lease_timeout: Option<u64>,
-    /// Base client retry backoff, in simulated time units. `None` lets
-    /// the engine derive one from the nominal network delay.
-    pub retry_base: Option<u64>,
 }
 
 impl FaultPlan {
@@ -323,12 +286,6 @@ impl FaultPlan {
                 return Err(FaultPlanError::EmptyPartition);
             }
         }
-        if self.lease_timeout == Some(0) {
-            return Err(FaultPlanError::ZeroLease);
-        }
-        if self.retry_base == Some(0) {
-            return Err(FaultPlanError::ZeroRetryBase);
-        }
         Ok(())
     }
 }
@@ -365,10 +322,6 @@ pub enum FaultPlanError {
     },
     /// A partition window with `until <= from`.
     EmptyPartition,
-    /// `lease_timeout` of zero would expire every hop instantly.
-    ZeroLease,
-    /// `retry_base` of zero would retry in a busy loop.
-    ZeroRetryBase,
 }
 
 impl fmt::Display for FaultPlanError {
@@ -396,8 +349,6 @@ impl fmt::Display for FaultPlanError {
                 )
             }
             FaultPlanError::EmptyPartition => write!(f, "partition window is empty"),
-            FaultPlanError::ZeroLease => write!(f, "lease_timeout must be nonzero"),
-            FaultPlanError::ZeroRetryBase => write!(f, "retry_base must be nonzero"),
         }
     }
 }
@@ -642,14 +593,7 @@ mod tests {
 
     #[test]
     fn legacy_server_endpoint_maps_to_shard_zero() {
-        // The workspace's serde is a no-op stub (no format crate is
-        // present), so the `#[serde(from = "EndpointDe")]` decoration is
-        // exercised here via the conversion it names: the retired unit
-        // `Server` variant lands on shard 0, the rest pass through.
-        assert_eq!(Endpoint::from(EndpointDe::Server), Endpoint::Shard(0));
-        assert_eq!(Endpoint::from(EndpointDe::Client(3)), Endpoint::Client(3));
-        assert_eq!(Endpoint::from(EndpointDe::Shard(7)), Endpoint::Shard(7));
-        // SiteId conversion now always names the concrete shard.
+        // SiteId conversion always names the concrete shard.
         assert_eq!(Endpoint::from(SiteId::SERVER0), Endpoint::Shard(0));
         assert_eq!(
             Endpoint::from(SiteId::server(4)),

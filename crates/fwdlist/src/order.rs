@@ -13,8 +13,6 @@ use serde::{Deserialize, Serialize};
 /// How a collection window is ordered into a forward list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OrderingRule {
-    /// Base priority of otherwise-unconstrained requests.
-    pub base: BaseOrder,
     /// Respect (and extend) the global precedence DAG — the §3.3 deadlock
     /// avoidance optimization. When false, the order ignores precedence
     /// constraints and deadlocks must be *detected* instead.
@@ -26,23 +24,11 @@ pub struct OrderingRule {
     pub coalesce_readers: bool,
 }
 
-/// Base priority among unconstrained pending requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BaseOrder {
-    /// Arrival order — the paper's default.
-    Fifo,
-    /// Requests of transactions with more restarts sort first ("repeated
-    /// (cyclic) restarts can be avoided … using an aging mechanism"),
-    /// ties broken by arrival.
-    Aging,
-}
-
 impl Default for OrderingRule {
-    /// The paper's evaluated g-2PL configuration: FIFO base with
-    /// consistent (deadlock-avoiding) reordering.
+    /// The paper's evaluated g-2PL configuration: FIFO with consistent
+    /// (deadlock-avoiding) reordering.
     fn default() -> Self {
         OrderingRule {
-            base: BaseOrder::Fifo,
             consistent: true,
             coalesce_readers: false,
         }
@@ -53,7 +39,6 @@ impl OrderingRule {
     /// Plain FIFO without deadlock avoidance (the "basic g-2PL" of §3.2).
     pub fn fifo() -> Self {
         OrderingRule {
-            base: BaseOrder::Fifo,
             consistent: false,
             coalesce_readers: false,
         }
@@ -76,17 +61,13 @@ impl OrderingRule {
     /// requests it precedes. The DAG does not change until every request
     /// is placed.
     pub fn order(self, pending: Vec<PendingReq>, dag: &mut PrecedenceDag) -> ForwardList {
-        let key = |r: &PendingReq| -> (u8, i64, u64) {
+        let key = |r: &PendingReq| -> (u8, u64) {
             let reader_rank = if self.coalesce_readers {
                 u8::from(r.entry.mode.is_exclusive())
             } else {
                 0
             };
-            let age_rank = match self.base {
-                BaseOrder::Fifo => 0,
-                BaseOrder::Aging => -i64::from(r.restarts),
-            };
-            (reader_rank, age_rank, r.arrival)
+            (reader_rank, r.arrival)
         };
 
         let txn = |i: usize| pending[i].entry.txn;
@@ -142,11 +123,11 @@ mod tests {
     use g2pl_lockmgr::LockMode::{Exclusive, Shared};
     use g2pl_simcore::{ClientId, TxnId};
 
-    fn req(t: u32, mode: g2pl_lockmgr::LockMode, arrival: u64, restarts: u32) -> PendingReq {
+    fn req(t: u32, mode: g2pl_lockmgr::LockMode, arrival: u64) -> PendingReq {
         PendingReq {
             entry: FlEntry::new(TxnId::new(t), ClientId::new(t), mode),
             arrival,
-            restarts,
+            restarts: 0,
         }
     }
 
@@ -157,11 +138,7 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order() {
         let mut dag = PrecedenceDag::new();
-        let pending = vec![
-            req(3, Exclusive, 5, 0),
-            req(1, Shared, 2, 0),
-            req(2, Shared, 9, 0),
-        ];
+        let pending = vec![req(3, Exclusive, 5), req(1, Shared, 2), req(2, Shared, 9)];
         let fl = OrderingRule::fifo().order(pending, &mut dag);
         assert_eq!(txns(&fl), vec![1, 3, 2]);
         assert_eq!(dag.constrained_count(), 0, "fifo must not touch the DAG");
@@ -172,7 +149,7 @@ mod tests {
         let mut dag = PrecedenceDag::new();
         // A previous window fixed 2 before 1.
         dag.add_order(TxnId::new(2), TxnId::new(1));
-        let pending = vec![req(1, Exclusive, 0, 0), req(2, Exclusive, 10, 0)];
+        let pending = vec![req(1, Exclusive, 0), req(2, Exclusive, 10)];
         let fl = OrderingRule::default().order(pending, &mut dag);
         // FIFO would put 1 first, but the constraint forces 2 first.
         assert_eq!(txns(&fl), vec![2, 1]);
@@ -181,7 +158,7 @@ mod tests {
     #[test]
     fn consistent_order_records_new_constraints() {
         let mut dag = PrecedenceDag::new();
-        let pending = vec![req(5, Exclusive, 0, 0), req(6, Exclusive, 1, 0)];
+        let pending = vec![req(5, Exclusive, 0), req(6, Exclusive, 1)];
         OrderingRule::default().order(pending, &mut dag);
         assert!(dag.precedes(TxnId::new(5), TxnId::new(6)));
         assert!(dag.is_acyclic());
@@ -193,40 +170,19 @@ mod tests {
         dag.add_order(TxnId::new(3), TxnId::new(2));
         dag.add_order(TxnId::new(2), TxnId::new(1));
         // 1 arrives first but transitively follows 3.
-        let pending = vec![req(1, Shared, 0, 0), req(3, Shared, 99, 0)];
+        let pending = vec![req(1, Shared, 0), req(3, Shared, 99)];
         let fl = OrderingRule::default().order(pending, &mut dag);
         assert_eq!(txns(&fl), vec![3, 1]);
-    }
-
-    #[test]
-    fn aging_prioritises_restarted_txns() {
-        let mut dag = PrecedenceDag::new();
-        let rule = OrderingRule {
-            base: BaseOrder::Aging,
-            consistent: true,
-            coalesce_readers: false,
-        };
-        let pending = vec![
-            req(1, Exclusive, 0, 0),
-            req(2, Exclusive, 5, 3), // restarted thrice: jumps the queue
-        ];
-        let fl = rule.order(pending, &mut dag);
-        assert_eq!(txns(&fl), vec![2, 1]);
     }
 
     #[test]
     fn coalesce_readers_moves_reads_ahead() {
         let mut dag = PrecedenceDag::new();
         let rule = OrderingRule {
-            base: BaseOrder::Fifo,
             consistent: true,
             coalesce_readers: true,
         };
-        let pending = vec![
-            req(1, Exclusive, 0, 0),
-            req(2, Shared, 1, 0),
-            req(3, Shared, 2, 0),
-        ];
+        let pending = vec![req(1, Exclusive, 0), req(2, Shared, 1), req(3, Shared, 2)];
         let fl = rule.order(pending, &mut dag);
         assert_eq!(txns(&fl), vec![2, 3, 1]);
     }
@@ -236,12 +192,11 @@ mod tests {
         let mut dag = PrecedenceDag::new();
         dag.add_order(TxnId::new(1), TxnId::new(2));
         let rule = OrderingRule {
-            base: BaseOrder::Fifo,
             consistent: true,
             coalesce_readers: true,
         };
         // Reader 2 would coalesce ahead, but must follow writer 1.
-        let pending = vec![req(1, Exclusive, 0, 0), req(2, Shared, 1, 0)];
+        let pending = vec![req(1, Exclusive, 0), req(2, Shared, 1)];
         let fl = rule.order(pending, &mut dag);
         assert_eq!(txns(&fl), vec![1, 2]);
     }
@@ -259,13 +214,13 @@ mod tests {
         // order of shared members must agree.
         let mut dag = PrecedenceDag::new();
         let w1 = vec![
-            req(1, Exclusive, 0, 0),
-            req(2, Exclusive, 1, 0),
-            req(3, Exclusive, 2, 0),
+            req(1, Exclusive, 0),
+            req(2, Exclusive, 1),
+            req(3, Exclusive, 2),
         ];
         let fl1 = OrderingRule::default().order(w1, &mut dag);
         // Second window sees 3 and 1 arrive in the *opposite* order.
-        let w2 = vec![req(3, Exclusive, 0, 0), req(1, Exclusive, 1, 0)];
+        let w2 = vec![req(3, Exclusive, 0), req(1, Exclusive, 1)];
         let fl2 = OrderingRule::default().order(w2, &mut dag);
         let pos1 = |fl: &ForwardList, t: u32| fl.position_of(TxnId::new(t)).unwrap();
         assert!(pos1(&fl1, 1) < pos1(&fl1, 3));

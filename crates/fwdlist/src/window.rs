@@ -15,10 +15,11 @@ use serde::{Deserialize, Serialize};
 pub struct PendingReq {
     /// Who wants the item, where, and in which mode.
     pub entry: FlEntry,
-    /// Global arrival sequence number (FIFO base order).
+    /// Global arrival sequence number (FIFO order).
     pub arrival: u64,
-    /// How many times this transaction has been aborted and restarted —
-    /// input to the aging ordering rule that prevents cyclic restarts.
+    /// Unread: an aborted transaction is replaced by a fresh draw, never
+    /// resubmitted, so every request is a first attempt and every engine
+    /// builds this as 0.
     pub restarts: u32,
 }
 

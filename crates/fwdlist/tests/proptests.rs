@@ -2,7 +2,6 @@
 //! must produce permutations that respect the precedence DAG, keep the
 //! DAG acyclic, and stay mutually consistent across windows.
 
-use g2pl_fwdlist::order::BaseOrder;
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{FlEntry, ForwardList, OrderingRule, PrecedenceDag, Segment};
 use g2pl_lockmgr::LockMode;
@@ -11,12 +10,12 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn arb_window(max_txn: u32) -> impl Strategy<Value = Vec<PendingReq>> {
-    proptest::collection::vec((0..max_txn, any::<bool>(), 0..4u32), 1..12).prop_map(|v| {
+    proptest::collection::vec((0..max_txn, any::<bool>()), 1..12).prop_map(|v| {
         let mut seen = HashSet::new();
         v.into_iter()
-            .filter(|(t, _, _)| seen.insert(*t))
+            .filter(|(t, _)| seen.insert(*t))
             .enumerate()
-            .map(|(i, (t, exclusive, restarts))| PendingReq {
+            .map(|(i, (t, exclusive))| PendingReq {
                 entry: FlEntry::new(
                     TxnId::new(t),
                     ClientId::new(t),
@@ -27,23 +26,16 @@ fn arb_window(max_txn: u32) -> impl Strategy<Value = Vec<PendingReq>> {
                     },
                 ),
                 arrival: i as u64,
-                restarts,
+                restarts: 0,
             })
             .collect()
     })
 }
 
 fn arb_rule() -> impl Strategy<Value = OrderingRule> {
-    (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(aging, consistent, coalesce)| {
-        OrderingRule {
-            base: if aging {
-                BaseOrder::Aging
-            } else {
-                BaseOrder::Fifo
-            },
-            consistent,
-            coalesce_readers: coalesce,
-        }
+    (any::<bool>(), any::<bool>()).prop_map(|(consistent, coalesce)| OrderingRule {
+        consistent,
+        coalesce_readers: coalesce,
     })
 }
 
@@ -214,7 +206,6 @@ fn paper_read_dependency_example_orders_consistently() {
 #[test]
 fn coalescing_forms_single_group() {
     let rule = OrderingRule {
-        base: BaseOrder::Fifo,
         consistent: false,
         coalesce_readers: true,
     };

@@ -13,7 +13,6 @@
 //! indices, and keep more than 128 transactions live, so closure rows
 //! span three words.
 
-use g2pl_fwdlist::order::BaseOrder;
 use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{FlEntry, ForwardList, OrderingRule, PrecedenceDag};
 use g2pl_lockmgr::LockMode;
@@ -124,17 +123,13 @@ impl RefDag {
 /// unplaced request's eligibility against the DAG and take the first
 /// minimum-key eligible one.
 fn ref_order(rule: OrderingRule, mut pending: Vec<PendingReq>, dag: &mut RefDag) -> ForwardList {
-    let key = |r: &PendingReq| -> (u8, i64, u64) {
+    let key = |r: &PendingReq| -> (u8, u64) {
         let reader_rank = if rule.coalesce_readers {
             u8::from(r.entry.mode.is_exclusive())
         } else {
             0
         };
-        let age_rank = match rule.base {
-            BaseOrder::Fifo => 0,
-            BaseOrder::Aging => -i64::from(r.restarts),
-        };
-        (reader_rank, age_rank, r.arrival)
+        (reader_rank, r.arrival)
     };
     let mut out: Vec<FlEntry> = Vec::with_capacity(pending.len());
     while !pending.is_empty() {
@@ -204,7 +199,7 @@ impl Pair {
             pending.push(PendingReq {
                 entry: FlEntry::new(txn, ClientId::new(txn.0), mode),
                 arrival: rng.below(arrivals),
-                restarts: rng.below(4) as u32,
+                restarts: 0,
             });
         }
         let want = ref_order(self.rule, pending.clone(), &mut self.reference);
@@ -280,15 +275,10 @@ fn closure_rows_and_one_pass_order_match_the_reference() {
     let mut peak_live = 0;
     for case in 0..CASES {
         let mut rng = TestRng::for_case("fwdlist::reference_model", case);
-        let variant = case % 8;
+        let variant = case % 4;
         let rule = OrderingRule {
-            base: if variant & 1 == 0 {
-                BaseOrder::Fifo
-            } else {
-                BaseOrder::Aging
-            },
-            consistent: variant & 2 == 0,
-            coalesce_readers: variant & 4 != 0,
+            consistent: variant & 1 == 0,
+            coalesce_readers: variant & 2 != 0,
         };
         let pool = POOLS[(case as usize / 8) % POOLS.len()];
         let mut pair = Pair {

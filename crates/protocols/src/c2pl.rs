@@ -35,7 +35,7 @@
 
 use crate::config::EngineConfig;
 use crate::kernel::{Kernel, Protocol};
-use crate::runtime::{ClientPhase, Ev, Message, TimerKind, TxnStatus};
+use crate::runtime::{Ev, Message, TxnStatus};
 use crate::s2pl::{S2pl, ServerLocking};
 use g2pl_lockmgr::{LockMode, LockTable};
 use g2pl_obs::TraceKind;
@@ -203,7 +203,7 @@ impl ServerLocking for C2pl {
                         acks_left: remote.len(),
                     },
                 );
-                if k.faults_on {
+                if k.faults_on() {
                     // Callbacks (or their acks) can be lost: keep
                     // re-sending to the still-registered copies until the
                     // barrier opens or its owner dies.
@@ -305,7 +305,6 @@ impl ServerLocking for C2pl {
 impl Protocol for C2pl {
     const NAME: &'static str = "c-2PL";
     const SERVER_BASED: bool = true;
-    type Rebuilt = Vec<TxnId>;
 
     fn new(cfg: &EngineConfig) -> Self {
         let n = cfg.num_clients as usize;
@@ -372,13 +371,7 @@ impl Protocol for C2pl {
 
     /// Serve a read from the local cache: granted locally, instantly,
     /// with zero messages.
-    fn serve_locally(
-        k: &mut Kernel<Self>,
-        now: SimTime,
-        client: ClientId,
-        txn: TxnId,
-        idx: usize,
-    ) -> bool {
+    fn serve_locally(k: &mut Kernel<Self>, now: SimTime, client: ClientId, idx: usize) -> bool {
         let (item, mode) = k.clients[client.index()].txn().spec.access(idx);
         if mode != AccessMode::Read {
             return false;
@@ -387,32 +380,14 @@ impl Protocol for C2pl {
             return false;
         };
         k.p.pins.pin(client, item);
-        let c = &mut k.clients[client.index()];
-        let active = c.txn_mut();
-        active.versions.push(version);
-        active.granted += 1;
-        active.phase = ClientPhase::Thinking;
-        let think = k.cfg.profile.draw_think(&mut c.time_rng);
-        k.emit(TraceKind::CacheHit.at(now, Some(txn), Some(item), client));
-        k.cal.schedule_in(
-            think,
-            Ev::Timer {
-                client,
-                kind: TimerKind::ThinkDone(txn),
-            },
-        );
+        k.grant_access(now, client, item, version, TraceKind::CacheHit);
         true
     }
 
     /// The commit decision point (see the s-2PL engine). The
     /// transaction's copies stay cached, writes demoted to shared.
     fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = k.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): commit is only reachable from a client with an active txn
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
+        let active = k.take_committing(client, txn);
         k.table.set_status(txn, TxnStatus::Committed);
         for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
             let observed = active.versions[idx];
@@ -423,16 +398,13 @@ impl Protocol for C2pl {
             };
             k.p.caches[client.index()][item.index()] = Some(cached);
         }
-        let slices = k.commit_slices(&active);
-        let committed = k.record_commit(now, client, &active, slices.len() as u32);
+        let committed = k.ship_commit(now, client, &active);
         k.emit(committed);
-        k.log_commit(client, txn, &slices);
-        k.send_commit_slices(client, txn, slices);
         // Pins release and deferred callbacks answer at transaction end
         // regardless; only the next transaction's start is gated on the
         // acks under faults.
         k.answer_deferred_callbacks(client);
-        if k.faults_on {
+        if k.faults_on() {
             k.arm_retry(client);
         } else {
             k.schedule_next_txn(client);
@@ -442,15 +414,10 @@ impl Protocol for C2pl {
     /// Abort the client's transaction locally (see the s-2PL engine),
     /// answering its deferred callbacks.
     fn finalize_abort(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
-        if k.clients[client.index()]
-            .txn
-            .as_ref()
-            .is_none_or(|a| a.id != txn)
-        {
+        if k.end_aborted_txn(client, txn).is_none() {
             return;
         }
         k.table.set_status(txn, TxnStatus::Aborted);
-        k.end_aborted_txn(client, txn);
         k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.answer_deferred_callbacks(client);
         k.schedule_next_txn(client);
@@ -470,16 +437,21 @@ impl Protocol for C2pl {
         k.release_victim(now, victim);
     }
 
-    /// A crash loses the client's cache (and with it every pinned read and
-    /// deferred callback): the server's directory becomes stale, which is
-    /// safe — retried callbacks to a copy the client no longer holds are
-    /// simply acknowledged, shrinking the directory back to truth.
+    /// A crash loses the client's cache, except the copies its current
+    /// transaction pinned: the kernel resumes that transaction at
+    /// restart, and its pins are its read locks, so they keep their
+    /// entries, pins and deferred callbacks until `commit` or
+    /// `finalize_abort` releases them. The server's directory still lists
+    /// the lost copies, which is safe: retried callbacks to a copy the
+    /// client no longer holds are simply acknowledged, shrinking the
+    /// directory back to truth.
     fn on_client_crash(k: &mut Kernel<Self>, client: ClientId) {
-        k.p.caches[client.index()]
-            .iter_mut()
-            .for_each(|v| *v = None);
-        k.p.pins.unpin_all(client);
-        k.p.deferred_callbacks[client.index()].clear();
+        let pinned = &k.p.pins.by_client[client.index()];
+        for (i, v) in k.p.caches[client.index()].iter_mut().enumerate() {
+            if !pinned.contains(&ItemId::new(i as u32)) {
+                *v = None;
+            }
+        }
     }
 
     fn report(k: &Kernel<Self>, client: ClientId, shard: u32, epoch: u64) -> Message {
@@ -510,12 +482,8 @@ impl Protocol for C2pl {
         k.restore_versions(img);
     }
 
-    fn rebuild(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) -> Vec<TxnId> {
-        k.restore_grants_from(now, shard, &img)
-    }
-
-    fn resume(k: &mut Kernel<Self>, now: SimTime, silent: Vec<TxnId>) {
-        k.abort_silent(now, silent);
+    fn recover(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) {
+        k.recover_grants(now, shard, &img);
     }
 
     /// The in-doubt commit installs its write slice; the cache directory

@@ -46,7 +46,10 @@
 //! adds: checkout leases that redispatch a stalled list, recovery that
 //! rebuilds forward lists from the durable dispatch records, and — since
 //! the commit is client-local — a phase 2 of its own (`Decide` /
-//! `DecideAck`) that only retires the shards' prepared votes.
+//! `DecideAck`) that only retires the shards' prepared votes. A lease
+//! expiry and a recovery re-dispatch the same way: `rebase` the item on
+//! its last durable version, then dispatch the survivors, or `go_home`
+//! when none are left.
 
 use crate::config::{AbortEffect, EngineConfig, G2plOpts, ProtocolKind};
 use crate::cycle::CycleFinder;
@@ -111,9 +114,8 @@ struct Hold {
     mode: LockMode,
     version: Version,
     data_arrived: bool,
-    releases_recv: usize,
     releases_expected: usize,
-    /// `from_pos` of every reader release counted so far (a duplicated
+    /// `from_pos` of every reader release received so far (a duplicated
     /// release must not double-count).
     releases_from: Vec<usize>,
     granted: bool,
@@ -139,7 +141,6 @@ impl Hold {
             mode,
             version: 0,
             data_arrived: false,
-            releases_recv: 0,
             releases_expected,
             releases_from: Vec::new(),
             granted: false,
@@ -150,7 +151,7 @@ impl Hold {
     /// All gate messages received: the hold can be forwarded onward once
     /// the transaction finishes.
     fn gates_passed(&self) -> bool {
-        self.data_arrived && self.releases_recv >= self.releases_expected
+        self.data_arrived && self.releases_from.len() >= self.releases_expected
     }
 
     /// Whether the owning transaction may be granted access (MR1W lets a
@@ -223,19 +224,21 @@ impl G2pl {
             .map(|(_, h)| h)
     }
 
-    fn next_arrival(&mut self) -> u64 {
-        let arrival = self.arrival_seq;
+    /// A request for the next window, stamped with the next arrival:
+    /// a new request, or a survivor of a redispatched list.
+    fn pending_req(&mut self, entry: FlEntry) -> PendingReq {
         self.arrival_seq += 1;
-        arrival
+        PendingReq {
+            entry,
+            arrival: self.arrival_seq - 1,
+            restarts: 0,
+        }
     }
 }
 
 impl Protocol for G2pl {
     const NAME: &'static str = "g-2PL";
     const SERVER_BASED: bool = false;
-    /// Items to redispatch (with their surviving entries) and the silent
-    /// clients' transactions.
-    type Rebuilt = (Vec<(ItemId, Vec<PendingReq>)>, Vec<TxnId>);
 
     fn new(cfg: &EngineConfig) -> Self {
         let ProtocolKind::G2pl(opts) = cfg.protocol.clone() else {
@@ -288,7 +291,7 @@ impl Protocol for G2pl {
             } => {
                 let txn = fl.entry(pos).txn;
                 debug_assert_eq!(fl.entry(pos).client, client);
-                if k.faults_on {
+                if k.faults_on() {
                     if let Some(h) = k.p.hold(item, txn) {
                         if epoch < h.epoch {
                             return; // copy from a superseded dispatch
@@ -323,7 +326,7 @@ impl Protocol for G2pl {
                 let w = to_pos.expect("client-bound release has a writer position");
                 let txn = fl.entry(w).txn;
                 debug_assert_eq!(fl.entry(w).client, client);
-                if k.faults_on {
+                if k.faults_on() {
                     if let Some(h) = k.p.hold(item, txn) {
                         if epoch < h.epoch {
                             return; // release from a superseded dispatch
@@ -341,13 +344,12 @@ impl Protocol for G2pl {
                 ));
                 let hold = k.hold_or_insert(item, txn, &fl, w, epoch);
                 hold.releases_from.push(from_pos);
-                hold.releases_recv += 1;
                 if carries_item {
                     hold.data_arrived = true;
                     hold.version = version;
                 }
                 debug_assert!(
-                    hold.releases_recv <= hold.releases_expected,
+                    hold.releases_from.len() <= hold.releases_expected,
                     "more releases than readers for {item} at {txn}"
                 );
                 k.after_gate_update(now, client, item, txn);
@@ -385,7 +387,7 @@ impl Protocol for G2pl {
                 );
                 match k.table.status(txn) {
                     TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if k.faults_on => {
+                    TxnStatus::Aborting | TxnStatus::Aborted if k.faults_on() => {
                         // A retried request from a victim whose abort
                         // notice may have been lost: answer it again.
                         k.send_abort_notice(SiteId::server(shard as u32), client, txn);
@@ -393,7 +395,7 @@ impl Protocol for G2pl {
                     }
                     _ => return, // stale request
                 }
-                if k.faults_on {
+                if k.faults_on() {
                     // Retransmission of a request the server already has:
                     // either still gathering in a window, or already on a
                     // dispatched list (its grant is in flight, or the item
@@ -421,7 +423,7 @@ impl Protocol for G2pl {
                 if st.epoch != epoch || st.out.is_none() {
                     // A return from a superseded checkout, or a duplicated
                     // return for one already processed.
-                    debug_assert!(k.faults_on, "stale return on a reliable network");
+                    debug_assert!(k.faults_on(), "stale return on a reliable network");
                     return;
                 }
                 // The final holder's release reaches the server: its one
@@ -432,7 +434,7 @@ impl Protocol for G2pl {
                     Some(item),
                     SiteId::server(shard as u32),
                 ));
-                k.come_home(now, shard, item, version);
+                k.come_home(now, item, version);
             }
             Message::GReaderRelease {
                 item,
@@ -452,7 +454,7 @@ impl Protocol for G2pl {
                 if stale {
                     // A release from a superseded checkout, or a
                     // duplicated copy of one already counted.
-                    debug_assert!(k.faults_on, "stale release on a reliable network");
+                    debug_assert!(k.faults_on(), "stale release on a reliable network");
                     return;
                 }
                 // A tail-group reader's release travels to the server: a
@@ -470,7 +472,7 @@ impl Protocol for G2pl {
                 debug_assert!(out.final_releases_left > 0);
                 out.final_releases_left -= 1;
                 if out.final_releases_left == 0 {
-                    k.come_home(now, shard, item, version);
+                    k.come_home(now, item, version);
                 }
             }
             Message::Decide { txn } => {
@@ -511,13 +513,8 @@ impl Protocol for G2pl {
     }
 
     fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = k.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): commit is only reachable from a client with an active txn
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
-        if k.faults_on {
+        let active = k.take_committing(client, txn);
+        if k.faults_on() {
             k.clients[client.index()].retry_progress();
         }
         k.table.set_status(txn, TxnStatus::Committed);
@@ -797,61 +794,37 @@ impl Protocol for G2pl {
     /// are re-dispatched under a fresh epoch, and live entries of silent
     /// clients are presumed dead and aborted. With no survivors the item
     /// comes home at the version a fault-free drain would have installed.
-    fn rebuild(
-        k: &mut Kernel<Self>,
-        _now: SimTime,
-        shard: usize,
-        img: ServerImage,
-    ) -> Self::Rebuilt {
-        let mut silent_victims: Vec<TxnId> = Vec::new();
+    /// Every item's survivors are found before any item is acted on: a
+    /// redispatch can abort a transaction that another item still lists.
+    fn recover(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) {
+        let mut silent: Vec<TxnId> = Vec::new();
         let mut redispatch = Vec::new();
         for &item in &img.out {
             // lint:allow(L3): every `out` item has a dispatch record
             let d = img.dispatches.get(&item).expect("out item was dispatched");
             let mut survivors = Vec::new();
-            let mut committed_writes: Version = 0;
             for &(txn, exclusive) in &d.entries {
-                match k.table.status(txn) {
-                    TxnStatus::Active => {
-                        let owner = k.table.info(txn).client;
-                        if k.fault_state[shard].reregistered[owner.index()] {
-                            let mode = if exclusive {
-                                LockMode::Exclusive
-                            } else {
-                                LockMode::Shared
-                            };
-                            survivors.push(PendingReq {
-                                entry: FlEntry::new(txn, owner, mode),
-                                arrival: k.p.next_arrival(),
-                                restarts: 0,
-                            });
-                        } else if !silent_victims.contains(&txn) {
-                            silent_victims.push(txn);
-                        }
-                    }
-                    TxnStatus::Committed => {
-                        if exclusive {
-                            committed_writes += 1;
-                            k.debug_awaits_permanence(txn, item);
-                        }
-                    }
-                    TxnStatus::Aborting | TxnStatus::Aborted => {}
+                if k.table.status(txn) != TxnStatus::Active {
+                    continue;
+                }
+                let owner = k.table.info(txn).client;
+                if k.fault_state[shard].reregistered[owner.index()] {
+                    let mode = if exclusive {
+                        LockMode::Exclusive
+                    } else {
+                        LockMode::Shared
+                    };
+                    survivors.push(k.p.pending_req(FlEntry::new(txn, owner, mode)));
+                } else if !silent.contains(&txn) {
+                    silent.push(txn);
                 }
             }
-            k.p.items[item.index()].version = d.base + committed_writes;
+            k.rebase(item, d.base, d.entries.iter().copied());
             redispatch.push((item, survivors));
         }
-        (redispatch, silent_victims)
-    }
-
-    fn resume(k: &mut Kernel<Self>, now: SimTime, (redispatch, silent): Self::Rebuilt) {
         for (item, survivors) in redispatch {
             if survivors.is_empty() {
-                let version = k.p.items[item.index()].version;
-                let shard = k.cfg.shard_of(item) as usize;
-                k.slog(shard).append(ServerRecord::Home { item, version });
-                k.mark_writers_permanent(item);
-                k.close_window(now, item);
+                k.go_home(now, item);
             } else {
                 k.fsum.redispatches += 1;
                 k.dispatch(now, item, survivors);
@@ -926,7 +899,10 @@ impl Kernel<G2pl> {
         let at = match v.iter().position(|(i, _)| *i == item) {
             Some(at) => {
                 if v[at].1.epoch < epoch {
-                    debug_assert!(self.faults_on, "epoch moved on a reliable network");
+                    debug_assert!(
+                        self.net.faults.is_some(),
+                        "epoch moved on a reliable network"
+                    );
                     let mut nh = Hold::new(Rc::clone(fl), pos, epoch);
                     nh.granted = v[at].1.granted;
                     nh.forwarded = v[at].1.forwarded;
@@ -1173,26 +1149,12 @@ impl Kernel<G2pl> {
         }
         hold.granted = true;
         let version = hold.version;
-        let c = &mut self.clients[client.index()];
-        let active = c.txn_mut();
-        debug_assert_eq!(active.id, txn, "hold grant for a foreign transaction");
         debug_assert_eq!(
-            active.spec.access(active.granted).0,
-            item,
-            "grant out of request order"
+            self.clients[client.index()].txn().id,
+            txn,
+            "hold grant for a foreign transaction"
         );
-        active.versions.push(version);
-        active.granted += 1;
-        active.phase = ClientPhase::Thinking;
-        let think = self.cfg.profile.draw_think(&mut c.time_rng);
-        self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
-        self.cal.schedule_in(
-            think,
-            Ev::Timer {
-                client,
-                kind: TimerKind::ThinkDone(txn),
-            },
-        );
+        self.grant_access(now, client, item, version, TraceKind::Granted);
     }
 
     // ---- server side ----
@@ -1212,11 +1174,7 @@ impl Kernel<G2pl> {
             self.cfg.shard_site(item),
         ));
         let entry = FlEntry::new(txn, client, mode);
-        let req = PendingReq {
-            entry,
-            arrival: self.p.next_arrival(),
-            restarts: 0,
-        };
+        let req = self.p.pending_req(entry);
         let st = &mut self.p.items[item.index()];
         match &mut st.out {
             None if st.holding => {
@@ -1275,24 +1233,24 @@ impl Kernel<G2pl> {
         }
     }
 
-    /// The item came home at `version` (its final holder returned it, or
-    /// its trailing readers all released): the version is durable at the
-    /// shard, its writers' site logs may collect, and the next window
-    /// closes.
-    fn come_home(&mut self, now: SimTime, shard: usize, item: ItemId, version: Version) {
+    /// The item came home at `version`: its final holder returned it, or
+    /// its trailing readers all released.
+    fn come_home(&mut self, now: SimTime, item: ItemId, version: Version) {
         let st = &mut self.p.items[item.index()];
         st.version = version;
         // lint:allow(L3): both callers checked the item is out
         let out = st.out.take().expect("item is out");
         self.clear_entry_index(&out, item);
-        self.log_at(shard, ServerRecord::Home { item, version });
-        self.mark_writers_permanent(item);
-        self.close_window(now, item);
+        self.go_home(now, item);
     }
 
-    /// The item is home: every committed version of it is now permanent
-    /// at the server, so the writers' sites may garbage-collect.
-    fn mark_writers_permanent(&mut self, item: ItemId) {
+    /// The item is home at its installed version: the version is durable
+    /// at the shard, every committed version of it is permanent, so its
+    /// writers' sites may garbage-collect, and the next window closes.
+    fn go_home(&mut self, now: SimTime, item: ItemId) {
+        let version = self.p.items[item.index()].version;
+        let shard = self.cfg.shard_of(item) as usize;
+        self.log_at(shard, ServerRecord::Home { item, version });
         let writers = std::mem::take(&mut self.p.items[item.index()].unpermanent_writers);
         if let Some(wal) = &mut self.wal {
             for txn in writers {
@@ -1300,19 +1258,36 @@ impl Kernel<G2pl> {
                 wal[site.index()].mark_permanent(txn, item);
             }
         }
+        self.close_window(now, item);
     }
 
-    /// A committed write's version lives only in the writer's site log
-    /// until the item is home: collecting it before permanence would
-    /// lose it.
-    fn debug_awaits_permanence(&self, txn: TxnId, item: ItemId) {
-        if let Some(wal) = &self.wal {
-            let site = self.table.info(txn).client;
-            debug_assert!(
-                wal[site.index()].awaits_permanence(txn),
-                "committed write of {txn} on {item} collected before permanence"
-            );
+    /// Re-base a stalled or orphaned checkout of `item` on the last
+    /// durable version: its dispatch `base` plus one version per
+    /// committed writer among its `(txn, exclusive)` entries.
+    fn rebase(
+        &mut self,
+        item: ItemId,
+        base: Version,
+        entries: impl IntoIterator<Item = (TxnId, bool)>,
+    ) {
+        let mut committed_writes: Version = 0;
+        for (txn, exclusive) in entries {
+            if !exclusive || self.table.status(txn) != TxnStatus::Committed {
+                continue;
+            }
+            committed_writes += 1;
+            // The base leans on the writer's site log, which must keep
+            // the version until the item is home: collecting it before
+            // permanence would lose it.
+            if let Some(wal) = &self.wal {
+                let site = self.table.info(txn).client;
+                debug_assert!(
+                    wal[site.index()].awaits_permanence(txn),
+                    "committed write of {txn} on {item} collected before permanence"
+                );
+            }
         }
+        self.p.items[item.index()].version = base + committed_writes;
     }
 
     /// Close the (possibly empty) window of a just-returned item, or
@@ -1342,7 +1317,7 @@ impl Kernel<G2pl> {
         if !st.holding {
             // A timer from a dispatch-delay hold that died with a server
             // crash (the crash clears `holding`).
-            debug_assert!(self.srv_faults_on, "window timer without a held item");
+            debug_assert!(self.srv_faults_on(), "window timer without a held item");
             return;
         }
         st.holding = false;
@@ -1402,39 +1377,26 @@ impl Kernel<G2pl> {
         // list order.
         let mut survivors = Vec::new();
         for (p, e) in out.fl.entries().iter().enumerate() {
-            if out.completed[p] || Some(e.txn) == victim {
+            if out.completed[p]
+                || Some(e.txn) == victim
+                || self.table.status(e.txn) != TxnStatus::Active
+            {
                 continue;
             }
-            if self.table.status(e.txn) != TxnStatus::Active {
-                continue;
-            }
-            survivors.push(PendingReq {
-                entry: *e,
-                arrival: self.p.next_arrival(),
-                restarts: 0,
-            });
+            survivors.push(self.p.pending_req(*e));
         }
-
-        let mut committed_writes: Version = 0;
-        for e in out.fl.entries() {
-            if e.mode.is_exclusive() && self.table.status(e.txn) == TxnStatus::Committed {
-                committed_writes += 1;
-                // The redispatch base leans on the committed writers'
-                // site logs.
-                self.debug_awaits_permanence(e.txn, item);
-            }
-        }
-        self.p.items[item.index()].version = out.base_version + committed_writes;
+        let entries = out
+            .fl
+            .entries()
+            .iter()
+            .map(|e| (e.txn, e.mode.is_exclusive()));
+        self.rebase(item, out.base_version, entries);
 
         self.fsum.redispatches += 1;
         self.emit(TraceKind::Redispatch.at(now, victim, Some(item), self.cfg.shard_site(item)));
         if survivors.is_empty() {
             // No live suffix: the item simply comes home.
-            let version = self.p.items[item.index()].version;
-            let shard = self.cfg.shard_of(item) as usize;
-            self.log_at(shard, ServerRecord::Home { item, version });
-            self.mark_writers_permanent(item);
-            self.close_window(now, item);
+            self.go_home(now, item);
         } else {
             self.dispatch(now, item, survivors);
         }
@@ -1490,7 +1452,7 @@ impl Kernel<G2pl> {
             last_progress: now,
             final_released: Vec::new(),
         });
-        if self.faults_on {
+        if self.faults_on() {
             // One lease per checkout: it re-arms itself while the list
             // keeps making progress and recovers it when progress stops.
             self.cal

@@ -7,15 +7,23 @@
 //!
 //! * the simulation state and its one constructor (calendar, network,
 //!   server CPUs, clients, transaction table, metrics, the event
-//!   recorder, WALs, fault flags, lease and retry periods);
+//!   recorder, WALs, durable shard logs, lease and retry periods);
 //! * `Kernel::emit`, the one path by which every engine transition
 //!   enters the run's event stream, beside `Net::send`, the one path by
 //!   which every message leaves: a send passes only the [`Message`],
 //!   which names its own accounting kind and wire size;
 //! * the event loop and the [`RunMetrics`] assembly;
-//! * client requests, retransmission, crash and restart;
+//! * client requests, retransmission, crash and restart, and the
+//!   client's side of a grant (`Kernel::grant_access`: record the
+//!   version, think, then issue the next access), whether a shard, a
+//!   c-2PL cache or a g-2PL forward list granted it;
+//! * the commit: `Kernel::take_committing` hands the engine the
+//!   transaction, and `Kernel::ship_commit` ships a server-based
+//!   engine's commit-release slices after the client's WAL records;
 //! * the shard fault core: crash, log replay, the epoch-bumped
-//!   re-registration handshake, and the server-side transaction leases;
+//!   re-registration handshake, and the server-side transaction leases.
+//!   The engine supplies one recovery hook, `Protocol::recover`, run
+//!   once the shard serves again;
 //! * presumed-abort two-phase commitment of multi-home transactions:
 //!   `Prepare` voting, `PrepareAck` counting, `CommitQuery` /
 //!   `CommitVerdict`, and in-doubt resolution.
@@ -54,7 +62,7 @@ pub(crate) fn lock_mode(mode: AccessMode) -> LockMode {
 
 /// Per-shard slice of a committing transaction: written `(item,
 /// version)` pairs plus read-only items, bound for one home server.
-pub(crate) type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
+type ShardCommitGroup = (Vec<(ItemId, Version)>, Vec<ItemId>);
 
 /// What one engine adds to the [`Kernel`]: its own state (`Self`), its
 /// own messages and events, and the hooks where the protocols differ.
@@ -71,9 +79,6 @@ pub trait Protocol: Sized {
     /// WAL tail: on restart before anything else, with exponential
     /// backoff. g-2PL re-polls its voting round at a constant period.
     const SERVER_BASED: bool;
-    /// What `Protocol::rebuild` hands to `Protocol::resume` during a
-    /// shard's recovery.
-    type Rebuilt;
 
     /// The engine's own state for `cfg`.
     fn new(cfg: &EngineConfig) -> Self;
@@ -87,13 +92,7 @@ pub trait Protocol: Sized {
 
     /// Serve access `idx` without a request (c-2PL cache hit); true when
     /// served.
-    fn serve_locally(
-        _k: &mut Kernel<Self>,
-        _now: SimTime,
-        _client: ClientId,
-        _txn: TxnId,
-        _idx: usize,
-    ) -> bool {
+    fn serve_locally(_k: &mut Kernel<Self>, _now: SimTime, _client: ClientId, _idx: usize) -> bool {
         false
     }
     /// Whether a transaction that finished its accesses may commit now
@@ -121,7 +120,8 @@ pub trait Protocol: Sized {
     fn on_decide_retry(_k: &mut Kernel<Self>, _now: SimTime, _client: ClientId, _txn: TxnId) {
         unreachable!("{} never arms a decide timer", Self::NAME)
     }
-    /// A client crashed (c-2PL loses its cache).
+    /// A client crashed (c-2PL loses the cached copies its current
+    /// transaction does not read).
     fn on_client_crash(_k: &mut Kernel<Self>, _client: ClientId) {}
     /// A client restarted; its timers died with the crash (g-2PL re-arms
     /// its phase-2 timers).
@@ -134,13 +134,10 @@ pub trait Protocol: Sized {
     fn wipe_shard(k: &mut Kernel<Self>, shard: usize);
     /// Shard restart: restore the engine state of the replayed image.
     fn restore_image(k: &mut Kernel<Self>, img: &ServerImage);
-    /// The handshake closed: rebuild grants or forward lists from the
-    /// image and the reports, before the shard serves again.
-    fn rebuild(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage)
-        -> Self::Rebuilt;
-    /// The shard serves again: act on what `rebuild` found (redispatch,
-    /// abort the silent clients' transactions).
-    fn resume(k: &mut Kernel<Self>, now: SimTime, rebuilt: Self::Rebuilt);
+    /// The handshake closed and the shard serves again: rebuild its
+    /// grants or forward lists from the image and the reports, then act
+    /// on them (redispatch; abort the silent clients' transactions).
+    fn recover(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage);
     /// An in-doubt vote resolved as committed: make the commit durable
     /// at `shard`.
     fn apply_committed(
@@ -178,13 +175,6 @@ pub struct Kernel<P> {
     recorder: Option<SpanRecorder>,
     pub(crate) wal: Option<Vec<SiteLog>>,
     admitting: bool,
-    /// Whether a fault plan is active (the exact fault-free code path is
-    /// taken when this is false).
-    pub(crate) faults_on: bool,
-    /// Whether the plan schedules server crashes. Gates the durable
-    /// server logs and two-phase commitment, so plans without server
-    /// crashes take the exact pre-existing fault path.
-    pub(crate) srv_faults_on: bool,
     /// Server-side lease period (faults only): of an idle transaction in
     /// s/c-2PL, of a checkout in g-2PL; also the handshake deadline.
     pub(crate) lease: SimTime,
@@ -193,8 +183,9 @@ pub struct Kernel<P> {
     pub(crate) retry_base: SimTime,
     /// Fault-injection and recovery counters.
     pub(crate) fsum: FaultSummary,
-    /// One durable log per shard (present iff `srv_faults_on`): each
-    /// shard is its own fault domain and replays only its own log.
+    /// One durable log per shard, present iff the plan schedules server
+    /// crashes: each shard is its own fault domain and replays only its
+    /// own log.
     slog: Option<Vec<ServerLog>>,
     /// Per-shard crash/recovery state; all-up defaults when no server
     /// crashes are planned.
@@ -232,20 +223,19 @@ impl<P: Protocol> Kernel<P> {
             .collect();
         let nominal = cfg.latency.nominal();
         let net = Net::new(cfg.latency, cfg.active_faults(), cfg.seed);
-        let (lease, retry_base) = match cfg.active_faults() {
-            Some(plan) => (lease_period(plan, nominal), retry_period(plan, nominal)),
-            None => (SimTime::MAX, SimTime::MAX),
+        let (lease, retry_base) = if net.faults.is_some() {
+            (lease_period(nominal), retry_period(nominal))
+        } else {
+            (SimTime::MAX, SimTime::MAX)
         };
         let srv_faults = cfg
             .active_faults()
             .is_some_and(g2pl_faults::FaultPlan::has_server_crashes);
         let nshards = cfg.num_shards() as usize;
         Kernel {
-            faults_on: net.faults.is_some(),
             net,
             lease,
             retry_base,
-            srv_faults_on: srv_faults,
             slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
             fault_state: vec![ShardFaultState::default(); nshards],
             applied: Vec::new(),
@@ -368,7 +358,7 @@ impl<P: Protocol> Kernel<P> {
                     P::on_event(&mut self, now, ev);
                 }
             }
-            if self.faults_on {
+            if self.faults_on() {
                 for (at, site) in self.net.take_fault_marks() {
                     self.emit(TraceKind::FaultInjected.at(at, None, None, site));
                 }
@@ -385,7 +375,7 @@ impl<P: Protocol> Kernel<P> {
         // legitimately hold residue (e.g. a client that crashed and never
         // restarted before the calendar emptied); liveness is checked by
         // trace property P8 instead of these structural asserts.
-        if self.cfg.drain && !self.faults_on {
+        if self.cfg.drain && !self.faults_on() {
             self.p.assert_drained();
             if let Some(wal) = &self.wal {
                 assert!(
@@ -440,6 +430,19 @@ impl<P: Protocol> Kernel<P> {
             spans: stream,
             trace_dropped,
         }
+    }
+
+    /// Whether a fault plan is active (the exact fault-free code path is
+    /// taken when this is false).
+    pub(crate) fn faults_on(&self) -> bool {
+        self.net.faults.is_some()
+    }
+
+    /// Whether the plan schedules server crashes, which is when shards
+    /// keep durable logs. Gates two-phase commitment too, so plans
+    /// without server crashes take the exact pre-existing fault path.
+    pub(crate) fn srv_faults_on(&self) -> bool {
+        self.slog.is_some()
     }
 
     /// Emit one transition into the run's event stream — the one path by
@@ -547,13 +550,13 @@ impl<P: Protocol> Kernel<P> {
     /// engine can serve it, otherwise as a lock request to the item's
     /// shard.
     fn issue_access(&mut self, now: SimTime, client: ClientId, txn: TxnId, idx: usize) {
-        if P::serve_locally(self, now, client, txn, idx) {
+        if P::serve_locally(self, now, client, idx) {
             return;
         }
         let t = self.clients[client.index()].txn_mut();
         let (item, mode) = t.spec.access(idx);
         t.phase = ClientPhase::WaitingGrant(idx);
-        if self.faults_on {
+        if self.faults_on() {
             self.clients[client.index()].retry_progress();
         }
         self.emit(TraceKind::RequestSent.at(now, Some(txn), Some(item), client));
@@ -571,6 +574,40 @@ impl<P: Protocol> Kernel<P> {
                 client,
                 item,
                 mode: lock_mode(mode),
+            },
+        );
+    }
+
+    /// Grant the client's transaction access to `item` at `version`:
+    /// record the version, advance to the next access and think before
+    /// issuing it. `kind` reports the grant (`Granted`, or `CacheHit`
+    /// for a c-2PL read served from the cache).
+    pub(crate) fn grant_access(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        item: ItemId,
+        version: Version,
+        kind: TraceKind,
+    ) {
+        let c = &mut self.clients[client.index()];
+        let active = c.txn_mut();
+        let txn = active.id;
+        debug_assert_eq!(
+            active.spec.access(active.granted).0,
+            item,
+            "grant out of request order"
+        );
+        active.versions.push(version);
+        active.granted += 1;
+        active.phase = ClientPhase::Thinking;
+        let think = self.cfg.profile.draw_think(&mut c.time_rng);
+        self.emit(kind.at(now, Some(txn), Some(item), client));
+        self.cal.schedule_in(
+            think,
+            Ev::Timer {
+                client,
+                kind: TimerKind::ThinkDone(txn),
             },
         );
     }
@@ -594,7 +631,7 @@ impl<P: Protocol> Kernel<P> {
     /// Arm a retransmission timer for the client's current epoch and
     /// backoff level. No-op on a reliable network.
     pub(crate) fn arm_retry(&mut self, client: ClientId) {
-        if !self.faults_on {
+        if !self.faults_on() {
             return;
         }
         let c = &self.clients[client.index()];
@@ -734,18 +771,18 @@ impl<P: Protocol> Kernel<P> {
         // restarted) transaction as victim while its abort notice is
         // still in flight; the oracle status resolves the race in favour
         // of the abort, exactly as the server already decided it.
-        if self.faults_on && self.table.status(txn) != TxnStatus::Active {
+        if self.faults_on() && self.table.status(txn) != TxnStatus::Active {
             P::finalize_abort(self, now, client, txn);
             return;
         }
-        if self.faults_on && !self.clients[client.index()].pending_commits.is_empty() {
+        if self.faults_on() && !self.clients[client.index()].pending_commits.is_empty() {
             return; // voting round already under way; acks drive progress
         }
         if !P::commit_ready(self, txn) {
             self.clients[client.index()].txn_mut().phase = ClientPhase::CommitWait;
             return;
         }
-        if self.srv_faults_on {
+        if self.srv_faults_on() {
             let involved = self.involved(client);
             if involved.count_ones() > 1 {
                 self.begin_prepare(client, txn, involved);
@@ -774,16 +811,11 @@ impl<P: Protocol> Kernel<P> {
         let active = self.clients[client.index()].txn_mut();
         debug_assert_eq!(active.id, txn);
         active.phase = ClientPhase::CommitWait;
-        let mut by_shard: BTreeMap<u32, Vec<(ItemId, Version)>> = BTreeMap::new();
-        for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
-            let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
-            if P::SERVER_BASED && mode == AccessMode::Write {
-                slot.push((item, active.versions[idx] + 1));
-            }
-        }
-        let prepares = by_shard
+        let prepares = self
+            .commit_slices(self.clients[client.index()].txn())
             .into_iter()
-            .map(|(shard, writes)| {
+            .map(|(shard, (writes, _))| {
+                let writes = if P::SERVER_BASED { writes } else { Vec::new() };
                 let prepare = Message::Prepare {
                     txn,
                     writes,
@@ -798,41 +830,57 @@ impl<P: Protocol> Kernel<P> {
 
     /// A shard's yes vote arrived at the coordinating client.
     fn on_prepare_ack(&mut self, now: SimTime, client: ClientId, txn: TxnId, shard: u32) {
-        let c = &mut self.clients[client.index()];
-        let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-            *s == shard && matches!(m, Message::Prepare { txn: t, .. } if *t == txn)
-        }) else {
-            return; // duplicate ack of an already-counted vote
-        };
-        c.pending_commits.remove(pos);
-        c.retry_progress();
-        if !c.pending_commits.is_empty() {
-            // Other shards still owe votes: keep retransmitting their
-            // prepares from a fresh backoff.
-            self.arm_retry(client);
-            return;
+        let acked = |m: &Message| matches!(m, Message::Prepare { txn: t, .. } if *t == txn);
+        if self.retire_pending(client, shard, acked) {
+            P::votes_in(self, now, client, txn);
         }
-        P::votes_in(self, now, client, txn);
     }
 
     /// A shard acknowledged its commit-release slice; the next
     /// transaction starts once every slice is acknowledged.
     fn on_commit_ack(&mut self, client: ClientId, txn: TxnId, shard: u32) {
+        let acked = |m: &Message| matches!(m, Message::SCommit { txn: t, .. } if *t == txn);
+        if self.retire_pending(client, shard, acked) {
+            self.schedule_next_txn(client);
+        }
+    }
+
+    /// Retire the client's pending commit-phase message to `shard` that
+    /// `acked` matches. True when it was the last one outstanding; while
+    /// other shards still owe answers, their messages retransmit from a
+    /// fresh backoff. False for a duplicate ack, which finds nothing.
+    fn retire_pending(
+        &mut self,
+        client: ClientId,
+        shard: u32,
+        acked: impl Fn(&Message) -> bool,
+    ) -> bool {
         let c = &mut self.clients[client.index()];
-        let Some(pos) = c.pending_commits.iter().position(|(s, m)| {
-            *s == shard && matches!(m, Message::SCommit { txn: t, .. } if *t == txn)
-        }) else {
-            return; // duplicate ack of an older commit slice
+        let Some(pos) = c
+            .pending_commits
+            .iter()
+            .position(|(s, m)| *s == shard && acked(m))
+        else {
+            return false;
         };
         c.pending_commits.remove(pos);
         c.retry_progress();
         if c.pending_commits.is_empty() {
-            self.schedule_next_txn(client);
-        } else {
-            // Other shards still owe acks: keep retransmitting their
-            // slices from a fresh backoff.
-            self.arm_retry(client);
+            return true;
         }
+        self.arm_retry(client);
+        false
+    }
+
+    /// Take the client's committing transaction `txn` out of its slot.
+    pub(crate) fn take_committing(&mut self, client: ClientId, txn: TxnId) -> ActiveTxn {
+        let active = self.clients[client.index()]
+            .txn
+            .take()
+            // lint:allow(L3): commit is only reachable from a client with an active txn
+            .expect("committing client has a transaction");
+        debug_assert_eq!(active.id, txn);
+        active
     }
 
     /// Record a commit decided at `client`: response time and the
@@ -879,7 +927,7 @@ impl<P: Protocol> Kernel<P> {
     /// Group a committed transaction's accesses by owning shard, in
     /// ascending shard order: one commit/release slice per home (§3.1's
     /// single message, per home).
-    pub(crate) fn commit_slices(&self, active: &ActiveTxn) -> BTreeMap<u32, ShardCommitGroup> {
+    fn commit_slices(&self, active: &ActiveTxn) -> BTreeMap<u32, ShardCommitGroup> {
         let mut by_shard: BTreeMap<u32, ShardCommitGroup> = BTreeMap::new();
         for (idx, &(item, mode)) in active.spec.accesses.iter().enumerate() {
             let slot = by_shard.entry(self.cfg.shard_of(item)).or_default();
@@ -891,14 +939,21 @@ impl<P: Protocol> Kernel<P> {
         by_shard
     }
 
-    /// The client's WAL records of a commit: one update per write, then
-    /// the commit record — the coordinator's durable decision record.
-    pub(crate) fn log_commit(
+    /// Ship a server-based engine's commit decided at `client`: the
+    /// client's WAL records (one update per write, then the commit
+    /// record, the coordinator's durable decision record), then one
+    /// commit-release slice per involved shard, in parallel. The caller
+    /// arms the retry. Returns the `Committed` event for the engine to
+    /// emit.
+    pub(crate) fn ship_commit(
         &mut self,
+        now: SimTime,
         client: ClientId,
-        txn: TxnId,
-        slices: &BTreeMap<u32, ShardCommitGroup>,
-    ) {
+        active: &ActiveTxn,
+    ) -> TraceEvent {
+        let txn = active.id;
+        let slices = self.commit_slices(active);
+        let committed = self.record_commit(now, client, active, slices.len() as u32);
         if let Some(wal) = &mut self.wal {
             let log = &mut wal[client.index()];
             for (writes, _) in slices.values() {
@@ -913,28 +968,19 @@ impl<P: Protocol> Kernel<P> {
             }
             log.append(LogRecord::Commit { txn });
         }
-    }
-
-    /// Ship every shard its commit-release slice (the caller arms the
-    /// retry).
-    pub(crate) fn send_commit_slices(
-        &mut self,
-        client: ClientId,
-        txn: TxnId,
-        slices: BTreeMap<u32, ShardCommitGroup>,
-    ) {
         let releases = slices
             .into_iter()
             .map(|(shard, (writes, reads))| (shard, Message::SCommit { txn, writes, reads }))
             .collect();
         self.send_commit_phase(client, releases);
+        committed
     }
 
     /// Send each involved shard its commit-phase message — a prepare or a
     /// commit-release slice. Under faults the messages also become the
     /// client's pending commit, retransmitted until each shard answers.
     fn send_commit_phase(&mut self, client: ClientId, msgs: Vec<(u32, Message)>) {
-        if self.faults_on {
+        if self.faults_on() {
             let c = &mut self.clients[client.index()];
             c.retry_progress();
             c.pending_commits.clone_from(&msgs);
@@ -958,7 +1004,7 @@ impl<P: Protocol> Kernel<P> {
         let active = c.txn.take()?;
         c.pending_commits
             .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.faults_on {
+        if self.net.faults.is_some() {
             c.retry_progress();
         }
         self.collector.on_abort(active.spec.is_read_only());
@@ -1126,13 +1172,11 @@ impl<P: Protocol> Kernel<P> {
     /// cannot log the release — it learns the outcome at restart through
     /// its commit queries instead.
     pub(crate) fn retire_victim(&mut self, victim: TxnId) {
-        if self.srv_faults_on {
+        if let Some(slogs) = &mut self.slog {
             let voted = self.prepared.get(victim.index()).copied().unwrap_or(0);
-            if let Some(slogs) = &mut self.slog {
-                for (s, slog) in slogs.iter_mut().enumerate() {
-                    if !self.fault_state[s].down && (P::SERVER_BASED || voted & (1u64 << s) != 0) {
-                        slog.append(ServerRecord::Released { txn: victim });
-                    }
+            for (s, slog) in slogs.iter_mut().enumerate() {
+                if !self.fault_state[s].down && (P::SERVER_BASED || voted & (1u64 << s) != 0) {
+                    slog.append(ServerRecord::Released { txn: victim });
                 }
             }
             // Down shards hold no bit: a crash clears it, and restart
@@ -1383,10 +1427,10 @@ impl<P: Protocol> Kernel<P> {
     /// Close shard `shard`'s re-registration handshake: resolve any
     /// still-in-doubt prepared votes through the commit oracle (the
     /// coordinator's decision record, which the surviving peers answer
-    /// queries from), let the engine rebuild its grants or forward lists
-    /// from the image, resume normal service, then let the engine act on
-    /// what it rebuilt (redispatch; abort the active transactions of
-    /// clients that never answered, presumed dead).
+    /// queries from), resume normal service, then let the engine rebuild
+    /// its grants or forward lists from the image and act on them
+    /// (redispatch; abort the active transactions of clients that never
+    /// answered, presumed dead).
     fn finish_recovery(&mut self, now: SimTime, shard: usize) {
         debug_assert!(self.fault_state[shard].recovering);
         // In-doubt votes first, so the rebuild sees the final applied
@@ -1409,10 +1453,9 @@ impl<P: Protocol> Kernel<P> {
             .take()
             // lint:allow(L3): the image exists from restart until the handshake closes
             .expect("recovery image");
-        let rebuilt = P::rebuild(self, now, shard, img);
         self.fault_state[shard].recovering = false;
         self.emit(TraceKind::ServerRecovered.at(now, None, None, SiteId::server(shard as u32)));
-        P::resume(self, now, rebuilt);
+        P::recover(self, now, shard, img);
     }
 
     /// Positive commit evidence arrived for an in-doubt prepared vote at

@@ -23,12 +23,13 @@
 //! (`S2plEngine = Kernel<S2pl>`, and so on). The kernel owns what the
 //! engines share: the event loop over a [`g2pl_simcore::Calendar`] of
 //! message deliveries and timers, client requests and retransmission,
-//! client crash and restart, shard crash and recovery, and the
-//! presumed-abort two-phase commitment of multi-home transactions. An
-//! engine keeps only what differs — its messages, what its clients
-//! re-report, how it rebuilds grants or forward lists after a crash, and
-//! its commit point — plus the transaction status changes the
-//! state-machine lint reads. c-2PL reuses s-2PL's lock server
+//! the client's side of every grant, client crash and restart, shard
+//! crash and recovery, the commit's WAL records and release slices, and
+//! the presumed-abort two-phase commitment of multi-home transactions.
+//! An engine keeps only what differs — its messages, what its clients
+//! re-report, how it rebuilds grants or forward lists after a crash (one
+//! `Protocol::recover` hook), and its commit point — plus the
+//! transaction status changes the state-machine lint reads. c-2PL reuses s-2PL's lock server
 //! ([`s2pl::ServerLocking`]) and adds caching. The shared vocabulary
 //! (messages, events, client state, the transaction table) lives in
 //! [`runtime`]. Given the same [`EngineConfig`] and seed, every engine is

@@ -670,20 +670,21 @@ impl ShardFaultState {
     }
 }
 
-/// The server-side lease period for a fault plan: how long a checkout or
-/// an idle transaction may show no progress before its holder is presumed
-/// dead. Defaults to a generous multiple of the nominal one-way latency
-/// so that ordinary round trips, think times, and a few retransmissions
+/// The server-side lease period under a fault plan: how long a checkout
+/// or an idle transaction may show no progress before its holder is
+/// presumed dead. A generous multiple of the nominal one-way latency, so
+/// that ordinary round trips, think times, and a few retransmissions
 /// never trip it.
-pub fn lease_period(plan: &FaultPlan, nominal: u64) -> SimTime {
-    SimTime::new(plan.lease_timeout.unwrap_or(64 * nominal.max(1) + 256))
+pub fn lease_period(nominal: u64) -> SimTime {
+    SimTime::new(64 * nominal.max(1) + 256)
 }
 
-/// The client-side base retransmission delay for a fault plan: a little
-/// over one round trip, so a retry only fires once the original reply is
-/// overdue. Doubles per attempt (see [`ClientCore::retry_backoff`]).
-pub fn retry_period(plan: &FaultPlan, nominal: u64) -> SimTime {
-    SimTime::new(plan.retry_base.unwrap_or(4 * nominal.max(1) + 16))
+/// The client-side base retransmission delay under a fault plan: a
+/// little over one round trip, so a retry only fires once the original
+/// reply is overdue. Doubles per attempt (see
+/// [`ClientCore::retry_backoff`]).
+pub fn retry_period(nominal: u64) -> SimTime {
+    SimTime::new(4 * nominal.max(1) + 16)
 }
 
 /// Lifecycle status of a transaction.

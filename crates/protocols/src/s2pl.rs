@@ -40,7 +40,7 @@
 use crate::config::EngineConfig;
 use crate::cycle::CycleFinder;
 use crate::kernel::{Kernel, Protocol};
-use crate::runtime::{ClientPhase, Ev, LockReport, Message, TimerKind, TxnStatus};
+use crate::runtime::{ClientPhase, Ev, LockReport, Message, TxnStatus};
 use g2pl_lockmgr::{AcquireOutcome, LockMode, LockTable};
 use g2pl_obs::TraceKind;
 use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, TxnId, Version};
@@ -201,7 +201,6 @@ impl ServerLocking for S2pl {
 impl Protocol for S2pl {
     const NAME: &'static str = "s-2PL";
     const SERVER_BASED: bool = true;
-    type Rebuilt = Vec<TxnId>;
 
     fn new(cfg: &EngineConfig) -> Self {
         S2pl::with_config(cfg)
@@ -228,25 +227,16 @@ impl Protocol for S2pl {
     /// is the coordinator's durable decision record, and the
     /// commit-release slices retransmit until every shard applies.
     fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
-        let active = k.clients[client.index()]
-            .txn
-            .take()
-            // lint:allow(L3): commit is only reachable from a client with an active txn
-            .expect("committing client has a transaction");
-        debug_assert_eq!(active.id, txn);
+        let active = k.take_committing(client, txn);
         k.table.set_status(txn, TxnStatus::Committed);
-        // One commit/release round trip per involved shard, in parallel.
-        let slices = k.commit_slices(&active);
-        let committed = k.record_commit(now, client, &active, slices.len() as u32);
-        k.emit(committed);
-        k.log_commit(client, txn, &slices);
         // Commit durability under loss: each shard's release retransmits
         // until that shard acknowledges, and the last ack starts the next
         // transaction. Without faults it is scheduled right away.
-        if !k.faults_on {
+        if !k.faults_on() {
             k.schedule_next_txn(client);
         }
-        k.send_commit_slices(client, txn, slices);
+        let committed = k.ship_commit(now, client, &active);
+        k.emit(committed);
         k.arm_retry(client);
     }
 
@@ -254,15 +244,10 @@ impl Protocol for S2pl {
     /// notice, or — under faults — when the client discovers the abort
     /// on its own (restart after a crash, or a commit racing the notice).
     fn finalize_abort(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
-        if k.clients[client.index()]
-            .txn
-            .as_ref()
-            .is_none_or(|a| a.id != txn)
-        {
+        if k.end_aborted_txn(client, txn).is_none() {
             return;
         }
         k.table.set_status(txn, TxnStatus::Aborted);
-        k.end_aborted_txn(client, txn);
         k.emit(TraceKind::Aborted.at(now, Some(txn), None, client));
         k.schedule_next_txn(client);
     }
@@ -291,12 +276,8 @@ impl Protocol for S2pl {
         k.restore_versions(img);
     }
 
-    fn rebuild(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) -> Vec<TxnId> {
-        k.restore_grants_from(now, shard, &img)
-    }
-
-    fn resume(k: &mut Kernel<Self>, now: SimTime, silent: Vec<TxnId>) {
-        k.abort_silent(now, silent);
+    fn recover(k: &mut Kernel<Self>, now: SimTime, shard: usize, img: ServerImage) {
+        k.recover_grants(now, shard, &img);
     }
 
     fn apply_committed(
@@ -358,9 +339,9 @@ impl<P: ServerLocking> Kernel<P> {
         item: ItemId,
         version: Version,
     ) {
-        let faults_on = self.faults_on;
+        let faults_on = self.faults_on();
         let c = &mut self.clients[client.index()];
-        let Some(active) = &mut c.txn else { return };
+        let Some(active) = &c.txn else { return };
         if active.id != txn {
             return; // grant for a finished transaction
         }
@@ -371,21 +352,10 @@ impl<P: ServerLocking> Kernel<P> {
             debug_assert!(faults_on, "unexpected duplicate grant");
             return;
         }
-        active.versions.push(version);
-        active.granted += 1;
-        active.phase = ClientPhase::Thinking;
         if faults_on {
             c.retry_progress();
         }
-        let think = self.cfg.profile.draw_think(&mut c.time_rng);
-        self.emit(TraceKind::Granted.at(now, Some(txn), Some(item), client));
-        self.cal.schedule_in(
-            think,
-            Ev::Timer {
-                client,
-                kind: TimerKind::ThinkDone(txn),
-            },
-        );
+        self.grant_access(now, client, item, version, TraceKind::Granted);
     }
 
     /// The lock-server messages a shard handles.
@@ -420,7 +390,7 @@ impl<P: ServerLocking> Kernel<P> {
         );
         match self.table.status(txn) {
             TxnStatus::Active => {}
-            TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on => {
+            TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on() => {
                 // A retried request from a victim whose abort notice may
                 // have been lost: answer it again.
                 self.send_abort_notice(SiteId::server(shard as u32), client, txn);
@@ -428,7 +398,7 @@ impl<P: ServerLocking> Kernel<P> {
             }
             _ => return, // stale request of a finished transaction
         }
-        if self.faults_on {
+        if self.faults_on() {
             self.touch(now, txn);
             if self.p.locking().locks[shard].mode_of(txn, item).is_some() {
                 // Duplicate of an already-granted request (the grant or
@@ -468,7 +438,7 @@ impl<P: ServerLocking> Kernel<P> {
         reads: &[ItemId],
     ) {
         let committer = self.table.info(txn).client;
-        if self.faults_on {
+        if self.faults_on() {
             // Duplicate commit-release slice (already applied at this
             // shard): the ack was lost, so just acknowledge again. Each
             // shard's bit of the applied set is durable — it survives
@@ -482,7 +452,7 @@ impl<P: ServerLocking> Kernel<P> {
             }
         }
         self.install_slice(shard, txn, writes);
-        let faults_on = self.faults_on;
+        let faults_on = self.faults_on();
         self.p.slice_applied(committer, writes, reads, faults_on);
         if self.prepared_at(txn, shard) {
             // Phase 2 of a prepared multi-home commit landed: the vote is
@@ -491,7 +461,7 @@ impl<P: ServerLocking> Kernel<P> {
         }
         self.emit(TraceKind::ReleaseArrived.at(now, Some(txn), None, SiteId::server(shard as u32)));
         self.release_locks(now, shard, txn);
-        if self.faults_on {
+        if faults_on {
             self.send_commit_ack(shard, committer, txn);
         }
     }
@@ -503,7 +473,7 @@ impl<P: ServerLocking> Kernel<P> {
     pub(crate) fn install_slice(&mut self, shard: usize, txn: TxnId, writes: &[(ItemId, Version)]) {
         let committer = self.table.info(txn).client;
         self.mark_applied(txn, shard);
-        if self.srv_faults_on {
+        if self.srv_faults_on() {
             let slog = self.slog(shard);
             slog.append(ServerRecord::Committed { txn });
             for &(item, version) in writes {
@@ -552,7 +522,7 @@ impl<P: ServerLocking> Kernel<P> {
 
     pub(crate) fn send_grant(&mut self, now: SimTime, client: ClientId, txn: TxnId, item: ItemId) {
         let shard = self.cfg.shard_of(item) as usize;
-        if self.srv_faults_on {
+        if self.srv_faults_on() {
             // Write-ahead: the grant is durable before it leaves.
             let exclusive = matches!(
                 self.p.locking().locks[shard].mode_of(txn, item),
@@ -678,13 +648,8 @@ impl<P: ServerLocking> Kernel<P> {
     }
 
     /// Restore every outstanding durable grant whose owner still needs
-    /// it; returns the silent clients' transactions, presumed dead.
-    pub(crate) fn restore_grants_from(
-        &mut self,
-        now: SimTime,
-        shard: usize,
-        img: &ServerImage,
-    ) -> Vec<TxnId> {
+    /// it, then abort the silent clients' transactions, presumed dead.
+    pub(crate) fn recover_grants(&mut self, now: SimTime, shard: usize, img: &ServerImage) {
         let mut silent_victims = Vec::new();
         for (&txn, items) in &img.grants {
             let client = self.table.info(txn).client;
@@ -717,12 +682,7 @@ impl<P: ServerLocking> Kernel<P> {
                 TxnStatus::Aborting | TxnStatus::Aborted => {}
             }
         }
-        silent_victims
-    }
-
-    /// The silent clients' transactions are presumed dead: abort them.
-    pub(crate) fn abort_silent(&mut self, now: SimTime, silent: Vec<TxnId>) {
-        for txn in silent {
+        for txn in silent_victims {
             self.fsum.two_pc.silent_victims += 1;
             P::abort_victim(self, now, txn);
         }
