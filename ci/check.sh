@@ -142,6 +142,13 @@ echo "==> chaos smoke (randomized fault-plan search with shrinking, shard-aware)
 # a minimal shrunk reproducer command line if any trial breaks.
 cargo run -q --release -p g2pl-bench --bin chaos -- --trials 6 --seed 1
 
+echo "==> dev-profile g-2PL chaos smoke (every skipped deadlock search re-run)"
+# The release smoke above compiles the skip rules' cross-check out. A
+# dev build re-runs every deadlock search a g-2PL skip rule skipped and
+# panics if it finds a cycle; random fault plans reach the lease,
+# recovery and hold re-base paths the fixed tests may not (~1 s).
+cargo run -q -p g2pl-bench --bin chaos -- --trials 200 --seed 1 --engine g2pl
+
 echo "==> multi-shard chaos smoke (seeded repro: crash a non-zero shard mid-run)"
 # One pinned multi-shard case per engine: 4 fault domains, 30% multi-home
 # transactions, shard 2 crashed mid multi-home commitment plus an

@@ -9,6 +9,12 @@
 //! `T49 -[rw x22 v5->v6]-> T52 -[rw x23 v6->v7]-> T49`), and the
 //! restarted client re-reported its unpinned cached reads as server
 //! grants.
+//!
+//! The g-2PL case pins a deadlock search its dispatch-time skip rule
+//! must not skip: a shard's recovery re-dispatches a list one of whose
+//! members has a request pending on another item, and the search from
+//! the new list finds a cycle through that request. Dev builds re-run
+//! every skipped search and panic if it finds a cycle.
 
 use g2pl_bench::chaos::{parse_case, run_case};
 
@@ -36,4 +42,14 @@ fn c2pl_client_crash_keeps_its_current_transactions_cache_reads() {
         })
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn g2pl_redispatch_with_a_pending_member_searches() {
+    let flags = "--engine g2pl --seed 3810609244 --server-crash 0:2211:187:0 --shards 2";
+    let args: Vec<String> = flags.split_whitespace().map(String::from).collect();
+    let case = parse_case(&args).unwrap_or_else(|e| panic!("{flags}: {e}"));
+    if let Err(e) = run_case(&case) {
+        panic!("{flags}\n  {e}");
+    }
 }

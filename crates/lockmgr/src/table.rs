@@ -45,16 +45,23 @@ impl ItemLock {
 /// assumes when it says conflicting requests are "enqueued").
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
-    /// Lock state per item, indexed by `ItemId::index()` (item ids are
-    /// dense, so the slab sweep below visits items in ascending id order —
-    /// the same order the previous `BTreeMap` representation produced).
+    /// Lock state per item, indexed by `ItemId::index()`.
     items: Slab<ItemLock>,
     /// Items held per transaction (in acquisition order), indexed by
     /// `TxnId::index()`.
     held: Slab<Vec<ItemId>>,
-    /// Reverse index: the item each transaction is queued on (at most one
-    /// under the sequential client model; the most recent wins otherwise).
+    /// Reverse index: the item each transaction most recently queued on,
+    /// while its request is still queued there (at most one item under
+    /// the sequential client model).
     queued: Slab<Option<ItemId>>,
+    /// `(txn, item)` for each queued request whose `queued` slot a later
+    /// queueing of the same transaction took over. Empty unless one
+    /// transaction queues on several items at once, which the engines'
+    /// sequential clients never do; entries may outlive their request.
+    displaced: Vec<(TxnId, ItemId)>,
+    /// Reusable buffer of [`release_all`](Self::release_all)'s candidate
+    /// items.
+    candidates: Vec<ItemId>,
 }
 
 impl LockTable {
@@ -82,7 +89,7 @@ impl LockTable {
                 return AcquireOutcome::Granted;
             }
             lock.queue.push_front((txn, mode));
-            *self.queued.ensure(txn.index()) = Some(item);
+            self.note_queued(txn, item);
             return AcquireOutcome::Queued;
         }
 
@@ -92,8 +99,18 @@ impl LockTable {
             AcquireOutcome::Granted
         } else {
             lock.queue.push_back((txn, mode));
-            *self.queued.ensure(txn.index()) = Some(item);
+            self.note_queued(txn, item);
             AcquireOutcome::Queued
+        }
+    }
+
+    /// Point `txn`'s `queued` slot at `item`, keeping the request the
+    /// slot named before, which is still queued, in `displaced`.
+    fn note_queued(&mut self, txn: TxnId, item: ItemId) {
+        if let Some(prev) = self.queued.ensure(txn.index()).replace(item) {
+            if prev != item {
+                self.displaced.push((txn, prev));
+            }
         }
     }
 
@@ -109,25 +126,35 @@ impl LockTable {
     /// order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(ItemId, TxnId, LockMode)> {
         let mut woken = Vec::new();
-        if let Some(q) = self.queued.get_mut(txn.index()) {
-            *q = None;
-        }
+        // Find the transaction's queued requests without visiting every
+        // item: a request queued at a queue's tail is named by its
+        // `queued` slot or in `displaced`, and an upgrade queues at the
+        // front of an item the transaction holds. Of these candidates,
+        // in ascending item order, keep the items whose queue still holds
+        // the transaction, so wake-ups follow ascending item order.
+        let mut queued_on = std::mem::take(&mut self.candidates);
+        queued_on.clear();
+        queued_on.extend(self.queued.get_mut(txn.index()).and_then(Option::take));
+        self.displaced.retain(|&(t, item)| {
+            if t == txn {
+                queued_on.push(item);
+            }
+            t != txn
+        });
+        queued_on.extend_from_slice(self.held_by(txn));
+        queued_on.sort_unstable();
+        queued_on.dedup();
+        queued_on.retain(|&item| {
+            self.items
+                .get(item.index())
+                .is_some_and(|l| l.queue.iter().any(|&(t, _)| t == txn))
+        });
         // Remove the transaction's queued requests FIRST: promoting a
         // released item before purging the queues could re-grant the
-        // finished transaction its own stale queued request. The item
-        // slab is indexed by the dense item id, so this sweep — and thus
-        // the wake-up order and the whole simulation — visits items in
-        // ascending id order, exactly as the previous `BTreeMap`
-        // representation did.
-        let mut queued_on: Vec<ItemId> = Vec::new();
-        for (i, lock) in self.items.iter() {
-            if lock.queue.iter().any(|&(t, _)| t == txn) {
-                queued_on.push(ItemId::new(i as u32));
-            }
-        }
+        // finished transaction its own stale queued request.
         for &item in &queued_on {
-            // lint:allow(L3): item came from the slab one statement ago
-            let lock = self.items.get_mut(item.index()).expect("just observed");
+            // lint:allow(L3): the retain above kept only items with lock state
+            let lock = self.items.get_mut(item.index()).expect("queued item");
             lock.queue.retain(|&(t, _)| t != txn);
         }
         let items = self
@@ -146,11 +173,12 @@ impl LockTable {
         }
         // The queue removals themselves can unblock requests queued
         // behind the departed transaction.
-        for item in queued_on {
-            // lint:allow(L3): item came from the slab in the sweep above
-            let lock = self.items.get_mut(item.index()).expect("just observed");
+        for &item in &queued_on {
+            // lint:allow(L3): the retain above kept only items with lock state
+            let lock = self.items.get_mut(item.index()).expect("queued item");
             Self::promote(&mut self.queued, &mut self.held, lock, item, &mut woken);
         }
+        self.candidates = queued_on;
         woken
     }
 
@@ -168,7 +196,12 @@ impl LockTable {
                 break;
             }
             lock.queue.pop_front();
-            *queued.ensure(t.index()) = None;
+            // A slot naming another item keeps naming a queued request.
+            if let Some(slot) = queued.get_mut(t.index()) {
+                if *slot == Some(item) {
+                    *slot = None;
+                }
+            }
             if let Some(pos) = lock.holders.iter().position(|&(h, _)| h == t) {
                 lock.holders[pos].1 = lock.holders[pos].1.max(m);
             } else {
@@ -493,6 +526,86 @@ mod tests {
         assert_eq!(lt.all_waiters(), vec![(t(2), x(0)), (t(4), x(1))]);
         lt.release_all(t(1));
         assert_eq!(lt.all_waiters(), vec![(t(4), x(1))]);
+    }
+
+    impl LockTable {
+        /// The release this table had before its candidate index: sweep
+        /// every item's queue for `txn`'s queued requests.
+        fn release_all_by_sweep(&mut self, txn: TxnId) -> Vec<(ItemId, TxnId, LockMode)> {
+            let mut woken = Vec::new();
+            if let Some(q) = self.queued.get_mut(txn.index()) {
+                *q = None;
+            }
+            let mut queued_on: Vec<ItemId> = Vec::new();
+            for (i, lock) in self.items.iter() {
+                if lock.queue.iter().any(|&(t, _)| t == txn) {
+                    queued_on.push(ItemId::new(i as u32));
+                }
+            }
+            for &item in &queued_on {
+                let lock = self.items.get_mut(item.index()).unwrap();
+                lock.queue.retain(|&(t, _)| t != txn);
+            }
+            let items = self
+                .held
+                .get_mut(txn.index())
+                .map(std::mem::take)
+                .unwrap_or_default();
+            for item in items {
+                let lock = self.items.get_mut(item.index()).unwrap();
+                lock.holders.retain(|&(t, _)| t != txn);
+                Self::promote(&mut self.queued, &mut self.held, lock, item, &mut woken);
+            }
+            for item in queued_on {
+                let lock = self.items.get_mut(item.index()).unwrap();
+                Self::promote(&mut self.queued, &mut self.held, lock, item, &mut woken);
+            }
+            woken
+        }
+
+        /// Everything a caller can observe of items `0..items` and
+        /// transactions `0..txns`.
+        fn observed(&self, txns: u32, items: u32) -> String {
+            let per_item: Vec<_> = (0..items)
+                .map(|i| {
+                    (
+                        self.holders(x(i)).to_vec(),
+                        self.waiters(x(i)).collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            let per_txn: Vec<_> = (0..txns)
+                .map(|i| (self.held_by(t(i)).to_vec(), self.queued_on(t(i))))
+                .collect();
+            format!("{per_item:?} {per_txn:?}")
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2_000))]
+
+        /// Random scripts of acquires and releases, re-acquires after a
+        /// release and queueing on several items at once included, leave
+        /// both releases with the same wake-ups and the same table.
+        #[test]
+        fn release_all_matches_the_full_sweep(
+            ops in proptest::collection::vec((0u32..8, 0u32..6, 0u32..4), 1..120)
+        ) {
+            let (mut fast, mut sweep) = (LockTable::new(), LockTable::new());
+            for (txn, item, op) in ops {
+                if op == 0 {
+                    let woken = fast.release_all(t(txn));
+                    proptest::prop_assert_eq!(woken, sweep.release_all_by_sweep(t(txn)));
+                } else {
+                    let mode = if op == 1 { Exclusive } else { Shared };
+                    proptest::prop_assert_eq!(
+                        fast.acquire(t(txn), x(item), mode),
+                        sweep.acquire(t(txn), x(item), mode)
+                    );
+                }
+                proptest::prop_assert_eq!(fast.observed(8, 6), sweep.observed(8, 6));
+            }
+        }
     }
 
     #[test]

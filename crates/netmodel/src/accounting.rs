@@ -8,7 +8,6 @@
 
 use g2pl_simcore::SiteId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Direction class of a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -43,8 +42,11 @@ impl Direction {
 pub struct NetAccounting {
     total_messages: u64,
     total_bytes: u64,
-    by_direction: BTreeMap<Direction, u64>,
-    by_kind: BTreeMap<&'static str, u64>,
+    /// Messages per [`Direction`], indexed by its discriminant.
+    by_direction: [u64; 4],
+    /// Messages per kind label, in label order. A run sees a few dozen
+    /// labels at most, so a short sorted table beats a map.
+    by_kind: Vec<(&'static str, u64)>,
 }
 
 impl NetAccounting {
@@ -58,11 +60,29 @@ impl NetAccounting {
     pub fn record(&mut self, from: SiteId, to: SiteId, kind: &'static str, size_bytes: u64) {
         self.total_messages += 1;
         self.total_bytes += size_bytes;
-        *self
-            .by_direction
-            .entry(Direction::of(from, to))
-            .or_insert(0) += 1;
-        *self.by_kind.entry(kind).or_insert(0) += 1;
+        self.by_direction[Direction::of(from, to) as usize] += 1;
+        *self.kind_count(kind) += 1;
+    }
+
+    /// The counter of `kind`, inserted at its label-order place on first
+    /// sight. Labels are string literals, so the same label is almost
+    /// always the same pointer: compare pointers first, labels second.
+    fn kind_count(&mut self, kind: &'static str) -> &mut u64 {
+        let at = match self
+            .by_kind
+            .iter()
+            .position(|&(k, _)| std::ptr::eq(k, kind))
+        {
+            Some(at) => at,
+            None => match self.by_kind.binary_search_by(|&(k, _)| k.cmp(kind)) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.by_kind.insert(at, (kind, 0));
+                    at
+                }
+            },
+        };
+        &mut self.by_kind[at].1
     }
 
     /// Total messages sent.
@@ -77,17 +97,19 @@ impl NetAccounting {
 
     /// Messages sent in a given direction class.
     pub fn in_direction(&self, d: Direction) -> u64 {
-        self.by_direction.get(&d).copied().unwrap_or(0)
+        self.by_direction[d as usize]
     }
 
     /// Messages with a given kind label.
     pub fn of_kind(&self, kind: &str) -> u64 {
-        self.by_kind.get(kind).copied().unwrap_or(0)
+        self.by_kind
+            .binary_search_by(|&(k, _)| k.cmp(kind))
+            .map_or(0, |at| self.by_kind[at].1)
     }
 
     /// All kind labels seen, with counts, in label order.
     pub fn kinds(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.by_kind.iter().map(|(&k, &v)| (k, v))
+        self.by_kind.iter().copied()
     }
 
     /// Fraction of messages that travelled client → client.
@@ -103,11 +125,11 @@ impl NetAccounting {
     pub fn merge(&mut self, other: &NetAccounting) {
         self.total_messages += other.total_messages;
         self.total_bytes += other.total_bytes;
-        for (&d, &c) in &other.by_direction {
-            *self.by_direction.entry(d).or_insert(0) += c;
+        for (mine, theirs) in self.by_direction.iter_mut().zip(other.by_direction) {
+            *mine += theirs;
         }
-        for (&k, &c) in &other.by_kind {
-            *self.by_kind.entry(k).or_insert(0) += c;
+        for &(k, c) in &other.by_kind {
+            *self.kind_count(k) += c;
         }
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests of the network models.
 
+use g2pl_netmodel::accounting::Direction;
 use g2pl_netmodel::{LatencyCfg, NetAccounting, NetworkEnv};
 use g2pl_simcore::{ClientId, SimTime, SiteId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn site(raw: u32, clients: u32) -> SiteId {
     if raw.is_multiple_of(clients + 1) {
@@ -49,6 +51,42 @@ proptest! {
         prop_assert_eq!(acct.bytes(), bytes);
         prop_assert!(acct.client_to_client_share() >= 0.0);
         prop_assert!(acct.client_to_client_share() <= 1.0);
+    }
+
+    /// Per-kind and per-direction counts, merged or not, equal a map
+    /// keyed by label text and by direction, and `kinds()` lists labels
+    /// in text order, even when one label text comes from two strings.
+    #[test]
+    fn accounting_matches_a_map_model(
+        msgs in proptest::collection::vec((0u32..10, 0u32..10, 0usize..6, any::<bool>()), 0..120)
+    ) {
+        let other_grant: &'static str = Box::leak(String::from("grant").into_boxed_str());
+        let labels = ["grant", "data", "abort_notice", "zeta", "a", other_grant];
+        let (mut one, mut two) = (NetAccounting::new(), NetAccounting::new());
+        let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut dirs: BTreeMap<Direction, u64> = BTreeMap::new();
+        for &(from, to, label, first) in &msgs {
+            let (from, to) = (site(from, 9), site(to, 9));
+            let acct = if first { &mut one } else { &mut two };
+            acct.record(from, to, labels[label], 1);
+            *kinds.entry(labels[label]).or_insert(0) += 1;
+            *dirs.entry(Direction::of(from, to)).or_insert(0) += 1;
+        }
+        one.merge(&two);
+        let got: Vec<(&str, u64)> = one.kinds().collect();
+        let want: Vec<(&str, u64)> = kinds.iter().map(|(&k, &c)| (k, c)).collect();
+        prop_assert_eq!(got, want);
+        for label in labels.iter().chain(&["missing"]) {
+            prop_assert_eq!(one.of_kind(label), kinds.get(label).copied().unwrap_or(0));
+        }
+        for d in [
+            Direction::ClientToServer,
+            Direction::ServerToClient,
+            Direction::ClientToClient,
+            Direction::ServerToServer,
+        ] {
+            prop_assert_eq!(one.in_direction(d), dirs.get(&d).copied().unwrap_or(0));
+        }
     }
 
     /// `NetworkEnv::nearest` returns the true nearest environment.

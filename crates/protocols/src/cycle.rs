@@ -1,11 +1,16 @@
 //! Reusable lazy cycle search over implicit waits-for relations.
 //!
 //! Deadlock detection is started whenever a request cannot be granted
-//! (§4). s-2PL and c-2PL skip the search when nothing can wait for the
-//! blocked transaction (see `ServerLocking::detect_deadlocks`); every
-//! search that does run goes through this finder. The DFS allocates
-//! nothing on the steady state: visited colours live in an
-//! epoch-stamped slab indexed by the dense `TxnId` (bumping the epoch
+//! (§4). Every engine skips the searches that cannot find a cycle,
+//! because every cycle is broken where it forms, so a new cycle must use
+//! an edge just added: s-2PL and c-2PL when nothing can wait for the
+//! blocked transaction (see `ServerLocking::detect_deadlocks`), g-2PL at
+//! a request when nothing waits for the requester, and at a window close
+//! when no member of the new list waits off it (see the g-2PL module
+//! doc). Every search that does run goes through this finder.
+//!
+//! The DFS allocates nothing on the steady state: visited colours live in
+//! an epoch-stamped slab indexed by the dense `TxnId` (bumping the epoch
 //! invalidates every mark in O(1) — no clearing sweep), successor lists
 //! are stored in one arena that grows and shrinks with the DFS stack,
 //! and the discovered cycle is returned as a slice of the internal path

@@ -27,6 +27,45 @@
 //! paper highlights — are *detected* on a waits-for graph built from the
 //! item states and resolved by aborting a victim.
 //!
+//! The graph has two kinds of edge, both read lazily (`waits_of_into`):
+//! a request pending in an item's window waits for every uncompleted live
+//! entry of the item's dispatched list, and a live entry whose gates have
+//! not all passed waits for every uncompleted live entry before its
+//! segment (a reader skips its own group). Edges appear only when a
+//! request queues, when a list is dispatched, when read expansion joins a
+//! list, and when a hold is re-based (below); everything else — grants,
+//! gate messages, completions, aborts, commits — only removes edges.
+//! Searches run at the first two events, from every transaction a new
+//! edge leaves, and break every cycle they reach. So every cycle is
+//! broken where it forms, the graph is acyclic between events, and a new
+//! cycle must use an edge the event just added. Two kinds of search
+//! therefore find nothing, and are skipped:
+//!
+//! * **At a request.** Every new edge leaves the requester T, so a new
+//!   cycle passes through T and needs an edge into it. Only two edges can
+//!   enter T, both at an item where T has an uncompleted entry: from a
+//!   live request in that item's window, and from an uncompleted live
+//!   entry past T's segment whose gates have not all passed. When no item
+//!   of T has either, the search is skipped.
+//! * **At a dispatch.** The new edges leave members of the new list
+//!   (toward their predecessors on it) or requests still in the item's
+//!   window (toward members). When no live member has a request pending
+//!   and every other uncompleted entry of each live member has passed its
+//!   gates, a member's only edges lead to members nearer the list's head:
+//!   every path from a member stays on the list and ends, so no cycle
+//!   contains a member, and every new edge has one at an end. The search
+//!   from every start is skipped.
+//!
+//! The premise fails in two places. Read expansion joins a list without
+//! a search, so runs with `expand_reads` never skip. Under faults, a hold
+//! re-based onto a redispatched list has its gates reset, which can give
+//! its transaction edges no search saw, all leaving it: a search from it
+//! that acts on nothing checks that they closed no cycle, and if they
+//! did, the run searches from every start from then on, as it would
+//! without the skip rules. Skips change no victim: each live start still
+//! counts as a search, and debug builds run every skipped search and
+//! assert that it finds nothing.
+//!
 //! ## Abort semantics
 //!
 //! The server's abort decision is authoritative at decision time: the
@@ -165,6 +204,16 @@ impl Hold {
     }
 }
 
+/// Which skip rule (see the module doc) proved a deadlock probe finds
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SkipRule {
+    /// Nothing waits for the transaction whose request just queued.
+    Request,
+    /// No member of the just-dispatched list waits off that list.
+    Dispatch,
+}
+
 /// The g-2PL simulation engine.
 pub type G2plEngine = Kernel<G2pl>;
 
@@ -179,10 +228,10 @@ pub struct G2pl {
     /// of its slot beats any keyed map.
     holds: Slab<Vec<(ItemId, Hold)>>,
     /// Reverse index: the items on whose *dispatched* forward list each
-    /// transaction still has an uncompleted entry, in push order. Drives
-    /// the lazy waits-for search without rebuilding a global graph per
-    /// event.
-    entries_of: Slab<Vec<ItemId>>,
+    /// transaction still has an uncompleted entry, with the entry's
+    /// position on that list, in push order. Drives the lazy waits-for
+    /// search without rebuilding a global graph per event.
+    entries_of: Slab<Vec<(ItemId, usize)>>,
     /// Per-client knowledge of dead forward-list entries, fed by GPrune
     /// multicasts; consulted when forwarding to skip aborted writers.
     /// Outer index = client, slab index = pruned txn, payload = items.
@@ -194,6 +243,12 @@ pub struct G2pl {
     finder: CycleFinder,
     /// Reusable buffer of probe starts for post-dispatch detection.
     start_scratch: Vec<TxnId>,
+    /// Whether every waits-for edge so far was added by an event that
+    /// searched from it, so the graph is acyclic between events and the
+    /// skip rules apply (see the module doc). False from the start with
+    /// read expansion; latched false by a hold re-base that re-opens a
+    /// passed gate.
+    every_edge_searched: bool,
     arrival_seq: u64,
     max_fl_len: usize,
     window_closes: u64,
@@ -246,6 +301,7 @@ impl Protocol for G2pl {
             panic!("G2plEngine requires a g-2PL configuration");
         };
         G2pl {
+            every_edge_searched: !opts.expand_reads,
             opts,
             items: (0..cfg.num_items())
                 .map(|_| ItemState {
@@ -406,7 +462,7 @@ impl Protocol for G2pl {
                     if k.p
                         .entries_of
                         .get(txn.index())
-                        .is_some_and(|v| v.contains(&item))
+                        .is_some_and(|v| v.iter().any(|&(i, _)| i == item))
                     {
                         return;
                     }
@@ -887,6 +943,12 @@ impl Kernel<G2pl> {
     /// from: the hold is re-based on the new list (keeping any grant the
     /// transaction already observed) so its gate accounting and its
     /// eventual forward follow the live list, not the dead one.
+    ///
+    /// Re-basing a hold whose gates had passed re-opens them, which can
+    /// give `txn` waits-for edges that no search has seen, all leaving
+    /// `txn`. A search from `txn` that acts on nothing tells whether they
+    /// closed a cycle; if they did, the skip rules are off for the rest
+    /// of the run (see the module doc).
     fn hold_or_insert(
         &mut self,
         item: ItemId,
@@ -896,6 +958,7 @@ impl Kernel<G2pl> {
         epoch: u64,
     ) -> &mut Hold {
         let v = self.p.holds.ensure(txn.index());
+        let mut reopened = false;
         let at = match v.iter().position(|(i, _)| *i == item) {
             Some(at) => {
                 if v[at].1.epoch < epoch {
@@ -903,6 +966,7 @@ impl Kernel<G2pl> {
                         self.net.faults.is_some(),
                         "epoch moved on a reliable network"
                     );
+                    reopened = v[at].1.gates_passed();
                     let mut nh = Hold::new(Rc::clone(fl), pos, epoch);
                     nh.granted = v[at].1.granted;
                     nh.forwarded = v[at].1.forwarded;
@@ -915,7 +979,18 @@ impl Kernel<G2pl> {
                 v.len() - 1
             }
         };
-        &mut v[at].1
+        if reopened && self.p.every_edge_searched {
+            // The fresh hold has passed no gate, so it has every edge the
+            // caller's update can leave it.
+            let mut finder = std::mem::take(&mut self.p.finder);
+            let this = &*self;
+            let acyclic = finder
+                .find_cycle(txn, |t, out| this.waits_of_into(t, out))
+                .is_none();
+            self.p.finder = finder;
+            self.p.every_edge_searched = acyclic;
+        }
+        &mut self.p.holds.ensure(txn.index())[at].1
     }
 
     // ---- client side ----
@@ -977,15 +1052,17 @@ impl Kernel<G2pl> {
             self.cfg.abort_effect == AbortEffect::Instant && status != TxnStatus::Committed;
 
         // Oracle completion flag for deadlock analysis; completing an
-        // entry is the progress the item lease watches for.
-        if let Some(out) = &mut self.p.items[item.index()].out {
-            if let Some(p) = out.fl.position_of(txn) {
+        // entry is the progress the item lease watches for. The entry
+        // index names the transaction's entry on the item's current list,
+        // if it has one (a hold of a superseded dispatch may not).
+        if let Some(v) = self.p.entries_of.get_mut(txn.index()) {
+            let entry = v.iter().find(|&&(i, _)| i == item);
+            if let (Some(&(_, p)), Some(out)) = (entry, &mut self.p.items[item.index()].out) {
+                debug_assert_eq!(out.fl.position_of(txn), Some(p), "stale entry index");
                 out.completed[p] = true;
                 out.last_progress = now;
             }
-        }
-        if let Some(v) = self.p.entries_of.get_mut(txn.index()) {
-            v.retain(|&i| i != item);
+            v.retain(|&(i, _)| i != item);
         }
         self.emit(TraceKind::Forwarded.at(now, Some(txn), Some(item), client));
 
@@ -1203,7 +1280,7 @@ impl Kernel<G2pl> {
                 out.completed.push(false);
                 out.final_releases_left += 1;
                 out.last_progress = now;
-                self.p.entries_of.ensure(txn.index()).push(item);
+                self.p.entries_of.ensure(txn.index()).push((item, pos));
                 let fl = Rc::clone(&out.fl);
                 let version = st.version;
                 let epoch = st.epoch;
@@ -1228,7 +1305,11 @@ impl Kernel<G2pl> {
                 st.window.push(req);
                 *self.p.pending_of.ensure(txn.index()) = Some(item);
                 // §4: detection runs when a request cannot be granted.
-                self.detect_deadlocks_from(now, &[txn]);
+                // Every new edge leaves `txn`, so a new cycle needs an
+                // edge into it.
+                let skip = (self.p.every_edge_searched && !self.waited_on(txn))
+                    .then_some(SkipRule::Request);
+                self.detect_deadlocks_from(now, &[txn], skip);
             }
         }
     }
@@ -1436,8 +1517,8 @@ impl Kernel<G2pl> {
         };
         let all_readers = fl.entries().iter().all(|e| e.mode.is_shared());
         let fl = Rc::new(fl);
-        for e in fl.entries() {
-            self.p.entries_of.ensure(e.txn.index()).push(item);
+        for (pos, e) in fl.entries().iter().enumerate() {
+            self.p.entries_of.ensure(e.txn.index()).push((item, pos));
         }
         let st = &mut self.p.items[item.index()];
         let version = st.version;
@@ -1483,7 +1564,8 @@ impl Kernel<G2pl> {
         // group sits blocked until an unrelated request happens to probe
         // it. Every new edge involves a member of the just-dispatched
         // list or a request still pending on this item, so probing those
-        // transactions covers all newly possible cycles.
+        // transactions covers all newly possible cycles. When no member
+        // waits outside the list, no new cycle can close.
         let mut starts = std::mem::take(&mut self.p.start_scratch);
         starts.clear();
         starts.extend(fl.entries().iter().map(|e| e.txn));
@@ -1494,7 +1576,9 @@ impl Kernel<G2pl> {
                 .iter()
                 .map(|r| r.entry.txn),
         );
-        self.detect_deadlocks_from(now, &starts);
+        let skip = (self.p.every_edge_searched && !self.waits_off_list(item, &fl))
+            .then_some(SkipRule::Dispatch);
+        self.detect_deadlocks_from(now, &starts, skip);
         self.p.start_scratch = starts;
     }
 
@@ -1504,7 +1588,7 @@ impl Kernel<G2pl> {
     fn clear_entry_index(&mut self, out: &OutState, item: ItemId) {
         for e in out.fl.entries() {
             if let Some(v) = self.p.entries_of.get_mut(e.txn.index()) {
-                v.retain(|&i| i != item);
+                v.retain(|&(i, _)| i != item);
             }
         }
     }
@@ -1536,14 +1620,12 @@ impl Kernel<G2pl> {
                 }
             }
         }
-        if let Some(items) = p.entries_of.get(t.index()) {
-            for &item in items {
+        if let Some(entries) = p.entries_of.get(t.index()) {
+            for &(item, i) in entries {
                 let Some(o) = &p.items[item.index()].out else {
                     continue;
                 };
-                let Some(i) = o.fl.position_of(t) else {
-                    continue;
-                };
+                debug_assert_eq!(o.fl.entry(i).txn, t, "stale entry index");
                 if o.completed[i] {
                     continue;
                 }
@@ -1576,18 +1658,91 @@ impl Kernel<G2pl> {
         out.truncate(w);
     }
 
+    /// Request-time skip rule: whether some live transaction may wait for
+    /// `t`. Only two kinds of edge enter `t`, both at an item where `t`
+    /// has an uncompleted entry: from a request pending in the item's
+    /// window, and from a live entry past `t`'s segment whose gates have
+    /// not all passed.
+    fn waited_on(&self, t: TxnId) -> bool {
+        let p = &self.p;
+        let Some(entries) = p.entries_of.get(t.index()) else {
+            return false;
+        };
+        entries.iter().any(|&(item, i)| {
+            let st = &p.items[item.index()];
+            let Some(o) = &st.out else { return false };
+            if o.completed[i] {
+                return false;
+            }
+            st.window
+                .pending()
+                .iter()
+                .any(|r| self.table.is_live(r.entry.txn))
+                || (o.fl.segment_of(i).end()..o.fl.len()).any(|j| {
+                    let u = o.fl.entry(j).txn;
+                    !o.completed[j]
+                        && self.table.is_live(u)
+                        && !p.hold(item, u).is_some_and(Hold::gates_passed)
+                })
+        })
+    }
+
+    /// Dispatch-time skip rule: whether a live member of `item`'s new list
+    /// `fl` may wait for anything but its predecessors on that list: it
+    /// has a request pending, or an uncompleted entry on another item
+    /// whose gates have not all passed.
+    fn waits_off_list(&self, item: ItemId, fl: &ForwardList) -> bool {
+        let p = &self.p;
+        fl.entries().iter().any(|e| {
+            let t = e.txn;
+            self.table.is_live(t)
+                && (p.pending_of.get(t.index()).copied().flatten().is_some()
+                    || p.entries_of.get(t.index()).is_some_and(|v| {
+                        v.iter().any(|&(y, i)| {
+                            y != item
+                                && p.items[y.index()]
+                                    .out
+                                    .as_ref()
+                                    .is_some_and(|o| !o.completed[i])
+                                && !p.hold(y, t).is_some_and(Hold::gates_passed)
+                        })
+                    }))
+        })
+    }
+
     /// Find and break every deadlock reachable from the given start
     /// transactions, re-probing a start until it is cycle-free. Uses the
     /// engine's [`CycleFinder`] so repeated probes reuse one set of DFS
     /// buffers. The probes keep their marks until a victim is aborted:
     /// while the graph is unchanged, a node finished without a cycle
     /// cannot reach one, so later starts do not expand it again.
-    fn detect_deadlocks_from(&mut self, now: SimTime, starts: &[TxnId]) {
+    ///
+    /// When a skip rule proved that the searches find nothing, every live
+    /// start still counts as a search, and as a skipped one; debug builds
+    /// run the searches anyway and assert that they find nothing.
+    fn detect_deadlocks_from(&mut self, now: SimTime, starts: &[TxnId], skip: Option<SkipRule>) {
         let mut finder = std::mem::take(&mut self.p.finder);
         finder.forget();
         for &start in starts {
-            if self.table.is_live(start) {
-                self.collector.deadlock_searches += 1;
+            if !self.table.is_live(start) {
+                continue;
+            }
+            self.collector.deadlock_searches += 1;
+            if let Some(rule) = skip {
+                self.collector.deadlock_searches_skipped += 1;
+                if rule == SkipRule::Dispatch {
+                    self.collector.dispatch_searches_skipped += 1;
+                }
+                if cfg!(debug_assertions) {
+                    let this = &*self;
+                    let found =
+                        finder.find_cycle_keeping_marks(start, |t, out| this.waits_of_into(t, out));
+                    debug_assert!(
+                        found.is_none(),
+                        "skipped g-2PL {rule:?}-time search from {start} finds {found:?}"
+                    );
+                }
+                continue;
             }
             while self.table.is_live(start) {
                 let this = &*self;
@@ -1646,8 +1801,11 @@ mod tests {
         assert!(m.committed_total > 0);
         assert!(m.window_closes > 0);
         assert!(m.max_fl_len >= 1);
-        assert!(m.deadlock_searches > 0);
-        assert_eq!(m.deadlock_searches_skipped, 0, "g-2PL never skips");
+        assert!(m.deadlock_searches_skipped > 0, "no search was skipped");
+        assert!(
+            m.deadlock_searches_skipped < m.deadlock_searches,
+            "every search was skipped"
+        );
     }
 
     #[test]
@@ -1719,6 +1877,19 @@ mod tests {
             m.aborted_total, 0,
             "read expansion removes read-only dependencies"
         );
+    }
+
+    #[test]
+    fn expand_reads_runs_skip_no_search() {
+        // A read joining a checked-out list adds waits-for edges without
+        // a search, so the skip rules' premise fails from the start.
+        let mut c = cfg(20, 50, 0.6);
+        if let ProtocolKind::G2pl(o) = &mut c.protocol {
+            o.expand_reads = true;
+        }
+        let m = G2plEngine::new(c).run();
+        assert!(m.deadlock_searches > 0);
+        assert_eq!(m.deadlock_searches_skipped, 0);
     }
 
     #[test]

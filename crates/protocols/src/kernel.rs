@@ -417,6 +417,7 @@ impl<P: Protocol> Kernel<P> {
             window_closes,
             deadlock_searches: self.collector.deadlock_searches,
             deadlock_searches_skipped: self.collector.deadlock_searches_skipped,
+            dispatch_searches_skipped: self.collector.dispatch_searches_skipped,
             response_tail: self.collector.response_tail,
             wal: self.wal.map(|sites| {
                 let mut r = WalReport::default();

@@ -46,9 +46,12 @@ pub struct RunMetrics {
     /// (s-2PL, c-2PL: a queued request or a new callback barrier; g-2PL:
     /// each live start of a probe).
     pub deadlock_searches: u64,
-    /// Of those, the s-2PL and c-2PL searches skipped because nothing
-    /// could wait for the trigger, so no cycle could pass through it.
+    /// Of those, the searches skipped because they could not find a
+    /// cycle: nothing could wait for the trigger (every engine), or no
+    /// member of a just-dispatched g-2PL list waits off that list.
     pub deadlock_searches_skipped: u64,
+    /// Of the skipped searches, those g-2PL skipped at a window close.
+    pub dispatch_searches_skipped: u64,
     /// Write-ahead-log accounting, when `enable_wal` was set.
     pub wal: Option<WalReport>,
     /// Deterministic quantile sketch over the same measured responses as
@@ -243,8 +246,10 @@ pub struct Collector {
     pub aborted_total: u64,
     /// Deadlock searches requested, including warm-up.
     pub deadlock_searches: u64,
-    /// Deadlock searches skipped by the no-waiter rule.
+    /// Deadlock searches skipped by a skip rule.
     pub deadlock_searches_skipped: u64,
+    /// Of those, g-2PL's searches skipped at a window close.
+    pub dispatch_searches_skipped: u64,
 }
 
 impl Collector {
@@ -260,6 +265,7 @@ impl Collector {
             aborted_total: 0,
             deadlock_searches: 0,
             deadlock_searches_skipped: 0,
+            dispatch_searches_skipped: 0,
         }
     }
 
