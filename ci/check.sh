@@ -38,6 +38,13 @@ done
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release -p g2pl-simcore (the calendar without debug assertions)"
+# The calendar packs (time, seq, slot) into one u128 key. Release builds
+# drop debug assertions and wrap on integer overflow, so the packing
+# arithmetic and the asserts guarding its field widths run here as the
+# benchmark builds them (~10 s).
+cargo test -q --release -p g2pl-simcore
+
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
 # --locked: a change that would rewrite perfbench/Cargo.lock changes the
 # benchmark's dependency graph, so it fails here instead of passing

@@ -1,80 +1,98 @@
 //! The event calendar: a deterministic future-event list.
 //!
-//! A [`Calendar`] is a priority queue of `(time, seq, event)` triples. The
-//! `seq` component is a monotonically increasing insertion counter that
-//! breaks timestamp ties, so two events scheduled for the same instant pop
-//! in the order they were scheduled. This makes whole simulation runs
-//! reproducible bit-for-bit from a seed — a property every determinism
-//! test in the workspace relies on.
+//! A [`Calendar`] pops events in `(time, seq)` order, where `seq` is a
+//! monotonically increasing insertion counter. Two events scheduled for
+//! the same instant therefore pop in the order they were scheduled, which
+//! makes whole simulation runs reproducible bit-for-bit from a seed — a
+//! property every determinism test in the workspace relies on.
 //!
-//! Events can be cancelled lazily through an [`EventHandle`]: each slot
-//! carries two state bits (cancelled, fired) in a side bitmap indexed by
-//! `seq`, so `cancel` is O(1) with no memmove and the pop loop skips dead
-//! entries as it reaches them. A live-event counter is maintained
-//! explicitly, which keeps `len()` exact even for the cancel-after-fire
-//! race (a timer cancelled after it already popped must not count as a
-//! pending tombstone).
+//! # Layout
+//!
+//! The priority queue is a binary min-heap of packed 16-byte keys,
+//!
+//! ```text
+//!   bits 127..64   bits 63..24   bits 23..0
+//!   time           seq           slot
+//! ```
+//!
+//! and the events themselves live in a slot arena (`Vec<Option<E>>`)
+//! whose vacated slots are recycled through a free list. A heap level
+//! moves one `u128`, never an event; an event is written once when it is
+//! scheduled and moved once when it pops. Because `seq` is unique, no two
+//! keys share their `(time, seq)` prefix, so the slot bits never decide a
+//! comparison and the pop order is exactly `(time, seq)`.
+//!
+//! # Cancellation
+//!
+//! [`Calendar::cancel`] takes the event out of its slot and leaves the
+//! key in the heap as a tombstone, which `pop` and `next_time` discard
+//! when it reaches the top. An [`EventHandle`] is the event's key, and a
+//! handle is still pending exactly when its key is above the last popped
+//! key and its slot is occupied:
+//!
+//! * every key scheduled after a pop lies above the popped key (its time
+//!   is not earlier and its `seq` is larger), so popped keys rise, a
+//!   fired event's key is never above the last popped key, and a pending
+//!   one's always is;
+//! * a slot is freed only by its own event's pop, or for a tombstone once
+//!   the last popped key has passed the tombstone's key. `next_time` may
+//!   discard a tombstone ahead of the clock, and an event scheduled later
+//!   can sort below it; until a pop passes the tombstone its slot stays
+//!   empty, so its handle cannot reach an event that reuses the slot.
+//!
+//! Cancelling a fired or already-cancelled event is therefore a no-op,
+//! and `len()` stays exact.
+//!
+//! # Bounds
+//!
+//! The arena holds one slot per unpopped entry (pending event, queued
+//! tombstone, or discarded tombstone the clock has not passed) at the
+//! calendar's peak, and the heap and the free list hold no more. Its
+//! memory follows its depth, not the number of events it has ever
+//! scheduled. `seq` has 40 bits and `slot` 24: scheduling the 2^40-th
+//! event, or an event while 2^24 entries are unpopped, panics.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Opaque handle to a scheduled event, used to cancel it.
+/// Opaque handle to a scheduled event, used to cancel it: the event's
+/// heap key.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle(u128);
 
-#[derive(PartialEq, Eq)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
+/// Bits of a key's slot field.
+const SLOT_BITS: u32 = 24;
+/// Bits of a key's `seq` field.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
 
-// BinaryHeap is a max-heap; order entries so the *earliest* (time, seq)
-// compares greatest via Reverse at the call sites. We implement Ord
-// directly on (time, seq) and wrap in Reverse when pushing.
-impl<E: Eq> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl<E: Eq> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-seq lifecycle bits, two per slot, packed into u64 words.
+/// The heap key of the event with sequence number `seq` in arena slot
+/// `slot`, due at `time`.
 ///
-/// Bit 0 of a pair: the event was cancelled while pending.
-/// Bit 1 of a pair: the event fired (was returned from `pop`).
-#[derive(Default)]
-struct SlotBits {
-    words: Vec<u64>,
+/// # Panics
+/// Panics when `seq` or `slot` does not fit its field: a wrapped field
+/// would silently reorder or misfile events.
+#[inline]
+fn pack(time: SimTime, seq: u64, slot: usize) -> u128 {
+    assert!(
+        seq < 1 << SEQ_BITS,
+        "calendar: sequence number {seq} does not fit in {SEQ_BITS} bits"
+    );
+    assert!(
+        slot < 1 << SLOT_BITS,
+        "calendar: slot {slot} does not fit in {SLOT_BITS} bits (too many unpopped events)"
+    );
+    u128::from(time.units()) << 64 | u128::from(seq << SLOT_BITS | slot as u64)
 }
 
-const CANCELLED: u64 = 0b01;
-const FIRED: u64 = 0b10;
+/// The time of a key.
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime::new((key >> 64) as u64)
+}
 
-impl SlotBits {
-    #[inline]
-    fn get(&self, seq: u64) -> u64 {
-        let (word, shift) = (seq / 32, (seq % 32) * 2);
-        self.words
-            .get(word as usize)
-            .map_or(0, |w| (w >> shift) & 0b11)
-    }
-
-    #[inline]
-    fn set(&mut self, seq: u64, bits: u64) {
-        let (word, shift) = (seq / 32, (seq % 32) * 2);
-        let word = word as usize;
-        if self.words.len() <= word {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= bits << shift;
-    }
+/// The arena slot of a key.
+#[inline]
+fn slot_of(key: u128) -> usize {
+    (key as usize) & ((1 << SLOT_BITS) - 1)
 }
 
 /// Deterministic future-event list.
@@ -96,41 +114,52 @@ impl SlotBits {
 /// assert_eq!(cal.pop(), None);
 /// ```
 pub struct Calendar<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Binary min-heap of packed keys, pending and tombstoned.
+    heap: Vec<u128>,
+    /// The event of each slot; `None` once it fired or was cancelled,
+    /// and while the slot is free.
+    events: Vec<Option<E>>,
+    /// Slots free for reuse.
+    free: Vec<u32>,
+    /// Keys of tombstones taken off the heap whose slot stays reserved
+    /// until `last` passes them.
+    discarded: Vec<u128>,
+    /// Key of the event `pop` returned last; 0, below every key, before
+    /// the first pop. Its time is the clock.
+    last: u128,
+    /// The next event's `seq`; it starts at 1 so that no key is 0.
     next_seq: u64,
-    /// Two lifecycle bits per sequence number ever issued.
-    slots: SlotBits,
     /// Exact number of scheduled, not-yet-fired, not-cancelled events.
     live: usize,
     /// High-water mark of `live` over the calendar's lifetime.
     peak_live: usize,
-    /// Time of the most recently popped event; pops must never go backwards.
-    now: SimTime,
 }
 
-impl<E: Eq> Default for Calendar<E> {
+impl<E> Default for Calendar<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Eq> Calendar<E> {
+impl<E> Calendar<E> {
     /// An empty calendar at time zero.
     pub fn new() -> Self {
         Calendar {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            slots: SlotBits::default(),
+            heap: Vec::new(),
+            events: Vec::new(),
+            free: Vec::new(),
+            discarded: Vec::new(),
+            last: 0,
+            next_seq: 1,
             live: 0,
             peak_live: 0,
-            now: SimTime::ZERO,
         }
     }
 
     /// Current simulation time: the timestamp of the last popped event.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        time_of(self.last)
     }
 
     /// Number of live (non-cancelled, not-yet-fired) scheduled events.
@@ -155,72 +184,149 @@ impl<E: Eq> Calendar<E> {
     ///
     /// # Panics
     /// Panics if `at` is in the past (`at < now()`): a simulator that
-    /// schedules into the past has corrupted causality.
+    /// schedules into the past has corrupted causality. Panics on the
+    /// 2^40-th event, or while 2^24 entries are unpopped.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
         assert!(
-            at >= self.now,
+            at >= self.now(),
             "scheduling into the past: at={at:?} now={:?}",
-            self.now
+            self.now()
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            event,
-        }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let slot = slot as usize;
+                self.events[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.events.push(Some(event));
+                self.events.len() - 1
+            }
+        };
+        let key = pack(at, seq, slot);
+        self.push_key(key);
         self.live += 1;
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
-        EventHandle(seq)
+        EventHandle(key)
     }
 
     /// Schedule `event` a relative delay `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventHandle {
-        self.schedule(self.now.after(delay), event)
+        self.schedule(self.now().after(delay), event)
     }
 
     /// Cancel a previously scheduled event. Cancelling an event that has
     /// already fired (or was already cancelled) is a silent no-op, which is
     /// the convenient semantics for timers raced by message arrivals.
-    pub fn cancel(&mut self, handle: EventHandle) {
-        // Sequence numbers from the future are impossible, and an event
-        // that already fired or was already cancelled leaves no live slot
-        // to retire — recording a tombstone for it would make `len()`
-        // undercount forever.
-        if handle.0 < self.next_seq && self.slots.get(handle.0) == 0 {
-            self.slots.set(handle.0, CANCELLED);
+    pub fn cancel(&mut self, EventHandle(key): EventHandle) {
+        if key > self.last
+            && self
+                .events
+                .get_mut(slot_of(key))
+                .and_then(Option::take)
+                .is_some()
+        {
             self.live -= 1;
         }
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.slots.get(entry.seq) & CANCELLED != 0 {
+        while let Some(key) = self.pop_key() {
+            let slot = slot_of(key);
+            let Some(event) = self.events[slot].take() else {
+                self.discarded.push(key);
                 continue;
-            }
-            debug_assert!(entry.time >= self.now, "calendar time went backwards");
-            self.slots.set(entry.seq, FIRED);
+            };
+            debug_assert!(key > self.last, "calendar time went backwards");
+            self.last = key;
+            self.free.push(slot as u32);
             self.live -= 1;
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
+            if !self.discarded.is_empty() {
+                self.free_passed_tombstones();
+            }
+            return Some((time_of(key), event));
         }
         None
     }
 
     /// Peek at the timestamp of the next live event without popping it.
     pub fn next_time(&mut self) -> Option<SimTime> {
-        // Drain dead entries from the top so the peek is accurate.
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.slots.get(entry.seq) & CANCELLED != 0 {
-                self.heap.pop();
-            } else {
-                return Some(entry.time);
+        // Discard tombstones from the top so the peek is accurate.
+        while let Some(&key) = self.heap.first() {
+            if self.events[slot_of(key)].is_some() {
+                return Some(time_of(key));
             }
+            self.pop_key();
+            self.discarded.push(key);
         }
         None
+    }
+
+    /// Free the slots of discarded tombstones below the last popped key:
+    /// no pending handle can name them any more.
+    fn free_passed_tombstones(&mut self) {
+        let (last, free) = (self.last, &mut self.free);
+        self.discarded.retain(|&key| {
+            let passed = key < last;
+            if passed {
+                free.push(slot_of(key) as u32);
+            }
+            !passed
+        });
+    }
+
+    /// Add `key` to the heap, sifting it up from the bottom.
+    #[inline]
+    fn push_key(&mut self, key: u128) {
+        let heap = &mut self.heap;
+        let mut i = heap.len();
+        heap.push(key);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if heap[parent] < key {
+                break;
+            }
+            heap[i] = heap[parent];
+            i = parent;
+        }
+        heap[i] = key;
+    }
+
+    /// Remove the smallest key: the heap's tail key takes the root's
+    /// place and sifts down, stopping at the first level where it is
+    /// smaller than the smaller child. Which child is smaller is a coin
+    /// flip no branch predictor learns, so it is picked by arithmetic,
+    /// not a branch.
+    #[inline]
+    fn pop_key(&mut self) -> Option<u128> {
+        let heap = &mut self.heap;
+        let tail = heap.pop()?;
+        let Some(&top) = heap.first() else {
+            return Some(tail);
+        };
+        let n = heap.len();
+        let (mut i, mut child) = (0, 1);
+        while child + 1 < n {
+            child += usize::from(heap[child + 1] < heap[child]);
+            if tail < heap[child] {
+                break;
+            }
+            heap[i] = heap[child];
+            i = child;
+            child = 2 * i + 1;
+        }
+        // A last level with only a left child.
+        if child + 1 == n && heap[child] < tail {
+            heap[i] = heap[child];
+            i = child;
+        }
+        heap[i] = tail;
+        Some(top)
     }
 }
 
@@ -317,6 +423,38 @@ mod tests {
     }
 
     #[test]
+    fn stale_handles_leave_a_recycled_slot_alone() {
+        // "a" fires and "b" is cancelled, then discarded by `next_time`
+        // ahead of the clock. "c" takes a's slot and "d" sorts below the
+        // discarded "b": neither old handle may reach a new event, and
+        // "d" stays cancellable. Once a pop passes "b", its slot returns
+        // to use and "f" takes it; "b" stays dead.
+        let mut cal = Calendar::new();
+        let a = cal.schedule(SimTime::new(1), "a");
+        let b = cal.schedule(SimTime::new(9), "b");
+        assert_eq!(cal.pop(), Some((SimTime::new(1), "a")));
+        cal.cancel(b);
+        assert_eq!(cal.next_time(), None);
+        cal.schedule(SimTime::new(4), "c");
+        let d = cal.schedule(SimTime::new(3), "d");
+        cal.cancel(a);
+        cal.cancel(b);
+        assert_eq!(cal.len(), 2);
+        cal.cancel(d);
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.pop(), Some((SimTime::new(4), "c")));
+        cal.schedule(SimTime::new(10), "e");
+        assert_eq!(cal.pop(), Some((SimTime::new(10), "e")));
+        cal.schedule(SimTime::new(11), "f");
+        cal.schedule(SimTime::new(12), "g");
+        assert_eq!(cal.events.len(), 3, "f and g reuse slots");
+        cal.cancel(b);
+        assert_eq!(cal.len(), 2);
+        assert_eq!(cal.pop(), Some((SimTime::new(11), "f")));
+        assert_eq!(cal.pop(), Some((SimTime::new(12), "g")));
+    }
+
+    #[test]
     fn next_time_peeks_past_cancellations() {
         let mut cal = Calendar::new();
         let h = cal.schedule(SimTime::new(1), "a");
@@ -350,5 +488,76 @@ mod tests {
         assert_eq!(cal.peak_len(), 3);
         cal.schedule(SimTime::new(9), "d");
         assert_eq!(cal.peak_len(), 3);
+    }
+
+    #[test]
+    fn memory_follows_depth_not_history() {
+        // Hold model at depth 64: pop the earliest event, schedule its
+        // successor, and every 8th step schedule a timer and cancel it.
+        // Every slot is queued (pending or tombstone), discarded but not
+        // yet passed, or free, and the arena never outgrows the peak
+        // count of the first two.
+        const DEPTH: u64 = 64;
+        let mut cal = Calendar::new();
+        let mut rng = crate::RngStream::new(7);
+        for i in 0..DEPTH {
+            cal.schedule(SimTime::new(rng.uniform_incl(1, 2 * DEPTH)), i);
+        }
+        let mut peak_unpopped = cal.heap.len();
+        for step in 1..=1_000_000u64 {
+            let (now, ev) = cal.pop().expect("the calendar stays DEPTH deep");
+            let d = rng.uniform_incl(1, 2 * DEPTH);
+            cal.schedule(now.after(SimTime::new(d)), ev);
+            if step % 8 == 0 {
+                let timer = cal.schedule(now.after(SimTime::new(d + 1)), ev);
+                cal.cancel(timer);
+            }
+            peak_unpopped = peak_unpopped.max(cal.heap.len() + cal.discarded.len());
+            assert_eq!(cal.len() as u64, DEPTH);
+            assert!(cal.events.len() <= peak_unpopped, "arena outgrew the peak");
+            assert!(cal.heap.len() <= peak_unpopped, "heap outgrew the peak");
+            assert!(
+                cal.free.len() <= peak_unpopped,
+                "free list outgrew the peak"
+            );
+            assert_eq!(
+                cal.events.len(),
+                cal.heap.len() + cal.discarded.len() + cal.free.len()
+            );
+        }
+        // A tombstone outlives its cancel by at most 2 * DEPTH + 1 time
+        // units, about as many steps at this depth: a few dozen at once.
+        assert!(
+            peak_unpopped < 2 * DEPTH as usize,
+            "{peak_unpopped} unpopped"
+        );
+    }
+
+    #[test]
+    fn keys_pack_at_their_field_bounds() {
+        let (max_seq, max_slot) = ((1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1);
+        let key = pack(SimTime::MAX, max_seq, max_slot);
+        assert_eq!(key, u128::MAX);
+        assert_eq!(time_of(key), SimTime::MAX);
+        assert_eq!(slot_of(key), max_slot);
+        assert_eq!(key as u64 >> SLOT_BITS, max_seq);
+        // `seq` orders keys of one instant; the slot never does.
+        let t = SimTime::new(5);
+        assert!(pack(t, max_seq - 1, max_slot) < pack(t, max_seq, 0));
+        assert!(pack(t, max_seq, max_slot) < pack(SimTime::new(6), 0, 0));
+        assert_eq!(slot_of(pack(t, 3, max_slot)), max_slot);
+        assert_eq!(pack(t, 3, 0) as u64 >> SLOT_BITS, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence number 1099511627776 does not fit in 40 bits")]
+    fn seq_past_its_field_panics() {
+        pack(SimTime::ZERO, 1 << SEQ_BITS, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 16777216 does not fit in 24 bits")]
+    fn slot_past_its_field_panics() {
+        pack(SimTime::ZERO, 0, 1 << SLOT_BITS);
     }
 }

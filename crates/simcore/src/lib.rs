@@ -20,8 +20,10 @@
 //!   explicitly-seeded [`rng::RngStream`]s.
 //! * **No global state.** A [`calendar::Calendar`] is an ordinary value;
 //!   many simulations can run concurrently on different threads.
-//! * **Cheap events.** Events are plain enums owned by the calendar;
-//!   scheduling is a binary-heap push.
+//! * **Cheap events.** Events are plain enums the calendar writes once
+//!   into a recycled arena slot; its binary heap orders 16-byte
+//!   `(time, seq, slot)` keys, so scheduling and popping move keys, not
+//!   events, and a calendar's memory follows its depth.
 
 pub mod calendar;
 pub mod ids;
