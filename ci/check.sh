@@ -45,6 +45,14 @@ echo "==> cargo test --release -p g2pl-simcore (the calendar without debug asser
 # benchmark builds them (~10 s).
 cargo test -q --release -p g2pl-simcore
 
+echo "==> cargo test --release --test registry_fixtures (the pinned CSVs as repro builds them)"
+# The benchmark and every repro run are release builds, where the skip
+# rules' cross-checks and every other debug-assertion block compile out.
+# The pinned smoke CSVs and the claims checked on them must hold in that
+# profile too, not only in the dev profile of the workspace tests (~4 s
+# once the release test binary is built).
+cargo test -q --release -p g2pl-core --test registry_fixtures
+
 echo "==> perfbench self-tests (the repo benchmark, its own Cargo workspace)"
 # --locked: a change that would rewrite perfbench/Cargo.lock changes the
 # benchmark's dependency graph, so it fails here instead of passing

@@ -12,7 +12,7 @@
 //! The `chaos` binary drives this module; `ci/check.sh` runs a small
 //! smoke search on every commit.
 
-use g2pl_core::{check_serializable, check_trace_with, TraceCheckOpts};
+use g2pl_core::check_run;
 use g2pl_protocols::{
     run, CrashWindow, Endpoint, EngineConfig, FaultPlan, ItemSpace, LinkPartition, ProtocolKind,
     ServerCrashWindow, ShardMix,
@@ -177,19 +177,7 @@ pub fn run_case(case: &ChaosCase) -> Result<(), String> {
         Ok(Err(e)) => return Err(format!("invalid config: {e}")),
         Ok(Ok(m)) => m,
     };
-    if metrics.trace_truncated() {
-        return Err("trace truncated: cannot verify honestly".to_string());
-    }
-    let Some(trace) = &metrics.trace else {
-        return Err("engine returned no trace with trace_events on".to_string());
-    };
-    check_trace_with(trace, TraceCheckOpts::for_config(&cfg))
-        .map_err(|e| format!("trace property: {e}"))?;
-    let Some(history) = &metrics.history else {
-        return Err("engine returned no history with record_history on".to_string());
-    };
-    check_serializable(history).map_err(|e| format!("serializability: {e}"))?;
-    Ok(())
+    check_run(&cfg, &metrics)
 }
 
 /// Shrink a failing case with an injectable failure oracle (`Some(err)`

@@ -52,7 +52,7 @@ pub use runner::{
     verify_enabled, PerfTotals, ReplicatedResult,
 };
 pub use tracecheck::{check_trace, check_trace_with, TraceCheckOpts};
-pub use verify::check_serializable;
+pub use verify::{check_run, check_serializable};
 
 /// Convenient re-exports of the types most callers need.
 pub mod prelude {
@@ -63,7 +63,7 @@ pub mod prelude {
         trace_out, verify_enabled, PerfTotals, ReplicatedResult,
     };
     pub use crate::tracecheck::{check_trace, check_trace_with, TraceCheckOpts};
-    pub use crate::verify::check_serializable;
+    pub use crate::verify::{check_run, check_serializable};
     pub use g2pl_netmodel::NetworkEnv;
     pub use g2pl_protocols::{
         run, run_scale, run_scale_with_workers, AbortEffect, EngineConfig, G2plOpts, ItemSpace,

@@ -14,8 +14,8 @@
 //! after the engine returns. Process-wide totals accumulate in atomics
 //! and are drained with [`take_perf`] for throughput reporting.
 
-use crate::tracecheck::{check_trace_with, TraceCheckOpts};
-use crate::verify::check_serializable;
+use crate::tracecheck::TraceCheckOpts;
+use crate::verify::check_run;
 use g2pl_protocols::{run, EngineConfig, RunMetrics};
 use g2pl_stats::{ConfidenceInterval, Replications, TailSketch, TailSummary};
 use std::path::PathBuf;
@@ -157,41 +157,16 @@ fn run_verified(cfg: &EngineConfig) -> RunMetrics {
     // lint:allow(L3): configs are composed programmatically; an invalid one is a caller bug (see fn docs)
     let mut m = run(&vc).unwrap_or_else(|e| panic!("invalid engine config: {e}"));
     stamp(&mut m, t.elapsed());
-    let diag = |what: &str, err: &str| -> String {
-        format!(
-            "{what} violation in a {} run (clients={}, latency={}, seed={}): {err}",
-            m.protocol,
-            vc.num_clients,
-            vc.latency.nominal(),
-            vc.seed
-        )
-    };
     if verify_enabled() {
-        // A truncated trace is a prefix: "verifying" it would claim more
-        // than was observed, so refuse outright.
-        assert!(
-            !m.trace_truncated(),
-            "{}",
-            diag(
-                "trace completeness",
-                &format!(
-                    "the bounded trace log dropped {} events; shrink the run \
-                     or raise the log cap before verifying",
-                    m.trace_dropped
-                )
-            )
-        );
-        if let Some(trace) = &m.trace {
-            if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&vc)) {
-                // lint:allow(L3): a failed trace property is a simulator bug: abort loudly with the diagnostic
-                panic!("{}", diag("trace property", &e));
-            }
-        }
-        if let Some(history) = &m.history {
-            if let Err(e) = check_serializable(history) {
-                // lint:allow(L3): a failed serializability check is a simulator bug: abort loudly with the diagnostic
-                panic!("{}", diag("serializability", &e));
-            }
+        if let Err(e) = check_run(&vc, &m) {
+            // lint:allow(L3): a failed check is a simulator bug: abort loudly with the diagnostic
+            panic!(
+                "verification failed in a {} run (clients={}, latency={}, seed={}): {e}",
+                m.protocol,
+                vc.num_clients,
+                vc.latency.nominal(),
+                vc.seed
+            );
         }
     }
     if let Some(dir) = trace_out() {

@@ -31,9 +31,36 @@
 //! message also names one cycle, edge by edge.
 
 use crate::slots::Slots;
-use g2pl_protocols::History;
+use crate::tracecheck::{check_trace_with, TraceCheckOpts};
+use g2pl_protocols::{EngineConfig, History, RunMetrics};
 use g2pl_simcore::{ItemId, TxnId, Version};
 use std::fmt::Write;
+
+/// Verify a run of `cfg`, which must record its trace
+/// (`trace_events`) and history (`record_history`): the one recipe the
+/// runner's self-verification, `chaos` and the tests share. A truncated
+/// trace is refused: verifying a prefix would claim more than was
+/// observed. The trace must pass P1–P10 under
+/// [`TraceCheckOpts::for_config`], and the history must be serializable.
+/// The error names the first failure, prefixed `trace property: ` or
+/// `serializability: ` when a check fails.
+pub fn check_run(cfg: &EngineConfig, m: &RunMetrics) -> Result<(), String> {
+    if m.trace_truncated() {
+        return Err(format!(
+            "trace truncated: cannot verify honestly ({} events dropped)",
+            m.trace_dropped
+        ));
+    }
+    let Some(trace) = &m.trace else {
+        return Err("engine returned no trace with trace_events on".to_string());
+    };
+    check_trace_with(trace, TraceCheckOpts::for_config(cfg))
+        .map_err(|e| format!("trace property: {e}"))?;
+    let Some(history) = &m.history else {
+        return Err("engine returned no history with record_history on".to_string());
+    };
+    check_serializable(history).map_err(|e| format!("serializability: {e}"))
+}
 
 /// One access: the item's slot, the version read or installed, the
 /// access's position in the history, and the transaction.

@@ -7,7 +7,7 @@
 //! `(seed, plan)` replays bit-for-bit, and an *inert* plan leaves the
 //! pristine code path byte-identical to having no plan at all.
 
-use g2pl_core::{check_serializable, check_trace_with, TraceCheckOpts};
+use g2pl_core::check_run;
 use g2pl_protocols::{run, EngineConfig, FaultPlan, ProtocolKind, RunMetrics, ServerCrashWindow};
 
 fn engines() -> [ProtocolKind; 3] {
@@ -36,9 +36,10 @@ fn crash_cfg(protocol: ProtocolKind) -> EngineConfig {
     cfg
 }
 
+/// Run `cfg` and verify it: P1–P10 and serializability.
 fn run_checked(cfg: &EngineConfig) -> RunMetrics {
     let m = run(cfg).expect("valid config");
-    assert!(!m.trace_truncated(), "trace truncated; cannot verify");
+    check_run(cfg, &m).unwrap_or_else(|e| panic!("{}: {e}", m.protocol));
     m
 }
 
@@ -57,14 +58,6 @@ fn crash_recovery_verifies_end_to_end() {
             "{}: recovery must hear from surviving clients",
             m.protocol
         );
-        let trace = m.trace.as_ref().expect("trace enabled");
-        if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
-            panic!("{}: P1-P9 violated under server crashes: {e}", m.protocol);
-        }
-        let history = m.history.as_ref().expect("history enabled");
-        if let Err(e) = check_serializable(history) {
-            panic!("{}: serializability violated: {e}", m.protocol);
-        }
         let wal = m.wal.as_ref().expect("wal enabled");
         assert_eq!(
             wal.end_live_records, 0,
@@ -130,13 +123,5 @@ fn crash_recovery_composes_with_message_loss() {
         });
         let m = run_checked(&cfg);
         assert_eq!(m.faults.server_crashes, 2, "{}", m.protocol);
-        let trace = m.trace.as_ref().expect("trace enabled");
-        if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
-            panic!("{}: P1-P9 violated under combined faults: {e}", m.protocol);
-        }
-        let history = m.history.as_ref().expect("history enabled");
-        if let Err(e) = check_serializable(history) {
-            panic!("{}: serializability violated: {e}", m.protocol);
-        }
     }
 }

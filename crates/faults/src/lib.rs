@@ -118,7 +118,9 @@ impl LinkPartition {
     }
 }
 
-/// A serializable stand-in for [`SiteId`] in fault plans.
+/// A site as a fault plan names it: a raw client or shard index, matched
+/// against [`SiteId`]s at run time. Its serde derives are the workspace's
+/// no-op stand-ins (`vendor/serde`), so nothing serializes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Endpoint {
     /// Client with the given raw index.
@@ -150,9 +152,10 @@ impl From<SiteId> for Endpoint {
 
 /// A declarative, seeded description of the faults injected into a run.
 ///
-/// The plan is pure data (serde-serializable, so experiment registries can
-/// embed one per figure). All probabilities are per-message and mutually
-/// exclusive: one uniform draw is partitioned into
+/// The plan is pure data, so experiment registries embed one per figure.
+/// Its serde derives are the workspace's no-op stand-ins (`vendor/serde`),
+/// so nothing serializes a plan. All probabilities are per-message and
+/// mutually exclusive: one uniform draw is partitioned into
 /// `[drop | duplicate | delay | deliver]` bands.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
 pub struct FaultPlan {

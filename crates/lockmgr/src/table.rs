@@ -1,7 +1,7 @@
 //! The lock table: per-item holder sets and FIFO wait queues.
 
 use crate::mode::LockMode;
-use g2pl_simcore::{ItemId, Slab, TxnId};
+use g2pl_simcore::{sort_dedup_from, ItemId, Slab, TxnId};
 use std::collections::VecDeque;
 
 /// Result of a lock acquisition attempt.
@@ -318,16 +318,7 @@ impl LockTable {
                 .filter(|&&(_, m)| !m.compatible(my_mode))
                 .map(|&(t, _)| t),
         );
-        out[start..].sort_unstable();
-        // Dedup the appended range in place.
-        let mut w = start;
-        for r in start..out.len() {
-            if w == start || out[w - 1] != out[r] {
-                out[w] = out[r];
-                w += 1;
-            }
-        }
-        out.truncate(w);
+        sort_dedup_from(out, start);
     }
 }
 

@@ -1,4 +1,6 @@
-//! The latency model: one serializable description of the network.
+//! The latency model: one description of the network. Its serde derives
+//! are the workspace's no-op stand-ins (`vendor/serde`), so nothing
+//! serializes it.
 //!
 //! The protocol engines re-export [`LatencyCfg`], and their network
 //! prices every message with [`LatencyCfg::delay`] of the size the

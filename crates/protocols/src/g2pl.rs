@@ -98,7 +98,7 @@ use g2pl_fwdlist::window::PendingReq;
 use g2pl_fwdlist::{CollectionWindow, FlEntry, ForwardList, PrecedenceDag, Segment};
 use g2pl_lockmgr::LockMode;
 use g2pl_obs::{TraceEvent, TraceKind};
-use g2pl_simcore::{ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
+use g2pl_simcore::{sort_dedup_from, ClientId, ItemId, SimTime, SiteId, Slab, TxnId, Version};
 use g2pl_wal::{LogRecord, ServerImage, ServerRecord};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -347,15 +347,8 @@ impl Protocol for G2pl {
             } => {
                 let txn = fl.entry(pos).txn;
                 debug_assert_eq!(fl.entry(pos).client, client);
-                if k.faults_on() {
-                    if let Some(h) = k.p.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // copy from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.data_arrived {
-                            return; // duplicated delivery of this copy
-                        }
-                    }
+                if k.stale_copy(item, txn, epoch, |h| h.data_arrived) {
+                    return;
                 }
                 k.emit(TraceKind::DataArrived.at(now, Some(txn), Some(item), client));
                 if let Some(ft) = from_txn {
@@ -382,15 +375,8 @@ impl Protocol for G2pl {
                 let w = to_pos.expect("client-bound release has a writer position");
                 let txn = fl.entry(w).txn;
                 debug_assert_eq!(fl.entry(w).client, client);
-                if k.faults_on() {
-                    if let Some(h) = k.p.hold(item, txn) {
-                        if epoch < h.epoch {
-                            return; // release from a superseded dispatch
-                        }
-                        if epoch == h.epoch && h.releases_from.contains(&from_pos) {
-                            return; // duplicated delivery of this release
-                        }
-                    }
+                if k.stale_copy(item, txn, epoch, |h| h.releases_from.contains(&from_pos)) {
+                    return;
                 }
                 k.emit(TraceKind::ReleaseArrived.at(
                     now,
@@ -436,21 +422,7 @@ impl Protocol for G2pl {
                 item,
                 mode,
             } => {
-                debug_assert_eq!(
-                    k.cfg.shard_of(item) as usize,
-                    shard,
-                    "lock request routed to the wrong shard"
-                );
-                match k.table.status(txn) {
-                    TxnStatus::Active => {}
-                    TxnStatus::Aborting | TxnStatus::Aborted if k.faults_on() => {
-                        // A retried request from a victim whose abort
-                        // notice may have been lost: answer it again.
-                        k.send_abort_notice(SiteId::server(shard as u32), client, txn);
-                        return;
-                    }
-                    _ => return, // stale request
-                }
+                // An active transaction's request (the kernel triaged it).
                 if k.faults_on() {
                     // Retransmission of a request the server already has:
                     // either still gathering in a window, or already on a
@@ -570,9 +542,7 @@ impl Protocol for G2pl {
 
     fn commit(k: &mut Kernel<Self>, now: SimTime, client: ClientId, txn: TxnId) {
         let active = k.take_committing(client, txn);
-        if k.faults_on() {
-            k.clients[client.index()].retry_progress();
-        }
+        k.clients[client.index()].retry_progress();
         k.table.set_status(txn, TxnStatus::Committed);
         // Every hold forwards exactly once, so exactly one release arrival
         // (client- or server-bound) is expected per accessed item.
@@ -994,6 +964,24 @@ impl Kernel<G2pl> {
     }
 
     // ---- client side ----
+
+    /// Whether a gate message (data or reader release) of dispatch
+    /// `epoch` for `(item, txn)` is a stale copy, which only faults make:
+    /// a copy from a superseded dispatch, or a duplicated delivery of one
+    /// the hold already `counted`.
+    fn stale_copy(
+        &self,
+        item: ItemId,
+        txn: TxnId,
+        epoch: u64,
+        counted: impl FnOnce(&Hold) -> bool,
+    ) -> bool {
+        self.faults_on()
+            && self
+                .p
+                .hold(item, txn)
+                .is_some_and(|h| epoch < h.epoch || (epoch == h.epoch && counted(h)))
+    }
 
     /// Ship the commit decision to every involved shard and keep
     /// retransmitting until each has durably applied it. The decision is
@@ -1647,15 +1635,7 @@ impl Kernel<G2pl> {
                 }
             }
         }
-        out[start..].sort_unstable();
-        let mut w = start;
-        for r in start..out.len() {
-            if r == start || out[r] != out[w - 1] {
-                out[w] = out[r];
-                w += 1;
-            }
-        }
-        out.truncate(w);
+        sort_dedup_from(out, start);
     }
 
     /// Request-time skip rule: whether some live transaction may wait for

@@ -20,13 +20,17 @@
 //! * the commit: `Kernel::take_committing` hands the engine the
 //!   transaction, and `Kernel::ship_commit` ships a server-based
 //!   engine's commit-release slices after the client's WAL records;
+//! * the triage of every lock request at its shard: a request of a
+//!   transaction that is no longer active never reaches the engine;
 //! * the shard fault core: crash, log replay, the epoch-bumped
 //!   re-registration handshake, and the server-side transaction leases.
 //!   The engine supplies one recovery hook, `Protocol::recover`, run
 //!   once the shard serves again;
 //! * presumed-abort two-phase commitment of multi-home transactions:
 //!   `Prepare` voting, `PrepareAck` counting, `CommitQuery` /
-//!   `CommitVerdict`, and in-doubt resolution.
+//!   `CommitVerdict`, and in-doubt resolution. Each transaction's votes,
+//!   applied slices and lease are fields of its
+//!   [`TxnInfo`](crate::runtime::TxnInfo).
 //!
 //! An engine is a [`Protocol`]: its own state plus the hooks where the
 //! protocols really differ. The kernel is generic over it, so every call
@@ -190,21 +194,6 @@ pub struct Kernel<P> {
     /// Per-shard crash/recovery state; all-up defaults when no server
     /// crashes are planned.
     pub(crate) fault_state: Vec<ShardFaultState>,
-    /// Which shards have applied each transaction's commit slice (bit
-    /// `s` of `applied[txn]`; the 64-shard cap in config validation keeps
-    /// this a `u64`). Each bit mirrors its shard's durable applied set
-    /// and is rebuilt from that shard's log image after a crash.
-    applied: Vec<u64>,
-    /// Which shards hold a durable, unretired prepared (yes) vote for
-    /// each transaction — the volatile mirror of the logs' `Prepared`
-    /// records, rebuilt per shard from its image at restart.
-    prepared: Vec<u64>,
-    /// Last server-observed activity per transaction (transaction
-    /// leases).
-    last_activity: Vec<SimTime>,
-    /// Whether a transaction holds server resources under a pending
-    /// lease.
-    pub(crate) leased: Vec<bool>,
     /// The engine's own state.
     pub(crate) p: P,
 }
@@ -238,10 +227,6 @@ impl<P: Protocol> Kernel<P> {
             retry_base,
             slog: srv_faults.then(|| (0..nshards).map(|_| ServerLog::new()).collect()),
             fault_state: vec![ShardFaultState::default(); nshards],
-            applied: Vec::new(),
-            prepared: Vec::new(),
-            last_activity: Vec::new(),
-            leased: Vec::new(),
             fsum: FaultSummary::default(),
             server_cpu: vec![ServerCpu::new(cfg.server_cpu_per_op); nshards],
             cal: Calendar::new(),
@@ -475,7 +460,30 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
+    /// A message a shard accepted. The kernel triages every lock request
+    /// before the engine sees it, so an engine handles only requests of
+    /// active transactions and keeps only its own duplicate filters.
     fn on_server_msg(&mut self, now: SimTime, shard: usize, msg: Message) {
+        if let Message::LockReq {
+            txn, client, item, ..
+        } = msg
+        {
+            debug_assert_eq!(
+                self.cfg.shard_of(item) as usize,
+                shard,
+                "lock request routed to the wrong shard"
+            );
+            match self.table.status(txn) {
+                TxnStatus::Active => {}
+                TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on() => {
+                    // A retried request from a victim whose abort notice
+                    // may have been lost: answer it again.
+                    self.send_abort_notice(SiteId::server(shard as u32), client, txn);
+                    return;
+                }
+                _ => return, // stale request of a finished transaction
+            }
+        }
         match msg {
             Message::Prepare {
                 txn,
@@ -557,9 +565,7 @@ impl<P: Protocol> Kernel<P> {
         let t = self.clients[client.index()].txn_mut();
         let (item, mode) = t.spec.access(idx);
         t.phase = ClientPhase::WaitingGrant(idx);
-        if self.faults_on() {
-            self.clients[client.index()].retry_progress();
-        }
+        self.clients[client.index()].retry_progress();
         self.emit(TraceKind::RequestSent.at(now, Some(txn), Some(item), client));
         self.send_lock_request(client, txn, item, mode);
         self.arm_retry(client);
@@ -981,9 +987,9 @@ impl<P: Protocol> Kernel<P> {
     /// commit-release slice. Under faults the messages also become the
     /// client's pending commit, retransmitted until each shard answers.
     fn send_commit_phase(&mut self, client: ClientId, msgs: Vec<(u32, Message)>) {
-        if self.faults_on() {
-            let c = &mut self.clients[client.index()];
-            c.retry_progress();
+        let c = &mut self.clients[client.index()];
+        c.retry_progress();
+        if self.net.faults.is_some() {
             c.pending_commits.clone_from(&msgs);
         }
         for (shard, msg) in msgs {
@@ -1005,9 +1011,7 @@ impl<P: Protocol> Kernel<P> {
         let active = c.txn.take()?;
         c.pending_commits
             .retain(|(_, m)| !matches!(m, Message::Prepare { txn: t, .. } if *t == txn));
-        if self.net.faults.is_some() {
-            c.retry_progress();
-        }
+        c.retry_progress();
         self.collector.on_abort(active.spec.is_read_only());
         if let Some(wal) = &mut self.wal {
             wal[client.index()].append(LogRecord::Abort { txn });
@@ -1173,8 +1177,10 @@ impl<P: Protocol> Kernel<P> {
     /// cannot log the release — it learns the outcome at restart through
     /// its commit queries instead.
     pub(crate) fn retire_victim(&mut self, victim: TxnId) {
+        let info = self.table.info_mut(victim);
+        info.leased = false;
         if let Some(slogs) = &mut self.slog {
-            let voted = self.prepared.get(victim.index()).copied().unwrap_or(0);
+            let voted = info.prepared;
             for (s, slog) in slogs.iter_mut().enumerate() {
                 if !self.fault_state[s].down && (P::SERVER_BASED || voted & (1u64 << s) != 0) {
                     slog.append(ServerRecord::Released { txn: victim });
@@ -1182,15 +1188,10 @@ impl<P: Protocol> Kernel<P> {
             }
             // Down shards hold no bit: a crash clears it, and restart
             // restores it while already up.
-            if let Some(m) = self.prepared.get_mut(victim.index()) {
-                *m = 0;
-            }
+            info.prepared = 0;
             for st in &mut self.fault_state {
                 st.in_doubt.remove(&victim);
             }
-        }
-        if let Some(l) = self.leased.get_mut(victim.index()) {
-            *l = false;
         }
     }
 
@@ -1199,14 +1200,10 @@ impl<P: Protocol> Kernel<P> {
     /// Record server-observed activity for `txn` and arm its lease on
     /// first contact. Called only under an active fault plan.
     pub(crate) fn touch(&mut self, now: SimTime, txn: TxnId) {
-        let i = txn.index();
-        if self.last_activity.len() <= i {
-            self.last_activity.resize(i + 1, SimTime::ZERO);
-            self.leased.resize(i + 1, false);
-        }
-        self.last_activity[i] = now;
-        if !self.leased[i] {
-            self.leased[i] = true;
+        let info = self.table.info_mut(txn);
+        info.last_activity = now;
+        if !info.leased {
+            info.leased = true;
             self.cal.schedule_in(self.lease, Ev::TxnLease { txn });
         }
     }
@@ -1218,10 +1215,11 @@ impl<P: Protocol> Kernel<P> {
     /// being retransmitted and will land — and recent activity simply
     /// re-arms the lease for the remainder.
     fn on_txn_lease(&mut self, now: SimTime, txn: TxnId) {
-        if !self.leased.get(txn.index()).copied().unwrap_or(false) {
+        let info = self.table.info(txn);
+        if !info.leased {
             return; // resolved since arming
         }
-        let idle_for = now.since(self.last_activity[txn.index()]);
+        let idle_for = now.since(info.last_activity);
         if idle_for < self.lease {
             self.cal
                 .schedule_in(self.lease.since(idle_for), Ev::TxnLease { txn });
@@ -1240,7 +1238,7 @@ impl<P: Protocol> Kernel<P> {
                 self.emit(TraceKind::Redispatch.at(now, Some(txn), None, SiteId::SERVER0));
             }
             TxnStatus::Aborting | TxnStatus::Aborted => {
-                self.leased[txn.index()] = false;
+                self.table.info_mut(txn).leased = false;
             }
         }
     }
@@ -1262,17 +1260,17 @@ impl<P: Protocol> Kernel<P> {
         self.emit(TraceKind::ServerCrashed.at(now, None, None, SiteId::server(shard as u32)));
         self.server_cpu[shard] = ServerCpu::new(self.cfg.server_cpu_per_op);
         P::wipe_shard(self, shard);
-        if shard == 0 {
-            // Transaction leases are coordinated at shard 0 and die with
-            // it; recovery re-arms them.
-            self.leased.iter_mut().for_each(|l| *l = false);
-            self.last_activity
-                .iter_mut()
-                .for_each(|t| *t = SimTime::ZERO);
-        }
         let bit = !(1u64 << shard);
-        self.applied.iter_mut().for_each(|a| *a &= bit);
-        self.prepared.iter_mut().for_each(|p| *p &= bit);
+        for info in self.table.iter_mut() {
+            info.applied &= bit;
+            info.prepared &= bit;
+            if shard == 0 {
+                // Transaction leases are coordinated at shard 0 and die
+                // with it; recovery re-arms them.
+                info.leased = false;
+                info.last_activity = SimTime::ZERO;
+            }
+        }
     }
 
     /// Shard `shard` restarts: replay its durable log into an image,
@@ -1488,44 +1486,28 @@ impl<P: Protocol> Kernel<P> {
 
     /// Record that shard `shard` has applied `txn`'s commit slice.
     pub(crate) fn mark_applied(&mut self, txn: TxnId, shard: usize) {
-        set_bit(&mut self.applied, txn, shard);
+        self.table.info_mut(txn).applied |= 1u64 << shard;
     }
 
     /// Whether shard `shard` has applied `txn`'s commit slice.
     pub(crate) fn applied_at(&self, txn: TxnId, shard: usize) -> bool {
-        has_bit(&self.applied, txn, shard)
+        self.table.info(txn).applied & (1u64 << shard) != 0
     }
 
     /// Record that shard `shard` holds a durable prepared vote for `txn`.
     fn mark_prepared(&mut self, txn: TxnId, shard: usize) {
-        set_bit(&mut self.prepared, txn, shard);
+        self.table.info_mut(txn).prepared |= 1u64 << shard;
     }
 
     /// Whether shard `shard` holds a durable, unretired prepared vote for
     /// `txn`.
     pub(crate) fn prepared_at(&self, txn: TxnId, shard: usize) -> bool {
-        has_bit(&self.prepared, txn, shard)
+        self.table.info(txn).prepared & (1u64 << shard) != 0
     }
 
     /// Retire shard `shard`'s prepared vote for `txn` (its log holds the
     /// retiring record).
     fn clear_prepared(&mut self, txn: TxnId, shard: usize) {
-        if let Some(m) = self.prepared.get_mut(txn.index()) {
-            *m &= !(1u64 << shard);
-        }
+        self.table.info_mut(txn).prepared &= !(1u64 << shard);
     }
-}
-
-fn set_bit(masks: &mut Vec<u64>, txn: TxnId, shard: usize) {
-    let i = txn.index();
-    if masks.len() <= i {
-        masks.resize(i + 1, 0);
-    }
-    masks[i] |= 1u64 << shard;
-}
-
-fn has_bit(masks: &[u64], txn: TxnId, shard: usize) -> bool {
-    masks
-        .get(txn.index())
-        .is_some_and(|m| m & (1u64 << shard) != 0)
 }

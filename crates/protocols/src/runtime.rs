@@ -702,15 +702,25 @@ pub enum TxnStatus {
     Aborted,
 }
 
-/// Global (oracle) per-transaction bookkeeping.
+/// Global (oracle) per-transaction bookkeeping, and the one home of the
+/// facts the fault path keeps per transaction: its 2PC shard masks (bit
+/// `s` is shard `s`; at most 64 shards) and its server-side lease. A
+/// shard crash clears its bits, which restart restores from its log; a
+/// crash of shard 0, which coordinates the leases, voids them all.
 #[derive(Clone, Debug)]
 pub struct TxnInfo {
     /// The client running the transaction.
     pub client: ClientId,
     /// Current status.
     pub status: TxnStatus,
-    /// Whether the transaction's spec is read-only.
-    pub read_only: bool,
+    /// Shards that durably applied the transaction's commit slice.
+    pub applied: u64,
+    /// Shards holding a durable, unretired prepared (yes) vote.
+    pub prepared: u64,
+    /// Last server-observed activity (s-2PL and c-2PL leases).
+    pub last_activity: SimTime,
+    /// Whether a lease is pending on server resources it holds.
+    pub leased: bool,
 }
 
 /// Dense table of every transaction created during a run.
@@ -726,12 +736,15 @@ impl TxnTable {
     }
 
     /// Register a new transaction; ids are dense and age-ordered.
-    pub fn create(&mut self, client: ClientId, read_only: bool) -> TxnId {
+    pub fn create(&mut self, client: ClientId) -> TxnId {
         let id = TxnId::new(self.infos.len() as u32);
         self.infos.push(TxnInfo {
             client,
             status: TxnStatus::Active,
-            read_only,
+            applied: 0,
+            prepared: 0,
+            last_activity: SimTime::ZERO,
+            leased: false,
         });
         id
     }
@@ -739,6 +752,16 @@ impl TxnTable {
     /// Info for `txn`.
     pub fn info(&self, txn: TxnId) -> &TxnInfo {
         &self.infos[txn.index()]
+    }
+
+    /// Mutable info for `txn`.
+    pub fn info_mut(&mut self, txn: TxnId) -> &mut TxnInfo {
+        &mut self.infos[txn.index()]
+    }
+
+    /// Every transaction's info, in id order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TxnInfo> {
+        self.infos.iter_mut()
     }
 
     /// Current status of `txn`.
@@ -816,9 +839,11 @@ pub struct ClientCore {
     /// and local timers are dropped until the scheduled restart.
     pub crashed: bool,
     /// Retry epoch: bumped on every progress transition (request sent,
-    /// grant received, commit acknowledged, abort, restart). A pending
-    /// [`TimerKind::Retry`] whose epoch does not match is stale and
-    /// ignored, so retry timers never need cancelling.
+    /// grant received, commit shipped or acknowledged, abort, restart),
+    /// with or without a fault plan. Only [`TimerKind::Retry`] reads it,
+    /// and only a fault plan arms one: a pending retry whose epoch does
+    /// not match is stale and ignored, so retry timers never need
+    /// cancelling.
     pub retry_epoch: u64,
     /// Consecutive retransmissions of the current outstanding operation
     /// (exponential-backoff exponent; reset on progress).
@@ -848,8 +873,9 @@ impl ClientCore {
     }
 
     /// Bump the retry epoch (invalidating pending retry timers) and reset
-    /// the backoff counter. Called on every progress transition when a
-    /// fault plan is active.
+    /// the backoff counter. Called on every progress transition, fault
+    /// plan or not: only retry timers read the epoch, and only a fault
+    /// plan arms them, so a fault-free run never reads it.
     pub fn retry_progress(&mut self) {
         self.retry_epoch += 1;
         self.retry_attempts = 0;
@@ -874,7 +900,7 @@ impl ClientCore {
             self.id
         );
         let spec = generator.draw(&mut self.spec_rng);
-        let id = table.create(self.id, spec.is_read_only());
+        let id = table.create(self.id);
         self.txn = Some(ActiveTxn {
             id,
             spec,
@@ -1054,11 +1080,10 @@ mod tests {
     #[test]
     fn txn_table_ids_are_age_ordered() {
         let mut t = TxnTable::new();
-        let a = t.create(ClientId::new(0), true);
-        let b = t.create(ClientId::new(1), false);
+        let a = t.create(ClientId::new(0));
+        let b = t.create(ClientId::new(1));
         assert!(a < b);
         assert_eq!(t.len(), 2);
-        assert!(t.info(a).read_only);
         assert!(t.is_live(b));
         t.set_status(b, TxnStatus::Aborting);
         assert!(!t.is_live(b));

@@ -339,7 +339,6 @@ impl<P: ServerLocking> Kernel<P> {
         item: ItemId,
         version: Version,
     ) {
-        let faults_on = self.faults_on();
         let c = &mut self.clients[client.index()];
         let Some(active) = &c.txn else { return };
         if active.id != txn {
@@ -349,12 +348,10 @@ impl<P: ServerLocking> Kernel<P> {
             || active.spec.access(active.granted).0 != item
         {
             // Duplicate of an already-consumed grant (lossy link).
-            debug_assert!(faults_on, "unexpected duplicate grant");
+            debug_assert!(self.net.faults.is_some(), "unexpected duplicate grant");
             return;
         }
-        if faults_on {
-            c.retry_progress();
-        }
+        c.retry_progress();
         self.grant_access(now, client, item, version, TraceKind::Granted);
     }
 
@@ -374,6 +371,8 @@ impl<P: ServerLocking> Kernel<P> {
         }
     }
 
+    /// A lock request of an active transaction (the kernel dropped or
+    /// answered the others): filter retransmissions, then grant or queue.
     fn on_lock_request(
         &mut self,
         now: SimTime,
@@ -383,21 +382,6 @@ impl<P: ServerLocking> Kernel<P> {
         item: ItemId,
         mode: LockMode,
     ) {
-        debug_assert_eq!(
-            self.cfg.shard_of(item) as usize,
-            shard,
-            "lock request routed to the wrong shard"
-        );
-        match self.table.status(txn) {
-            TxnStatus::Active => {}
-            TxnStatus::Aborting | TxnStatus::Aborted if self.faults_on() => {
-                // A retried request from a victim whose abort notice may
-                // have been lost: answer it again.
-                self.send_abort_notice(SiteId::server(shard as u32), client, txn);
-                return;
-            }
-            _ => return, // stale request of a finished transaction
-        }
         if self.faults_on() {
             self.touch(now, txn);
             if self.p.locking().locks[shard].mode_of(txn, item).is_some() {
@@ -447,9 +431,7 @@ impl<P: ServerLocking> Kernel<P> {
                 self.send_commit_ack(shard, committer, txn);
                 return;
             }
-            if let Some(l) = self.leased.get_mut(txn.index()) {
-                *l = false;
-            }
+            self.table.info_mut(txn).leased = false;
         }
         self.install_slice(shard, txn, writes);
         let faults_on = self.faults_on();

@@ -37,3 +37,33 @@ pub use ids::{ClientId, ItemId, ShardId, SiteId, TxnId, Version};
 pub use rng::RngStream;
 pub use slab::Slab;
 pub use time::SimTime;
+
+/// Sort `v[start..]` and drop its duplicates in place, leaving `v[..start]`
+/// untouched. Deadlock searches append each node's successors to one
+/// reused buffer and call this on the range they appended, so a
+/// successor list is visited in id order, each transaction once.
+pub fn sort_dedup_from<T: Ord + Copy>(v: &mut Vec<T>, start: usize) {
+    v[start..].sort_unstable();
+    let mut w = start;
+    for r in start..v.len() {
+        if w == start || v[w - 1] != v[r] {
+            v[w] = v[r];
+            w += 1;
+        }
+    }
+    v.truncate(w);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sort_dedup_from;
+
+    #[test]
+    fn sort_dedup_from_keeps_the_prefix() {
+        let mut v = vec![9, 9, 4, 2, 4, 4, 1];
+        sort_dedup_from(&mut v, 2);
+        assert_eq!(v, [9, 9, 1, 2, 4]);
+        sort_dedup_from(&mut v, 5);
+        assert_eq!(v, [9, 9, 1, 2, 4], "an empty range is a no-op");
+    }
+}

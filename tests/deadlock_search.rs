@@ -65,12 +65,7 @@ fn skips_and_verifies(protocol: &ProtocolKind, clients: u32, pr: f64) -> Vec<Run
         if plan.is_some() {
             assert!(m.faults.any(), "{tag}: the plan injected nothing");
         }
-        assert!(!m.trace_truncated(), "{tag}: trace truncated");
-        let trace = m.trace.as_ref().expect("trace recorded");
-        check_trace_with(trace, TraceCheckOpts::for_config(&cfg))
-            .unwrap_or_else(|e| panic!("{tag}: {e}"));
-        check_serializable(m.history.as_ref().expect("history recorded"))
-            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+        check_run(&cfg, &m).unwrap_or_else(|e| panic!("{tag}: {e}"));
         runs.push(m);
     }
     runs

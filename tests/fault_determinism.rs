@@ -137,11 +137,39 @@ fn crash_recovery_is_deterministic_and_commits() {
 #[test]
 fn lossy_runs_pass_every_trace_property() {
     for p in trio() {
-        let cfg = lossy_cfg(p.clone(), 0.05);
+        let mut cfg = lossy_cfg(p.clone(), 0.05);
+        cfg.record_history = true;
         let m = run(&cfg).expect("valid config");
-        let trace = m.trace.as_deref().expect("trace recorded");
-        let opts = TraceCheckOpts::for_config(&cfg);
-        check_trace_with(trace, opts).unwrap_or_else(|e| panic!("{p:?} under 5% loss: {e}"));
+        check_run(&cfg, &m).unwrap_or_else(|e| panic!("{p:?} under 5% loss: {e}"));
+    }
+}
+
+/// Heavy duplication reaches each engine's own duplicate filters: s-2PL
+/// and c-2PL re-ship a granted request and ignore a queued one, and
+/// g-2PL drops a second delivery of a data copy or reader release its
+/// hold already counted. Without that last filter this g-2PL run fails
+/// a debug assertion, and in release its history is not serializable.
+#[test]
+fn duplicated_deliveries_verify_on_every_engine() {
+    for p in trio() {
+        let mut cfg = EngineConfig::table1(p, 10, 50, 0.5);
+        cfg.warmup_txns = 50;
+        cfg.measured_txns = 300;
+        cfg.seed = 1;
+        cfg.drain = true;
+        cfg.trace_events = true;
+        cfg.record_history = true;
+        cfg.faults = Some(FaultPlan {
+            dup_prob: 0.2,
+            ..FaultPlan::default()
+        });
+        let m = run(&cfg).expect("valid config");
+        assert!(
+            m.faults.injected.duplicated > 0,
+            "{}: nothing duplicated",
+            m.protocol
+        );
+        check_run(&cfg, &m).unwrap_or_else(|e| panic!("{} under 20% duplication: {e}", m.protocol));
     }
 }
 

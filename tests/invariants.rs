@@ -60,14 +60,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Committed histories are conflict-serializable with well-formed
-    /// version chains, for every protocol and optimization combination.
+    /// version chains, and traces pass P1–P10, for every protocol and
+    /// optimization combination.
     #[test]
-    fn histories_are_serializable(cfg in arb_config()) {
+    fn histories_are_serializable(mut cfg in arb_config()) {
+        cfg.trace_events = true;
         let m = run(&cfg).expect("valid config");
-        let history = m.history.as_ref().expect("history enabled");
-        let label = m.protocol;
-        check_serializable(history)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        check_run(&cfg, &m).unwrap_or_else(|e| panic!("{}: {e}", m.protocol));
     }
 
     /// Runs drain to quiescence (the engines assert conservation

@@ -44,9 +44,7 @@ fn multi_shard_histories_are_serializable() {
         for shards in [2, 4, 7] {
             let cfg = sharded_cfg(p.clone(), shards, 11 + u64::from(shards));
             let m = run(&cfg).expect("valid config");
-            let history = m.history.as_ref().expect("history enabled");
-            check_serializable(history)
-                .unwrap_or_else(|e| panic!("{} @ {shards} shards: {e}", m.protocol));
+            check_run(&cfg, &m).unwrap_or_else(|e| panic!("{} @ {shards} shards: {e}", m.protocol));
             assert_eq!(m.aborts.trials(), cfg.measured_txns);
             assert!(m.committed_total > 0);
         }
@@ -58,8 +56,7 @@ fn multi_shard_traces_pass_p_properties() {
     for p in protocols() {
         let cfg = sharded_cfg(p.clone(), 4, 99);
         let m = run(&cfg).expect("valid config");
-        let trace = m.trace.as_ref().expect("trace enabled");
-        check_trace(trace).unwrap_or_else(|e| panic!("{}: {e}", m.protocol));
+        check_run(&cfg, &m).unwrap_or_else(|e| panic!("{}: {e}", m.protocol));
     }
 }
 

@@ -11,7 +11,7 @@
 //! and an inert plan leaves the sharded pristine path byte-identical to
 //! having no plan at all.
 
-use g2pl_core::{check_serializable, check_trace_with, TraceCheckOpts};
+use g2pl_core::check_run;
 use g2pl_netmodel::accounting::Direction;
 use g2pl_protocols::{
     run, CrashWindow, EngineConfig, FaultPlan, ItemSpace, LinkPartition, ProtocolKind, RunMetrics,
@@ -52,9 +52,10 @@ fn shard_crash_cfg(protocol: ProtocolKind) -> EngineConfig {
     cfg
 }
 
+/// Run `cfg` and verify it: P1–P10 and serializability.
 fn run_checked(cfg: &EngineConfig) -> RunMetrics {
     let m = run(cfg).expect("valid config");
-    assert!(!m.trace_truncated(), "trace truncated; cannot verify");
+    check_run(cfg, &m).unwrap_or_else(|e| panic!("{}: {e}", m.protocol));
     m
 }
 
@@ -110,13 +111,6 @@ fn shard_crash_mid_multi_home_commit_verifies_end_to_end() {
             "{}: crash events must carry the crashed shard",
             m.protocol
         );
-        if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
-            panic!("{}: P1-P10 violated under shard crashes: {e}", m.protocol);
-        }
-        let history = m.history.as_ref().expect("history enabled");
-        if let Err(e) = check_serializable(history) {
-            panic!("{}: serializability violated: {e}", m.protocol);
-        }
         let wal = m.wal.as_ref().expect("wal enabled");
         assert_eq!(
             wal.end_live_records, 0,
@@ -191,14 +185,6 @@ fn shard_crash_composes_with_client_faults_and_partitions() {
         ));
         let m = run_checked(&cfg);
         assert_eq!(m.faults.server_crashes, 2, "{}", m.protocol);
-        let trace = m.trace.as_ref().expect("trace enabled");
-        if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
-            panic!("{}: P1-P10 violated under combined faults: {e}", m.protocol);
-        }
-        let history = m.history.as_ref().expect("history enabled");
-        if let Err(e) = check_serializable(history) {
-            panic!("{}: serializability violated: {e}", m.protocol);
-        }
     }
 }
 
@@ -366,15 +352,9 @@ fn every_two_pc_and_in_doubt_branch_executes() {
         for (plan, wanted) in targets {
             for seed in 0..64 {
                 let cfg = branch_cfg(protocol.clone(), plan, seed);
-                let m = run_checked(&cfg);
-                let trace = m.trace.as_ref().expect("trace enabled");
-                if let Err(e) = check_trace_with(trace, TraceCheckOpts::for_config(&cfg)) {
-                    panic!("{} {plan:?} seed {seed}: P1-P10 violated: {e}", m.protocol);
-                }
-                let history = m.history.as_ref().expect("history enabled");
-                if let Err(e) = check_serializable(history) {
-                    panic!("{} {plan:?} seed {seed}: not serializable: {e}", m.protocol);
-                }
+                let m = run(&cfg).expect("valid config");
+                check_run(&cfg, &m)
+                    .unwrap_or_else(|e| panic!("{} {plan:?} seed {seed}: {e}", m.protocol));
                 let t = m.faults.two_pc;
                 if t.verdict_commits + t.verdict_aborts > 0 {
                     // Commit-status queries and verdicts travel shard to
